@@ -1,34 +1,28 @@
 //! The record-pair comparison step: turning candidate pairs into similarity
 //! feature vectors and ground-truth labels.
 //!
-//! Two execution strategies share one bit-identical kernel
-//! ([`prepared_pair`]):
-//!
-//! * **Global-prepare** (small candidate sets): prepare every record of
-//!   both sides up front, then stream flat row-major chunks.
-//! * **Block-sharded** (large candidate sets): cut the pair list into
-//!   shards aligned to left-record group boundaries — the natural locality
-//!   unit the blocker emits — and give each shard its *own* prepared-value
-//!   caches, built on the worker that consumes them. Peak memory stays
-//!   bounded by the shard size instead of `O(records × features)`, and
-//!   each shard emits a column-major row block straight into a
-//!   preallocated [`ColMajorMatrix`] with no per-pair staging.
+//! A record is prepared — tokenised, q-grammed, parsed — only when a pair
+//! needs it, so a call costs what its pairs touch rather than what the
+//! record slices hold: a serving request with a few dozen candidate pairs
+//! against 10^4 reference records prepares a few dozen records. The pair
+//! list is cut into shards aligned to left-record group boundaries — the
+//! natural locality unit the blocker emits — and each shard keeps its
+//! *own* prepared-value caches and string interner, built on the worker
+//! that consumes them: a left record is prepared once per run of pairs
+//! that share it, a right record once per shard. Peak memory stays
+//! bounded by the shard size instead of `O(records × features)`, and each
+//! shard emits its row-major block of the feature matrix with no per-pair
+//! staging.
 
 use std::collections::HashMap;
 
 use transer_common::{
-    AttrValue, ColMajorMatrix, Error, FeatureMatrix, Label, LabeledDataset, Record, Result,
-    StrInterner,
+    AttrValue, Error, FeatureMatrix, Label, LabeledDataset, Record, Result, StrInterner,
 };
 use transer_parallel::{CostHint, Pool};
 use transer_similarity::{Measure, PreparedText, SimKernel};
 
 use crate::CandidatePair;
-
-/// Candidate pairs per parallel work unit in [`Comparison::compare_pairs`]:
-/// small enough to rebalance ragged comparison costs, large enough that
-/// dispatch overhead vanishes against the per-pair similarity work.
-const PAIR_CHUNK: usize = 256;
 
 /// Estimated cost of one prepared pairwise comparison across a feature
 /// row — the grain hint for the pair loop.
@@ -37,16 +31,10 @@ const PAIR_COMPARE_NANOS: u64 = 10_000;
 /// Estimated cost of preparing one record's attribute values.
 const PREPARE_NANOS: u64 = 20_000;
 
-/// Target pairs per shard in the block-sharded path: large enough to
-/// amortise the shard-local cache build, small enough that shards balance
-/// and per-shard memory stays a rounding error.
+/// Target pairs per shard: large enough to amortise the shard-local cache
+/// build, small enough that shards balance and per-shard memory stays a
+/// rounding error.
 const SHARD_TARGET_PAIRS: usize = 2048;
-
-/// Candidate-set size at which [`Comparison::compare_pairs`] switches from
-/// the global-prepare path to the block-sharded path: below this the two
-/// full prepared-side vectors are cheap and the shard machinery is pure
-/// overhead.
-const SHARDED_MIN_PAIRS: usize = 16_384;
 
 /// Declares the feature space: which similarity [`Measure`] applies to
 /// which attribute index. Sharing one `Comparison` between the source and
@@ -120,27 +108,12 @@ impl Comparison {
         }
     }
 
-    /// Precompute, per record, the per-feature state every pair comparison
-    /// needs (token sets, q-gram sets, parsed numbers, …) — tokenising each
-    /// record once instead of once per candidate pair.
-    fn prepare_records(&self, records: &[Record], pool: &Pool) -> Vec<Vec<PreparedValue>> {
-        let hint = CostHint::with_per_item_nanos(records.len(), PREPARE_NANOS);
-        pool.par_map_costed(records, hint, |record| self.prepare_one(record))
-    }
-
-    /// The per-feature prepared values of one record.
-    fn prepare_one(&self, record: &Record) -> Vec<PreparedValue> {
-        self.features
-            .iter()
-            .map(|&(attr, measure)| PreparedValue::new(self.kernel, measure, &record.values[attr]))
-            .collect()
-    }
-
-    /// [`Comparison::prepare_one`] through a shard-local [`StrInterner`]:
-    /// the fast engine's token and wide q-gram profiles come out as dense
-    /// `u32` ids, comparable against every other value prepared through
-    /// the *same* interner (the per-shard contract of the block-sharded
-    /// path).
+    /// Precompute the per-feature state every pair comparison of `record`
+    /// needs (token sets, q-gram sets, parsed numbers, …) through a
+    /// shard-local [`StrInterner`]: the fast engine's token and wide q-gram
+    /// profiles come out as dense `u32` ids, comparable against every
+    /// other value prepared through the *same* interner (the per-shard
+    /// contract).
     fn prepare_one_interned(
         &self,
         record: &Record,
@@ -185,12 +158,19 @@ impl Comparison {
         pool: &Pool,
     ) -> Result<(FeatureMatrix, Vec<Label>)> {
         let _span = transer_trace::span("blocking.compare");
-        let (mut x, mut y) = if pairs.len() >= SHARDED_MIN_PAIRS {
-            let (cm, y) = self.compare_pairs_colmajor_with_pool(left, right, pairs, pool)?;
-            (cm.to_feature_matrix()?, y)
-        } else {
-            self.compare_pairs_global_prepare(left, right, pairs, pool)?
-        };
+        let m = self.num_features();
+        transer_trace::counter("compare.pairs", pairs.len() as u64);
+        transer_trace::counter("compare.invocations", (pairs.len() * m) as u64);
+        let ranges = shard_ranges(pairs, SHARD_TARGET_PAIRS);
+        transer_trace::counter("compare.shards", ranges.len() as u64);
+        let per_shard = (pairs.len() as u64 / ranges.len().max(1) as u64)
+            .saturating_mul(PAIR_COMPARE_NANOS)
+            .saturating_add(PREPARE_NANOS);
+        let hint = CostHint::with_per_item_nanos(ranges.len(), per_shard);
+        let blocks: Vec<Vec<f64>> = pool
+            .par_map_costed(&ranges, hint, |&(s, e)| self.compare_shard(left, right, &pairs[s..e]));
+        let mut x = FeatureMatrix::from_rows(blocks.concat(), pairs.len(), m)?;
+        let mut y = pair_labels(left, right, pairs);
         if let Some(kind) = transer_robust::fired(transer_robust::site::COMPARE) {
             if kind == transer_robust::FaultKind::TaskFail {
                 return Err(Error::FaultInjected(transer_robust::site::COMPARE));
@@ -201,127 +181,51 @@ impl Comparison {
         Ok((x, y))
     }
 
-    /// The global-prepare strategy: both record sides prepared up front,
-    /// flat row-major output. Best below [`SHARDED_MIN_PAIRS`].
-    fn compare_pairs_global_prepare(
+    /// The row-major feature block of one shard. The left record is
+    /// re-prepared only when the pair list moves to a new one (sorted
+    /// lists touch each left record once); right records are cached for
+    /// the whole shard.
+    fn compare_shard(
         &self,
         left: &[Record],
         right: &[Record],
-        pairs: &[CandidatePair],
-        pool: &Pool,
-    ) -> Result<(FeatureMatrix, Vec<Label>)> {
+        shard: &[CandidatePair],
+    ) -> Vec<f64> {
         let m = self.num_features();
-        let prepared_left = self.prepare_records(left, pool);
-        let prepared_right = self.prepare_records(right, pool);
-        // One prepared value per (record, feature); each pair then reads
-        // two of them from the cache instead of re-deriving them.
-        transer_trace::counter("compare.prepared", ((left.len() + right.len()) * m) as u64);
-        transer_trace::counter("compare.pairs", pairs.len() as u64);
-        transer_trace::counter("compare.invocations", (pairs.len() * m) as u64);
-        transer_trace::counter("compare.cache_hits", (2 * pairs.len() * m) as u64);
-        let pair_hint = CostHint::with_per_item_nanos(pairs.len(), PAIR_COMPARE_NANOS);
-        let data: Vec<f64> =
-            pool.par_chunks_costed(pairs, Some(PAIR_CHUNK), pair_hint, |_, chunk| {
-                let mut rows = Vec::with_capacity(chunk.len() * m);
-                for &(i, j) in chunk {
-                    for (f, &(_, measure)) in self.features.iter().enumerate() {
-                        rows.push(prepared_pair(
-                            self.kernel,
-                            measure,
-                            &prepared_left[i][f],
-                            &prepared_right[j][f],
-                        ));
-                    }
-                }
-                rows
-            });
-        let x = FeatureMatrix::from_rows(data, pairs.len(), m)?;
-        Ok((x, pair_labels(left, right, pairs)))
-    }
-
-    /// The block-sharded strategy: the pair list is cut into shards
-    /// aligned to left-record group boundaries, every shard builds its own
-    /// prepared-value caches on the worker that consumes it, and each
-    /// shard's feature rows are written column-major straight into a
-    /// preallocated [`ColMajorMatrix`] (one `memcpy` per shard per
-    /// column at merge time). Bit-identical to the global-prepare path —
-    /// both reduce to [`prepared_pair`] on the same prepared inputs.
-    ///
-    /// Peak memory scales with `shard size × features`, not
-    /// `records × features`: the property that keeps the 10^6-record
-    /// ladder rung inside a bounded footprint.
-    ///
-    /// # Errors
-    /// Returns [`Error::DimensionMismatch`] if a shard emits a malformed
-    /// block (cannot occur by construction).
-    pub fn compare_pairs_colmajor_with_pool(
-        &self,
-        left: &[Record],
-        right: &[Record],
-        pairs: &[CandidatePair],
-        pool: &Pool,
-    ) -> Result<(ColMajorMatrix, Vec<Label>)> {
-        let m = self.num_features();
-        transer_trace::counter("compare.pairs", pairs.len() as u64);
-        transer_trace::counter("compare.invocations", (pairs.len() * m) as u64);
-        let ranges = shard_ranges(pairs, SHARD_TARGET_PAIRS);
-        transer_trace::counter("compare.shards", ranges.len() as u64);
-        let per_shard = (pairs.len() as u64 / ranges.len().max(1) as u64)
-            .saturating_mul(PAIR_COMPARE_NANOS)
-            .saturating_add(PREPARE_NANOS);
-        let hint = CostHint::with_per_item_nanos(ranges.len(), per_shard);
-        let blocks: Vec<Vec<f64>> = pool.par_map_costed(&ranges, hint, |&(s, e)| {
-            let shard = &pairs[s..e];
-            let len = shard.len();
-            let mut block = vec![0.0; len * m];
-            // One scratch feature row, reused across the whole shard: the
-            // kernel writes it sequentially, then it scatters into the
-            // column-major block.
-            let mut scratch = vec![0.0; m];
-            // Shard-local interner: the fast engine's token/gram profiles
-            // become dense u32 ids. Ids are consistent exactly within this
-            // shard's caches — which is the only scope they are compared
-            // in — and scores consult id equality only, so the choice of
-            // interner (and hence shard layout) cannot change a score.
-            let mut interner = StrInterner::new();
-            let mut left_prepared: Vec<PreparedValue> = Vec::new();
-            let mut current_left = usize::MAX;
-            let mut right_cache: HashMap<usize, Vec<PreparedValue>> = HashMap::new();
-            let mut prepares = 0u64;
-            for (r, &(i, j)) in shard.iter().enumerate() {
-                if i != current_left || left_prepared.is_empty() {
-                    left_prepared = self.prepare_one_interned(&left[i], &mut interner);
-                    current_left = i;
-                    prepares += 1;
-                }
-                let right_prepared = match right_cache.entry(j) {
-                    std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        prepares += 1;
-                        v.insert(self.prepare_one_interned(&right[j], &mut interner))
-                    }
-                };
-                for (f, (slot, &(_, measure))) in scratch.iter_mut().zip(&self.features).enumerate()
-                {
-                    *slot =
-                        prepared_pair(self.kernel, measure, &left_prepared[f], &right_prepared[f]);
-                }
-                for (f, &v) in scratch.iter().enumerate() {
-                    block[f * len + r] = v;
-                }
+        let mut block = vec![0.0; shard.len() * m];
+        // Shard-local interner: the fast engine's token/gram profiles
+        // become dense u32 ids. Ids are consistent exactly within this
+        // shard's caches — which is the only scope they are compared in —
+        // and scores consult id equality only, so the choice of interner
+        // (and hence shard layout) cannot change a score.
+        let mut interner = StrInterner::new();
+        let mut left_prepared: Vec<PreparedValue> = Vec::new();
+        let mut current_left = None;
+        let mut right_cache: HashMap<usize, Vec<PreparedValue>> = HashMap::new();
+        let mut prepares = 0u64;
+        for (row, &(i, j)) in block.chunks_exact_mut(m).zip(shard) {
+            if current_left != Some(i) {
+                left_prepared = self.prepare_one_interned(&left[i], &mut interner);
+                current_left = Some(i);
+                prepares += 1;
             }
-            transer_trace::counter("compare.prepared", prepares * m as u64);
-            transer_trace::counter(
-                "compare.cache_hits",
-                (2 * len as u64).saturating_sub(prepares) * m as u64,
-            );
-            block
-        });
-        let mut x = ColMajorMatrix::zeros(pairs.len(), m);
-        for (&(s, e), block) in ranges.iter().zip(&blocks) {
-            x.copy_rows_from_block(s, block, e - s);
+            let right_prepared = right_cache.entry(j).or_insert_with(|| {
+                prepares += 1;
+                self.prepare_one_interned(&right[j], &mut interner)
+            });
+            for (slot, (&(_, measure), (a, b))) in row
+                .iter_mut()
+                .zip(self.features.iter().zip(left_prepared.iter().zip(right_prepared)))
+            {
+                *slot = prepared_pair(self.kernel, measure, a, b);
+            }
         }
-        Ok((x, pair_labels(left, right, pairs)))
+        transer_trace::counter("compare.prepared", prepares * m as u64);
+        transer_trace::counter(
+            "compare.cache_hits",
+            (2 * shard.len() as u64).saturating_sub(prepares) * m as u64,
+        );
+        block
     }
 
     /// Convenience: compare pairs and bundle the result as a named
@@ -396,22 +300,11 @@ enum PreparedValue {
 }
 
 impl PreparedValue {
-    fn new(kernel: SimKernel, measure: Measure, value: &AttrValue) -> Self {
-        match value {
-            AttrValue::Text(s) => PreparedValue::Text(measure.prepare_with(kernel, s)),
-            AttrValue::Number(x) => PreparedValue::Number {
-                raw: *x,
-                // The rendering is moved into the preparation, so the Raw
-                // family stores it without a second allocation.
-                text: measure.prepare_owned_with(kernel, x.to_string()),
-            },
-            AttrValue::Missing => PreparedValue::Missing,
-        }
-    }
-
-    /// [`PreparedValue::new`] through a shard-local interner; every value
-    /// of a shard — including numeric renderings — must go through the
-    /// same interner so their id profiles stay comparable.
+    /// Prepare `value` for `measure` through a shard-local interner; every
+    /// value of a shard — including numeric renderings — must go through
+    /// the same interner so their id profiles stay comparable. A numeric
+    /// rendering is moved into the preparation, so the Raw family stores
+    /// it without a second allocation.
     fn new_interned(
         kernel: SimKernel,
         measure: Measure,
@@ -508,6 +401,14 @@ mod tests {
     }
 
     #[test]
+    fn empty_pair_list_yields_an_empty_matrix() {
+        let left = vec![rec(0, 1, "a b", 2000.0)];
+        let (x, y) = cmp().compare_pairs(&left, &left, &[]).unwrap();
+        assert_eq!((x.rows(), x.cols()), (0, 2));
+        assert!(y.is_empty());
+    }
+
+    #[test]
     fn empty_feature_space_rejected() {
         assert!(Comparison::new(vec![]).is_err());
     }
@@ -527,6 +428,40 @@ mod tests {
     fn feature_vector_into_checks_length() {
         let a = rec(0, 1, "x", 1.0);
         cmp().feature_vector_into(&a, &a, &mut [0.0]);
+    }
+
+    /// Compare `pairs` over `records` under every worker count × dispatch
+    /// mode and check each cell bit-for-bit against the per-pair
+    /// [`Comparison::feature_vector`] oracle, and each label against the
+    /// records' entities.
+    fn assert_matches_feature_vector(
+        comparison: &Comparison,
+        records: &[Record],
+        pairs: &[CandidatePair],
+    ) {
+        use transer_parallel::{GrainMode, Pool};
+        for (workers, mode) in [
+            (1, GrainMode::Auto),
+            (4, GrainMode::Auto),
+            (4, GrainMode::AlwaysInline),
+            (4, GrainMode::AlwaysPool),
+        ] {
+            let pool = Pool::new(workers).with_grain(mode);
+            let (x, y) =
+                comparison.compare_pairs_with_pool(records, records, pairs, &pool).unwrap();
+            assert_eq!(x.rows(), pairs.len());
+            for (row, &(i, j)) in pairs.iter().enumerate() {
+                assert_eq!(y[row], Label::from_bool(records[i].entity == records[j].entity));
+                let direct = comparison.feature_vector(&records[i], &records[j]);
+                for (f, (got, want)) in x.row(row).iter().zip(&direct).enumerate() {
+                    assert!(
+                        got.to_bits() == want.to_bits(),
+                        "workers={workers} {mode:?} {:?} on rows ({i}, {j}): {got} != {want}",
+                        comparison.features[f].1,
+                    );
+                }
+            }
+        }
     }
 
     /// The prepared matrix path must equal the per-pair `feature_vector`
@@ -567,26 +502,68 @@ mod tests {
             .collect();
         let pairs: Vec<CandidatePair> =
             (0..records.len()).flat_map(|i| (0..records.len()).map(move |j| (i, j))).collect();
-        for workers in [1, 4] {
-            let (x, _) = comparison
-                .compare_pairs_with_pool(
-                    &records,
-                    &records,
-                    &pairs,
-                    &transer_parallel::Pool::new(workers),
-                )
-                .unwrap();
-            for (row, &(i, j)) in pairs.iter().enumerate() {
-                let direct = comparison.feature_vector(&records[i], &records[j]);
-                for (f, (got, want)) in x.row(row).iter().zip(&direct).enumerate() {
-                    assert!(
-                        got.to_bits() == want.to_bits(),
-                        "workers={workers} {:?} on rows ({i}, {j}): {got} != {want}",
-                        measures[f],
-                    );
-                }
-            }
+        assert_matches_feature_vector(&comparison, &records, &pairs);
+    }
+
+    /// Ragged, sorted pair lists like the blocker emits, over mixed value
+    /// shapes — one shard at 60 records, several (each with its own
+    /// interner) at 600.
+    #[test]
+    fn sharded_path_matches_feature_vector_exactly() {
+        let comparison = Comparison::new(vec![
+            (0, Measure::TokenJaccard),
+            (0, Measure::MongeElkanJw),
+            (1, Measure::Year),
+            (1, Measure::Numeric(5.0)),
+        ])
+        .unwrap();
+        for n in [60, 600] {
+            let records: Vec<Record> = (0..n as u64)
+                .map(|i| match i % 5 {
+                    0 => rec(i, i % 11, &format!("entity record number {i} title words"), 1980.0),
+                    1 => rec(i, i % 11, &format!("entity record {i}"), 1980.0 + i as f64),
+                    2 => {
+                        Record::new(i, i % 11, vec![AttrValue::Missing, AttrValue::Number(2000.0)])
+                    }
+                    3 => Record::new(
+                        i,
+                        i % 11,
+                        vec![AttrValue::Text(format!("{i}")), AttrValue::Text("1999".into())],
+                    ),
+                    _ => Record::new(
+                        i,
+                        i % 11,
+                        vec![AttrValue::Text(String::new()), AttrValue::Missing],
+                    ),
+                })
+                .collect();
+            let pairs: Vec<CandidatePair> =
+                (0..n).flat_map(|i| (0..1 + (i * 7) % 9).map(move |j| (i, (i + j) % n))).collect();
+            assert_eq!(shard_ranges(&pairs, SHARD_TARGET_PAIRS).len() > 1, n == 600);
+            assert_matches_feature_vector(&comparison, &records, &pairs);
         }
+    }
+
+    /// A record is prepared only when a pair touches it: a sorted pair list
+    /// over 3 of 1,000 left records and 2 of 50 right records prepares
+    /// exactly those 5 records, once each.
+    #[test]
+    fn prepares_only_the_records_pairs_touch() {
+        let left: Vec<Record> =
+            (0..1000).map(|i| rec(i, i, &format!("left title {i}"), 1990.0)).collect();
+        let right: Vec<Record> =
+            (0..50).map(|i| rec(i, i, &format!("right title {i}"), 1990.0)).collect();
+        let pairs = [(3, 7), (3, 41), (500, 7), (999, 7), (999, 41)];
+        let c = cmp();
+        transer_trace::set_enabled(true);
+        let out = c.compare_pairs_with_pool(&left, &right, &pairs, &transer_parallel::Pool::new(1));
+        let report = transer_trace::drain_report();
+        transer_trace::set_enabled(false);
+        assert_eq!(out.unwrap().0.rows(), pairs.len());
+        let m = c.num_features() as u64;
+        assert_eq!(report.counter("compare.prepared"), 5 * m);
+        assert_eq!(report.counter("compare.cache_hits"), (2 * pairs.len() as u64 - 5) * m);
+        assert_eq!(report.counter("compare.shards"), 1);
     }
 
     #[test]
@@ -635,88 +612,5 @@ mod tests {
         }
         assert!(shard_ranges(&[], 10).is_empty());
         assert_eq!(shard_ranges(&[(0, 0)], 10), vec![(0, 1)]);
-    }
-
-    /// The block-sharded path must be bit-identical to the global-prepare
-    /// path — and to itself under inline vs pooled dispatch — on every
-    /// measure and value shape.
-    #[test]
-    fn sharded_colmajor_path_matches_global_prepare_exactly() {
-        use transer_parallel::{GrainMode, Pool};
-        let comparison = Comparison::new(vec![
-            (0, Measure::TokenJaccard),
-            (0, Measure::MongeElkanJw),
-            (1, Measure::Year),
-            (1, Measure::Numeric(5.0)),
-        ])
-        .unwrap();
-        let records: Vec<Record> = (0..60)
-            .map(|i| match i % 5 {
-                0 => rec(i, i % 11, &format!("entity record number {i} title words"), 1980.0),
-                1 => rec(i, i % 11, &format!("entity record {i}"), 1980.0 + i as f64),
-                2 => Record::new(i, i % 11, vec![AttrValue::Missing, AttrValue::Number(2000.0)]),
-                3 => Record::new(
-                    i,
-                    i % 11,
-                    vec![AttrValue::Text(format!("{i}")), AttrValue::Text("1999".into())],
-                ),
-                _ => {
-                    Record::new(i, i % 11, vec![AttrValue::Text(String::new()), AttrValue::Missing])
-                }
-            })
-            .collect();
-        // Ragged, sorted pair list like the blocker emits.
-        let pairs: Vec<CandidatePair> = (0..records.len())
-            .flat_map(|i| (0..1 + (i * 7) % 9).map(move |j| (i, (i + j) % 60)))
-            .collect();
-        let seq = Pool::new(1);
-        let (expect, labels_expect) =
-            comparison.compare_pairs_global_prepare(&records, &records, &pairs, &seq).unwrap();
-        for (workers, mode) in
-            [(1, GrainMode::Auto), (4, GrainMode::AlwaysInline), (4, GrainMode::AlwaysPool)]
-        {
-            let pool = Pool::new(workers).with_grain(mode);
-            let (cm, labels) = comparison
-                .compare_pairs_colmajor_with_pool(&records, &records, &pairs, &pool)
-                .unwrap();
-            assert_eq!(labels, labels_expect);
-            let x = cm.to_feature_matrix().unwrap();
-            assert_eq!(x.rows(), expect.rows());
-            for r in 0..x.rows() {
-                for (a, b) in x.row(r).iter().zip(expect.row(r)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "workers={workers} {mode:?} row {r}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compare_fault_site_covers_every_kind() {
-        let _guard = transer_robust::test_lock();
-        let left = vec![rec(0, 1, "a b", 2000.0), rec(1, 2, "c d", 2001.0)];
-        let right = left.clone();
-        let pairs = [(0, 0), (0, 1), (1, 1)];
-        let c = cmp();
-
-        transer_robust::set_plan(Some("compare:task_fail"));
-        assert_eq!(c.compare_pairs(&left, &right, &pairs), Err(Error::FaultInjected("compare")));
-
-        transer_robust::set_plan(Some("compare:nan"));
-        let (x, y) = c.compare_pairs(&left, &right, &pairs).unwrap();
-        assert!(x.as_slice().iter().any(|v| v.is_nan()));
-        assert_eq!(y.len(), pairs.len());
-
-        transer_robust::set_plan(Some("compare:empty"));
-        let (x, y) = c.compare_pairs(&left, &right, &pairs).unwrap();
-        assert!(x.is_empty() && y.is_empty());
-
-        transer_robust::set_plan(Some("compare:single_class"));
-        let (_, y) = c.compare_pairs(&left, &right, &pairs).unwrap();
-        assert!(y.iter().all(|l| *l == Label::NonMatch));
-
-        transer_robust::set_plan(None);
-        let (x, y) = c.compare_pairs(&left, &right, &pairs).unwrap();
-        assert!(x.as_slice().iter().all(|v| v.is_finite()));
-        assert_eq!(y[0], Label::Match);
     }
 }

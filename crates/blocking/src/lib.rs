@@ -31,7 +31,7 @@ pub use minhash::{MinHashLsh, MinHashLshConfig};
 pub use resolution::{one_to_one_matching, transitive_clusters};
 pub use sorted::SortedNeighbourhood;
 pub use standard::StandardBlocking;
-pub use tokenize::{record_tokens, record_tokens_masked, token_hashes, token_hashes_masked};
+pub use tokenize::{token_hashes, token_hashes_masked};
 
 /// A candidate record pair: indices into the two record slices handed to
 /// the blocker (for deduplication within one database both indices refer to

@@ -182,7 +182,7 @@ impl MinHashLsh {
 
     /// Like [`MinHashLsh::candidate_pairs`] but blocking only on the given
     /// attribute indices (`None` = all attributes) — see
-    /// [`crate::record_tokens_masked`]. Signature computation and bucket
+    /// [`crate::token_hashes_masked`]. Signature computation and bucket
     /// probing run on the global [`Pool`] (`TRANSER_THREADS`); the sorted,
     /// deduplicated output is identical for every worker count.
     pub fn candidate_pairs_masked(

@@ -139,18 +139,4 @@ mod tests {
         let b = StandardBlocking::new(|_r: &Record| Vec::new());
         assert!(b.candidate_pairs(&[rec(0, "a")], &[rec(0, "a")]).is_empty());
     }
-
-    #[test]
-    fn blocking_fault_drops_candidates() {
-        let _guard = transer_robust::test_lock();
-        let left = vec![rec(0, "smith")];
-        let right = vec![rec(0, "smyth")];
-        let b = StandardBlocking::new(surname_soundex);
-        transer_robust::set_plan(Some("blocking:empty"));
-        assert!(b.candidate_pairs(&left, &right).is_empty());
-        transer_robust::set_plan(Some("blocking:nan"));
-        assert_eq!(b.candidate_pairs(&left, &right), vec![(0, 0)]);
-        transer_robust::set_plan(None);
-        assert_eq!(b.candidate_pairs(&left, &right), vec![(0, 0)]);
-    }
 }

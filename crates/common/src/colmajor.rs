@@ -53,31 +53,6 @@ impl ColMajorMatrix {
         ColMajorMatrix { data, rows, cols }
     }
 
-    /// A preallocated all-zero `rows × cols` matrix — the merge target
-    /// producers scatter row blocks into (see
-    /// [`ColMajorMatrix::copy_rows_from_block`]).
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        ColMajorMatrix { data: vec![0.0; rows * cols], rows, cols }
-    }
-
-    /// Copy a column-major block of `block_rows` rows (laid out
-    /// `block[c * block_rows + r]`) into rows `row0..row0 + block_rows` of
-    /// `self` — one contiguous `copy_from_slice` per column. This is how
-    /// parallel producers that each emit a column-major row block merge
-    /// into one preallocated matrix without per-element scatter.
-    ///
-    /// # Panics
-    /// Panics when the block shape does not fit at `row0`.
-    pub fn copy_rows_from_block(&mut self, row0: usize, block: &[f64], block_rows: usize) {
-        assert_eq!(block.len(), block_rows * self.cols, "block buffer shape mismatch");
-        assert!(row0 + block_rows <= self.rows, "block rows exceed matrix");
-        for c in 0..self.cols {
-            let src = &block[c * block_rows..(c + 1) * block_rows];
-            let dst_start = c * self.rows + row0;
-            self.data[dst_start..dst_start + block_rows].copy_from_slice(src);
-        }
-    }
-
     /// Transpose back into a row-major [`FeatureMatrix`] (cache-blocked,
     /// like the forward direction).
     ///
@@ -169,33 +144,6 @@ mod tests {
             let back = ColMajorMatrix::from_matrix(&m).to_feature_matrix().unwrap();
             assert_eq!(back, m, "{rows}x{cols}");
         }
-    }
-
-    #[test]
-    fn block_scatter_assembles_the_full_matrix() {
-        // Three producers each emit a column-major block of rows; the
-        // scatter-merge must reproduce the directly-transposed matrix.
-        let rows = 7;
-        let cols = 3;
-        let m = FeatureMatrix::from_rows((0..21).map(f64::from).collect(), rows, cols).unwrap();
-        let expect = ColMajorMatrix::from_matrix(&m);
-        let mut got = ColMajorMatrix::zeros(rows, cols);
-        for (row0, len) in [(0usize, 3usize), (3, 1), (4, 3)] {
-            let mut block = vec![0.0; len * cols];
-            for r in 0..len {
-                for c in 0..cols {
-                    block[c * len + r] = m.row(row0 + r)[c];
-                }
-            }
-            got.copy_rows_from_block(row0, &block, len);
-        }
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "block buffer shape mismatch")]
-    fn block_scatter_rejects_bad_shapes() {
-        ColMajorMatrix::zeros(4, 2).copy_rows_from_block(0, &[1.0, 2.0, 3.0], 2);
     }
 
     #[test]

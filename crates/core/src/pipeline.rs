@@ -680,43 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn gen_fault_degrades_to_direct_classification() {
-        let _guard = transer_robust::test_lock();
-        let (xs, ys, xt, yt) = fixture();
-        let cfg = TransErConfig { k: 5, ..Default::default() };
-        let t = TransEr::new(cfg, ClassifierKind::LogisticRegression, 42).unwrap();
-
-        // GEN fails outright: rung 1 (direct classification from the
-        // clean transferred set) answers, and records only GenFailed.
-        transer_robust::set_plan(Some("gen.fit:task_fail"));
-        let out = t.fit_predict(&xs, &ys, &xt);
-        transer_robust::set_plan(None);
-        let out = out.unwrap();
-        assert!(out.pseudo.is_none(), "direct rung produces no pseudo labels");
-        let d = out.diagnostics;
-        assert!(d.fallbacks.contains(FallbackReason::GenFailed));
-        assert!(!d.fallbacks.contains(FallbackReason::SourceDirect));
-        assert!(accuracy(&out.labels, &yt) > 0.9, "direct rung must still classify well");
-    }
-
-    #[test]
-    fn fallback_counters_appear_in_trace() {
-        let _guard = transer_robust::test_lock();
-        let (xs, ys, xt, _) = fixture();
-        let cfg = TransErConfig { k: 5, ..Default::default() };
-        let t = TransEr::new(cfg, ClassifierKind::LogisticRegression, 42).unwrap();
-        transer_robust::set_plan(Some("gen.fit:task_fail"));
-        transer_trace::set_enabled(true);
-        let out = t.fit_predict(&xs, &ys, &xt);
-        transer_trace::set_enabled(false);
-        transer_robust::set_plan(None);
-        let report = out.unwrap().trace.expect("trace enabled");
-        assert_eq!(report.counter("robust.fallback.gen"), 1);
-        assert_eq!(report.counter("robust.fault.gen.fit"), 1);
-        assert_eq!(report.counter("robust.fallback.source"), 0);
-    }
-
-    #[test]
     fn invalid_config_rejected_at_construction() {
         assert!(TransEr::new(TransErConfig { k: 0, ..Default::default() }, ClassifierKind::Svm, 0)
             .is_err());

@@ -258,43 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn tcl_fault_sites_fail_typed_or_degrade() {
-        let _guard = transer_robust::test_lock();
-        let (xt, pseudo) = fixture();
-
-        transer_robust::set_plan(Some("tcl.balance:task_fail"));
-        let mut clf = ClassifierKind::LogisticRegression.build(0);
-        let err = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42);
-        assert!(matches!(err, Err(Error::FaultInjected("tcl.balance"))));
-
-        // NaN-corrupted confidences knock the affected rows out of the
-        // `>= t_p` filter; the phase trains on what is left or reports a
-        // typed error — either way, never a panic.
-        transer_robust::set_plan(Some("tcl.balance:nan"));
-        let mut clf = ClassifierKind::LogisticRegression.build(0);
-        if let Ok(out) = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42) {
-            assert_eq!(out.labels.len(), xt.rows());
-        }
-
-        transer_robust::set_plan(Some("tcl.fit:task_fail"));
-        let mut clf = ClassifierKind::LogisticRegression.build(0);
-        let err = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42);
-        assert!(matches!(err, Err(Error::FaultInjected("tcl.fit"))));
-
-        // Emptying the balanced sample surfaces as the classifier's own
-        // typed empty-input error.
-        transer_robust::set_plan(Some("tcl.fit:empty"));
-        let mut clf = ClassifierKind::LogisticRegression.build(0);
-        let err = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42);
-        assert!(matches!(err, Err(Error::EmptyInput(_))));
-
-        // With the plan cleared the phase behaves normally again.
-        transer_robust::set_plan(None);
-        let mut clf = ClassifierKind::LogisticRegression.build(0);
-        assert!(train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42).is_ok());
-    }
-
-    #[test]
     fn shape_mismatch_rejected() {
         let (xt, pseudo) = fixture();
         let small = xt.select_rows(&[0, 1]);

@@ -3,7 +3,10 @@
 //! under test is the panic-free guarantee — each run either returns `Ok`
 //! (possibly via the degradation ladder) or a typed `Err`, never a panic —
 //! plus the zero-overhead promise that a disarmed harness leaves outputs
-//! bit-identical to the baseline.
+//! bit-identical to the baseline. A fault plan is armed for the whole
+//! process, so every test that arms one lives in this binary and
+//! serialises on `transer_robust::test_lock`; the `pipeline` and `target`
+//! modules hold the phase-level seam tests.
 
 use transer_common::{FeatureMatrix, Label};
 use transer_core::{select_instances_with_pool, TransEr, TransErConfig};
@@ -122,5 +125,157 @@ fn hostile_matrices_are_bit_identical_across_worker_counts() {
         assert_eq!(a.sim_c.to_bits(), b.sim_c.to_bits());
         assert_eq!(a.sim_l.to_bits(), b.sim_l.to_bits());
         assert_eq!(a.sim_v.to_bits(), b.sim_v.to_bits());
+    }
+}
+
+mod pipeline {
+    use transer_common::{FeatureMatrix, Label};
+    use transer_core::{FallbackReason, TransEr, TransErConfig};
+    use transer_ml::ClassifierKind;
+
+    /// Source with a conflicted mid region; target is the two clean
+    /// clusters, shifted slightly.
+    fn fixture() -> (FeatureMatrix, Vec<Label>, FeatureMatrix, Vec<Label>) {
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for i in 0..20 {
+            let j = (i % 10) as f64 * 0.006;
+            xs.push(vec![0.9 - j, 0.85 + j]);
+            ys.push(Label::Match);
+            xs.push(vec![0.1 + j, 0.15 - j]);
+            ys.push(Label::NonMatch);
+            xs.push(vec![0.12 + j, 0.1 - j / 2.0]);
+            ys.push(Label::NonMatch);
+        }
+        // Conflicted instances whose labels disagree with the target's
+        // conditional distribution.
+        for i in 0..8 {
+            let j = i as f64 * 0.004;
+            xs.push(vec![0.5 + j, 0.5 - j]);
+            ys.push(if i % 2 == 0 { Label::Match } else { Label::NonMatch });
+        }
+        let mut xt = Vec::new();
+        let mut yt = Vec::new();
+        for i in 0..15 {
+            let j = (i % 8) as f64 * 0.007;
+            xt.push(vec![0.87 - j, 0.88 + j]);
+            yt.push(Label::Match);
+            xt.push(vec![0.13 + j, 0.12 - j]);
+            yt.push(Label::NonMatch);
+            xt.push(vec![0.16 + j, 0.14 - j / 2.0]);
+            yt.push(Label::NonMatch);
+        }
+        (FeatureMatrix::from_vecs(&xs).unwrap(), ys, FeatureMatrix::from_vecs(&xt).unwrap(), yt)
+    }
+
+    fn accuracy(pred: &[Label], truth: &[Label]) -> f64 {
+        pred.iter().zip(truth).filter(|(a, b)| a == b).count() as f64 / truth.len() as f64
+    }
+
+    #[test]
+    fn gen_fault_degrades_to_direct_classification() {
+        let _guard = transer_robust::test_lock();
+        let (xs, ys, xt, yt) = fixture();
+        let cfg = TransErConfig { k: 5, ..Default::default() };
+        let t = TransEr::new(cfg, ClassifierKind::LogisticRegression, 42).unwrap();
+
+        // GEN fails outright: rung 1 (direct classification from the
+        // clean transferred set) answers, and records only GenFailed.
+        transer_robust::set_plan(Some("gen.fit:task_fail"));
+        let out = t.fit_predict(&xs, &ys, &xt);
+        transer_robust::set_plan(None);
+        let out = out.unwrap();
+        assert!(out.pseudo.is_none(), "direct rung produces no pseudo labels");
+        let d = out.diagnostics;
+        assert!(d.fallbacks.contains(FallbackReason::GenFailed));
+        assert!(!d.fallbacks.contains(FallbackReason::SourceDirect));
+        assert!(accuracy(&out.labels, &yt) > 0.9, "direct rung must still classify well");
+    }
+
+    #[test]
+    fn fallback_counters_appear_in_trace() {
+        let _guard = transer_robust::test_lock();
+        let (xs, ys, xt, _) = fixture();
+        let cfg = TransErConfig { k: 5, ..Default::default() };
+        let t = TransEr::new(cfg, ClassifierKind::LogisticRegression, 42).unwrap();
+        transer_robust::set_plan(Some("gen.fit:task_fail"));
+        transer_trace::set_enabled(true);
+        let out = t.fit_predict(&xs, &ys, &xt);
+        transer_trace::set_enabled(false);
+        transer_robust::set_plan(None);
+        let report = out.unwrap().trace.expect("trace enabled");
+        assert_eq!(report.counter("robust.fallback.gen"), 1);
+        assert_eq!(report.counter("robust.fault.gen.fit"), 1);
+        assert_eq!(report.counter("robust.fallback.source"), 0);
+    }
+}
+
+mod target {
+    use transer_common::{Error, FeatureMatrix, Label};
+    use transer_core::{train_target_classifier, PseudoLabels};
+    use transer_ml::ClassifierKind;
+
+    /// Target: clear match cluster near 1, big non-match cloud near 0, and
+    /// pseudo labels that are confident on the clusters only.
+    fn fixture() -> (FeatureMatrix, PseudoLabels) {
+        let mut rows = Vec::new();
+        let mut labels = Vec::new();
+        let mut conf = Vec::new();
+        for i in 0..10 {
+            let j = i as f64 * 0.005;
+            rows.push(vec![0.9 + j, 0.88 - j]);
+            labels.push(Label::Match);
+            conf.push(0.999);
+        }
+        for i in 0..60 {
+            let j = (i % 10) as f64 * 0.005;
+            rows.push(vec![0.1 + j, 0.12 - j]);
+            labels.push(Label::NonMatch);
+            conf.push(0.998);
+        }
+        // Uncertain middle points that must not enter training.
+        for i in 0..5 {
+            rows.push(vec![0.5, 0.5 + i as f64 * 0.01]);
+            labels.push(Label::Match);
+            conf.push(0.6);
+        }
+        (FeatureMatrix::from_vecs(&rows).unwrap(), PseudoLabels { labels, confidences: conf })
+    }
+
+    #[test]
+    fn tcl_fault_sites_fail_typed_or_degrade() {
+        let _guard = transer_robust::test_lock();
+        let (xt, pseudo) = fixture();
+
+        transer_robust::set_plan(Some("tcl.balance:task_fail"));
+        let mut clf = ClassifierKind::LogisticRegression.build(0);
+        let err = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42);
+        assert!(matches!(err, Err(Error::FaultInjected("tcl.balance"))));
+
+        // NaN-corrupted confidences knock the affected rows out of the
+        // `>= t_p` filter; the phase trains on what is left or reports a
+        // typed error — either way, never a panic.
+        transer_robust::set_plan(Some("tcl.balance:nan"));
+        let mut clf = ClassifierKind::LogisticRegression.build(0);
+        if let Ok(out) = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42) {
+            assert_eq!(out.labels.len(), xt.rows());
+        }
+
+        transer_robust::set_plan(Some("tcl.fit:task_fail"));
+        let mut clf = ClassifierKind::LogisticRegression.build(0);
+        let err = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42);
+        assert!(matches!(err, Err(Error::FaultInjected("tcl.fit"))));
+
+        // Emptying the balanced sample surfaces as the classifier's own
+        // typed empty-input error.
+        transer_robust::set_plan(Some("tcl.fit:empty"));
+        let mut clf = ClassifierKind::LogisticRegression.build(0);
+        let err = train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42);
+        assert!(matches!(err, Err(Error::EmptyInput(_))));
+
+        // With the plan cleared the phase behaves normally again.
+        transer_robust::set_plan(None);
+        let mut clf = ClassifierKind::LogisticRegression.build(0);
+        assert!(train_target_classifier(clf.as_mut(), &xt, &pseudo, 0.99, 3.0, 42).is_ok());
     }
 }

@@ -26,15 +26,15 @@ fn workload(workers: usize) -> (Vec<u64>, Vec<u64>, Vec<(usize, u64)>) {
         transer_trace::observe("test.chunk_len", c.len() as f64);
         c.iter().map(|x| x + 1).collect()
     });
-    let initd = pool.par_map_init(
-        &items,
-        || 0u64,
-        |scratch, i, &x| {
-            *scratch += 1;
-            transer_trace::counter("test.init_items", 1);
-            (i, x ^ *scratch)
-        },
-    );
+    // The scratch is a reusable buffer, as `par_map_init` requires: each
+    // item's result depends on the item alone, never on which items the
+    // same worker saw before it.
+    let initd = pool.par_map_init(&items, Vec::<u64>::new, |scratch, i, &x| {
+        scratch.clear();
+        scratch.extend([x, x >> 1, x >> 2]);
+        transer_trace::counter("test.init_items", 1);
+        (i, scratch.iter().fold(0, |acc, v| acc ^ v))
+    });
     (mapped, chunked, initd)
 }
 

@@ -349,35 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_seam_task_fail_and_empty() {
-        let _guard = transer_robust::test_lock();
-        let svc = service();
-        let batch = vec![corpus()[0].clone()];
-        transer_robust::set_plan(Some("serve.query:task_fail"));
-        let err = svc.query_batch(&batch);
-        transer_robust::set_plan(None);
-        assert!(matches!(err, Err(Error::FaultInjected(s)) if s == site::SERVE_QUERY));
-
-        transer_robust::set_plan(Some("serve.query:empty"));
-        let resp = svc.query_batch(&batch);
-        transer_robust::set_plan(None);
-        let resp = resp.expect("empty fault degrades, not errors");
-        assert_eq!(resp.decisions.len(), 0);
-    }
-
-    #[test]
-    fn fault_seam_nan_degrades_gracefully() {
-        let _guard = transer_robust::test_lock();
-        let svc = service();
-        let batch = vec![corpus()[0].clone()];
-        transer_robust::set_plan(Some("serve.query:nan"));
-        let resp = svc.query_batch(&batch);
-        transer_robust::set_plan(None);
-        let resp = resp.expect("nan fault must not panic the batch");
-        assert!(!resp.decisions.is_empty());
-    }
-
-    #[test]
     fn with_index_rejects_out_of_range_ids() {
         let comparison = Comparison::new(vec![(0, Measure::TokenJaccard)]).expect("schema");
         let records = corpus();

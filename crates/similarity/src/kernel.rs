@@ -27,6 +27,8 @@
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
+use crate::qgram::for_each_qgram;
+
 /// Which similarity kernel engine to use. Both produce bit-identical
 /// scores; the choice affects comparison wall time only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,10 +104,10 @@ pub(crate) struct Scratch {
     peq_ascii: [u64; 128],
     /// Myers pattern bitmasks, unicode path: sorted `(char, mask)`.
     peq_unicode: Vec<(char, u64)>,
-    /// Lower-cased padded char stream for q-gram packing.
-    pub(crate) lower: Vec<char>,
+    /// Lower-cased padded string for q-gram packing.
+    padded: String,
     /// Packed-gram staging buffer for q-gram packing.
-    pub(crate) grams: Vec<u64>,
+    grams: Vec<u64>,
     /// Multi-block Myers: `(scalar, pattern index)` pairs for mask
     /// construction, the sorted unique scalars, their per-block masks
     /// (row-major, `blocks` words per scalar), the vertical delta
@@ -129,7 +131,7 @@ impl Scratch {
             chars_b: Vec::new(),
             peq_ascii: [0u64; 128],
             peq_unicode: Vec::new(),
-            lower: Vec::new(),
+            padded: String::new(),
             grams: Vec::new(),
             mb_keys: Vec::new(),
             mb_chars: Vec::new(),
@@ -541,26 +543,11 @@ pub(crate) const PACK_MAX_Q: usize = 3;
 /// reference `String` gram set.
 pub(crate) fn packed_qgram_profile(s: &str, q: usize) -> Vec<u64> {
     debug_assert!(q <= PACK_MAX_Q);
-    if s.is_empty() || q == 0 {
-        return Vec::new();
-    }
     with_scratch(|sc| {
-        let pad = q - 1;
-        sc.lower.clear();
-        sc.lower.extend(std::iter::repeat_n('#', pad));
-        sc.lower.extend(s.chars().flat_map(|c| c.to_lowercase()));
-        sc.lower.extend(std::iter::repeat_n('#', pad));
-        if sc.lower.len() < q {
-            return Vec::new();
-        }
         sc.grams.clear();
-        for window in sc.lower.windows(q) {
-            let mut packed = 0u64;
-            for &c in window {
-                packed = (packed << 21) | u64::from(u32::from(c));
-            }
-            sc.grams.push(packed);
-        }
+        for_each_qgram(s, q, &mut sc.padded, |g| {
+            sc.grams.push(g.chars().fold(0u64, |packed, c| (packed << 21) | u64::from(c)));
+        });
         sc.grams.sort_unstable();
         sc.grams.dedup();
         sc.grams.clone()

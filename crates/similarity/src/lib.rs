@@ -45,7 +45,7 @@ pub use levenshtein::{damerau_levenshtein, levenshtein, levenshtein_similarity};
 pub use monge_elkan::{monge_elkan, monge_elkan_tokens};
 pub use numeric::{numeric_similarity, year_similarity};
 pub use prepared::PreparedText;
-pub use qgram::{qgram_multiset, qgrams, tokens};
+pub use qgram::{for_each_qgram, for_each_token, qgram_multiset, qgrams, tokens};
 pub use soundex::{soundex, soundex_similarity};
 
 /// Exact string equality as a similarity: 1.0 when equal, else 0.0.

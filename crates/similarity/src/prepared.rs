@@ -176,20 +176,6 @@ impl Measure {
         }
     }
 
-    /// [`Measure::prepare_with`] taking ownership of the string, so the
-    /// Raw family (Jaro, Jaro-Winkler, Levenshtein, LCS, Exact) moves it
-    /// instead of cloning.
-    pub fn prepare_owned_with(&self, kernel: SimKernel, s: String) -> PreparedText {
-        match *self {
-            Measure::Jaro
-            | Measure::JaroWinkler
-            | Measure::Levenshtein
-            | Measure::Lcs
-            | Measure::Exact => PreparedText::Raw(s),
-            _ => self.prepare_with(kernel, &s),
-        }
-    }
-
     /// [`Measure::prepare_with`] using `interner` for the fast engine's
     /// token and q-gram profiles (`q > 3`), producing dense `u32` id
     /// profiles instead of string profiles.
@@ -227,8 +213,8 @@ impl Measure {
     }
 
     /// [`Measure::prepare_interned_with`] taking ownership of the string,
-    /// so the Raw family moves it instead of cloning (the interned analogue
-    /// of [`Measure::prepare_owned_with`]).
+    /// so the Raw family (Jaro, Jaro-Winkler, Levenshtein, LCS, Exact)
+    /// moves it instead of cloning.
     pub fn prepare_owned_interned_with(
         &self,
         kernel: SimKernel,
@@ -424,12 +410,18 @@ mod tests {
 
     #[test]
     fn prepare_owned_moves_raw_values() {
+        let mut interner = StrInterner::new();
         for m in [Measure::Jaro, Measure::Levenshtein, Measure::Exact, Measure::Lcs] {
-            let p = m.prepare_owned_with(SimKernel::Fast, "martha".to_string());
+            let p =
+                m.prepare_owned_interned_with(SimKernel::Fast, "martha".to_string(), &mut interner);
             assert_eq!(p, PreparedText::Raw("martha".to_string()), "{m:?}");
         }
         // Non-raw families still prepare their own representation.
-        let p = Measure::Year.prepare_owned_with(SimKernel::Fast, "1999".to_string());
+        let p = Measure::Year.prepare_owned_interned_with(
+            SimKernel::Fast,
+            "1999".to_string(),
+            &mut interner,
+        );
         assert_eq!(p, PreparedText::Parsed(Some(1999.0)));
     }
 
