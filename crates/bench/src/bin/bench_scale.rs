@@ -20,14 +20,6 @@
 //! any score anywhere in the ladder fails loudly; `--rebaseline` skips
 //! the comparison when a behaviour change is intentional.
 //!
-//! Each rung additionally runs one sequential **reference-kernel control
-//! cell** (`TRANSER_SIM_KERNEL=reference`; the fast cells pin `fast`).
-//! Its label hash must equal the fast cells' hash — cross-engine
-//! end-to-end bit-identity — and its wall-clock against the sequential
-//! fast cell yields a same-run kernel speedup figure that is immune to
-//! cross-session host drift (absolute throughput on a shared host swings
-//! with machine state; two cells minutes apart in one run do not).
-//!
 //! `--smoke` runs the 10^4 rung only (workers 1 and 2), asserts a finite
 //! records/sec figure and validates the written JSON — the tier-1 hook.
 
@@ -123,15 +115,12 @@ fn run_child(rows: usize) {
     println!("{}", report.to_pretty());
 }
 
-/// Spawn one grid cell as a child process and parse its report. The
-/// similarity kernel engine is pinned explicitly so cells are independent
-/// of the ambient `TRANSER_SIM_KERNEL`.
-fn run_cell(rows: usize, workers: usize, kernel: &str) -> Result<Json, String> {
+/// Spawn one grid cell as a child process and parse its report.
+fn run_cell(rows: usize, workers: usize) -> Result<Json, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let out = Command::new(exe)
         .env(CHILD_ENV, rows.to_string())
         .env("TRANSER_THREADS", workers.to_string())
-        .env("TRANSER_SIM_KERNEL", kernel)
         .env_remove("TRANSER_TRACE")
         .output()
         .map_err(|e| format!("spawn cell rows={rows} workers={workers}: {e}"))?;
@@ -194,9 +183,9 @@ fn main() {
 
     // One discarded warm-up child: the very first cell otherwise pays the
     // cold-start cost (binary page-in, allocator warm-up) and it is always
-    // the sequential fast cell — the denominator of both speedup figures.
+    // the sequential cell — the denominator of the speedup figure.
     eprintln!("bench_scale: warm-up cell (discarded) ...");
-    if let Err(e) = run_cell(rung_list[0], 1, "fast") {
+    if let Err(e) = run_cell(rung_list[0], 1) {
         eprintln!("bench_scale: warm-up: {e}");
     }
 
@@ -206,8 +195,8 @@ fn main() {
         let mut baseline_secs = f64::NAN;
         let mut baseline_hash: Option<String> = None;
         for &workers in worker_list {
-            eprintln!("bench_scale: rows={rows} workers={workers} kernel=fast ...");
-            let mut cell = match run_cell(rows, workers, "fast") {
+            eprintln!("bench_scale: rows={rows} workers={workers} ...");
+            let mut cell = match run_cell(rows, workers) {
                 Ok(cell) => cell,
                 Err(e) => {
                     eprintln!("bench_scale: {e}");
@@ -242,7 +231,6 @@ fn main() {
                 Some(_) => {}
             }
             if let Json::Obj(map) = &mut cell {
-                map.insert("kernel".to_string(), Json::Str("fast".to_string()));
                 map.insert("speedup_vs_first".to_string(), Json::Num(speedup));
             }
             println!(
@@ -256,44 +244,6 @@ fn main() {
                 assert!(rps.is_finite() && rps > 0.0, "records/sec must be finite, got {rps}");
             }
             cells.push(cell);
-        }
-
-        // Same-run reference-kernel control: one sequential cell per rung
-        // under `TRANSER_SIM_KERNEL=reference`. Because it runs minutes —
-        // not sessions — apart from the fast cells, the fast-vs-reference
-        // ratio it yields is immune to host drift, and its label hash is
-        // asserted against the fast cells' hash, making the ladder an
-        // end-to-end cross-engine bit-identity check as well.
-        eprintln!("bench_scale: rows={rows} workers=1 kernel=reference (control) ...");
-        match run_cell(rows, 1, "reference") {
-            Ok(mut cell) => {
-                let secs = num(&cell, "secs_total");
-                let hash = cell.get("label_hash").and_then(Json::as_str).unwrap_or("").to_string();
-                if let Some(expect) = &baseline_hash {
-                    if *expect != hash {
-                        eprintln!(
-                            "bench_scale: BIT-IDENTITY VIOLATION at rows={rows}: \
-                             reference-kernel hash {hash} != fast {expect}"
-                        );
-                        failed = true;
-                    }
-                }
-                let speedup = secs / baseline_secs;
-                if let Json::Obj(map) = &mut cell {
-                    map.insert("kernel".to_string(), Json::Str("reference".to_string()));
-                    map.insert("fast_speedup_vs_reference".to_string(), Json::Num(speedup));
-                }
-                println!(
-                    "rows={rows:>8} workers=1 total={secs:>8.2}s \
-                     {:>10.0} rec/s kernel=reference fast-speedup={speedup:.2}x",
-                    num(&cell, "records_per_sec"),
-                );
-                cells.push(cell);
-            }
-            Err(e) => {
-                eprintln!("bench_scale: {e}");
-                failed = true;
-            }
         }
     }
 

@@ -1,12 +1,11 @@
-//! Similarity kernel micro-benchmark: per-measure ns/pair under the
-//! `reference` and `fast` engines, through the direct (`text_with`),
-//! prepared (`prepare_with` + `prepared_with`) and interned
-//! (`prepare_interned_with`) paths, over a deterministic corpus of
-//! ER-shaped values (person names, token-heavy titles with unicode and
-//! >64-char outliers, years).
+//! Similarity kernel micro-benchmark: per-measure ns/pair through the
+//! direct (`text`), prepared (`prepare` + `prepared`) and interned
+//! (`prepare_interned`) paths, over a deterministic corpus of ER-shaped
+//! values (person names, token-heavy titles with unicode and >64-char
+//! outliers, years).
 //!
-//! Every timed pair is first *verified* bitwise-equal across engines, so
-//! the artefact (`results/BENCH_similarity.json`) doubles as an
+//! Every timed pair is first *verified* bitwise-equal across the three
+//! paths, so the artefact (`results/BENCH_similarity.json`) doubles as an
 //! equivalence witness on realistic data.
 //!
 //! `--smoke` shrinks the corpus, validates the JSON artefact round-trip
@@ -17,7 +16,7 @@
 use std::time::Instant;
 
 use transer_common::StrInterner;
-use transer_similarity::{Measure, PreparedText, SimKernel};
+use transer_similarity::{Measure, PreparedText};
 use transer_trace::json::{self, obj, Json};
 use transer_trace::RunLedger;
 
@@ -133,23 +132,17 @@ fn build_pairs(n: usize, seed: u64) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Verify bitwise equivalence of every path on every pair, then return
-/// the reference scores (also the black-box sink for the timed loops).
+/// Verify that the prepared and interned paths score every pair
+/// bitwise-equal to the direct path.
 fn verify(measure: Measure, pairs: &[(String, String)]) {
     let mut interner = StrInterner::new();
     for (a, b) in pairs {
-        let want = measure.text_with(SimKernel::Reference, a, b);
-        let fast = measure.text_with(SimKernel::Fast, a, b);
-        assert_eq!(fast.to_bits(), want.to_bits(), "direct {measure:?} on ({a:?}, {b:?})");
-        for kernel in [SimKernel::Reference, SimKernel::Fast] {
-            let pa = measure.prepare_with(kernel, a);
-            let pb = measure.prepare_with(kernel, b);
-            let got = measure.prepared_with(kernel, &pa, &pb);
-            assert_eq!(got.to_bits(), want.to_bits(), "prepared {measure:?} on ({a:?}, {b:?})");
-        }
-        let ia = measure.prepare_interned_with(SimKernel::Fast, a, &mut interner);
-        let ib = measure.prepare_interned_with(SimKernel::Fast, b, &mut interner);
-        let got = measure.prepared_with(SimKernel::Fast, &ia, &ib);
+        let want = measure.text(a, b);
+        let got = measure.prepared(&measure.prepare(a), &measure.prepare(b));
+        assert_eq!(got.to_bits(), want.to_bits(), "prepared {measure:?} on ({a:?}, {b:?})");
+        let ia = measure.prepare_interned(a, &mut interner);
+        let ib = measure.prepare_interned(b, &mut interner);
+        let got = measure.prepared(&ia, &ib);
         assert_eq!(got.to_bits(), want.to_bits(), "interned {measure:?} on ({a:?}, {b:?})");
     }
 }
@@ -169,19 +162,15 @@ fn time_ns_per_pair(pairs: usize, budget_ms: u64, mut pass: impl FnMut() -> f64)
     start.elapsed().as_nanos() as f64 / (f64::from(passes) * pairs as f64)
 }
 
-fn direct_pass(measure: Measure, kernel: SimKernel, pairs: &[(String, String)]) -> f64 {
-    pairs.iter().map(|(a, b)| measure.text_with(kernel, a, b)).sum()
+fn direct_pass(measure: Measure, pairs: &[(String, String)]) -> f64 {
+    pairs.iter().map(|(a, b)| measure.text(a, b)).sum()
 }
 
 fn prepared_corpus(
     measure: Measure,
-    kernel: SimKernel,
     pairs: &[(String, String)],
 ) -> Vec<(PreparedText, PreparedText)> {
-    pairs
-        .iter()
-        .map(|(a, b)| (measure.prepare_with(kernel, a), measure.prepare_with(kernel, b)))
-        .collect()
+    pairs.iter().map(|(a, b)| (measure.prepare(a), measure.prepare(b))).collect()
 }
 
 fn interned_corpus(
@@ -192,31 +181,24 @@ fn interned_corpus(
     pairs
         .iter()
         .map(|(a, b)| {
-            (
-                measure.prepare_interned_with(SimKernel::Fast, a, &mut interner),
-                measure.prepare_interned_with(SimKernel::Fast, b, &mut interner),
-            )
+            (measure.prepare_interned(a, &mut interner), measure.prepare_interned(b, &mut interner))
         })
         .collect()
 }
 
-fn prepared_pass(
-    measure: Measure,
-    kernel: SimKernel,
-    corpus: &[(PreparedText, PreparedText)],
-) -> f64 {
-    corpus.iter().map(|(a, b)| measure.prepared_with(kernel, a, b)).sum()
+fn prepared_pass(measure: Measure, corpus: &[(PreparedText, PreparedText)]) -> f64 {
+    corpus.iter().map(|(a, b)| measure.prepared(a, b)).sum()
 }
 
 /// The trace-counter partition invariant, asserted on live counts:
-/// every fast Levenshtein kernel run is exactly one of bit-parallel or
+/// every Levenshtein kernel run is exactly one of bit-parallel or
 /// fallback.
 fn check_counter_partition(pairs: &[(String, String)]) {
     transer_trace::set_enabled(true);
     let _ = transer_trace::drain_report();
     let mut sink = 0.0;
     for (a, b) in pairs {
-        sink += Measure::Levenshtein.text_with(SimKernel::Fast, a, b);
+        sink += Measure::Levenshtein.text(a, b);
     }
     std::hint::black_box(sink);
     let report = transer_trace::drain_report();
@@ -243,10 +225,10 @@ fn check_counter_partition(pairs: &[(String, String)]) {
 /// proves the same claim per measure at unit scale).
 fn check_steady_state_alloc_free(pairs: &[(String, String)]) {
     let corpora: Vec<(Measure, Vec<(PreparedText, PreparedText)>)> =
-        MEASURES.iter().map(|&(_, m)| (m, prepared_corpus(m, SimKernel::Fast, pairs))).collect();
+        MEASURES.iter().map(|&(_, m)| (m, prepared_corpus(m, pairs))).collect();
     let mut sink = 0.0;
     for (measure, corpus) in &corpora {
-        sink += prepared_pass(*measure, SimKernel::Fast, corpus); // warm-up
+        sink += prepared_pass(*measure, corpus); // warm-up
     }
     transer_trace::set_enabled(true);
     let _ = transer_trace::drain_report();
@@ -255,12 +237,12 @@ fn check_steady_state_alloc_free(pairs: &[(String, String)]) {
     // a map node — bookkeeping that would otherwise be charged to the
     // steady-state span.
     for (measure, corpus) in &corpora {
-        sink += prepared_pass(*measure, SimKernel::Fast, corpus);
+        sink += prepared_pass(*measure, corpus);
     }
     {
         let _span = transer_trace::span("similarity.steady");
         for (measure, corpus) in &corpora {
-            sink += prepared_pass(*measure, SimKernel::Fast, corpus);
+            sink += prepared_pass(*measure, corpus);
         }
     }
     let report = transer_trace::drain_report();
@@ -289,48 +271,20 @@ fn main() {
     let mut rows = Vec::new();
     for (label, measure) in MEASURES {
         verify(measure, &pairs);
-        let direct_ref = time_ns_per_pair(n_pairs, budget_ms, || {
-            direct_pass(measure, SimKernel::Reference, &pairs)
-        });
-        let direct_fast =
-            time_ns_per_pair(n_pairs, budget_ms, || direct_pass(measure, SimKernel::Fast, &pairs));
-        let corpus_ref = prepared_corpus(measure, SimKernel::Reference, &pairs);
-        let corpus_fast = prepared_corpus(measure, SimKernel::Fast, &pairs);
+        let direct = time_ns_per_pair(n_pairs, budget_ms, || direct_pass(measure, &pairs));
+        let corpus = prepared_corpus(measure, &pairs);
         let corpus_ids = interned_corpus(measure, &pairs);
-        let prep_ref = time_ns_per_pair(n_pairs, budget_ms, || {
-            prepared_pass(measure, SimKernel::Reference, &corpus_ref)
-        });
-        let prep_fast = time_ns_per_pair(n_pairs, budget_ms, || {
-            prepared_pass(measure, SimKernel::Fast, &corpus_fast)
-        });
-        let prep_ids = time_ns_per_pair(n_pairs, budget_ms, || {
-            prepared_pass(measure, SimKernel::Fast, &corpus_ids)
-        });
+        let prepared = time_ns_per_pair(n_pairs, budget_ms, || prepared_pass(measure, &corpus));
+        let interned = time_ns_per_pair(n_pairs, budget_ms, || prepared_pass(measure, &corpus_ids));
         println!(
-            "{label:>16}  direct {direct_ref:>8.1} -> {direct_fast:>8.1} ns/pair ({:>5.2}x)   \
-             prepared {prep_ref:>7.1} -> {prep_fast:>7.1} ns/pair ({:>5.2}x)   interned {prep_ids:>7.1}",
-            direct_ref / direct_fast,
-            prep_ref / prep_fast,
+            "{label:>16}  direct {direct:>8.1} ns/pair   prepared {prepared:>7.1} ns/pair   \
+             interned {interned:>7.1} ns/pair"
         );
         rows.push(obj(vec![
             ("measure", Json::Str(label.to_string())),
-            (
-                "direct_ns_per_pair",
-                obj(vec![
-                    ("reference", Json::Num(direct_ref)),
-                    ("fast", Json::Num(direct_fast)),
-                    ("speedup", Json::Num(direct_ref / direct_fast)),
-                ]),
-            ),
-            (
-                "prepared_ns_per_pair",
-                obj(vec![
-                    ("reference", Json::Num(prep_ref)),
-                    ("fast", Json::Num(prep_fast)),
-                    ("interned_fast", Json::Num(prep_ids)),
-                    ("speedup", Json::Num(prep_ref / prep_fast)),
-                ]),
-            ),
+            ("direct_ns_per_pair", Json::Num(direct)),
+            ("prepared_ns_per_pair", Json::Num(prepared)),
+            ("interned_ns_per_pair", Json::Num(interned)),
         ]));
     }
 

@@ -20,7 +20,7 @@ use transer_common::{
     AttrValue, Error, FeatureMatrix, Label, LabeledDataset, Record, Result, StrInterner,
 };
 use transer_parallel::{CostHint, Pool};
-use transer_similarity::{Measure, PreparedText, SimKernel};
+use transer_similarity::{Measure, PreparedText};
 
 use crate::CandidatePair;
 
@@ -57,9 +57,6 @@ const SHARD_TARGET_PAIRS: usize = 2048;
 pub struct Comparison {
     /// `(attribute index, measure)` per feature, in feature order.
     pub features: Vec<(usize, Measure)>,
-    /// The similarity kernel engine every comparison runs on. Defaults to
-    /// `TRANSER_SIM_KERNEL`; override with [`Comparison::with_kernel`].
-    kernel: SimKernel,
 }
 
 impl Comparison {
@@ -71,16 +68,7 @@ impl Comparison {
         if features.is_empty() {
             return Err(Error::EmptyInput("comparison features"));
         }
-        Ok(Comparison { features, kernel: SimKernel::from_env() })
-    }
-
-    /// Pin the similarity kernel engine, overriding `TRANSER_SIM_KERNEL` —
-    /// the hook the engine-equivalence tests and benchmarks use to run
-    /// both engines in one process.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: SimKernel) -> Self {
-        self.kernel = kernel;
-        self
+        Ok(Comparison { features })
     }
 
     /// Number of features `m`.
@@ -104,14 +92,14 @@ impl Comparison {
     pub fn feature_vector_into(&self, a: &Record, b: &Record, out: &mut [f64]) {
         assert_eq!(out.len(), self.num_features(), "feature buffer length");
         for (slot, &(attr, measure)) in out.iter_mut().zip(&self.features) {
-            *slot = compare_values(self.kernel, measure, &a.values[attr], &b.values[attr]);
+            *slot = compare_values(measure, &a.values[attr], &b.values[attr]);
         }
     }
 
     /// Precompute the per-feature state every pair comparison of `record`
     /// needs (token sets, q-gram sets, parsed numbers, …) through a
-    /// shard-local [`StrInterner`]: the fast engine's token and wide q-gram
-    /// profiles come out as dense `u32` ids, comparable against every
+    /// shard-local [`StrInterner`]: token and wide q-gram profiles come out
+    /// as dense `u32` ids, comparable against every
     /// other value prepared through the *same* interner (the per-shard
     /// contract).
     fn prepare_one_interned(
@@ -122,7 +110,7 @@ impl Comparison {
         self.features
             .iter()
             .map(|&(attr, measure)| {
-                PreparedValue::new_interned(self.kernel, measure, &record.values[attr], interner)
+                PreparedValue::new_interned(measure, &record.values[attr], interner)
             })
             .collect()
     }
@@ -193,11 +181,11 @@ impl Comparison {
     ) -> Vec<f64> {
         let m = self.num_features();
         let mut block = vec![0.0; shard.len() * m];
-        // Shard-local interner: the fast engine's token/gram profiles
-        // become dense u32 ids. Ids are consistent exactly within this
-        // shard's caches — which is the only scope they are compared in —
-        // and scores consult id equality only, so the choice of interner
-        // (and hence shard layout) cannot change a score.
+        // Shard-local interner: token/gram profiles become dense u32 ids.
+        // Ids are consistent exactly within this shard's caches — which is
+        // the only scope they are compared in — and scores consult id
+        // equality only, so the choice of interner (and hence shard layout)
+        // cannot change a score.
         let mut interner = StrInterner::new();
         let mut left_prepared: Vec<PreparedValue> = Vec::new();
         let mut current_left = None;
@@ -217,7 +205,7 @@ impl Comparison {
                 .iter_mut()
                 .zip(self.features.iter().zip(left_prepared.iter().zip(right_prepared)))
             {
-                *slot = prepared_pair(self.kernel, measure, a, b);
+                *slot = prepared_pair(measure, a, b);
             }
         }
         transer_trace::counter("compare.prepared", prepares * m as u64);
@@ -274,12 +262,12 @@ fn shard_ranges(pairs: &[CandidatePair], target: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-fn compare_values(kernel: SimKernel, measure: Measure, a: &AttrValue, b: &AttrValue) -> f64 {
+fn compare_values(measure: Measure, a: &AttrValue, b: &AttrValue) -> f64 {
     match (a, b) {
-        (AttrValue::Text(x), AttrValue::Text(y)) => measure.text_with(kernel, x, y),
-        (AttrValue::Number(x), AttrValue::Number(y)) => measure.number_with(kernel, *x, *y),
-        (AttrValue::Text(x), AttrValue::Number(y)) => measure.text_with(kernel, x, &y.to_string()),
-        (AttrValue::Number(x), AttrValue::Text(y)) => measure.text_with(kernel, &x.to_string(), y),
+        (AttrValue::Text(x), AttrValue::Text(y)) => measure.text(x, y),
+        (AttrValue::Number(x), AttrValue::Number(y)) => measure.number(*x, *y),
+        (AttrValue::Text(x), AttrValue::Number(y)) => measure.text(x, &y.to_string()),
+        (AttrValue::Number(x), AttrValue::Text(y)) => measure.text(&x.to_string(), y),
         _ => 0.0, // at least one side missing
     }
 }
@@ -305,19 +293,12 @@ impl PreparedValue {
     /// the same interner so their id profiles stay comparable. A numeric
     /// rendering is moved into the preparation, so the Raw family stores
     /// it without a second allocation.
-    fn new_interned(
-        kernel: SimKernel,
-        measure: Measure,
-        value: &AttrValue,
-        interner: &mut StrInterner,
-    ) -> Self {
+    fn new_interned(measure: Measure, value: &AttrValue, interner: &mut StrInterner) -> Self {
         match value {
-            AttrValue::Text(s) => {
-                PreparedValue::Text(measure.prepare_interned_with(kernel, s, interner))
-            }
+            AttrValue::Text(s) => PreparedValue::Text(measure.prepare_interned(s, interner)),
             AttrValue::Number(x) => PreparedValue::Number {
                 raw: *x,
-                text: measure.prepare_owned_interned_with(kernel, x.to_string(), interner),
+                text: measure.prepare_owned_interned(x.to_string(), interner),
             },
             AttrValue::Missing => PreparedValue::Missing,
         }
@@ -329,19 +310,19 @@ impl PreparedValue {
 /// `number_native` split mirrors [`Measure::number`]'s dispatch, and the
 /// text fallback there operates on exactly the renderings cached in
 /// [`PreparedValue::Number`]).
-fn prepared_pair(kernel: SimKernel, measure: Measure, a: &PreparedValue, b: &PreparedValue) -> f64 {
+fn prepared_pair(measure: Measure, a: &PreparedValue, b: &PreparedValue) -> f64 {
     use PreparedValue as P;
     match (a, b) {
-        (P::Text(x), P::Text(y)) => measure.prepared_with(kernel, x, y),
+        (P::Text(x), P::Text(y)) => measure.prepared(x, y),
         (P::Number { raw: x, text: tx }, P::Number { raw: y, text: ty }) => {
             if measure.number_native() {
-                measure.number_with(kernel, *x, *y)
+                measure.number(*x, *y)
             } else {
-                measure.prepared_with(kernel, tx, ty)
+                measure.prepared(tx, ty)
             }
         }
-        (P::Text(x), P::Number { text: y, .. }) => measure.prepared_with(kernel, x, y),
-        (P::Number { text: x, .. }, P::Text(y)) => measure.prepared_with(kernel, x, y),
+        (P::Text(x), P::Number { text: y, .. }) => measure.prepared(x, y),
+        (P::Number { text: x, .. }, P::Text(y)) => measure.prepared(x, y),
         _ => 0.0, // at least one side missing
     }
 }

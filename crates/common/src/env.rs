@@ -12,12 +12,8 @@
 //! | `TRANSER_THREADS` | worker count for the parallel pool |
 //! | `TRANSER_TRACE` | enable structured tracing |
 //! | `TRANSER_ALLOC_TRACE` | enable allocation profiling (per-span alloc counts/bytes) |
-//! | `TRANSER_KNN_INDEX` | k-NN backend: `auto` / `kdtree` / `blocked` |
-//! | `TRANSER_TREE_ENGINE` | tree trainer: `presorted` / `reference` |
 //! | `TRANSER_FAULT` | fault injection: `<site>:<kind>[:<rate>:<seed>]` |
 //! | `TRANSER_GRAIN` | dispatch grain threshold in ns; `0` = always pool, `inf` = always inline |
-//! | `TRANSER_SIM_KERNEL` | similarity kernels: `fast` (bit-parallel, allocation-free) / `reference` |
-//! | `TRANSER_L2_KERNEL` | L2 distance kernel: `lanes` (vectorizable lane accumulators) / `reference` |
 //! | `TRANSER_SERVE_MODEL` | serving: path of the persisted model artefact |
 //! | `TRANSER_SERVE_INDEX` | serving: path of the persisted LSH index artefact |
 //! | `TRANSER_SERVE_BATCH` | serving: records per query batch (default 256) |
@@ -29,21 +25,11 @@ pub const TRACE: &str = "TRANSER_TRACE";
 /// Enables allocation profiling (`transer_trace::alloc::ALLOC_ENV`): the
 /// counting global allocator attributes events/bytes to the enclosing span.
 pub const ALLOC_TRACE: &str = "TRANSER_ALLOC_TRACE";
-/// k-NN index backend override (`transer-knn`).
-pub const KNN_INDEX: &str = "TRANSER_KNN_INDEX";
-/// Decision-tree training engine override (`transer-ml`).
-pub const TREE_ENGINE: &str = "TRANSER_TREE_ENGINE";
 /// Fault-injection plan (`transer-robust`): `<site>:<kind>[:<rate>:<seed>]`.
 pub const FAULT: &str = "TRANSER_FAULT";
 /// Grain-dispatch override (`transer-parallel`): an inline threshold in
 /// nanoseconds, `0` = always pool, `inf` = always inline.
 pub const GRAIN: &str = "TRANSER_GRAIN";
-/// Similarity kernel engine override (`transer-similarity`):
-/// `fast` (default) or `reference` (the pinned original kernels).
-pub const SIM_KERNEL: &str = "TRANSER_SIM_KERNEL";
-/// L2 distance kernel engine override (`transer_common::l2`):
-/// `lanes` (default) or `reference` (the pinned exact-order scalar loops).
-pub const L2_KERNEL: &str = "TRANSER_L2_KERNEL";
 /// Serving: path of the persisted model artefact (`transer-serve` /
 /// `bench_serve`).
 pub const SERVE_MODEL: &str = "TRANSER_SERVE_MODEL";

@@ -7,118 +7,24 @@
 //! ball-tree bound checks — routes through these functions instead of
 //! carrying its own per-pair loop.
 //!
-//! Two engines exist behind the `TRANSER_L2_KERNEL` switch, mirroring
-//! `TRANSER_TREE_ENGINE` / `TRANSER_SIM_KERNEL`:
+//! Each function uses fixed-width lane accumulators: [`LANES`]
+//! independent partial sums walk the vectors in `LANES`-wide chunks, then
+//! reduce in a fixed pairwise order. Independent accumulators break the
+//! single sequential dependency chain, so LLVM turns the inner loop into
+//! SIMD adds/multiplies (and FMA where the target has it) without needing
+//! float reassociation.
 //!
-//! * [`L2Kernel::Lanes`] (default) — fixed-width lane accumulators:
-//!   [`LANES`] independent partial sums walk the vectors in `LANES`-wide
-//!   chunks, then reduce in a fixed pairwise order. Independent
-//!   accumulators break the single sequential dependency chain, so LLVM
-//!   turns the inner loop into SIMD adds/multiplies (and FMA where the
-//!   target has it) without needing float reassociation.
-//! * [`L2Kernel::Reference`] — the original exact-order scalar loops,
-//!   kept verbatim as the pinned reference.
-//!
-//! Each engine is fully deterministic: the summation order is fixed, so
-//! results are bit-identical across runs, worker counts and k-NN
-//! backends. The two engines associate the additions differently, so
-//! *between* engines the low bits of a distance may differ — which is
-//! exactly why the switch exists: `TRANSER_L2_KERNEL=reference`
-//! reproduces the historical sequential-sum bits.
+//! The summation order is fixed, so results are bit-identical across
+//! runs, worker counts and k-NN backends. The original exact-order
+//! sequential sums are kept in this module's tests as the oracle the lane
+//! kernels are checked against; they associate the additions differently,
+//! so the two agree bitwise on exactly representable inputs and to within
+//! a few ulps otherwise.
 
-use std::sync::OnceLock;
-
-use crate::env;
-
-/// Lane width of the fast kernel: four independent accumulators cover
-/// one AVX register (or two SSE2 registers) of `f64`s and keep the
-/// 9–24-dimensional ER feature vectors in 2–6 chunks.
+/// Lane width of the kernel: four independent accumulators cover one AVX
+/// register (or two SSE2 registers) of `f64`s and keep the 9–24-dimensional
+/// ER feature vectors in 2–6 chunks.
 pub const LANES: usize = 4;
-
-/// Which L2 kernel engine to use, process-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum L2Kernel {
-    /// Fixed-width lane accumulators, vectorizable (default).
-    Lanes,
-    /// The pinned exact-order scalar loops.
-    Reference,
-}
-
-impl L2Kernel {
-    /// Parse a recognised `TRANSER_L2_KERNEL` value; `None` otherwise.
-    fn parse_known(s: &str) -> Option<L2Kernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "lanes" | "fast" | "simd" => Some(L2Kernel::Lanes),
-            "reference" | "ref" | "scalar" => Some(L2Kernel::Reference),
-            _ => None,
-        }
-    }
-
-    /// The process-wide engine from `TRANSER_L2_KERNEL`, read once (like
-    /// `TRANSER_TREE_ENGINE`); unset or unrecognised means
-    /// [`L2Kernel::Lanes`], unrecognised values warn through the trace
-    /// layer.
-    pub fn from_env() -> L2Kernel {
-        static KERNEL: OnceLock<L2Kernel> = OnceLock::new();
-        *KERNEL.get_or_init(|| {
-            env::parsed_with(
-                env::L2_KERNEL,
-                L2Kernel::parse_known,
-                "one of lanes/reference",
-                "lanes",
-            )
-            .unwrap_or(L2Kernel::Lanes)
-        })
-    }
-}
-
-/// Squared Euclidean distance between two feature vectors, on the active
-/// engine.
-#[inline]
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    match L2Kernel::from_env() {
-        L2Kernel::Lanes => sq_dist_lanes(a, b),
-        L2Kernel::Reference => sq_dist_reference(a, b),
-    }
-}
-
-/// Squared Euclidean norm of a feature vector, on the active engine.
-#[inline]
-pub fn sq_norm(v: &[f64]) -> f64 {
-    match L2Kernel::from_env() {
-        L2Kernel::Lanes => sq_norm_lanes(v),
-        L2Kernel::Reference => sq_norm_reference(v),
-    }
-}
-
-/// Dot product of two feature vectors, on the active engine.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    match L2Kernel::from_env() {
-        L2Kernel::Lanes => dot_lanes(a, b),
-        L2Kernel::Reference => dot_reference(a, b),
-    }
-}
-
-/// The pinned reference: the exact-order sequential sum `Σ (aᵢ − bᵢ)²`.
-#[inline]
-pub fn sq_dist_reference(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// The pinned reference norm: the sequential sum `Σ vᵢ²`.
-#[inline]
-pub fn sq_norm_reference(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum()
-}
-
-/// The pinned reference dot product: the sequential sum `Σ aᵢ·bᵢ`.
-#[inline]
-pub fn dot_reference(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
 
 /// Fixed reduction of the lane accumulators plus the scalar tail sum:
 /// `((acc₀ + acc₁) + (acc₂ + acc₃)) + tail`, always in this order.
@@ -127,11 +33,12 @@ fn reduce(acc: [f64; LANES], tail: f64) -> f64 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
 }
 
-/// Lane-accumulator squared distance: `LANES` independent partial sums
-/// over `LANES`-wide chunks, remainder accumulated sequentially, reduced
-/// in the fixed order of [`reduce`]. Deterministic, SIMD-friendly.
+/// Squared Euclidean distance between two feature vectors: `LANES`
+/// independent partial sums over `LANES`-wide chunks, remainder
+/// accumulated sequentially, reduced in the fixed order
+/// `((acc₀ + acc₁) + (acc₂ + acc₃)) + tail`. Deterministic, SIMD-friendly.
 #[inline]
-pub fn sq_dist_lanes(a: &[f64], b: &[f64]) -> f64 {
+pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let split = a.len() - a.len() % LANES;
     let mut acc = [0.0f64; LANES];
@@ -149,10 +56,10 @@ pub fn sq_dist_lanes(a: &[f64], b: &[f64]) -> f64 {
     reduce(acc, tail)
 }
 
-/// Lane-accumulator squared norm; same order conventions as
-/// [`sq_dist_lanes`].
+/// Squared Euclidean norm of a feature vector; same order conventions as
+/// [`sq_dist`].
 #[inline]
-pub fn sq_norm_lanes(v: &[f64]) -> f64 {
+pub fn sq_norm(v: &[f64]) -> f64 {
     let split = v.len() - v.len() % LANES;
     let mut acc = [0.0f64; LANES];
     for c in v[..split].chunks_exact(LANES) {
@@ -167,10 +74,10 @@ pub fn sq_norm_lanes(v: &[f64]) -> f64 {
     reduce(acc, tail)
 }
 
-/// Lane-accumulator dot product; same order conventions as
-/// [`sq_dist_lanes`].
+/// Dot product of two feature vectors; same order conventions as
+/// [`sq_dist`].
 #[inline]
-pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let split = a.len() - a.len() % LANES;
     let mut acc = [0.0f64; LANES];
@@ -190,42 +97,48 @@ pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_recognises_engines() {
-        assert_eq!(L2Kernel::parse_known("lanes"), Some(L2Kernel::Lanes));
-        assert_eq!(L2Kernel::parse_known(" Fast "), Some(L2Kernel::Lanes));
-        assert_eq!(L2Kernel::parse_known("simd"), Some(L2Kernel::Lanes));
-        assert_eq!(L2Kernel::parse_known("reference"), Some(L2Kernel::Reference));
-        assert_eq!(L2Kernel::parse_known("REF"), Some(L2Kernel::Reference));
-        assert_eq!(L2Kernel::parse_known("scalar"), Some(L2Kernel::Reference));
-        assert_eq!(L2Kernel::parse_known("nonsense"), None);
-        assert_eq!(L2Kernel::parse_known(""), None);
+    /// The original exact-order sequential sum `Σ (aᵢ − bᵢ)²`, pinned as
+    /// the oracle for [`sq_dist`].
+    fn sq_dist_reference(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len());
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    }
+
+    /// The original sequential sum `Σ vᵢ²`, the oracle for [`sq_norm`].
+    fn sq_norm_reference(v: &[f64]) -> f64 {
+        v.iter().map(|x| x * x).sum()
+    }
+
+    /// The original sequential sum `Σ aᵢ·bᵢ`, the oracle for [`dot`].
+    fn dot_reference(a: &[f64], b: &[f64]) -> f64 {
+        debug_assert_eq!(a.len(), b.len());
+        a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
 
     #[test]
     fn engines_agree_on_exactly_representable_inputs() {
         // Powers of two and small integers: every partial sum is exact,
-        // so association order cannot matter and the engines must agree
+        // so association order cannot matter and the kernels must agree
         // bitwise.
         let a: Vec<f64> = (0..24).map(|i| (i % 5) as f64).collect();
         let b: Vec<f64> = (0..24).map(|i| ((i + 2) % 7) as f64).collect();
-        assert_eq!(sq_dist_lanes(&a, &b).to_bits(), sq_dist_reference(&a, &b).to_bits());
-        assert_eq!(sq_norm_lanes(&a).to_bits(), sq_norm_reference(&a).to_bits());
-        assert_eq!(dot_lanes(&a, &b).to_bits(), dot_reference(&a, &b).to_bits());
+        assert_eq!(sq_dist(&a, &b).to_bits(), sq_dist_reference(&a, &b).to_bits());
+        assert_eq!(sq_norm(&a).to_bits(), sq_norm_reference(&a).to_bits());
+        assert_eq!(dot(&a, &b).to_bits(), dot_reference(&a, &b).to_bits());
     }
 
     #[test]
     fn engines_agree_within_ulp_tolerance() {
-        // Irrational-ish values: the engines differ only in association
+        // Irrational-ish values: the kernels differ only in association
         // order, so they agree to within a few units in the last place.
         let a: Vec<f64> = (0..24).map(|i| ((i * 37 + 11) as f64 * 0.017).sin().abs()).collect();
         let b: Vec<f64> = (0..24).map(|i| ((i * 53 + 5) as f64 * 0.013).cos().abs()).collect();
         for dim in [0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 21, 24] {
-            let fast = sq_dist_lanes(&a[..dim], &b[..dim]);
+            let fast = sq_dist(&a[..dim], &b[..dim]);
             let slow = sq_dist_reference(&a[..dim], &b[..dim]);
             let tol = 8.0 * f64::EPSILON * slow.max(1.0);
             assert!((fast - slow).abs() <= tol, "dim {dim}: {fast} vs {slow}");
-            let fast = dot_lanes(&a[..dim], &b[..dim]);
+            let fast = dot(&a[..dim], &b[..dim]);
             let slow = dot_reference(&a[..dim], &b[..dim]);
             assert!((fast - slow).abs() <= tol, "dot dim {dim}: {fast} vs {slow}");
         }
@@ -234,13 +147,13 @@ mod tests {
     #[test]
     fn equal_inputs_give_exact_zero_on_both_engines() {
         let v: Vec<f64> = (0..17).map(|i| (i as f64) * 0.37 - 2.0).collect();
-        assert_eq!(sq_dist_lanes(&v, &v).to_bits(), 0.0f64.to_bits());
+        assert_eq!(sq_dist(&v, &v).to_bits(), 0.0f64.to_bits());
         assert_eq!(sq_dist_reference(&v, &v).to_bits(), 0.0f64.to_bits());
         // Signed zeros: (-0.0 - 0.0)² is +0.0, so mixed zero signs still
         // give exact +0.0.
         let a = [0.0, -0.0, 0.0, -0.0, 0.0];
         let b = [-0.0, 0.0, -0.0, 0.0, -0.0];
-        assert_eq!(sq_dist_lanes(&a, &b).to_bits(), 0.0f64.to_bits());
+        assert_eq!(sq_dist(&a, &b).to_bits(), 0.0f64.to_bits());
         assert_eq!(sq_dist_reference(&a, &b).to_bits(), 0.0f64.to_bits());
     }
 
@@ -248,35 +161,19 @@ mod tests {
     fn nan_and_infinity_propagate() {
         let a = [0.0, f64::NAN, 1.0];
         let b = [0.0, 0.0, 1.0];
-        assert!(sq_dist_lanes(&a, &b).is_nan());
+        assert!(sq_dist(&a, &b).is_nan());
         assert!(sq_dist_reference(&a, &b).is_nan());
         let a = [f64::INFINITY, 0.0];
         let b = [0.0, 0.0];
-        assert_eq!(sq_dist_lanes(&a, &b), f64::INFINITY);
+        assert_eq!(sq_dist(&a, &b), f64::INFINITY);
         assert_eq!(sq_dist_reference(&a, &b), f64::INFINITY);
     }
 
     #[test]
     fn empty_and_short_vectors() {
-        assert_eq!(sq_dist_lanes(&[], &[]), 0.0);
-        assert_eq!(sq_dist_lanes(&[3.0], &[0.0]), 9.0);
-        assert_eq!(sq_norm_lanes(&[]), 0.0);
-        assert_eq!(dot_lanes(&[2.0, 3.0], &[4.0, 5.0]), 23.0);
-    }
-
-    #[test]
-    fn dispatching_wrappers_match_an_engine() {
-        // Whatever the process-wide engine is, the wrappers must agree
-        // with exactly one of the two pinned implementations.
-        let a: Vec<f64> = (0..9).map(|i| (i as f64) * 0.31).collect();
-        let b: Vec<f64> = (0..9).map(|i| (i as f64) * 0.27 + 0.1).collect();
-        let got = sq_dist(&a, &b).to_bits();
-        assert!(
-            got == sq_dist_lanes(&a, &b).to_bits() || got == sq_dist_reference(&a, &b).to_bits()
-        );
-        let got = sq_norm(&a).to_bits();
-        assert!(got == sq_norm_lanes(&a).to_bits() || got == sq_norm_reference(&a).to_bits());
-        let got = dot(&a, &b).to_bits();
-        assert!(got == dot_lanes(&a, &b).to_bits() || got == dot_reference(&a, &b).to_bits());
+        assert_eq!(sq_dist(&[], &[]), 0.0);
+        assert_eq!(sq_dist(&[3.0], &[0.0]), 9.0);
+        assert_eq!(sq_norm(&[]), 0.0);
+        assert_eq!(dot(&[2.0, 3.0], &[4.0, 5.0]), 23.0);
     }
 }

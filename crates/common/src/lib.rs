@@ -56,6 +56,6 @@ pub use dataset::{DomainPair, LabeledDataset};
 pub use error::{Error, Result};
 pub use features::FeatureMatrix;
 pub use intern::{RowInterning, StrInterner};
-pub use l2::{sq_dist, L2Kernel};
+pub use l2::sq_dist;
 pub use label::{count_matches, Label};
 pub use record::{AttrType, AttrValue, Record, RecordId, Schema};

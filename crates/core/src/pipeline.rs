@@ -3,7 +3,7 @@
 //! degenerate situations Algorithm 1 leaves implicit.
 
 use transer_common::{Error, FeatureMatrix, Label, Result};
-use transer_ml::{Classifier, ClassifierKind, TreeEngine};
+use transer_ml::{Classifier, ClassifierKind};
 use transer_robust::{site, FaultKind};
 
 use crate::config::TransErConfig;
@@ -205,12 +205,11 @@ pub(crate) enum GenOutcome {
 fn direct_labels(
     classifier: ClassifierKind,
     seed: u64,
-    engine: TreeEngine,
     x: &FeatureMatrix,
     y: &[Label],
     xt: &FeatureMatrix,
 ) -> Result<(Vec<Label>, Box<dyn Classifier>)> {
-    let mut clf = classifier.build_with_engine(seed, engine);
+    let mut clf = classifier.build(seed);
     clf.fit(x, y)?;
     let labels = clf.predict(xt);
     Ok((labels, clf))
@@ -235,7 +234,6 @@ fn direct_labels(
 pub(crate) fn gen_with_ladder(
     classifier: ClassifierKind,
     seed: u64,
-    engine: TreeEngine,
     xu: &FeatureMatrix,
     yu: &[Label],
     xs: &FeatureMatrix,
@@ -243,7 +241,7 @@ pub(crate) fn gen_with_ladder(
     xt: &FeatureMatrix,
     diag: &mut Diagnostics,
 ) -> Result<GenOutcome> {
-    let mut cu = classifier.build_with_engine(seed, engine);
+    let mut cu = classifier.build(seed);
     let generated = match transer_robust::fired(site::GEN_FIT) {
         Some(FaultKind::TaskFail) => Err(Error::FaultInjected(site::GEN_FIT)),
         Some(kind) => {
@@ -269,11 +267,11 @@ pub(crate) fn gen_with_ladder(
         Err(e) if e.is_resource_exceeded() => Err(e),
         Err(_) => {
             diag.record_fallback(FallbackReason::GenFailed);
-            if let Ok((labels, clf)) = direct_labels(classifier, seed, engine, xu, yu, xt) {
+            if let Ok((labels, clf)) = direct_labels(classifier, seed, xu, yu, xt) {
                 return Ok(GenOutcome::Direct(labels, clf));
             }
             diag.record_fallback(FallbackReason::SourceDirect);
-            direct_labels(classifier, seed, engine, xs, ys, xt)
+            direct_labels(classifier, seed, xs, ys, xt)
                 .map(|(labels, clf)| GenOutcome::Direct(labels, clf))
         }
     }
@@ -286,7 +284,6 @@ pub struct TransEr {
     config: TransErConfig,
     classifier: ClassifierKind,
     seed: u64,
-    tree_engine: TreeEngine,
 }
 
 impl TransEr {
@@ -297,16 +294,7 @@ impl TransEr {
     /// configuration is invalid.
     pub fn new(config: TransErConfig, classifier: ClassifierKind, seed: u64) -> Result<Self> {
         config.validate()?;
-        Ok(TransEr { config, classifier, seed, tree_engine: TreeEngine::from_env() })
-    }
-
-    /// Pin the decision-tree training engine for the tree-based classifier
-    /// kinds instead of reading `TRANSER_TREE_ENGINE`. The engines produce
-    /// bit-identical classifiers, so pipeline outputs do not depend on this
-    /// choice — it exists for benchmarks and equivalence tests.
-    pub fn with_tree_engine(mut self, engine: TreeEngine) -> Self {
-        self.tree_engine = engine;
-        self
+        Ok(TransEr { config, classifier, seed })
     }
 
     /// The active configuration.
@@ -397,7 +385,7 @@ impl TransEr {
             // Ablation "without GEN & TCL": classify the target with a
             // model trained directly on the transferred instances.
             let gen_span = transer_trace::timed("gen");
-            let mut clf = self.classifier.build_with_engine(self.seed, self.tree_engine);
+            let mut clf = self.classifier.build(self.seed);
             clf.fit(&xu, &yu)?;
             let labels = clf.predict(xt);
             diag.gen_secs = gen_span.finish();
@@ -411,17 +399,7 @@ impl TransEr {
 
         // Phase (ii): GEN, with the degradation ladder.
         let gen_span = transer_trace::timed("gen");
-        let outcome = gen_with_ladder(
-            self.classifier,
-            self.seed,
-            self.tree_engine,
-            &xu,
-            &yu,
-            xs,
-            ys,
-            xt,
-            &mut diag,
-        )?;
+        let outcome = gen_with_ladder(self.classifier, self.seed, &xu, &yu, xs, ys, xt, &mut diag)?;
         diag.gen_secs = gen_span.finish();
         let (pseudo, cu) = match outcome {
             GenOutcome::Pseudo(pseudo, cu) => (pseudo, cu),
@@ -445,8 +423,7 @@ impl TransEr {
 
         // Phase (iii): TCL.
         let tcl_span = transer_trace::timed("tcl");
-        let mut cv: Box<dyn Classifier> =
-            self.classifier.build_with_engine(self.seed.wrapping_add(1), self.tree_engine);
+        let mut cv: Box<dyn Classifier> = self.classifier.build(self.seed.wrapping_add(1));
         let (output, served_model) = match train_target_classifier(
             cv.as_mut(),
             xt,

@@ -78,9 +78,9 @@ impl SelectionResult {
 /// the enabled thresholds (lines 1–9 of Algorithm 1).
 ///
 /// Scoring runs per *unique* source row on the duplicate-aware engine and
-/// on the global [`Pool`] (`TRANSER_THREADS`); the k-NN backend follows
-/// `TRANSER_KNN_INDEX` (default: chosen per matrix shape). The result is
-/// bit-identical for every worker count and backend.
+/// on the global [`Pool`] (`TRANSER_THREADS`); the k-NN backend is chosen
+/// per matrix shape ([`IndexKind::Auto`]). The result is bit-identical for
+/// every worker count and backend.
 ///
 /// # Errors
 /// Returns an error for empty inputs, mismatched shapes or an invalid
@@ -106,7 +106,7 @@ pub fn select_instances_with_pool(
     config: &TransErConfig,
     pool: &Pool,
 ) -> Result<SelectionResult> {
-    select_instances_with_backend(xs, ys, xt, config, pool, IndexKind::from_env())
+    select_instances_with_backend(xs, ys, xt, config, pool, IndexKind::Auto)
 }
 
 /// [`select_instances_with_pool`] with an explicit k-NN backend — the hook

@@ -8,7 +8,7 @@
 //! target labels anchor the decision boundary in the target's own space.
 
 use transer_common::{Error, FeatureMatrix, Label, Result};
-use transer_ml::{ClassifierKind, TreeEngine};
+use transer_ml::ClassifierKind;
 
 use crate::config::TransErConfig;
 use crate::pipeline::{
@@ -82,17 +82,7 @@ impl SemiSupervisedTransEr {
             xu = xs.clone();
             yu = ys.to_vec();
         }
-        let outcome = gen_with_ladder(
-            self.classifier,
-            self.seed,
-            TreeEngine::from_env(),
-            &xu,
-            &yu,
-            xs,
-            ys,
-            xt,
-            &mut diag,
-        )?;
+        let outcome = gen_with_ladder(self.classifier, self.seed, &xu, &yu, xs, ys, xt, &mut diag)?;
         let mut pseudo: PseudoLabels = match outcome {
             GenOutcome::Pseudo(pseudo, _) => pseudo,
             GenOutcome::Direct(mut labels, _) => {

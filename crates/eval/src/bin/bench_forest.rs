@@ -1,6 +1,5 @@
-//! Benchmark forest training: the per-node-sort reference tree engine vs
-//! the presorted exact-greedy engine, per dataset shape and worker count,
-//! recording `results/BENCH_forest.json`. Accepts the shared eval flags
+//! Benchmark forest training with the presorted exact-greedy engine, per
+//! dataset shape and worker count, recording `results/BENCH_forest.json`. Accepts the shared eval flags
 //! plus `--threads <n>` (default: the global pool, i.e. `TRANSER_THREADS`
 //! or the machine's available parallelism).
 
@@ -18,7 +17,7 @@ fn main() {
     match forest_bench::forest_benchmark(&opts, threads, &[8000, 32000]) {
         Ok(report) => {
             println!(
-                "Forest benchmark — per-node-sort reference vs presorted engine ({} trees, depth {}, {} core(s) available)",
+                "Forest benchmark — presorted engine ({} trees, depth {}, {} core(s) available)",
                 report.n_trees, report.max_depth, report.available_parallelism
             );
             for d in &report.datasets {

@@ -1,19 +1,19 @@
-//! Forest-training wall-time benchmark: the per-node-sort reference tree
-//! engine vs the presorted exact-greedy engine.
+//! Forest-training wall-time benchmark for the presorted exact-greedy
+//! trainer that GEN and TCL sit on.
 //!
-//! Not a paper artefact: this experiment quantifies the presorted rewrite
-//! of the CART trainer that GEN and TCL sit on. Two synthetic shapes —
-//! an ER-like matrix (few features, values rounded onto a coarse grid, so
-//! columns are dominated by ties) and a wide continuous matrix — at two
-//! row counts each, timed best-of-[`REPS`] for every engine × worker
-//! count. The engines are bit-identical (asserted on every dataset before
-//! any timing), so the speedup is the whole story.
+//! Not a paper artefact. Two synthetic shapes — an ER-like matrix (few
+//! features, values rounded onto a coarse grid, so columns are dominated
+//! by ties) and a wide continuous matrix — at two row counts each, timed
+//! best-of-[`REPS`] at one worker and at several. The forests are
+//! asserted bit-identical across the two worker counts before any
+//! timing. The speedup over the per-node-sort trainer it replaced is
+//! recorded in EXPERIMENTS.md.
 
 use std::time::Instant;
 
 use serde::Serialize;
 use transer_common::{FeatureMatrix, Label, Result};
-use transer_ml::{Classifier, RandomForest, RandomForestConfig, TreeEngine};
+use transer_ml::{Classifier, RandomForest, RandomForestConfig};
 use transer_parallel::Pool;
 
 use crate::{Cell, Options};
@@ -46,21 +46,17 @@ pub struct ForestBenchDataset {
     pub rows: usize,
     /// Feature columns.
     pub features: usize,
-    /// Per-engine, per-thread-count timings.
+    /// Per-thread-count timings.
     pub timings: Vec<ForestBenchRow>,
 }
 
 /// One timed forest fit.
 #[derive(Debug, Clone, Serialize)]
 pub struct ForestBenchRow {
-    /// Tree engine (`reference`, `presorted`).
-    pub engine: String,
     /// Worker count.
     pub threads: usize,
     /// Best-of-[`REPS`] wall-clock seconds.
     pub secs: f64,
-    /// `reference` seconds at the same worker count divided by `secs`.
-    pub speedup_vs_reference: f64,
 }
 
 fn time_once<F: FnOnce()>(f: F) -> f64 {
@@ -104,10 +100,9 @@ fn fit_forest(
     y: &[Label],
     config: RandomForestConfig,
     seed: u64,
-    engine: TreeEngine,
     threads: usize,
 ) -> RandomForest {
-    let mut rf = RandomForest::new(config, seed).with_engine(engine).with_threads(threads);
+    let mut rf = RandomForest::new(config, seed).with_threads(threads);
     rf.fit(x, y).expect("forest fit");
     rf
 }
@@ -120,45 +115,27 @@ fn bench_dataset(
     seed: u64,
     threads: usize,
 ) -> ForestBenchDataset {
-    // Correctness gate before any timing: the presorted engine must match
-    // the reference forest bit for bit, at one worker and at several.
-    let reference = fit_forest(x, y, config, seed, TreeEngine::Reference, 1).predict_proba(x);
-    for workers in [1, threads] {
-        let got = fit_forest(x, y, config, seed, TreeEngine::Presorted, workers).predict_proba(x);
-        for (i, (a, b)) in reference.iter().zip(&got).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{name}: presorted diverges from reference at row {i} (workers {workers})"
-            );
-        }
+    // Correctness gate before any timing: the forest must be bit-identical
+    // at one worker and at several.
+    let sequential = fit_forest(x, y, config, seed, 1).predict_proba(x);
+    let got = fit_forest(x, y, config, seed, threads).predict_proba(x);
+    for (i, (a, b)) in sequential.iter().zip(&got).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{name}: {threads} workers diverge from one at row {i}"
+        );
     }
 
     let mut timings = Vec::new();
     for threads in [1, threads] {
-        // Interleave the engines rep by rep so background-load spikes hit
-        // both timing windows alike instead of skewing one side of the
-        // ratio; best-of-[`REPS`] then recovers each engine's quiet rep.
-        let mut reference_secs = f64::INFINITY;
-        let mut presorted_secs = f64::INFINITY;
+        let mut secs = f64::INFINITY;
         for _ in 0..REPS {
-            reference_secs = reference_secs.min(time_once(|| {
-                fit_forest(x, y, config, seed, TreeEngine::Reference, threads);
-            }));
-            presorted_secs = presorted_secs.min(time_once(|| {
-                fit_forest(x, y, config, seed, TreeEngine::Presorted, threads);
+            secs = secs.min(time_once(|| {
+                fit_forest(x, y, config, seed, threads);
             }));
         }
-        for (engine, secs) in
-            [(TreeEngine::Reference, reference_secs), (TreeEngine::Presorted, presorted_secs)]
-        {
-            timings.push(ForestBenchRow {
-                engine: engine.name().to_string(),
-                threads,
-                secs,
-                speedup_vs_reference: reference_secs / secs,
-            });
-        }
+        timings.push(ForestBenchRow { threads, secs });
     }
     ForestBenchDataset { name: name.to_string(), rows: x.rows(), features: x.cols(), timings }
 }
@@ -212,19 +189,9 @@ pub fn forest_benchmark(
 
 /// Render one dataset's timings as an aligned text table.
 pub fn render(d: &ForestBenchDataset) -> String {
-    let mut table = vec![vec![
-        Cell::from("Engine"),
-        Cell::from("Threads"),
-        Cell::from("Secs"),
-        Cell::from("vs reference"),
-    ]];
+    let mut table = vec![vec![Cell::from("Threads"), Cell::from("Secs")]];
     for r in &d.timings {
-        table.push(vec![
-            Cell::from(r.engine.clone()),
-            Cell::Num(r.threads as f64),
-            Cell::Num(r.secs),
-            Cell::Num(r.speedup_vs_reference),
-        ]);
+        table.push(vec![Cell::Num(r.threads as f64), Cell::Num(r.secs)]);
     }
     crate::format_table(&table)
 }
@@ -251,12 +218,12 @@ mod tests {
         let report = forest_benchmark(&opts, Some(2), &[60]).unwrap();
         assert_eq!(report.datasets.len(), 2);
         for d in &report.datasets {
-            // 2 engines × 2 thread counts.
-            assert_eq!(d.timings.len(), 4);
+            // 2 thread counts.
+            assert_eq!(d.timings.len(), 2);
             for r in &d.timings {
-                assert!(r.secs > 0.0 && r.speedup_vs_reference.is_finite(), "{}", r.engine);
+                assert!(r.secs > 0.0 && r.secs.is_finite(), "threads={}", r.threads);
             }
-            assert!(render(d).contains("presorted"));
+            assert!(render(d).contains("Secs"));
         }
     }
 }

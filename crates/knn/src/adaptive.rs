@@ -9,16 +9,12 @@
 //! neither tree prunes — the blocked kernel's streaming dot products win
 //! both regimes. [`AdaptiveIndex`] picks per-matrix from `(n_unique,
 //! dim)` using crossovers measured by the `bench_sel` regime sweep (see
-//! `EXPERIMENTS.md`); the choice can be forced per-process with the
-//! `TRANSER_KNN_INDEX` environment variable (`kdtree`, `balltree`,
-//! `blocked`, or `auto`), mirroring the `TRANSER_THREADS` convention in
-//! `transer-parallel`.
+//! `EXPERIMENTS.md`); benchmarks and the backend-equivalence tests force
+//! one backend by passing an explicit [`IndexKind`].
 //!
 //! All backends produce bit-identical results (same neighbours, same
 //! squared distances, same tie-break order), so the choice affects wall
 //! time only — determinism does not depend on it.
-
-use std::sync::OnceLock;
 
 use transer_common::FeatureMatrix;
 
@@ -41,52 +37,6 @@ pub enum IndexKind {
 }
 
 impl IndexKind {
-    /// Parse a recognised `TRANSER_KNN_INDEX` value; `None` otherwise.
-    fn parse_known(s: &str) -> Option<IndexKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "kdtree" | "kd-tree" | "kd" => Some(IndexKind::KdTree),
-            "balltree" | "ball-tree" | "ball" => Some(IndexKind::BallTree),
-            "blocked" | "brute" | "bruteforce" => Some(IndexKind::Blocked),
-            "auto" | "" => Some(IndexKind::Auto),
-            _ => None,
-        }
-    }
-
-    /// Parse a `TRANSER_KNN_INDEX`-style value. Unrecognised values warn
-    /// through the trace layer and fall back to [`IndexKind::Auto`]
-    /// (empty input is `Auto` silently).
-    pub fn parse(s: &str) -> IndexKind {
-        match IndexKind::parse_known(s) {
-            Some(kind) => kind,
-            None => {
-                transer_trace::warn_invalid_env(
-                    transer_common::env::KNN_INDEX,
-                    s,
-                    "one of auto/kdtree/balltree/blocked",
-                    "auto",
-                );
-                IndexKind::Auto
-            }
-        }
-    }
-
-    /// The process-wide kind from the `TRANSER_KNN_INDEX` environment
-    /// variable, read once (like `TRANSER_THREADS`); unset means
-    /// [`IndexKind::Auto`], unrecognised warns through the trace layer and
-    /// falls back to [`IndexKind::Auto`].
-    pub fn from_env() -> IndexKind {
-        static KIND: OnceLock<IndexKind> = OnceLock::new();
-        *KIND.get_or_init(|| {
-            transer_common::env::parsed_with(
-                transer_common::env::KNN_INDEX,
-                IndexKind::parse_known,
-                "one of auto/kdtree/balltree/blocked",
-                "auto",
-            )
-            .unwrap_or(IndexKind::Auto)
-        })
-    }
-
     /// Resolve `Auto` for a concrete matrix shape.
     ///
     /// The thresholds are the measured crossovers of the `bench_sel`
@@ -152,11 +102,6 @@ impl AdaptiveIndex {
             IndexKind::BallTree => AdaptiveIndex::BallTree(BallTree::build(matrix)),
             _ => AdaptiveIndex::Blocked(BlockedBruteForce::build(matrix)),
         }
-    }
-
-    /// Build with the process-wide kind from `TRANSER_KNN_INDEX`.
-    pub fn build_from_env(matrix: &FeatureMatrix) -> Self {
-        Self::build(matrix, IndexKind::from_env())
     }
 
     /// Which backend was chosen.
@@ -240,32 +185,6 @@ impl AdaptiveIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_recognises_backends() {
-        assert_eq!(IndexKind::parse("kdtree"), IndexKind::KdTree);
-        assert_eq!(IndexKind::parse(" KD-Tree "), IndexKind::KdTree);
-        assert_eq!(IndexKind::parse("balltree"), IndexKind::BallTree);
-        assert_eq!(IndexKind::parse("Ball-Tree"), IndexKind::BallTree);
-        assert_eq!(IndexKind::parse("ball"), IndexKind::BallTree);
-        assert_eq!(IndexKind::parse("blocked"), IndexKind::Blocked);
-        assert_eq!(IndexKind::parse("brute"), IndexKind::Blocked);
-        assert_eq!(IndexKind::parse("auto"), IndexKind::Auto);
-        assert_eq!(IndexKind::parse("nonsense"), IndexKind::Auto);
-        assert_eq!(IndexKind::parse(""), IndexKind::Auto);
-    }
-
-    #[test]
-    fn unrecognised_parse_warns_through_trace() {
-        transer_trace::set_enabled(true);
-        assert_eq!(IndexKind::parse("quadtree"), IndexKind::Auto);
-        let report = transer_trace::drain_report();
-        transer_trace::set_enabled(false);
-        assert!(report
-            .warnings
-            .iter()
-            .any(|w| w.context == "env" && w.message.contains("quadtree")));
-    }
 
     #[test]
     fn auto_resolution_heuristic() {

@@ -17,7 +17,7 @@
 //!   reordered rows; the strongest index at the moderate dimensionalities
 //!   (9–24 features) of real ER matrices, where KD-tree pruning decays;
 //! * [`AdaptiveIndex`] / [`IndexKind`] — per-matrix backend choice from
-//!   `(rows, dim)`, overridable with `TRANSER_KNN_INDEX`;
+//!   `(rows, dim)`, or one backend forced by an explicit kind;
 //! * [`DedupKnn`] — interns duplicated rows (`RowInterning` from
 //!   `transer-common`), queries unique rows with multiplicity weights, and
 //!   expands results back to original row indices.
@@ -26,7 +26,7 @@
 //! distance, so neighbour *ranking* is identical and we skip the square
 //! roots in the hot path. Every distance, norm and dot product routes
 //! through the shared vectorizable L2 kernel (`transer_common::l2`), so
-//! the `TRANSER_L2_KERNEL` engine switch governs all backends at once.
+//! every backend sums in the same fixed order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

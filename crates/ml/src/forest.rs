@@ -17,7 +17,6 @@ const TREE_PREDICT_ROW_NANOS: u64 = 50;
 
 use crate::presorted::ForestPresort;
 use crate::sampling::bootstrap_bag;
-use crate::split::TreeEngine;
 use crate::traits::{check_training_input, Classifier};
 use crate::tree::{DecisionTree, DecisionTreeConfig};
 
@@ -51,13 +50,12 @@ pub struct RandomForest {
     trees: Vec<DecisionTree>,
     /// Explicit pool override; `None` = the global pool.
     pool: Option<Pool>,
-    engine: TreeEngine,
 }
 
 impl RandomForest {
     /// Create with explicit hyper-parameters and RNG seed.
     pub fn new(config: RandomForestConfig, seed: u64) -> Self {
-        RandomForest { config, seed, trees: Vec::new(), pool: None, engine: TreeEngine::from_env() }
+        RandomForest { config, seed, trees: Vec::new(), pool: None }
     }
 
     /// Default configuration with the given seed.
@@ -80,22 +78,14 @@ impl RandomForest {
         self
     }
 
-    /// Override the tree training engine (default: `TRANSER_TREE_ENGINE`
-    /// via [`TreeEngine::from_env`]). Both engines yield bit-identical
-    /// forests.
-    pub fn with_engine(mut self, engine: TreeEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Prediction state for model persistence: hyper-parameters, forest
     /// seed and the fitted trees.
     pub(crate) fn persist_parts(&self) -> (&RandomForestConfig, u64, &[DecisionTree]) {
         (&self.config, self.seed, &self.trees)
     }
 
-    /// Rebuild a forest from persisted prediction state (pool override and
-    /// engine reset to defaults — see `DecisionTree::from_persist_parts`).
+    /// Rebuild a forest from persisted prediction state (pool override
+    /// reset to the default — see `DecisionTree::from_persist_parts`).
     pub(crate) fn from_persist_parts(
         config: RandomForestConfig,
         seed: u64,
@@ -121,6 +111,18 @@ impl RandomForest {
     /// sequential.
     fn bootstrap_seed(&self, t: usize) -> u64 {
         self.seed ^ (t as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F)
+    }
+
+    /// The untrained tree `t`: the forest's tree configuration, per-split
+    /// sampling of `max_features` features, and a feature-subset stream
+    /// derived from the forest seed. Trees train single-threaded: the
+    /// per-tree fan-out already saturates the pool, and nested
+    /// split-search parallelism would only add spawn overhead.
+    fn tree_for(&self, t: usize, max_features: usize) -> DecisionTree {
+        let mut tree = DecisionTree::new(self.config.tree).with_threads(1);
+        tree.feature_subset = Some(max_features);
+        tree.rng_state = self.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(t as u64 + 1) | 1;
+        tree
     }
 }
 
@@ -153,12 +155,11 @@ impl Classifier for RandomForest {
             None => vec![1.0; n],
         };
 
-        // Presorted engine: sort the feature columns of the full matrix
-        // once per forest; each tree filters that order by its bag instead
-        // of re-sorting a materialised bagged matrix (bit-identical — see
+        // Sort the feature columns of the full matrix once per forest; each
+        // tree filters that order by its bag instead of re-sorting a
+        // materialised bagged matrix (bit-identical — see
         // `presorted::grow_bagged`).
-        let presort =
-            (self.engine == TreeEngine::Presorted).then(|| ForestPresort::new(x, &self.pool()));
+        let presort = ForestPresort::new(x, &self.pool());
 
         // Each tree is independent given its two derived seeds (bootstrap
         // draw + feature-subset stream), so training parallelises with no
@@ -166,7 +167,7 @@ impl Classifier for RandomForest {
         let indices: Vec<usize> = (0..self.config.n_trees).collect();
         let per_tree = (n as u64).saturating_mul(TREE_FIT_ROW_NANOS);
         let fit_hint = CostHint::with_per_item_nanos(indices.len(), per_tree);
-        let fitted: Vec<Result<Option<DecisionTree>>> = self.pool().par_map_init_costed(
+        let fitted: Vec<Option<DecisionTree>> = self.pool().par_map_init_costed(
             &indices,
             fit_hint,
             || (vec![0u32; n], vec![0.0f64; n]),
@@ -176,42 +177,20 @@ impl Classifier for RandomForest {
                 transer_trace::counter("ml.trees", 1);
                 transer_trace::observe("ml.bag_size", bag.len() as f64);
                 if bag.is_empty() {
-                    return Ok(None);
+                    return None;
                 }
-
-                // Trees train single-threaded: the per-tree fan-out above
-                // already saturates the pool, and nested split-search
-                // parallelism would only add spawn overhead.
-                let mut tree =
-                    DecisionTree::new(self.config.tree).with_engine(self.engine).with_threads(1);
-                tree.feature_subset = Some(max_features);
-                tree.rng_state =
-                    self.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(t as u64 + 1) | 1;
-                match &presort {
-                    Some(presort) => {
-                        w_full.fill(0.0);
-                        for (&row, &wv) in bag.iter().zip(&bag_w) {
-                            w_full[row] = wv;
-                        }
-                        tree.fit_bagged(presort, y, w_full, counts);
-                    }
-                    None => {
-                        let bag_x = x.select_rows(&bag);
-                        let bag_y: Vec<Label> = bag.iter().map(|&i| y[i]).collect();
-                        tree.fit_weighted(&bag_x, &bag_y, Some(&bag_w))?;
-                    }
+                let mut tree = self.tree_for(t, max_features);
+                w_full.fill(0.0);
+                for (&row, &wv) in bag.iter().zip(&bag_w) {
+                    w_full[row] = wv;
                 }
-                Ok(Some(tree))
+                tree.fit_bagged(&presort, y, w_full, counts);
+                Some(tree)
             },
         );
-
         self.trees.clear();
         self.trees.reserve(self.config.n_trees);
-        for tree in fitted {
-            if let Some(tree) = tree? {
-                self.trees.push(tree);
-            }
-        }
+        self.trees.extend(fitted.into_iter().flatten());
         Ok(())
     }
 
@@ -236,6 +215,46 @@ impl Classifier for RandomForest {
         let k = self.trees.len() as f64;
         probs.iter_mut().for_each(|p| *p /= k);
         probs
+    }
+}
+
+/// The materialised-bag forest the shared presort replaced, kept verbatim
+/// as its oracle.
+#[cfg(test)]
+impl RandomForest {
+    /// Train every tree on a copied bagged matrix with the per-node-sort
+    /// CART (`DecisionTree::fit_reference`), from the same bootstrap draws
+    /// and feature-subset streams as [`Classifier::fit_weighted`] — and so
+    /// into the same forest.
+    pub(crate) fn fit_reference(
+        &mut self,
+        x: &FeatureMatrix,
+        y: &[Label],
+        weights: Option<&[f64]>,
+    ) -> Result<()> {
+        check_training_input(x, y, weights)?;
+        let n = x.rows();
+        let max_features =
+            self.config.max_features.unwrap_or((x.cols() as f64).sqrt().ceil() as usize);
+        let base: Vec<f64> = match weights {
+            Some(w) => w.to_vec(),
+            None => vec![1.0; n],
+        };
+        let mut counts = vec![0u32; n];
+        self.trees.clear();
+        for t in 0..self.config.n_trees {
+            let mut rng = StdRng::seed_from_u64(self.bootstrap_seed(t));
+            let (bag, bag_w) = bootstrap_bag(&mut rng, &base, &mut counts);
+            if bag.is_empty() {
+                continue;
+            }
+            let mut tree = self.tree_for(t, max_features);
+            let bag_x = x.select_rows(&bag);
+            let bag_y: Vec<Label> = bag.iter().map(|&i| y[i]).collect();
+            tree.fit_reference(&bag_x, &bag_y, Some(&bag_w))?;
+            self.trees.push(tree);
+        }
+        Ok(())
     }
 }
 

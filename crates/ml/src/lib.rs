@@ -18,11 +18,11 @@
 //! optional per-sample weights (required by the instance-reweighting DR
 //! baseline).
 //!
-//! Decision trees (and the forests built from them) train through one of
-//! two engines selected by [`TreeEngine`] / the `TRANSER_TREE_ENGINE`
-//! environment variable: the default presorted exact-greedy engine (sort
-//! each feature column once per tree, grow by stable partition) and the
-//! pinned per-node-sort reference it is tested bit-identical against.
+//! Decision trees (and the forests built from them) train with the
+//! presorted exact-greedy engine: sort each feature column once per tree
+//! (once per forest for bagged trees) and grow by stable partition. The
+//! per-node-sort CART and materialised-bag forest it replaced are kept in
+//! test builds as the oracle it is pinned bit-identical against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +49,6 @@ pub use naive_bayes::GaussianNaiveBayes;
 pub use persist::{PersistedModel, MODEL_SCHEMA_VERSION};
 pub use sampling::{bootstrap_bag, stratified_fraction, undersample_to_ratio};
 pub use scaler::StandardScaler;
-pub use split::{TreeEngine, TREE_ENGINE_ENV};
 pub use svm::{LinearSvm, LinearSvmConfig};
 pub use traits::{Classifier, ClassifierKind};
 pub use tree::{DecisionTree, DecisionTreeConfig};

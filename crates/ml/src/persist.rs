@@ -27,7 +27,7 @@
 //! exact-integer range of a JSON number and are stored as hex strings.
 //!
 //! Only prediction state is persisted. Training-only state (rng streams,
-//! pool overrides, tree engines) resets to defaults on load: predictions
+//! pool overrides) resets to defaults on load: predictions
 //! are bit-identical, refitting a loaded model starts fresh.
 
 use std::collections::BTreeMap;

@@ -1,8 +1,8 @@
 //! The presorted exact-greedy tree training engine.
 //!
-//! The reference engine re-sorts every candidate feature column at every
-//! node, making training `O(nodes · features · n log n)`. This engine
-//! removes the per-node sort entirely:
+//! Classic CART re-sorts every candidate feature column at every node,
+//! making training `O(nodes · features · n log n)`. This engine removes
+//! the per-node sort entirely:
 //!
 //! 1. **Presort once.** Each feature column of the column-major training
 //!    view ([`ColMajorMatrix`]) is sorted into a row-id index array under
@@ -20,8 +20,9 @@
 //! 3. **Weighted prefix-sum scans.** Each candidate feature's segment is
 //!    already sorted, so the split search is one linear scan through
 //!    `crate::split::best_feature_split` — the same arithmetic, in the
-//!    same order, as the reference engine, which is why the two produce
-//!    bit-identical trees (pinned by `tests/engine_equivalence.rs`).
+//!    same order, as the per-node-sort CART, which is why the two produce
+//!    bit-identical trees (pinned against that CART, kept in test builds as
+//!    `DecisionTree::fit_reference`, by the `equivalence` tests below).
 //!
 //! For the random forest the presort is hoisted out of the bagging loop
 //! entirely ([`ForestPresort`]): the full matrix is sorted once per
@@ -111,7 +112,7 @@ pub(crate) fn grow(tree: &mut DecisionTree, x: &FeatureMatrix, y: &[Label], w: &
 /// rows with `counts > 0` form the bag.
 ///
 /// Filtering the global sorted order by bag membership is stable, and the
-/// bag-local row numbering the reference engine would use is monotone in
+/// bag-local row numbering the per-node-sort oracle would use is monotone in
 /// the original ids, so every scan sees the exact `(value, weight, label)`
 /// sequence it would see on a freshly sorted bagged matrix.
 pub(crate) fn grow_bagged(
@@ -185,7 +186,7 @@ struct Grower<'a> {
 
 struct Workspace {
     /// Row ids of the current node in ascending row order — the same
-    /// accumulation order as the reference engine's `indices` recursion,
+    /// accumulation order as the oracle's `indices` recursion,
     /// so the weighted totals are bit-identical.
     rows: Vec<u32>,
     scratch: Vec<u32>,
@@ -213,7 +214,7 @@ impl Grower<'_> {
         let config: DecisionTreeConfig = self.tree.config;
         let n_node = end - start;
         // One pass, one gather per row; each accumulator sees the same
-        // addition sequence as the reference engine's two sums. `-0.0` is
+        // addition sequence as the oracle's two sums. `-0.0` is
         // the identity `Sum<f64>` folds from — it keeps an empty match sum
         // (a pure non-match node) bit-identical to the reference.
         let mut total_w = -0.0;
@@ -409,5 +410,183 @@ mod tests {
         let bagged: Vec<u32> =
             presort.columns[0].iter().copied().filter(|&r| counts[r as usize] > 0).collect();
         assert_eq!(bagged, vec![2, 3, 0]);
+    }
+}
+
+/// The bit-identity contract between the presorted engine and the
+/// per-node-sort oracle: for any training set — heavy ties, zero/extreme
+/// weights, NaN features — the presorted engine must produce exactly the
+/// tree the per-node-sort CART produces, and the presort-sharing forest
+/// exactly the materialised-bag forest, at every worker count.
+#[cfg(test)]
+mod equivalence {
+    use proptest::prelude::*;
+    use transer_common::{FeatureMatrix, Label};
+
+    use crate::tree::Engine;
+    use crate::{Classifier, DecisionTree, RandomForest, RandomForestConfig};
+
+    /// Deterministic xorshift in `[0, 1)` (proptest drives only the seed).
+    fn xorshift(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum WeightKind {
+        None,
+        Uniform,
+        /// Roughly a third of the rows weighted zero.
+        SomeZero,
+        /// Mixed `1e12` / `1e-12` weights.
+        Extreme,
+    }
+
+    #[derive(Debug, Clone)]
+    struct Case {
+        x: FeatureMatrix,
+        y: Vec<Label>,
+        w: Option<Vec<f64>>,
+        probes: FeatureMatrix,
+    }
+
+    fn build_case(n: usize, m: usize, seed: u64, tied: bool, weights: WeightKind) -> Case {
+        let mut next = xorshift(seed);
+        let mut value = |k: usize| {
+            if tied {
+                // A 4-level grid: most neighbours tie, so the sorted order —
+                // and the stability of the partition — actually matters.
+                (next() * 4.0).floor() / 3.0
+            } else if k == 0 && next() < 0.05 {
+                // The occasional NaN feature exercises the NaN tail handling.
+                f64::NAN
+            } else {
+                next()
+            }
+        };
+        let rows: Vec<Vec<f64>> = (0..n).map(|_| (0..m).map(&mut value).collect()).collect();
+        let probes: Vec<Vec<f64>> = (0..24).map(|_| (0..m).map(&mut value).collect()).collect();
+        let _ = value;
+        let y: Vec<Label> =
+            (0..n).map(|_| if next() < 0.5 { Label::Match } else { Label::NonMatch }).collect();
+        let w = match weights {
+            WeightKind::None => None,
+            WeightKind::Uniform => Some(vec![1.0; n]),
+            WeightKind::SomeZero => {
+                Some((0..n).map(|_| if next() < 0.33 { 0.0 } else { 1.0 }).collect())
+            }
+            WeightKind::Extreme => {
+                Some((0..n).map(|_| if next() < 0.5 { 1e12 } else { 1e-12 }).collect())
+            }
+        };
+        Case {
+            x: FeatureMatrix::from_vecs(&rows).unwrap(),
+            y,
+            w,
+            probes: FeatureMatrix::from_vecs(&probes).unwrap(),
+        }
+    }
+
+    fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: row {i}: {x} vs {y}");
+        }
+    }
+
+    fn check_tree_case(case: &Case) {
+        let fit = |engine: Engine, workers: usize| {
+            let mut tree = DecisionTree::default().with_threads(workers);
+            engine.fit(&mut tree, &case.x, &case.y, case.w.as_deref()).unwrap();
+            (tree.predict_proba(&case.x), tree.predict_proba(&case.probes))
+        };
+        let (ref_train, ref_probe) = fit(Engine::Reference, 1);
+        for workers in [1, 4] {
+            let (train, probe) = fit(Engine::Presorted, workers);
+            assert_bitwise_eq(&ref_train, &train, &format!("train probs, workers={workers}"));
+            assert_bitwise_eq(&ref_probe, &probe, &format!("probe probs, workers={workers}"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn presorted_tree_is_bitwise_equal_to_reference(
+            n in 6usize..60,
+            m in 1usize..5,
+            seed in 0u64..10_000,
+            tied in any::<bool>(),
+            weight_kind in 0usize..4,
+        ) {
+            let weights = [
+                WeightKind::None,
+                WeightKind::Uniform,
+                WeightKind::SomeZero,
+                WeightKind::Extreme,
+            ][weight_kind];
+            check_tree_case(&build_case(n, m, seed, tied, weights));
+        }
+
+        #[test]
+        fn presorted_forest_is_bitwise_equal_to_reference(
+            seed in 0u64..10_000,
+            tied in any::<bool>(),
+        ) {
+            let case = build_case(48, 4, seed, tied, WeightKind::None);
+            let config = RandomForestConfig { n_trees: 6, ..Default::default() };
+            let fit = |engine: Engine, workers: usize| {
+                let mut rf = RandomForest::new(config, seed).with_threads(workers);
+                match engine {
+                    Engine::Presorted => rf.fit_weighted(&case.x, &case.y, case.w.as_deref()),
+                    Engine::Reference => rf.fit_reference(&case.x, &case.y, case.w.as_deref()),
+                }
+                .unwrap();
+                rf.predict_proba(&case.probes)
+            };
+            let reference = fit(Engine::Reference, 1);
+            for workers in [1, 4] {
+                let probs = fit(Engine::Presorted, workers);
+                assert_bitwise_eq(&reference, &probs, &format!("forest probs, workers={workers}"));
+            }
+        }
+    }
+
+    /// Large enough that the presorted engine's parallel split search engages
+    /// (`node_rows × candidates` past its work threshold at the root): the
+    /// fixed panel size must keep any worker count bitwise equal to one.
+    #[test]
+    fn parallel_split_search_is_bitwise_equal() {
+        let case = build_case(3000, 4, 99, false, WeightKind::Uniform);
+        let fit = |engine: Engine, workers: usize| {
+            let mut tree = DecisionTree::default().with_threads(workers);
+            engine.fit(&mut tree, &case.x, &case.y, case.w.as_deref()).unwrap();
+            tree.predict_proba(&case.probes)
+        };
+        let reference = fit(Engine::Reference, 1);
+        for workers in [1, 2, 4, 16] {
+            let probs = fit(Engine::Presorted, workers);
+            assert_bitwise_eq(&reference, &probs, &format!("workers={workers}"));
+        }
+    }
+
+    /// All-tied columns plus a NaN column: no split exists, both engines must
+    /// agree on the single-leaf fallback.
+    #[test]
+    fn degenerate_columns_are_bitwise_equal() {
+        let rows: Vec<Vec<f64>> = (0..12).map(|_| vec![0.5, f64::NAN, 1.0]).collect();
+        let y: Vec<Label> =
+            (0..12).map(|i| if i % 3 == 0 { Label::Match } else { Label::NonMatch }).collect();
+        let x = FeatureMatrix::from_vecs(&rows).unwrap();
+        let mut reference = DecisionTree::default();
+        reference.fit_reference(&x, &y, None).unwrap();
+        let mut presorted = DecisionTree::default();
+        presorted.fit(&x, &y).unwrap();
+        assert_bitwise_eq(&reference.predict_proba(&x), &presorted.predict_proba(&x), "degenerate");
     }
 }

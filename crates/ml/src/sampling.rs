@@ -195,7 +195,7 @@ mod tests {
     /// min-samples-leaf asymmetry between the two encodings).
     #[test]
     fn weighted_fit_equals_duplicated_row_fit() {
-        use crate::tree::DecisionTree;
+        use crate::tree::{DecisionTree, Engine};
         use crate::Classifier;
         use transer_common::FeatureMatrix;
 
@@ -225,11 +225,11 @@ mod tests {
             &(0..25).map(|k| vec![k as f64 / 24.0, (24 - k) as f64 / 24.0]).collect::<Vec<_>>(),
         )
         .unwrap();
-        for engine in [crate::TreeEngine::Reference, crate::TreeEngine::Presorted] {
-            let mut weighted = DecisionTree::default().with_engine(engine);
-            weighted.fit_weighted(&weighted_x, &y, Some(&weights)).unwrap();
-            let mut duplicated = DecisionTree::default().with_engine(engine);
-            duplicated.fit_weighted(&dup_x, &dup_y, None).unwrap();
+        for engine in [Engine::Reference, Engine::Presorted] {
+            let mut weighted = DecisionTree::default();
+            engine.fit(&mut weighted, &weighted_x, &y, Some(&weights)).unwrap();
+            let mut duplicated = DecisionTree::default();
+            engine.fit(&mut duplicated, &dup_x, &dup_y, None).unwrap();
             let pw = weighted.predict_proba(&probes);
             let pd = duplicated.predict_proba(&probes);
             for (a, b) in pw.iter().zip(&pd) {

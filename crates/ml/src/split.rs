@@ -1,13 +1,13 @@
-//! Split-search machinery shared by both decision-tree training engines.
+//! Split-search machinery of the decision-tree trainer.
 //!
-//! The reference engine ([`crate::DecisionTree`] with
-//! [`TreeEngine::Reference`]) re-sorts each candidate feature column at
-//! every node; the presorted engine sorts each column once per tree and
-//! maintains the order by stable partition. Both funnel every impurity
-//! computation through this module — the *same* floating-point operations
-//! in the *same* order — which is what makes the two engines bit-identical
-//! (same splits, same thresholds, same leaf probabilities) rather than
-//! merely approximately equal.
+//! The presorted engine (`crate::presorted`) sorts each feature column
+//! once per tree and maintains the order by stable partition; the
+//! per-node-sort CART it replaced, kept in test builds as its oracle,
+//! re-sorts each candidate column at every node. Both funnel every
+//! impurity computation through this module — the *same* floating-point
+//! operations in the *same* order — which is what makes the two
+//! bit-identical (same splits, same thresholds, same leaf probabilities)
+//! rather than merely approximately equal.
 //!
 //! # Ordering contract
 //!
@@ -21,67 +21,8 @@
 //! broke both properties as soon as a NaN appeared.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 use crate::tree::DecisionTreeConfig;
-
-/// Environment variable selecting the process-wide tree engine.
-pub const TREE_ENGINE_ENV: &str = transer_common::env::TREE_ENGINE;
-
-/// Which decision-tree training engine to use. Both produce bit-identical
-/// trees; the choice affects training wall time only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeEngine {
-    /// Sort each feature column once per tree and grow by stable
-    /// partition — no per-node sorting. The default.
-    Presorted,
-    /// Re-sort every candidate feature column at every node. The pinned
-    /// reference implementation the presorted engine is tested against.
-    Reference,
-}
-
-impl TreeEngine {
-    /// Parse a recognised `TRANSER_TREE_ENGINE` value; `None` otherwise.
-    fn parse_known(s: &str) -> Option<TreeEngine> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reference" | "ref" | "per-node-sort" => Some(TreeEngine::Reference),
-            "presorted" | "pre-sorted" | "" => Some(TreeEngine::Presorted),
-            _ => None,
-        }
-    }
-
-    /// Parse a `TRANSER_TREE_ENGINE`-style value. Unrecognised or empty
-    /// values fall back to [`TreeEngine::Presorted`].
-    pub fn parse(s: &str) -> TreeEngine {
-        TreeEngine::parse_known(s).unwrap_or(TreeEngine::Presorted)
-    }
-
-    /// The process-wide engine from the `TRANSER_TREE_ENGINE` environment
-    /// variable, read once (mirroring `TRANSER_THREADS` and
-    /// `TRANSER_KNN_INDEX`); unset means [`TreeEngine::Presorted`],
-    /// unrecognised warns through the trace layer and falls back to
-    /// [`TreeEngine::Presorted`].
-    pub fn from_env() -> TreeEngine {
-        static KIND: OnceLock<TreeEngine> = OnceLock::new();
-        *KIND.get_or_init(|| {
-            transer_common::env::parsed_with(
-                TREE_ENGINE_ENV,
-                TreeEngine::parse_known,
-                "one of presorted/reference",
-                "presorted",
-            )
-            .unwrap_or(TreeEngine::Presorted)
-        })
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TreeEngine::Presorted => "presorted",
-            TreeEngine::Reference => "reference",
-        }
-    }
-}
 
 /// Fuzz for comparing impurity decreases: decreases within this distance
 /// count as equal and fall through to the balance tie-break.
@@ -149,8 +90,9 @@ pub(crate) fn improves(decrease: f64, balance: usize, incumbent: Option<(f64, us
 /// module docs); `n` is the column length. `total_w` / `match_w` are the
 /// node's weighted totals and `parent_impurity` its Gini impurity.
 ///
-/// Both engines call this with the same entry sequence, so the prefix
-/// sums — and every quantity derived from them — are bit-identical.
+/// The presorted engine and its per-node-sort oracle call this with the
+/// same entry sequence, so the prefix sums — and every quantity derived
+/// from them — are bit-identical.
 pub(crate) fn best_feature_split<F>(
     n: usize,
     entry: F,
@@ -212,7 +154,8 @@ where
 }
 
 /// Fold one feature's best split into the cross-feature best, in candidate
-/// order. Shared so both engines resolve cross-feature ties identically.
+/// order. Shared so the engine and its oracle resolve cross-feature ties
+/// identically.
 #[inline]
 pub(crate) fn fold_best(
     acc: &mut Option<(usize, SplitCandidate)>,
@@ -229,18 +172,6 @@ pub(crate) fn fold_best(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_parse() {
-        assert_eq!(TreeEngine::parse("presorted"), TreeEngine::Presorted);
-        assert_eq!(TreeEngine::parse(" Reference "), TreeEngine::Reference);
-        assert_eq!(TreeEngine::parse("ref"), TreeEngine::Reference);
-        assert_eq!(TreeEngine::parse("per-node-sort"), TreeEngine::Reference);
-        assert_eq!(TreeEngine::parse(""), TreeEngine::Presorted);
-        assert_eq!(TreeEngine::parse("nonsense"), TreeEngine::Presorted);
-        assert_eq!(TreeEngine::Presorted.name(), "presorted");
-        assert_eq!(TreeEngine::Reference.name(), "reference");
-    }
 
     #[test]
     fn feature_cmp_is_a_total_order_with_nan_maximal() {

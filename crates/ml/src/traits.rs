@@ -2,7 +2,7 @@
 
 use transer_common::{FeatureMatrix, Label, Result};
 
-use crate::{DecisionTree, LinearSvm, LogisticRegression, Mlp, RandomForest, TreeEngine};
+use crate::{DecisionTree, LinearSvm, LogisticRegression, Mlp, RandomForest};
 
 /// A binary match / non-match classifier over similarity feature vectors.
 ///
@@ -99,22 +99,11 @@ impl ClassifierKind {
     /// Instantiate a fresh, unfitted classifier. `seed` drives any
     /// stochastic component (bagging, SGD shuffling) so runs reproduce.
     pub fn build(self, seed: u64) -> Box<dyn Classifier> {
-        self.build_with_engine(seed, TreeEngine::from_env())
-    }
-
-    /// Like [`ClassifierKind::build`] but with an explicit tree training
-    /// engine for the tree-based kinds (forest, decision tree); the other
-    /// kinds ignore it. Engines are bit-identical, so this only affects
-    /// training wall time — it exists so benchmarks and equivalence tests
-    /// can pin an engine without touching the process environment.
-    pub fn build_with_engine(self, seed: u64, engine: TreeEngine) -> Box<dyn Classifier> {
         match self {
             ClassifierKind::Svm => Box::new(LinearSvm::with_seed(seed)),
-            ClassifierKind::RandomForest => {
-                Box::new(RandomForest::with_seed(seed).with_engine(engine))
-            }
+            ClassifierKind::RandomForest => Box::new(RandomForest::with_seed(seed)),
             ClassifierKind::LogisticRegression => Box::new(LogisticRegression::default()),
-            ClassifierKind::DecisionTree => Box::new(DecisionTree::default().with_engine(engine)),
+            ClassifierKind::DecisionTree => Box::new(DecisionTree::default()),
             ClassifierKind::Mlp => Box::new(Mlp::with_seed(seed)),
         }
     }

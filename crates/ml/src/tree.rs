@@ -1,17 +1,19 @@
 //! CART decision tree with weighted Gini impurity.
 //!
-//! Two training engines grow bit-identical trees (see [`TreeEngine`]):
-//! the default presorted engine (`crate::presorted`) sorts each feature
-//! column once per tree and maintains the order by stable partition, while
-//! the pinned reference engine in this module re-sorts every candidate
-//! column at every node. Both share the split-scan arithmetic in
+//! Trees train with the presorted engine (`crate::presorted`), which sorts
+//! each feature column once per tree and maintains the order by stable
+//! partition. The per-node-sort CART it replaced re-sorts every candidate
+//! column at every node; it is kept in test builds
+//! (`DecisionTree::fit_reference`) as the oracle the engine is pinned
+//! bit-identical against. Both share the split-scan arithmetic in
 //! `crate::split`.
 
 use transer_common::{FeatureMatrix, Label, Result};
 use transer_parallel::Pool;
 
 use crate::presorted;
-use crate::split::{best_feature_split, feature_cmp, fold_best, gini, SplitCandidate, TreeEngine};
+#[cfg(test)]
+use crate::split::{best_feature_split, feature_cmp, fold_best, gini, SplitCandidate};
 use crate::traits::{check_training_input, Classifier};
 
 /// Hyper-parameters for [`DecisionTree`].
@@ -58,9 +60,8 @@ pub struct DecisionTree {
     /// random subset of `k` features. Used by the random forest.
     pub(crate) feature_subset: Option<usize>,
     pub(crate) rng_state: u64,
-    engine: TreeEngine,
-    /// Explicit worker-count override for the presorted engine's split
-    /// search; `None` = the global pool.
+    /// Explicit worker-count override for the split search; `None` = the
+    /// global pool.
     workers: Option<usize>,
 }
 
@@ -79,29 +80,16 @@ impl DecisionTree {
             root: NO_NODE,
             feature_subset: None,
             rng_state: 0x9e3779b97f4a7c15,
-            engine: TreeEngine::from_env(),
             workers: None,
         }
     }
 
-    /// Select the training engine instead of the `TRANSER_TREE_ENGINE`
-    /// default. Both engines produce bit-identical trees.
-    pub fn with_engine(mut self, engine: TreeEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Pin the worker count for the presorted engine's per-feature split
-    /// search instead of using the global [`Pool`] (`TRANSER_THREADS`).
-    /// Results are bit-identical for every worker count.
+    /// Pin the worker count for the per-feature split search instead of
+    /// using the global [`Pool`] (`TRANSER_THREADS`). Results are
+    /// bit-identical for every worker count.
     pub fn with_threads(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
-    }
-
-    /// The engine this tree trains with.
-    pub fn engine(&self) -> TreeEngine {
-        self.engine
     }
 
     pub(crate) fn pool(&self) -> Pool {
@@ -115,7 +103,7 @@ impl DecisionTree {
     }
 
     /// Rebuild a tree from persisted prediction state. Training-only state
-    /// (rng stream, engine, worker override) resets to defaults: a loaded
+    /// (rng stream, worker override) resets to defaults: a loaded
     /// model predicts bit-identically, while refitting it starts fresh.
     pub(crate) fn from_persist_parts(
         config: DecisionTreeConfig,
@@ -170,18 +158,11 @@ impl DecisionTree {
         s
     }
 
-    /// The features considered at one node, in selection order. Consumes
-    /// the same number of RNG steps in both engines, which keeps their
-    /// per-node feature subsets — and therefore their trees — identical.
-    pub(crate) fn candidate_features(&mut self, m: usize) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.candidate_features_into(m, &mut idx);
-        idx
-    }
-
-    /// [`Self::candidate_features`] into a caller-owned buffer — same RNG
-    /// draws, same order. The presorted engine calls this once per node
-    /// and reuses the allocation across the whole tree.
+    /// The features considered at one node, in selection order, into a
+    /// caller-owned buffer. The presorted engine calls this once per node
+    /// and reuses the allocation across the whole tree; the per-node-sort
+    /// oracle consumes the same RNG steps, which keeps their per-node
+    /// feature subsets — and therefore their trees — identical.
     pub(crate) fn candidate_features_into(&mut self, m: usize, buf: &mut Vec<usize>) {
         buf.clear();
         buf.extend(0..m);
@@ -213,8 +194,73 @@ impl DecisionTree {
         self.nodes.clear();
         self.root = presorted::grow_bagged(self, presort, y, w, counts);
     }
+}
 
-    /// Reference engine: re-sort every candidate column at this node.
+impl Classifier for DecisionTree {
+    fn name(&self) -> &'static str {
+        "dtree"
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn fit_weighted(
+        &mut self,
+        x: &FeatureMatrix,
+        y: &[Label],
+        weights: Option<&[f64]>,
+    ) -> Result<()> {
+        check_training_input(x, y, weights)?;
+        let w: Vec<f64> = match weights {
+            Some(w) => w.to_vec(),
+            None => vec![1.0; y.len()],
+        };
+        self.nodes.clear();
+        self.root = presorted::grow(self, x, y, &w);
+        Ok(())
+    }
+
+    fn predict_proba(&self, x: &FeatureMatrix) -> Vec<f64> {
+        if self.root == NO_NODE {
+            return vec![0.5; x.rows()]; // unfitted: uninformative prior
+        }
+        x.iter_rows().map(|row| self.leaf_probability(row)).collect()
+    }
+}
+
+/// The per-node-sort CART the presorted engine replaced, kept verbatim as
+/// its oracle.
+#[cfg(test)]
+impl DecisionTree {
+    /// Train with the per-node-sort CART, which grows the same tree as
+    /// [`Classifier::fit_weighted`] by re-sorting every candidate column at
+    /// every node.
+    pub(crate) fn fit_reference(
+        &mut self,
+        x: &FeatureMatrix,
+        y: &[Label],
+        weights: Option<&[f64]>,
+    ) -> Result<()> {
+        check_training_input(x, y, weights)?;
+        let w: Vec<f64> = match weights {
+            Some(w) => w.to_vec(),
+            None => vec![1.0; y.len()],
+        };
+        self.nodes.clear();
+        let indices: Vec<usize> = (0..x.rows()).collect();
+        self.root = self.build(x, y, &w, &indices, 0);
+        Ok(())
+    }
+
+    /// The features considered at one node, in selection order.
+    fn candidate_features(&mut self, m: usize) -> Vec<usize> {
+        let mut idx = Vec::new();
+        self.candidate_features_into(m, &mut idx);
+        idx
+    }
+
+    /// Re-sort every candidate column at this node.
     fn build(
         &mut self,
         x: &FeatureMatrix,
@@ -291,42 +337,38 @@ impl DecisionTree {
     }
 }
 
-impl Classifier for DecisionTree {
-    fn name(&self) -> &'static str {
-        "dtree"
+/// Which trainer a test fits with: the production presorted engine or the
+/// per-node-sort oracle.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Engine {
+    Presorted,
+    Reference,
+}
+
+#[cfg(test)]
+impl Engine {
+    pub(crate) const BOTH: [Engine; 2] = [Engine::Presorted, Engine::Reference];
+
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Engine::Presorted => "presorted",
+            Engine::Reference => "reference",
+        }
     }
 
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn fit_weighted(
-        &mut self,
+    /// Fit `tree` on `(x, y, weights)` with this trainer.
+    pub(crate) fn fit(
+        self,
+        tree: &mut DecisionTree,
         x: &FeatureMatrix,
         y: &[Label],
         weights: Option<&[f64]>,
     ) -> Result<()> {
-        check_training_input(x, y, weights)?;
-        let w: Vec<f64> = match weights {
-            Some(w) => w.to_vec(),
-            None => vec![1.0; y.len()],
-        };
-        self.nodes.clear();
-        self.root = match self.engine {
-            TreeEngine::Presorted => presorted::grow(self, x, y, &w),
-            TreeEngine::Reference => {
-                let indices: Vec<usize> = (0..x.rows()).collect();
-                self.build(x, y, &w, &indices, 0)
-            }
-        };
-        Ok(())
-    }
-
-    fn predict_proba(&self, x: &FeatureMatrix) -> Vec<f64> {
-        if self.root == NO_NODE {
-            return vec![0.5; x.rows()]; // unfitted: uninformative prior
+        match self {
+            Engine::Presorted => tree.fit_weighted(x, y, weights),
+            Engine::Reference => tree.fit_reference(x, y, weights),
         }
-        x.iter_rows().map(|row| self.leaf_probability(row)).collect()
     }
 }
 
@@ -350,19 +392,13 @@ mod tests {
         (FeatureMatrix::from_vecs(&rows).unwrap(), labels)
     }
 
-    fn both_engines() -> [DecisionTree; 2] {
-        [
-            DecisionTree::default().with_engine(TreeEngine::Presorted),
-            DecisionTree::default().with_engine(TreeEngine::Reference),
-        ]
-    }
-
     #[test]
     fn learns_xor() {
         let (x, y) = xor_data();
-        for mut t in both_engines() {
-            t.fit(&x, &y).unwrap();
-            assert_eq!(t.predict(&x), y, "{}", t.engine().name());
+        for engine in Engine::BOTH {
+            let mut t = DecisionTree::default();
+            engine.fit(&mut t, &x, &y, None).unwrap();
+            assert_eq!(t.predict(&x), y, "{}", engine.name());
             assert!(t.depth() >= 2);
         }
     }
@@ -371,8 +407,9 @@ mod tests {
     fn pure_node_becomes_leaf() {
         let x = FeatureMatrix::from_vecs(&[vec![0.1], vec![0.2], vec![0.3]]).unwrap();
         let y = vec![Label::Match; 3];
-        for mut t in both_engines() {
-            t.fit(&x, &y).unwrap();
+        for engine in Engine::BOTH {
+            let mut t = DecisionTree::default();
+            engine.fit(&mut t, &x, &y, None).unwrap();
             assert_eq!(t.node_count(), 1);
             assert_eq!(t.predict_proba(&x), vec![1.0; 3]);
         }
@@ -384,8 +421,9 @@ mod tests {
         // tree cannot split it, so the leaf stores 0.75.
         let x = FeatureMatrix::from_vecs(&vec![vec![0.5]; 4]).unwrap();
         let y = vec![Label::Match, Label::Match, Label::Match, Label::NonMatch];
-        for mut t in both_engines() {
-            t.fit(&x, &y).unwrap();
+        for engine in Engine::BOTH {
+            let mut t = DecisionTree::default();
+            engine.fit(&mut t, &x, &y, None).unwrap();
             let p = t.predict_proba(&x);
             assert!((p[0] - 0.75).abs() < 1e-12);
         }
@@ -395,8 +433,9 @@ mod tests {
     fn weights_tilt_ambiguous_leaves() {
         let x = FeatureMatrix::from_vecs(&[vec![0.5], vec![0.5]]).unwrap();
         let y = vec![Label::Match, Label::NonMatch];
-        for mut t in both_engines() {
-            t.fit_weighted(&x, &y, Some(&[3.0, 1.0])).unwrap();
+        for engine in Engine::BOTH {
+            let mut t = DecisionTree::default();
+            engine.fit(&mut t, &x, &y, Some(&[3.0, 1.0])).unwrap();
             assert!((t.predict_proba(&x)[0] - 0.75).abs() < 1e-12);
         }
     }
@@ -404,11 +443,10 @@ mod tests {
     #[test]
     fn max_depth_bounds_tree() {
         let (x, y) = xor_data();
-        for engine in [TreeEngine::Presorted, TreeEngine::Reference] {
+        for engine in Engine::BOTH {
             let mut t =
-                DecisionTree::new(DecisionTreeConfig { max_depth: 1, ..Default::default() })
-                    .with_engine(engine);
-            t.fit(&x, &y).unwrap();
+                DecisionTree::new(DecisionTreeConfig { max_depth: 1, ..Default::default() });
+            engine.fit(&mut t, &x, &y, None).unwrap();
             assert!(t.depth() <= 1);
         }
     }
@@ -417,11 +455,10 @@ mod tests {
     fn min_samples_leaf_respected() {
         let x = FeatureMatrix::from_vecs(&[vec![0.0], vec![0.3], vec![0.7], vec![1.0]]).unwrap();
         let y = vec![Label::NonMatch, Label::NonMatch, Label::Match, Label::Match];
-        for engine in [TreeEngine::Presorted, TreeEngine::Reference] {
+        for engine in Engine::BOTH {
             let mut t =
-                DecisionTree::new(DecisionTreeConfig { min_samples_leaf: 2, ..Default::default() })
-                    .with_engine(engine);
-            t.fit(&x, &y).unwrap();
+                DecisionTree::new(DecisionTreeConfig { min_samples_leaf: 2, ..Default::default() });
+            engine.fit(&mut t, &x, &y, None).unwrap();
             // Only the middle split (2|2) is legal.
             assert_eq!(t.depth(), 1);
             assert_eq!(t.predict(&x), y);
@@ -444,20 +481,20 @@ mod tests {
             (vec![0.85, 0.6], Label::Match),
         ];
         let probe = FeatureMatrix::from_vecs(&[vec![0.12, f64::NAN], vec![0.87, neg_nan]]).unwrap();
-        let fit = |order: &[usize], engine| {
+        let fit = |order: &[usize], engine: Engine| {
             let x = FeatureMatrix::from_vecs(
                 &order.iter().map(|&i| rows[i].0.clone()).collect::<Vec<_>>(),
             )
             .unwrap();
             let y: Vec<Label> = order.iter().map(|&i| rows[i].1).collect();
-            let mut t = DecisionTree::default().with_engine(engine);
-            t.fit(&x, &y).unwrap();
+            let mut t = DecisionTree::default();
+            engine.fit(&mut t, &x, &y, None).unwrap();
             t.predict_proba(&probe)
         };
-        let expect = fit(&[0, 1, 2, 3, 4, 5], TreeEngine::Reference);
+        let expect = fit(&[0, 1, 2, 3, 4, 5], Engine::Reference);
         assert!(expect.iter().all(|p| p.is_finite()), "NaN leaked into leaf probabilities");
         assert_eq!(expect, vec![0.0, 1.0], "informative column not used");
-        for engine in [TreeEngine::Presorted, TreeEngine::Reference] {
+        for engine in Engine::BOTH {
             for order in [[0, 1, 2, 3, 4, 5], [4, 2, 0, 5, 1, 3], [5, 4, 3, 2, 1, 0]] {
                 let got = fit(&order, engine);
                 for (a, b) in expect.iter().zip(&got) {

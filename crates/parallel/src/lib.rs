@@ -638,20 +638,4 @@ mod tests {
         assert!(report.counter("parallel.dispatch.inline") >= 1);
         assert!(report.hists["parallel.chunk_size"].count >= 1);
     }
-
-    #[test]
-    fn dispatch_fault_degrades_to_sequential_with_identical_results() {
-        let _guard = transer_robust::test_lock();
-        let items: Vec<u64> = (0..500).collect();
-        let clean = Pool::new(4).par_map(&items, |x| x * 7 + 1);
-        transer_robust::set_plan(Some("pool.dispatch:task_fail"));
-        let faulted = Pool::new(4).par_map(&items, |x| x * 7 + 1);
-        let chunked =
-            Pool::new(4).par_chunks(&items, 13, |_, c| c.iter().map(|x| x * 7 + 1).collect());
-        let with_init = Pool::new(4).par_map_init(&items, || (), |_, _, x| x * 7 + 1);
-        transer_robust::set_plan(None);
-        assert_eq!(faulted, clean);
-        assert_eq!(chunked, clean);
-        assert_eq!(with_init, clean);
-    }
 }

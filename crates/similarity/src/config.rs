@@ -1,16 +1,10 @@
 //! A configurable, serialisable description of which comparator to apply to
 //! an attribute, so feature spaces can be declared as data.
 
-use crate::jaccard::{dice_sorted, jaccard_sorted, overlap_sorted};
-use crate::jaro::{jaro_k, jaro_winkler_with_k};
-use crate::kernel::{packed_qgram_profile, SimKernel, PACK_MAX_Q};
-use crate::lcs::lcs_similarity_k;
-use crate::levenshtein::levenshtein_similarity_k;
-use crate::prepared::sorted_token_profile;
-use crate::qgram::qgrams;
 use crate::{
-    dice_qgram, dice_tokens, exact, jaccard_qgram, jaccard_tokens, monge_elkan, numeric_similarity,
-    overlap_tokens, soundex_similarity, year_similarity,
+    dice_qgram, dice_tokens, exact, jaccard_qgram, jaccard_tokens, jaro, jaro_winkler,
+    lcs_similarity, levenshtein_similarity, monge_elkan, numeric_similarity, overlap_tokens,
+    soundex_similarity, year_similarity,
 };
 
 /// The similarity measures this crate can apply, as plain data.
@@ -55,52 +49,18 @@ impl Measure {
     ///
     /// Numeric measures parse the strings; unparseable values score 0.
     pub fn text(&self, a: &str, b: &str) -> f64 {
-        self.text_with(SimKernel::from_env(), a, b)
-    }
-
-    /// [`Measure::text`] under an explicit kernel engine. Both engines are
-    /// bit-identical; the `fast` engine replaces hashed set intersections
-    /// with sorted merges and the char-level kernels with their
-    /// allocation-free counterparts.
-    pub fn text_with(&self, kernel: SimKernel, a: &str, b: &str) -> f64 {
         match *self {
-            Measure::Jaro => jaro_k(kernel, a, b),
-            Measure::JaroWinkler => jaro_winkler_with_k(kernel, a, b, 0.1, 4),
-            Measure::Levenshtein => levenshtein_similarity_k(kernel, a, b),
-            Measure::TokenJaccard => match kernel {
-                SimKernel::Reference => jaccard_tokens(a, b),
-                SimKernel::Fast => {
-                    jaccard_sorted(&sorted_token_profile(a), &sorted_token_profile(b))
-                }
-            },
-            Measure::QgramJaccard(q) => match kernel {
-                SimKernel::Reference => jaccard_qgram(a, b, q),
-                SimKernel::Fast if q <= PACK_MAX_Q => {
-                    jaccard_sorted(&packed_qgram_profile(a, q), &packed_qgram_profile(b, q))
-                }
-                SimKernel::Fast => jaccard_sorted(&qgrams(a, q), &qgrams(b, q)),
-            },
-            Measure::TokenDice => match kernel {
-                SimKernel::Reference => dice_tokens(a, b),
-                SimKernel::Fast => dice_sorted(&sorted_token_profile(a), &sorted_token_profile(b)),
-            },
-            Measure::QgramDice(q) => match kernel {
-                SimKernel::Reference => dice_qgram(a, b, q),
-                SimKernel::Fast if q <= PACK_MAX_Q => {
-                    dice_sorted(&packed_qgram_profile(a, q), &packed_qgram_profile(b, q))
-                }
-                SimKernel::Fast => dice_sorted(&qgrams(a, q), &qgrams(b, q)),
-            },
-            Measure::TokenOverlap => match kernel {
-                SimKernel::Reference => overlap_tokens(a, b),
-                SimKernel::Fast => {
-                    overlap_sorted(&sorted_token_profile(a), &sorted_token_profile(b))
-                }
-            },
-            Measure::Lcs => lcs_similarity_k(kernel, a, b),
+            Measure::Jaro => jaro(a, b),
+            Measure::JaroWinkler => jaro_winkler(a, b),
+            Measure::Levenshtein => levenshtein_similarity(a, b),
+            Measure::TokenJaccard => jaccard_tokens(a, b),
+            Measure::QgramJaccard(q) => jaccard_qgram(a, b, q),
+            Measure::TokenDice => dice_tokens(a, b),
+            Measure::QgramDice(q) => dice_qgram(a, b, q),
+            Measure::TokenOverlap => overlap_tokens(a, b),
+            Measure::Lcs => lcs_similarity(a, b),
             Measure::MongeElkanJw => {
-                let inner = |x: &str, y: &str| jaro_winkler_with_k(kernel, x, y, 0.1, 4);
-                0.5 * (monge_elkan(a, b, inner) + monge_elkan(b, a, inner))
+                0.5 * (monge_elkan(a, b, jaro_winkler) + monge_elkan(b, a, jaro_winkler))
             }
             Measure::Soundex => soundex_similarity(a, b),
             Measure::Exact => exact(a, b),
@@ -119,11 +79,6 @@ impl Measure {
     ///
     /// String measures compare the shortest decimal representations.
     pub fn number(&self, a: f64, b: f64) -> f64 {
-        self.number_with(SimKernel::from_env(), a, b)
-    }
-
-    /// [`Measure::number`] under an explicit kernel engine.
-    pub fn number_with(&self, kernel: SimKernel, a: f64, b: f64) -> f64 {
         match *self {
             Measure::Numeric(max_diff) => numeric_similarity(a, b, max_diff),
             Measure::Year => year_similarity(a, b),
@@ -134,7 +89,7 @@ impl Measure {
                     0.0
                 }
             }
-            _ => self.text_with(kernel, &a.to_string(), &b.to_string()),
+            _ => self.text(&a.to_string(), &b.to_string()),
         }
     }
 }
@@ -148,7 +103,6 @@ pub fn similarity_for(measure: Measure, a: &str, b: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jaro_winkler;
 
     #[test]
     fn dispatch_matches_direct_calls() {
@@ -189,6 +143,7 @@ mod tests {
 
     #[test]
     fn engines_agree_across_all_measures() {
+        use crate::kernel::oracle;
         let all = [
             Measure::Jaro,
             Measure::JaroWinkler,
@@ -212,13 +167,13 @@ mod tests {
             for a in samples {
                 for b in samples {
                     assert_eq!(
-                        m.text_with(SimKernel::Fast, a, b).to_bits(),
-                        m.text_with(SimKernel::Reference, a, b).to_bits(),
+                        m.text(a, b).to_bits(),
+                        oracle::text(m, a, b).to_bits(),
                         "{m:?} on ({a:?}, {b:?})"
                     );
                     assert_eq!(
-                        m.number_with(SimKernel::Fast, 123.0, 124.5).to_bits(),
-                        m.number_with(SimKernel::Reference, 123.0, 124.5).to_bits(),
+                        m.number(123.0, 124.5).to_bits(),
+                        oracle::number(m, 123.0, 124.5).to_bits(),
                         "{m:?} number"
                     );
                 }

@@ -1,102 +1,88 @@
 //! Set-based similarities over tokens and q-grams: Jaccard, Dice, overlap.
 //!
-//! Two families of entry points compute the same scores:
-//!
-//! * the `*_sets` functions over `HashSet<String>` — the pinned reference
-//!   representation;
-//! * the `*_sorted` functions over sorted deduplicated slices of any
-//!   ordered element type (`String` tokens, packed `u64` q-grams, interned
-//!   `u32` ids) — an `O(n + m)` merge with no hashing. All three scores
-//!   depend only on `(|A ∩ B|, |A|, |B|)`, and a sorted deduplicated slice
-//!   has exactly the cardinality and intersection structure of the set it
-//!   was built from, so the two families are bit-identical whenever the
-//!   element mapping is injective.
-
-use std::collections::HashSet;
+//! Every score is an `O(n + m)` merge over sorted deduplicated slices of
+//! any ordered element type (`String` tokens, packed `u64` q-grams,
+//! interned `u32` ids) — no hashing. All three scores depend only on
+//! `(|A ∩ B|, |A|, |B|)`, and a sorted deduplicated slice has exactly the
+//! cardinality and intersection structure of the set it was built from,
+//! so the scores are bit-identical to the `HashSet<String>` formulation
+//! kept in `kernel::oracle` whenever the element mapping is injective.
 
 use crate::clamp01;
+use crate::kernel::{packed_qgram_profile, PACK_MAX_Q};
 use crate::qgram::{qgrams, tokens};
 
-fn set_of(items: Vec<String>) -> HashSet<String> {
-    items.into_iter().collect()
+/// Which set similarity to finish an intersection count with. Keeps the
+/// representation dispatch (sorted strings / packed grams / ids) written
+/// once instead of per measure.
+#[derive(Clone, Copy)]
+pub(crate) enum SetOp {
+    Jaccard,
+    Dice,
+    Overlap,
 }
 
-/// The whitespace token set of a string (the sets [`jaccard_tokens`] and
-/// friends operate on) — exposed so callers can tokenise once per record
-/// and reuse the set across many pairs.
-pub fn token_set(s: &str) -> HashSet<String> {
-    set_of(tokens(s))
+impl SetOp {
+    /// Score two sorted deduplicated slices.
+    pub(crate) fn sorted<T: Ord>(self, a: &[T], b: &[T]) -> f64 {
+        match self {
+            SetOp::Jaccard => jaccard_sorted(a, b),
+            SetOp::Dice => dice_sorted(a, b),
+            SetOp::Overlap => overlap_sorted(a, b),
+        }
+    }
+
+    /// Score the whitespace token sets of two strings.
+    fn tokens(self, a: &str, b: &str) -> f64 {
+        self.sorted(&sorted_token_profile(a), &sorted_token_profile(b))
+    }
+
+    /// Score the padded character q-gram sets of two strings: packed
+    /// `u64` grams for `q ≤ 3`, sorted strings beyond.
+    fn qgrams(self, a: &str, b: &str, q: usize) -> f64 {
+        if q <= PACK_MAX_Q {
+            self.sorted(&packed_qgram_profile(a, q), &packed_qgram_profile(b, q))
+        } else {
+            self.sorted(&qgrams(a, q), &qgrams(b, q))
+        }
+    }
 }
 
-/// The padded character q-gram set of a string; see [`token_set`].
-pub fn qgram_set(s: &str, q: usize) -> HashSet<String> {
-    set_of(qgrams(s, q))
-}
-
-/// Jaccard similarity of two prepared sets; `jaccard_tokens(a, b)` equals
-/// `jaccard_sets(&token_set(a), &token_set(b))` exactly.
-pub fn jaccard_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    let union = (a.len() + b.len()) as f64 - inter;
-    clamp01(inter / union)
-}
-
-/// Dice coefficient of two prepared sets; see [`jaccard_sets`].
-pub fn dice_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    clamp01(2.0 * inter / (a.len() + b.len()) as f64)
+/// Sorted deduplicated whitespace tokens — the token profile every token
+/// measure scores.
+pub(crate) fn sorted_token_profile(s: &str) -> Vec<String> {
+    let mut t = tokens(s);
+    t.sort_unstable();
+    t.dedup();
+    t
 }
 
 /// Jaccard similarity of the whitespace token sets of two strings
 /// (the paper's comparator for non-name textual attributes).
 pub fn jaccard_tokens(a: &str, b: &str) -> f64 {
-    jaccard_sets(&set_of(tokens(a)), &set_of(tokens(b)))
+    SetOp::Jaccard.tokens(a, b)
 }
 
 /// Jaccard similarity of the padded character q-gram sets of two strings.
 pub fn jaccard_qgram(a: &str, b: &str, q: usize) -> f64 {
-    jaccard_sets(&set_of(qgrams(a, q)), &set_of(qgrams(b, q)))
+    SetOp::Jaccard.qgrams(a, b, q)
 }
 
 /// Dice coefficient of the whitespace token sets.
 pub fn dice_tokens(a: &str, b: &str) -> f64 {
-    dice_sets(&set_of(tokens(a)), &set_of(tokens(b)))
+    SetOp::Dice.tokens(a, b)
 }
 
 /// Dice coefficient of the padded character q-gram sets.
 pub fn dice_qgram(a: &str, b: &str, q: usize) -> f64 {
-    dice_sets(&set_of(qgrams(a, q)), &set_of(qgrams(b, q)))
+    SetOp::Dice.qgrams(a, b, q)
 }
 
 /// Overlap coefficient of the whitespace token sets:
 /// `|A ∩ B| / min(|A|, |B|)`. Useful when one value truncates the other
 /// (e.g. abbreviated venue names).
 pub fn overlap_tokens(a: &str, b: &str) -> f64 {
-    overlap_sets(&token_set(a), &token_set(b))
-}
-
-/// Overlap coefficient of two prepared sets; see [`jaccard_sets`].
-pub fn overlap_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    clamp01(inter / a.len().min(b.len()) as f64)
+    SetOp::Overlap.tokens(a, b)
 }
 
 /// `|A ∩ B|` of two sorted deduplicated slices by a linear merge.
@@ -117,8 +103,8 @@ fn intersection_sorted<T: Ord>(a: &[T], b: &[T]) -> usize {
 }
 
 /// Jaccard similarity of two sorted deduplicated slices; bit-identical to
-/// [`jaccard_sets`] over the corresponding sets (same intersection count
-/// fed through the same float expression).
+/// the hashed-set formulation over the corresponding sets (same
+/// intersection count fed through the same float expression).
 pub fn jaccard_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]) && b.windows(2).all(|w| w[0] < w[1]));
     if a.is_empty() && b.is_empty() {
@@ -204,6 +190,7 @@ mod tests {
 
     #[test]
     fn sorted_merge_matches_hash_sets_bitwise() {
+        use crate::kernel::oracle::{dice_sets, jaccard_sets, overlap_sets, token_set};
         let cases = [
             ("a b c", "b c d"),
             ("", ""),

@@ -5,13 +5,11 @@
 //! agree on a common prefix, which fits names corrupted by typing or
 //! transcription errors further to the right.
 //!
-//! The public functions dispatch on [`SimKernel`]: the `fast` engine runs
-//! the scratch-buffer match scan from `kernel` (ASCII byte path, no per-call
-//! allocation); the `reference` engine is the original collect-then-scan
-//! implementation, kept verbatim as the bit-identity baseline.
+//! Both run the scratch-buffer match scan from `kernel` (ASCII byte path,
+//! no per-call allocation); the original collect-then-scan form is kept in
+//! `kernel::oracle` as the bit-identity baseline.
 
-use crate::clamp01;
-use crate::kernel::{self, SimKernel};
+use crate::kernel;
 
 /// Jaro similarity between two strings in `[0, 1]`.
 ///
@@ -20,55 +18,7 @@ use crate::kernel::{self, SimKernel};
 /// `jaro = (m/|a| + m/|b| + (m - t)/m) / 3`, with `jaro = 1` for two empty
 /// strings and `0` when there are no matching characters.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    jaro_k(SimKernel::from_env(), a, b)
-}
-
-/// [`jaro`] under an explicit kernel engine.
-pub(crate) fn jaro_k(kernel: SimKernel, a: &str, b: &str) -> f64 {
-    match kernel {
-        SimKernel::Reference => {
-            let a: Vec<char> = a.chars().collect();
-            let b: Vec<char> = b.chars().collect();
-            jaro_chars(&a, &b)
-        }
-        SimKernel::Fast => kernel::jaro_fast(a, b),
-    }
-}
-
-fn jaro_chars(a: &[char], b: &[char]) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    // Characters of `a` that match some unused character of `b` within the
-    // search window, in order of appearance in `a`.
-    let mut a_matches = Vec::new();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_used[j] && b[j] == ca {
-                b_used[j] = true;
-                a_matches.push(ca);
-                break;
-            }
-        }
-    }
-    let m = a_matches.len();
-    if m == 0 {
-        return 0.0;
-    }
-    // Matched characters of `b` in order of appearance in `b`.
-    let b_matches: Vec<char> =
-        b.iter().zip(&b_used).filter_map(|(&c, &used)| used.then_some(c)).collect();
-    let transpositions = a_matches.iter().zip(&b_matches).filter(|(x, y)| x != y).count() / 2;
-    let m = m as f64;
-    let t = transpositions as f64;
-    clamp01((m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0)
+    kernel::jaro_fast(a, b)
 }
 
 /// Jaro-Winkler similarity with the standard prefix scale `p = 0.1` and
@@ -83,11 +33,6 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     jaro_winkler_with(a, b, 0.1, 4)
 }
 
-/// [`jaro_winkler`] under an explicit kernel engine.
-pub(crate) fn jaro_winkler_k(kernel: SimKernel, a: &str, b: &str) -> f64 {
-    jaro_winkler_with_k(kernel, a, b, 0.1, 4)
-}
-
 /// Jaro-Winkler similarity with a configurable prefix scale and maximum
 /// prefix length.
 ///
@@ -96,32 +41,13 @@ pub(crate) fn jaro_winkler_k(kernel: SimKernel, a: &str, b: &str) -> f64 {
 /// `prefix_scale * max_prefix ≤ 1` for the result to stay in `[0, 1]`;
 /// values are clamped defensively regardless.
 pub fn jaro_winkler_with(a: &str, b: &str, prefix_scale: f64, max_prefix: usize) -> f64 {
-    jaro_winkler_with_k(SimKernel::from_env(), a, b, prefix_scale, max_prefix)
-}
-
-/// [`jaro_winkler_with`] under an explicit kernel engine.
-pub(crate) fn jaro_winkler_with_k(
-    kernel: SimKernel,
-    a: &str,
-    b: &str,
-    prefix_scale: f64,
-    max_prefix: usize,
-) -> f64 {
-    match kernel {
-        SimKernel::Reference => {
-            let av: Vec<char> = a.chars().collect();
-            let bv: Vec<char> = b.chars().collect();
-            let j = jaro_chars(&av, &bv);
-            let prefix = av.iter().zip(&bv).take(max_prefix).take_while(|(x, y)| x == y).count();
-            clamp01(j + prefix as f64 * prefix_scale * (1.0 - j))
-        }
-        SimKernel::Fast => kernel::jaro_winkler_fast(a, b, prefix_scale, max_prefix),
-    }
+    kernel::jaro_winkler_fast(a, b, prefix_scale, max_prefix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::oracle;
 
     fn close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-3, "{a} vs {b}");
@@ -193,14 +119,10 @@ mod tests {
             ("a\u{0301}bc", "abc"),
             (long_a.as_str(), long_b.as_str()),
         ] {
+            assert_eq!(jaro(a, b).to_bits(), oracle::jaro(a, b).to_bits(), "jaro {a:?} vs {b:?}");
             assert_eq!(
-                jaro_k(SimKernel::Fast, a, b).to_bits(),
-                jaro_k(SimKernel::Reference, a, b).to_bits(),
-                "jaro {a:?} vs {b:?}"
-            );
-            assert_eq!(
-                jaro_winkler_k(SimKernel::Fast, a, b).to_bits(),
-                jaro_winkler_k(SimKernel::Reference, a, b).to_bits(),
+                jaro_winkler(a, b).to_bits(),
+                oracle::jaro_winkler(a, b).to_bits(),
                 "jw {a:?} vs {b:?}"
             );
         }
@@ -209,16 +131,10 @@ mod tests {
     #[test]
     fn equal_inputs_short_circuit_pins_bit_pattern() {
         for s in ["", "abc", "müller", " x "] {
-            assert_eq!(jaro_k(SimKernel::Fast, s, s).to_bits(), 1.0f64.to_bits());
-            assert_eq!(jaro_winkler_k(SimKernel::Fast, s, s).to_bits(), 1.0f64.to_bits());
-            assert_eq!(
-                jaro_k(SimKernel::Reference, s, s).to_bits(),
-                jaro_k(SimKernel::Fast, s, s).to_bits()
-            );
-            assert_eq!(
-                jaro_winkler_k(SimKernel::Reference, s, s).to_bits(),
-                jaro_winkler_k(SimKernel::Fast, s, s).to_bits()
-            );
+            assert_eq!(jaro(s, s).to_bits(), 1.0f64.to_bits());
+            assert_eq!(jaro_winkler(s, s).to_bits(), 1.0f64.to_bits());
+            assert_eq!(oracle::jaro(s, s).to_bits(), jaro(s, s).to_bits());
+            assert_eq!(oracle::jaro_winkler(s, s).to_bits(), jaro_winkler(s, s).to_bits());
         }
     }
 }

@@ -1,88 +1,35 @@
-//! Similarity kernel engine selection and the allocation-free fast paths.
+//! The allocation-free similarity kernels.
 //!
 //! The per-pair comparison stage dominates pipeline wall clock (each
 //! candidate pair pays ~14 measures), so every allocation inside a kernel
 //! is paid `pairs × measures` times. This module provides:
 //!
-//! * [`SimKernel`] — the engine switch (`TRANSER_SIM_KERNEL`), following
-//!   the repo's pinned-reference pattern (`TreeEngine`, `IndexKind`):
-//!   the original kernels stay byte-for-byte as the `reference` engine
-//!   and the `fast` engine is proptested bit-identical against them;
 //! * thread-local [`Scratch`] buffers so char-level kernels (Levenshtein,
 //!   Jaro, Jaro-Winkler, LCS) run without a single heap allocation after
 //!   warm-up;
 //! * the Myers bit-parallel Levenshtein core (one `u64` block, strings up
 //!   to 64 chars) with Hyyrö's multi-block formulation as the wide
 //!   fallback (`⌈m/64⌉` words per text char instead of an `O(m)` scalar
-//!   DP row), each with an ASCII byte-slice path and a unicode char path.
+//!   DP row), each with an ASCII byte-slice path and a unicode char path;
+//! * packed `u64` q-gram profiles for the set measures;
+//! * in test builds, `oracle`: the original per-call-allocating
+//!   kernels, kept verbatim, and the suite that pins every [`Measure`]
+//!   bit-identical to them through the direct, prepared and interned
+//!   paths.
 //!
-//! Trace counters (all under the fast engine only):
+//! Trace counters:
 //! `similarity.kernel.ascii` / `similarity.kernel.unicode` classify
 //! char-level kernel invocations by input path;
 //! `similarity.levenshtein.calls` counts Levenshtein distance kernel runs
 //! and is partitioned exactly by `similarity.kernel.bitparallel`
 //! (single-block) + `similarity.kernel.fallback` (multi-block wide path),
 //! checked by `trace_report --check`.
+//!
+//! [`Measure`]: crate::Measure
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 use crate::qgram::for_each_qgram;
-
-/// Which similarity kernel engine to use. Both produce bit-identical
-/// scores; the choice affects comparison wall time only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimKernel {
-    /// Allocation-free kernels: Myers bit-parallel Levenshtein, scratch
-    /// buffers, merge-based set similarities over interned/packed
-    /// profiles. The default.
-    Fast,
-    /// The original per-call-allocating kernels, pinned as the
-    /// reference the fast engine is tested against.
-    Reference,
-}
-
-impl SimKernel {
-    /// Parse a recognised `TRANSER_SIM_KERNEL` value; `None` otherwise.
-    fn parse_known(s: &str) -> Option<SimKernel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reference" | "ref" => Some(SimKernel::Reference),
-            "fast" | "" => Some(SimKernel::Fast),
-            _ => None,
-        }
-    }
-
-    /// Parse a `TRANSER_SIM_KERNEL`-style value. Unrecognised or empty
-    /// values fall back to [`SimKernel::Fast`].
-    pub fn parse(s: &str) -> SimKernel {
-        SimKernel::parse_known(s).unwrap_or(SimKernel::Fast)
-    }
-
-    /// The process-wide engine from the `TRANSER_SIM_KERNEL` environment
-    /// variable, read once (mirroring `TRANSER_TREE_ENGINE`); unset means
-    /// [`SimKernel::Fast`], unrecognised warns through the trace layer
-    /// and falls back to [`SimKernel::Fast`].
-    pub fn from_env() -> SimKernel {
-        static KIND: OnceLock<SimKernel> = OnceLock::new();
-        *KIND.get_or_init(|| {
-            transer_common::env::parsed_with(
-                transer_common::env::SIM_KERNEL,
-                SimKernel::parse_known,
-                "one of fast/reference",
-                "fast",
-            )
-            .unwrap_or(SimKernel::Fast)
-        })
-    }
-
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimKernel::Fast => "fast",
-            SimKernel::Reference => "reference",
-        }
-    }
-}
 
 /// Reusable per-thread buffers for the fast char-level kernels. Every
 /// kernel entry point borrows the scratch exactly once (no kernel calls
@@ -389,7 +336,7 @@ fn lev_rows_iter<T: Copy + PartialEq>(
 // ---------------------------------------------------------------------------
 
 /// Fast Jaro similarity. Equal inputs short-circuit to exactly `1.0`
-/// (provably the reference result: `m = |a|`, `t = 0` gives
+/// (provably the oracle's result: `m = |a|`, `t = 0` gives
 /// `(1 + 1 + 1) / 3 = 1.0` exactly; two empty strings are defined as 1).
 pub(crate) fn jaro_fast(a: &str, b: &str) -> f64 {
     if a == b {
@@ -559,18 +506,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_and_names() {
-        assert_eq!(SimKernel::parse("fast"), SimKernel::Fast);
-        assert_eq!(SimKernel::parse("FAST"), SimKernel::Fast);
-        assert_eq!(SimKernel::parse("reference"), SimKernel::Reference);
-        assert_eq!(SimKernel::parse("ref"), SimKernel::Reference);
-        assert_eq!(SimKernel::parse("nonsense"), SimKernel::Fast);
-        assert_eq!(SimKernel::parse(""), SimKernel::Fast);
-        assert_eq!(SimKernel::Fast.name(), "fast");
-        assert_eq!(SimKernel::Reference.name(), "reference");
-    }
-
-    #[test]
     fn myers_matches_dp_on_knowns() {
         for (a, b, want) in [
             ("kitten", "sitting", 3),
@@ -673,7 +608,7 @@ mod tests {
         for s in ["", "a", "ab", "abc", "Deep Entity", "ааа", "ñandú"] {
             for q in [1, 2, 3] {
                 let packed = packed_qgram_profile(s, q);
-                let reference = crate::qgram_set(s, q);
+                let reference = oracle::qgram_set(s, q);
                 assert_eq!(packed.len(), reference.len(), "{s:?} q={q}");
                 assert!(packed.windows(2).all(|w| w[0] < w[1]), "sorted unique");
             }
@@ -686,5 +621,502 @@ mod tests {
         let ab = packed_qgram_profile("ab", 2);
         let ba = packed_qgram_profile("ba", 2);
         assert_ne!(ab, ba);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod oracle {
+    //! The original similarity kernels, kept verbatim as the test oracle the
+    //! production kernels are checked bit-identical against.
+    //!
+    //! These are the implementations the crate shipped before the
+    //! allocation-free kernels: char-collecting two-row DPs for Levenshtein
+    //! and LCS, the collect-then-scan Jaro / Jaro-Winkler, and `HashSet`
+    //! token / q-gram sets for the set measures. Each allocates per call and
+    //! none is reachable from production code; [`text`], [`number`],
+    //! [`prepare`] and [`prepared`] replay [`Measure`]'s entry points on
+    //! them.
+
+    use std::collections::HashSet;
+
+    use crate::qgram::{qgrams, tokens};
+    use crate::{
+        clamp01, exact, monge_elkan, monge_elkan_tokens, numeric_similarity, soundex_similarity,
+        year_similarity, Measure, PreparedText,
+    };
+
+    // ---------------------------------------------------------------------------
+    // Levenshtein
+    // ---------------------------------------------------------------------------
+
+    /// Classic two-row DP over collected chars in `O(|a|·|b|)` time and
+    /// `O(min(|a|,|b|))` space.
+    pub(crate) fn levenshtein(a: &str, b: &str) -> usize {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        // Keep the inner dimension the shorter string to minimise the rows.
+        let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+        if short.is_empty() {
+            return long.len();
+        }
+        let mut prev: Vec<usize> = (0..=short.len()).collect();
+        let mut curr = vec![0usize; short.len() + 1];
+        for (i, &cl) in long.iter().enumerate() {
+            curr[0] = i + 1;
+            for (j, &cs) in short.iter().enumerate() {
+                let cost = usize::from(cl != cs);
+                curr[j + 1] = (prev[j + 1] + 1).min(curr[j] + 1).min(prev[j] + cost);
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[short.len()]
+    }
+
+    /// `1 − d / max(|a|, |b|)` with both lengths counted separately from the
+    /// DP, and `1.0` for two empty strings.
+    pub(crate) fn levenshtein_similarity(a: &str, b: &str) -> f64 {
+        let la = a.chars().count();
+        let lb = b.chars().count();
+        let longest = la.max(lb);
+        if longest == 0 {
+            return 1.0;
+        }
+        clamp01(1.0 - levenshtein(a, b) as f64 / longest as f64)
+    }
+
+    // ---------------------------------------------------------------------------
+    // LCS
+    // ---------------------------------------------------------------------------
+
+    /// Two-row LCS DP over collected chars.
+    pub(crate) fn lcs_len(a: &str, b: &str) -> usize {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() || b.is_empty() {
+            return 0;
+        }
+        let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+        let mut prev = vec![0usize; short.len() + 1];
+        let mut curr = vec![0usize; short.len() + 1];
+        for &cl in long.iter() {
+            for (j, &cs) in short.iter().enumerate() {
+                curr[j + 1] = if cl == cs { prev[j] + 1 } else { prev[j + 1].max(curr[j]) };
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[short.len()]
+    }
+
+    /// `lcs / max(|a|, |b|)`, with `1.0` for two empty strings.
+    pub(crate) fn lcs_similarity(a: &str, b: &str) -> f64 {
+        let la = a.chars().count();
+        let lb = b.chars().count();
+        let longest = la.max(lb);
+        if longest == 0 {
+            return 1.0;
+        }
+        clamp01(lcs_len(a, b) as f64 / longest as f64)
+    }
+
+    // ---------------------------------------------------------------------------
+    // Jaro / Jaro-Winkler
+    // ---------------------------------------------------------------------------
+
+    /// Jaro over collected chars.
+    pub(crate) fn jaro(a: &str, b: &str) -> f64 {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        jaro_chars(&a, &b)
+    }
+
+    fn jaro_chars(a: &[char], b: &[char]) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        let mut b_used = vec![false; b.len()];
+        // Characters of `a` that match some unused character of `b` within the
+        // search window, in order of appearance in `a`.
+        let mut a_matches = Vec::new();
+        for (i, &ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(b.len());
+            for j in lo..hi {
+                if !b_used[j] && b[j] == ca {
+                    b_used[j] = true;
+                    a_matches.push(ca);
+                    break;
+                }
+            }
+        }
+        let m = a_matches.len();
+        if m == 0 {
+            return 0.0;
+        }
+        // Matched characters of `b` in order of appearance in `b`.
+        let b_matches: Vec<char> =
+            b.iter().zip(&b_used).filter_map(|(&c, &used)| used.then_some(c)).collect();
+        let transpositions = a_matches.iter().zip(&b_matches).filter(|(x, y)| x != y).count() / 2;
+        let m = m as f64;
+        let t = transpositions as f64;
+        clamp01((m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0)
+    }
+
+    /// Jaro-Winkler over collected chars with configurable prefix parameters.
+    pub(crate) fn jaro_winkler_with(a: &str, b: &str, prefix_scale: f64, max_prefix: usize) -> f64 {
+        let av: Vec<char> = a.chars().collect();
+        let bv: Vec<char> = b.chars().collect();
+        let j = jaro_chars(&av, &bv);
+        let prefix = av.iter().zip(&bv).take(max_prefix).take_while(|(x, y)| x == y).count();
+        clamp01(j + prefix as f64 * prefix_scale * (1.0 - j))
+    }
+
+    /// Jaro-Winkler with the standard `p = 0.1`, prefix cap 4.
+    pub(crate) fn jaro_winkler(a: &str, b: &str) -> f64 {
+        jaro_winkler_with(a, b, 0.1, 4)
+    }
+
+    // ---------------------------------------------------------------------------
+    // Set measures over `HashSet<String>`
+    // ---------------------------------------------------------------------------
+
+    /// The whitespace token set of a string.
+    pub(crate) fn token_set(s: &str) -> HashSet<String> {
+        tokens(s).into_iter().collect()
+    }
+
+    /// The padded character q-gram set of a string.
+    pub(crate) fn qgram_set(s: &str, q: usize) -> HashSet<String> {
+        qgrams(s, q).into_iter().collect()
+    }
+
+    /// Jaccard similarity of two hashed sets.
+    pub(crate) fn jaccard_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let inter = a.intersection(b).count() as f64;
+        let union = (a.len() + b.len()) as f64 - inter;
+        clamp01(inter / union)
+    }
+
+    /// Dice coefficient of two hashed sets.
+    pub(crate) fn dice_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let inter = a.intersection(b).count() as f64;
+        clamp01(2.0 * inter / (a.len() + b.len()) as f64)
+    }
+
+    /// Overlap coefficient of two hashed sets.
+    pub(crate) fn overlap_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let inter = a.intersection(b).count() as f64;
+        clamp01(inter / a.len().min(b.len()) as f64)
+    }
+
+    // ---------------------------------------------------------------------------
+    // Measure entry points
+    // ---------------------------------------------------------------------------
+
+    /// [`Measure::text`] on the original kernels.
+    pub(crate) fn text(m: Measure, a: &str, b: &str) -> f64 {
+        match m {
+            Measure::Jaro => jaro(a, b),
+            Measure::JaroWinkler => jaro_winkler_with(a, b, 0.1, 4),
+            Measure::Levenshtein => levenshtein_similarity(a, b),
+            Measure::TokenJaccard => jaccard_sets(&token_set(a), &token_set(b)),
+            Measure::QgramJaccard(q) => jaccard_sets(&qgram_set(a, q), &qgram_set(b, q)),
+            Measure::TokenDice => dice_sets(&token_set(a), &token_set(b)),
+            Measure::QgramDice(q) => dice_sets(&qgram_set(a, q), &qgram_set(b, q)),
+            Measure::TokenOverlap => overlap_sets(&token_set(a), &token_set(b)),
+            Measure::Lcs => lcs_similarity(a, b),
+            Measure::MongeElkanJw => {
+                0.5 * (monge_elkan(a, b, jaro_winkler) + monge_elkan(b, a, jaro_winkler))
+            }
+            Measure::Soundex => soundex_similarity(a, b),
+            Measure::Exact => exact(a, b),
+            Measure::Numeric(max_diff) => match (a.trim().parse(), b.trim().parse()) {
+                (Ok(x), Ok(y)) => numeric_similarity(x, y, max_diff),
+                _ => 0.0,
+            },
+            Measure::Year => match (a.trim().parse(), b.trim().parse()) {
+                (Ok(x), Ok(y)) => year_similarity(x, y),
+                _ => 0.0,
+            },
+        }
+    }
+
+    /// [`Measure::number`] on the original kernels.
+    pub(crate) fn number(m: Measure, a: f64, b: f64) -> f64 {
+        match m {
+            Measure::Numeric(max_diff) => numeric_similarity(a, b, max_diff),
+            Measure::Year => year_similarity(a, b),
+            Measure::Exact => {
+                if a == b {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            _ => text(m, &a.to_string(), &b.to_string()),
+        }
+    }
+
+    /// A value prepared for the original kernels: hashed sets for the set
+    /// families, the production representation otherwise.
+    #[derive(Debug, Clone)]
+    pub(crate) enum Prepared {
+        /// Whitespace token set (TokenJaccard / TokenDice / TokenOverlap).
+        TokenSet(HashSet<String>),
+        /// Padded character q-gram set (QgramJaccard / QgramDice).
+        QgramSet(HashSet<String>),
+        /// Any other measure: raw string, token list, Soundex code or parsed
+        /// number, exactly as [`Measure::prepare`] builds it.
+        Other(PreparedText),
+    }
+
+    /// [`Measure::prepare`] on the original representation.
+    pub(crate) fn prepare(m: Measure, s: &str) -> Prepared {
+        match m {
+            Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap => {
+                Prepared::TokenSet(token_set(s))
+            }
+            Measure::QgramJaccard(q) | Measure::QgramDice(q) => Prepared::QgramSet(qgram_set(s, q)),
+            _ => Prepared::Other(m.prepare(s)),
+        }
+    }
+
+    /// [`Measure::prepared`] on the original kernels; mismatched preparations
+    /// score 0 as in production.
+    pub(crate) fn prepared(m: Measure, a: &Prepared, b: &Prepared) -> f64 {
+        use Prepared::{Other, QgramSet, TokenSet};
+        use PreparedText as P;
+        match (m, a, b) {
+            (Measure::TokenJaccard, TokenSet(x), TokenSet(y)) => jaccard_sets(x, y),
+            (Measure::TokenDice, TokenSet(x), TokenSet(y)) => dice_sets(x, y),
+            (Measure::TokenOverlap, TokenSet(x), TokenSet(y)) => overlap_sets(x, y),
+            (Measure::QgramJaccard(_), QgramSet(x), QgramSet(y)) => jaccard_sets(x, y),
+            (Measure::QgramDice(_), QgramSet(x), QgramSet(y)) => dice_sets(x, y),
+            (Measure::Jaro, Other(P::Raw(x)), Other(P::Raw(y))) => jaro(x, y),
+            (Measure::JaroWinkler, Other(P::Raw(x)), Other(P::Raw(y))) => jaro_winkler(x, y),
+            (Measure::Levenshtein, Other(P::Raw(x)), Other(P::Raw(y))) => {
+                levenshtein_similarity(x, y)
+            }
+            (Measure::Lcs, Other(P::Raw(x)), Other(P::Raw(y))) => lcs_similarity(x, y),
+            (Measure::MongeElkanJw, Other(P::TokenList(x)), Other(P::TokenList(y))) => {
+                0.5 * (monge_elkan_tokens(x, y, jaro_winkler)
+                    + monge_elkan_tokens(y, x, jaro_winkler))
+            }
+            (
+                Measure::Exact | Measure::Soundex | Measure::Numeric(_) | Measure::Year,
+                Other(x),
+                Other(y),
+            ) => m.prepared(x, y),
+            _ => 0.0,
+        }
+    }
+
+    /// The bit-identity contract between the production kernels and the
+    /// oracle: for any pair of strings — ASCII or not, short or past the
+    /// 64-char bit-parallel block, with combining marks, empty or
+    /// all-whitespace — every [`Measure`] must score exactly what the oracle
+    /// scores, through the direct, prepared and interned paths alike.
+    mod tests {
+        use proptest::prelude::*;
+        use transer_common::StrInterner;
+
+        use crate::Measure;
+
+        const ALL: [Measure; 15] = [
+            Measure::Jaro,
+            Measure::JaroWinkler,
+            Measure::Levenshtein,
+            Measure::TokenJaccard,
+            Measure::QgramJaccard(2),
+            Measure::QgramJaccard(4),
+            Measure::TokenDice,
+            Measure::QgramDice(3),
+            Measure::TokenOverlap,
+            Measure::Lcs,
+            Measure::MongeElkanJw,
+            Measure::Soundex,
+            Measure::Exact,
+            Measure::Numeric(5.0),
+            Measure::Year,
+        ];
+
+        /// Deterministic xorshift (proptest drives only the seed).
+        fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+            let mut state = seed | 1;
+            move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            }
+        }
+
+        /// Character palettes chosen to hit every kernel path: the ASCII byte
+        /// fast path, the unicode char path, combining marks (so chars ≠
+        /// graphemes), digits (numeric parsing), and heavy duplicates (Myers
+        /// mask coalescing, q-gram multiplicity collapse).
+        const PALETTES: [&[&str]; 6] = [
+            // Plain ASCII words.
+            &["a", "b", "c", "d", "e", " ", "t", "n"],
+            // ASCII with digits and punctuation the tokeniser strips.
+            &["1", "9", "0", ".", " ", "-", "'", ",", "x"],
+            // Cyrillic (unicode path, multi-byte chars).
+            &["н", "а", "у", "к", " ", "д"],
+            // Combining marks and precomposed characters.
+            &["a\u{0301}", "e\u{0308}", "é", "o", " ", "n\u{0303}"],
+            // Whitespace-heavy.
+            &[" ", "\t", "a", " "],
+            // Heavy duplicates for transposition / coalescing paths.
+            &["a", "a", "a", "b", " "],
+        ];
+
+        /// Build a string of `pieces` palette draws; `long` appends enough of
+        /// the first palette entry to push the char length past the 64-char
+        /// Myers block, forcing the multi-block wide fallback.
+        fn gen_string(kind: usize, pieces: usize, long: bool, seed: u64) -> String {
+            let palette = PALETTES[kind % PALETTES.len()];
+            let mut next = xorshift(seed);
+            let mut s = String::new();
+            for _ in 0..pieces {
+                s.push_str(palette[(next() % palette.len() as u64) as usize]);
+            }
+            if long {
+                for _ in 0..70 {
+                    s.push_str(palette[0]);
+                }
+            }
+            s
+        }
+
+        fn assert_all_measures_agree(a: &str, b: &str) {
+            let mut interner = StrInterner::new();
+            for m in ALL {
+                let reference = super::text(m, a, b);
+                let fast = m.text(a, b);
+                assert_eq!(
+                    fast.to_bits(),
+                    reference.to_bits(),
+                    "{m:?} text on ({a:?}, {b:?}): fast {fast} != reference {reference}"
+                );
+                let prepared = m.prepared(&m.prepare(a), &m.prepare(b));
+                assert_eq!(
+                    prepared.to_bits(),
+                    reference.to_bits(),
+                    "{m:?} prepared/fast on ({a:?}, {b:?})"
+                );
+                let prepared = super::prepared(m, &super::prepare(m, a), &super::prepare(m, b));
+                assert_eq!(
+                    prepared.to_bits(),
+                    reference.to_bits(),
+                    "{m:?} prepared/reference on ({a:?}, {b:?})"
+                );
+                let ia = m.prepare_interned(a, &mut interner);
+                let ib = m.prepare_interned(b, &mut interner);
+                let interned = m.prepared(&ia, &ib);
+                assert_eq!(
+                    interned.to_bits(),
+                    reference.to_bits(),
+                    "{m:?} interned on ({a:?}, {b:?})"
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn fast_engine_is_bitwise_equal_to_reference(
+                kind_a in 0usize..6,
+                kind_b in 0usize..6,
+                pieces_a in 0usize..24,
+                pieces_b in 0usize..24,
+                long_a in any::<bool>(),
+                long_b in any::<bool>(),
+                seed in 0u64..1_000_000,
+            ) {
+                let a = gen_string(kind_a, pieces_a, long_a, seed);
+                let b = gen_string(kind_b, pieces_b, long_b, seed.wrapping_add(0x9e3779b97f4a7c15));
+                assert_all_measures_agree(&a, &b);
+            }
+
+            #[test]
+            fn regex_driven_ascii_pairs_agree(
+                a in "[a-z0-9]{0,10}( [a-z0-9]{0,10}){0,4}",
+                b in "[a-z0-9]{0,10}( [a-z0-9]{0,10}){0,4}",
+            ) {
+                assert_all_measures_agree(&a, &b);
+            }
+        }
+
+        /// Hand-picked shapes that historically break edit-distance kernels:
+        /// the 64/65-char block boundary, equal inputs (short-circuit bit
+        /// pinning), one-sided emptiness, combining-mark prefixes.
+        #[test]
+        fn targeted_edge_shapes_agree() {
+            let b64 = "ab".repeat(32);
+            let b65 = format!("{b64}x");
+            let cases = [
+                (String::new(), String::new()),
+                (String::new(), "a".into()),
+                ("  ".into(), "\t".into()),
+                (b64.clone(), b64.clone()),
+                (b64.clone(), b65.clone()),
+                (b65.clone(), b65.clone()),
+                ("а".repeat(64), "а".repeat(65)),
+                ("a\u{0301}".into(), "á".into()),
+                ("x".repeat(200), "y".repeat(200)),
+                ("martha jones 1999".into(), "marhta jones 2003".into()),
+            ];
+            for (a, b) in &cases {
+                assert_all_measures_agree(a, b);
+                assert_all_measures_agree(b, a);
+                assert_all_measures_agree(a, a);
+            }
+        }
+
+        /// Scores must not depend on id assignment: preparing through
+        /// differently pre-seeded interners yields bit-identical scores.
+        #[test]
+        fn interner_id_assignment_cannot_change_scores() {
+            let (a, b) = ("deep entity matching 1999", "entity matching deep 2003");
+            for m in ALL {
+                let mut fresh = StrInterner::new();
+                let pa = m.prepare_interned(a, &mut fresh);
+                let pb = m.prepare_interned(b, &mut fresh);
+                let fresh_score = m.prepared(&pa, &pb);
+
+                let mut seeded = StrInterner::new();
+                for w in ["zzz", "matching", "qqq", "entity", "2003"] {
+                    seeded.intern(w);
+                }
+                let qa = m.prepare_interned(a, &mut seeded);
+                let qb = m.prepare_interned(b, &mut seeded);
+                let seeded_score = m.prepared(&qa, &qb);
+
+                assert_eq!(fresh_score.to_bits(), seeded_score.to_bits(), "{m:?}");
+                assert_eq!(fresh_score.to_bits(), super::text(m, a, b).to_bits(), "{m:?}");
+            }
+        }
     }
 }

@@ -1,87 +1,41 @@
 //! Longest common subsequence similarity.
 //!
-//! The public functions dispatch on [`SimKernel`]: the `fast` engine runs
-//! the scratch-buffer two-row DP from `kernel` (ASCII byte path, no per-call
-//! allocation); the `reference` engine is the original collect-then-DP
-//! implementation, kept verbatim as the bit-identity baseline.
+//! Both functions run the scratch-buffer two-row DP from `kernel` (ASCII
+//! byte path, no per-call allocation); the original collect-then-DP form
+//! is kept in `kernel::oracle` as the bit-identity baseline.
 
 use crate::clamp01;
-use crate::kernel::{self, SimKernel};
+use crate::kernel;
 
 /// Length of the longest common subsequence of two strings (over chars).
 pub fn lcs_len(a: &str, b: &str) -> usize {
-    lcs_len_k(SimKernel::from_env(), a, b)
-}
-
-/// [`lcs_len`] under an explicit kernel engine.
-pub(crate) fn lcs_len_k(kernel: SimKernel, a: &str, b: &str) -> usize {
-    match kernel {
-        SimKernel::Reference => lcs_len_reference(a, b),
-        SimKernel::Fast => {
-            if a == b {
-                // The LCS of a string with itself is the whole string.
-                return if a.is_ascii() { a.len() } else { a.chars().count() };
-            }
-            kernel::lcs_len_with_lens(a, b).0
-        }
+    if a == b {
+        // The LCS of a string with itself is the whole string.
+        return if a.is_ascii() { a.len() } else { a.chars().count() };
     }
-}
-
-/// The pinned reference: two-row DP over collected chars.
-fn lcs_len_reference(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    let mut prev = vec![0usize; short.len() + 1];
-    let mut curr = vec![0usize; short.len() + 1];
-    for &cl in long.iter() {
-        for (j, &cs) in short.iter().enumerate() {
-            curr[j + 1] = if cl == cs { prev[j] + 1 } else { prev[j + 1].max(curr[j]) };
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[short.len()]
+    kernel::lcs_len_with_lens(a, b).0
 }
 
 /// LCS length normalised by the longer string length: `lcs / max(|a|, |b|)`,
 /// with `1.0` for two empty strings.
+///
+/// Each string is traversed once (LCS length and both char lengths come
+/// out of the same kernel call). Equal inputs short-circuit to exactly
+/// `1.0`: the LCS equals the full length `n`, and `clamp01(n/n) = 1.0`
+/// bit-for-bit for every finite `n` (two empty strings are defined as 1).
 pub fn lcs_similarity(a: &str, b: &str) -> f64 {
-    lcs_similarity_k(SimKernel::from_env(), a, b)
-}
-
-/// [`lcs_similarity`] under an explicit kernel engine. The fast engine
-/// traverses each string once (LCS length and both char lengths come out
-/// of the same kernel call). Equal inputs short-circuit to exactly `1.0`:
-/// the LCS equals the full length `n`, and `clamp01(n/n) = 1.0` bit-for-bit
-/// for every finite `n` (two empty strings are defined as 1).
-pub(crate) fn lcs_similarity_k(kernel: SimKernel, a: &str, b: &str) -> f64 {
-    match kernel {
-        SimKernel::Reference => {
-            let la = a.chars().count();
-            let lb = b.chars().count();
-            let longest = la.max(lb);
-            if longest == 0 {
-                return 1.0;
-            }
-            clamp01(lcs_len_reference(a, b) as f64 / longest as f64)
-        }
-        SimKernel::Fast => {
-            if a == b {
-                return 1.0;
-            }
-            let (len, la, lb) = kernel::lcs_len_with_lens(a, b);
-            // a != b implies at least one string is non-empty.
-            clamp01(len as f64 / la.max(lb) as f64)
-        }
+    if a == b {
+        return 1.0;
     }
+    let (len, la, lb) = kernel::lcs_len_with_lens(a, b);
+    // a != b implies at least one string is non-empty.
+    clamp01(len as f64 / la.max(lb) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::oracle;
 
     #[test]
     fn known_values() {
@@ -120,14 +74,10 @@ mod tests {
             ("a\u{0301}bc", "abc"),
             (long_a.as_str(), long_b.as_str()),
         ] {
+            assert_eq!(lcs_len(a, b), oracle::lcs_len(a, b), "len {a:?} vs {b:?}");
             assert_eq!(
-                lcs_len_k(SimKernel::Fast, a, b),
-                lcs_len_k(SimKernel::Reference, a, b),
-                "len {a:?} vs {b:?}"
-            );
-            assert_eq!(
-                lcs_similarity_k(SimKernel::Fast, a, b).to_bits(),
-                lcs_similarity_k(SimKernel::Reference, a, b).to_bits(),
+                lcs_similarity(a, b).to_bits(),
+                oracle::lcs_similarity(a, b).to_bits(),
                 "similarity {a:?} vs {b:?}"
             );
         }
@@ -136,12 +86,9 @@ mod tests {
     #[test]
     fn equal_inputs_short_circuit_pins_bit_pattern() {
         for s in ["", "abc", "наука", " spaced "] {
-            assert_eq!(lcs_similarity_k(SimKernel::Fast, s, s).to_bits(), 1.0f64.to_bits());
-            assert_eq!(
-                lcs_similarity_k(SimKernel::Reference, s, s).to_bits(),
-                lcs_similarity_k(SimKernel::Fast, s, s).to_bits()
-            );
-            assert_eq!(lcs_len_k(SimKernel::Fast, s, s), lcs_len_k(SimKernel::Reference, s, s));
+            assert_eq!(lcs_similarity(s, s).to_bits(), 1.0f64.to_bits());
+            assert_eq!(oracle::lcs_similarity(s, s).to_bits(), lcs_similarity(s, s).to_bits());
+            assert_eq!(lcs_len(s, s), oracle::lcs_len(s, s));
         }
     }
 }

@@ -1,60 +1,25 @@
 //! Levenshtein and Damerau-Levenshtein (optimal string alignment) edit
 //! distances plus their normalised similarities.
 //!
-//! The public functions dispatch on [`SimKernel`]: the `fast` engine uses
-//! the Myers bit-parallel core (single `u64` block for strings ≤ 64
-//! chars, Hyyrö's multi-block formulation beyond), with an ASCII byte
-//! path; the `reference` engine is the original per-call-allocating
-//! implementation, kept verbatim as the bit-identity baseline.
+//! Levenshtein runs the Myers bit-parallel core from `kernel` (single
+//! `u64` block for strings ≤ 64 chars, Hyyrö's multi-block formulation
+//! beyond), with an ASCII byte path; the original two-row DP is kept in
+//! `kernel::oracle` as the bit-identity baseline.
 
 use crate::clamp01;
-use crate::kernel::{self, SimKernel};
+use crate::kernel;
 
 /// Levenshtein edit distance (insertions, deletions, substitutions) between
-/// two strings. The fast engine runs Myers' bit-parallel algorithm in
-/// `O(|a|·⌈|b|/64⌉)` word operations — one `u64` block when the shorter
-/// string fits, Hyyrö's multi-block variant otherwise; both are
-/// allocation-free after thread warm-up and agree exactly with the
-/// reference DP.
+/// two strings, by Myers' bit-parallel algorithm in `O(|a|·⌈|b|/64⌉)`
+/// word operations — one `u64` block when the shorter string fits,
+/// Hyyrö's multi-block variant otherwise; both are allocation-free after
+/// thread warm-up and agree exactly with the classic DP.
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    levenshtein_k(SimKernel::from_env(), a, b)
-}
-
-/// [`levenshtein`] under an explicit kernel engine.
-pub(crate) fn levenshtein_k(kernel: SimKernel, a: &str, b: &str) -> usize {
-    match kernel {
-        SimKernel::Reference => levenshtein_reference(a, b),
-        SimKernel::Fast => {
-            if a == b {
-                // Distance of identical strings is 0 by definition.
-                return 0;
-            }
-            kernel::lev_distance_with_lens(a, b).0
-        }
+    if a == b {
+        // Distance of identical strings is 0 by definition.
+        return 0;
     }
-}
-
-/// The pinned reference: classic two-row DP over collected chars in
-/// `O(|a|·|b|)` time and `O(min(|a|,|b|))` space.
-fn levenshtein_reference(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    // Keep the inner dimension the shorter string to minimise the rows.
-    let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
-    if short.is_empty() {
-        return long.len();
-    }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut curr = vec![0usize; short.len() + 1];
-    for (i, &cl) in long.iter().enumerate() {
-        curr[0] = i + 1;
-        for (j, &cs) in short.iter().enumerate() {
-            let cost = usize::from(cl != cs);
-            curr[j + 1] = (prev[j + 1] + 1).min(curr[j] + 1).min(prev[j] + cost);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[short.len()]
+    kernel::lev_distance_with_lens(a, b).0
 }
 
 /// Damerau-Levenshtein distance in its *optimal string alignment* variant:
@@ -94,42 +59,24 @@ pub fn damerau_levenshtein(a: &str, b: &str) -> usize {
 
 /// Levenshtein distance normalised into a similarity:
 /// `1 − d / max(|a|, |b|)`, with `1.0` for two empty strings.
+///
+/// Each string is traversed once: distance and both lengths come out of
+/// the same kernel call. Equal inputs short-circuit to exactly `1.0`: the
+/// distance is 0, so the DP form `clamp01(1.0 - 0.0 / longest)` is `1.0`
+/// bit-for-bit (and two empty strings are defined as 1).
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    levenshtein_similarity_k(SimKernel::from_env(), a, b)
-}
-
-/// [`levenshtein_similarity`] under an explicit kernel engine. The fast
-/// engine traverses each string once (distance and both lengths come out
-/// of the same kernel call) where the reference walks every string twice:
-/// `chars().count()` per side and then the re-collect inside the DP.
-/// Equal inputs short-circuit to exactly `1.0`: the distance is 0, so the
-/// reference computes `clamp01(1.0 - 0.0 / longest)` = `1.0` bit-for-bit
-/// (and two empty strings are defined as 1).
-pub(crate) fn levenshtein_similarity_k(kernel: SimKernel, a: &str, b: &str) -> f64 {
-    match kernel {
-        SimKernel::Reference => {
-            let la = a.chars().count();
-            let lb = b.chars().count();
-            let longest = la.max(lb);
-            if longest == 0 {
-                return 1.0;
-            }
-            clamp01(1.0 - levenshtein_reference(a, b) as f64 / longest as f64)
-        }
-        SimKernel::Fast => {
-            if a == b {
-                return 1.0;
-            }
-            let (d, la, lb) = kernel::lev_distance_with_lens(a, b);
-            // a != b implies at least one string is non-empty.
-            clamp01(1.0 - d as f64 / la.max(lb) as f64)
-        }
+    if a == b {
+        return 1.0;
     }
+    let (d, la, lb) = kernel::lev_distance_with_lens(a, b);
+    // a != b implies at least one string is non-empty.
+    clamp01(1.0 - d as f64 / la.max(lb) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::oracle;
 
     #[test]
     fn levenshtein_known_values() {
@@ -186,14 +133,10 @@ mod tests {
             (long_a.as_str(), long_b.as_str()),
             ("a\u{0301}bc", "abc"),
         ] {
+            assert_eq!(levenshtein(a, b), oracle::levenshtein(a, b), "distance {a:?} vs {b:?}");
             assert_eq!(
-                levenshtein_k(SimKernel::Fast, a, b),
-                levenshtein_k(SimKernel::Reference, a, b),
-                "distance {a:?} vs {b:?}"
-            );
-            assert_eq!(
-                levenshtein_similarity_k(SimKernel::Fast, a, b).to_bits(),
-                levenshtein_similarity_k(SimKernel::Reference, a, b).to_bits(),
+                levenshtein_similarity(a, b).to_bits(),
+                oracle::levenshtein_similarity(a, b).to_bits(),
                 "similarity {a:?} vs {b:?}"
             );
         }
@@ -202,13 +145,10 @@ mod tests {
     #[test]
     fn equal_inputs_short_circuit_pins_bit_pattern() {
         for s in ["", "abc", "наука", "a\u{0301}", " spaced out "] {
-            let fast = levenshtein_similarity_k(SimKernel::Fast, s, s);
+            let fast = levenshtein_similarity(s, s);
             assert_eq!(fast.to_bits(), 1.0f64.to_bits(), "{s:?}");
-            assert_eq!(
-                fast.to_bits(),
-                levenshtein_similarity_k(SimKernel::Reference, s, s).to_bits()
-            );
-            assert_eq!(levenshtein_k(SimKernel::Fast, s, s), 0);
+            assert_eq!(fast.to_bits(), oracle::levenshtein_similarity(s, s).to_bits());
+            assert_eq!(levenshtein(s, s), 0);
         }
     }
 }

@@ -12,11 +12,11 @@
 //! All string functions operate on `char`s, so multi-byte UTF-8 is handled
 //! correctly.
 //!
-//! Two kernel engines compute every score (see [`SimKernel`] and the
-//! `TRANSER_SIM_KERNEL` knob): `fast` — allocation-free bit-parallel /
-//! merge-based kernels, the default — and `reference` — the original
-//! implementations, pinned as the bit-identity baseline the fast engine is
-//! proptested against.
+//! Every score runs on allocation-free kernels: bit-parallel Levenshtein,
+//! scratch-buffer Jaro and LCS, and merge-based set similarities over
+//! sorted, packed or interned profiles. The original per-call-allocating
+//! implementations are kept in test builds only, as the oracle the
+//! kernels are proptested bit-identical against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,11 +35,10 @@ mod soundex;
 
 pub use config::{similarity_for, Measure};
 pub use jaccard::{
-    dice_qgram, dice_sets, dice_sorted, dice_tokens, jaccard_qgram, jaccard_sets, jaccard_sorted,
-    jaccard_tokens, overlap_sets, overlap_sorted, overlap_tokens, qgram_set, token_set,
+    dice_qgram, dice_sorted, dice_tokens, jaccard_qgram, jaccard_sorted, jaccard_tokens,
+    overlap_sorted, overlap_tokens,
 };
 pub use jaro::{jaro, jaro_winkler, jaro_winkler_with};
-pub use kernel::SimKernel;
 pub use lcs::{lcs_len, lcs_similarity};
 pub use levenshtein::{damerau_levenshtein, levenshtein, levenshtein_similarity};
 pub use monge_elkan::{monge_elkan, monge_elkan_tokens};

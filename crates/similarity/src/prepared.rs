@@ -8,61 +8,46 @@
 //! values — producing **bit-identical** scores to [`Measure::text`], which
 //! the tests below pin down measure by measure.
 //!
-//! The representation depends on the [`SimKernel`] engine. The `reference`
-//! engine prepares `HashSet<String>` profiles and scores them with hashed
-//! intersections; the `fast` engine prepares *sorted* profiles — sorted
-//! deduplicated token/gram vectors, q-grams packed into `u64`s for
-//! `q ≤ 3`, or interned `u32` ids when the caller supplies a
-//! [`StrInterner`] — and scores them with `O(n + m)` merges. All set
-//! scores depend only on `(|A ∩ B|, |A|, |B|)` and every fast
-//! representation preserves exactly that structure, so the engines are
-//! bit-identical (proptested in `tests/kernel_equivalence.rs`).
-
-use std::collections::HashSet;
+//! The set families prepare *sorted* profiles — sorted deduplicated
+//! token/gram vectors, q-grams packed into `u64`s for `q ≤ 3`, or
+//! interned `u32` ids when the caller supplies a [`StrInterner`] — and
+//! score them with `O(n + m)` merges. All set scores depend only on
+//! `(|A ∩ B|, |A|, |B|)` and every representation preserves exactly that
+//! structure, so they are bit-identical to one another and to the
+//! `HashSet` oracle in `kernel::oracle`.
 
 use transer_common::StrInterner;
 
-use crate::jaccard::{
-    dice_sets, dice_sorted, jaccard_sets, jaccard_sorted, overlap_sets, overlap_sorted, qgram_set,
-    token_set,
-};
-use crate::jaro::{jaro_k, jaro_winkler_k};
-use crate::kernel::{packed_qgram_profile, SimKernel, PACK_MAX_Q};
-use crate::lcs::lcs_similarity_k;
-use crate::levenshtein::levenshtein_similarity_k;
+use crate::jaccard::{sorted_token_profile, SetOp};
+use crate::kernel::{packed_qgram_profile, PACK_MAX_Q};
 use crate::monge_elkan::monge_elkan_tokens;
 use crate::qgram::{qgrams, tokens};
-use crate::{numeric_similarity, soundex, year_similarity, Measure};
+use crate::{
+    jaro, jaro_winkler, lcs_similarity, levenshtein_similarity, numeric_similarity, soundex,
+    year_similarity, Measure,
+};
 
 /// A textual value with the measure-specific per-value work already done.
 ///
 /// Produced by [`Measure::prepare`]; only meaningful when consumed by the
-/// *same* measure's [`Measure::prepared`] — and, for the set families, by
-/// a value prepared under the same engine (and the same interner for the
-/// id variants).
+/// *same* measure's [`Measure::prepared`] — and, for the id variants, by a
+/// value prepared through the same interner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PreparedText {
     /// The raw string — character-level measures (Jaro, Jaro-Winkler,
     /// Levenshtein, LCS, Exact) have no useful per-value precomputation.
     Raw(String),
-    /// Whitespace token set (TokenJaccard / TokenDice / TokenOverlap),
-    /// reference engine.
-    TokenSet(HashSet<String>),
-    /// Padded character q-gram set (QgramJaccard / QgramDice), reference
-    /// engine.
-    QgramSet(HashSet<String>),
-    /// Sorted deduplicated whitespace tokens, fast engine.
+    /// Sorted deduplicated whitespace tokens.
     SortedTokens(Vec<String>),
-    /// Sorted deduplicated padded q-grams (`q > 3`), fast engine.
+    /// Sorted deduplicated padded q-grams (`q > 3`).
     SortedGrams(Vec<String>),
-    /// Sorted packed padded q-grams (`q ≤ 3`, 21 bits per char), fast
-    /// engine.
+    /// Sorted packed padded q-grams (`q ≤ 3`, 21 bits per char).
     PackedGrams(Vec<u64>),
-    /// Sorted deduplicated interned token ids, fast engine. Ids are only
-    /// comparable against values interned by the same [`StrInterner`].
+    /// Sorted deduplicated interned token ids. Ids are only comparable
+    /// against values interned by the same [`StrInterner`].
     TokenIds(Vec<u32>),
-    /// Sorted deduplicated interned q-gram ids, fast engine; same
-    /// same-interner contract as [`PreparedText::TokenIds`].
+    /// Sorted deduplicated interned q-gram ids; same same-interner
+    /// contract as [`PreparedText::TokenIds`].
     GramIds(Vec<u32>),
     /// Token list in order (Monge-Elkan).
     TokenList(Vec<String>),
@@ -72,40 +57,11 @@ pub enum PreparedText {
     Parsed(Option<f64>),
 }
 
-/// Which set similarity to finish an intersection count with. Keeps the
-/// representation dispatch (hash set / sorted strings / packed / ids)
-/// written once instead of per measure.
-#[derive(Clone, Copy)]
-enum SetOp {
-    Jaccard,
-    Dice,
-    Overlap,
-}
-
-impl SetOp {
-    fn sets(self, a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-        match self {
-            SetOp::Jaccard => jaccard_sets(a, b),
-            SetOp::Dice => dice_sets(a, b),
-            SetOp::Overlap => overlap_sets(a, b),
-        }
-    }
-
-    fn sorted<T: Ord>(self, a: &[T], b: &[T]) -> f64 {
-        match self {
-            SetOp::Jaccard => jaccard_sorted(a, b),
-            SetOp::Dice => dice_sorted(a, b),
-            SetOp::Overlap => overlap_sorted(a, b),
-        }
-    }
-}
-
 /// Score a token-family pair under `op`; `None` on representation
 /// mismatch.
 fn token_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
     use PreparedText as P;
     match (a, b) {
-        (P::TokenSet(x), P::TokenSet(y)) => Some(op.sets(x, y)),
         (P::SortedTokens(x), P::SortedTokens(y)) => Some(op.sorted(x, y)),
         (P::TokenIds(x), P::TokenIds(y)) => Some(op.sorted(x, y)),
         _ => None,
@@ -117,7 +73,6 @@ fn token_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
 fn gram_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
     use PreparedText as P;
     match (a, b) {
-        (P::QgramSet(x), P::QgramSet(y)) => Some(op.sets(x, y)),
         (P::SortedGrams(x), P::SortedGrams(y)) => Some(op.sorted(x, y)),
         (P::PackedGrams(x), P::PackedGrams(y)) => Some(op.sorted(x, y)),
         (P::GramIds(x), P::GramIds(y)) => Some(op.sorted(x, y)),
@@ -125,47 +80,23 @@ fn gram_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
     }
 }
 
-/// Sorted deduplicated whitespace tokens — the fast-engine token profile.
-pub(crate) fn sorted_token_profile(s: &str) -> Vec<String> {
-    let mut t = tokens(s);
-    t.sort_unstable();
-    t.dedup();
-    t
-}
-
 impl Measure {
     /// Precompute the per-value state of this measure for `s`, so that
     /// [`Measure::prepared`] can score pairs without re-tokenising.
     pub fn prepare(&self, s: &str) -> PreparedText {
-        self.prepare_with(SimKernel::from_env(), s)
-    }
-
-    /// [`Measure::prepare`] under an explicit kernel engine.
-    pub fn prepare_with(&self, kernel: SimKernel, s: &str) -> PreparedText {
-        match (kernel, *self) {
-            (_, Measure::MongeElkanJw) => PreparedText::TokenList(tokens(s)),
-            (_, Measure::Soundex) => PreparedText::SoundexCode(soundex(s)),
-            (_, Measure::Numeric(_) | Measure::Year) => PreparedText::Parsed(s.trim().parse().ok()),
-            (
-                _,
-                Measure::Jaro
-                | Measure::JaroWinkler
-                | Measure::Levenshtein
-                | Measure::Lcs
-                | Measure::Exact,
-            ) => PreparedText::Raw(s.to_string()),
-            (
-                SimKernel::Reference,
-                Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap,
-            ) => PreparedText::TokenSet(token_set(s)),
-            (SimKernel::Reference, Measure::QgramJaccard(q) | Measure::QgramDice(q)) => {
-                PreparedText::QgramSet(qgram_set(s, q))
+        match *self {
+            Measure::MongeElkanJw => PreparedText::TokenList(tokens(s)),
+            Measure::Soundex => PreparedText::SoundexCode(soundex(s)),
+            Measure::Numeric(_) | Measure::Year => PreparedText::Parsed(s.trim().parse().ok()),
+            Measure::Jaro
+            | Measure::JaroWinkler
+            | Measure::Levenshtein
+            | Measure::Lcs
+            | Measure::Exact => PreparedText::Raw(s.to_string()),
+            Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap => {
+                PreparedText::SortedTokens(sorted_token_profile(s))
             }
-            (
-                SimKernel::Fast,
-                Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap,
-            ) => PreparedText::SortedTokens(sorted_token_profile(s)),
-            (SimKernel::Fast, Measure::QgramJaccard(q) | Measure::QgramDice(q)) => {
+            Measure::QgramJaccard(q) | Measure::QgramDice(q) => {
                 if q <= PACK_MAX_Q {
                     PreparedText::PackedGrams(packed_qgram_profile(s, q))
                 } else {
@@ -176,9 +107,9 @@ impl Measure {
         }
     }
 
-    /// [`Measure::prepare_with`] using `interner` for the fast engine's
-    /// token and q-gram profiles (`q > 3`), producing dense `u32` id
-    /// profiles instead of string profiles.
+    /// [`Measure::prepare`] using `interner` for the token and q-gram
+    /// profiles (`q > 3`), producing dense `u32` id profiles instead of
+    /// string profiles.
     ///
     /// Ids are assigned in first-appearance order, so two prepared values
     /// are only comparable when prepared through the **same** interner —
@@ -186,15 +117,7 @@ impl Measure {
     /// independent of the id assignment (only id equality is consulted),
     /// hence bit-identical across interners and to the other
     /// representations.
-    pub fn prepare_interned_with(
-        &self,
-        kernel: SimKernel,
-        s: &str,
-        interner: &mut StrInterner,
-    ) -> PreparedText {
-        if kernel == SimKernel::Reference {
-            return self.prepare_with(kernel, s);
-        }
+    pub fn prepare_interned(&self, s: &str, interner: &mut StrInterner) -> PreparedText {
         match *self {
             Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap => {
                 let mut ids: Vec<u32> = tokens(s).iter().map(|t| interner.intern(t)).collect();
@@ -208,26 +131,21 @@ impl Measure {
                 ids.dedup();
                 PreparedText::GramIds(ids)
             }
-            _ => self.prepare_with(kernel, s),
+            _ => self.prepare(s),
         }
     }
 
-    /// [`Measure::prepare_interned_with`] taking ownership of the string,
-    /// so the Raw family (Jaro, Jaro-Winkler, Levenshtein, LCS, Exact)
-    /// moves it instead of cloning.
-    pub fn prepare_owned_interned_with(
-        &self,
-        kernel: SimKernel,
-        s: String,
-        interner: &mut StrInterner,
-    ) -> PreparedText {
+    /// [`Measure::prepare_interned`] taking ownership of the string, so
+    /// the Raw family (Jaro, Jaro-Winkler, Levenshtein, LCS, Exact) moves
+    /// it instead of cloning.
+    pub fn prepare_owned_interned(&self, s: String, interner: &mut StrInterner) -> PreparedText {
         match *self {
             Measure::Jaro
             | Measure::JaroWinkler
             | Measure::Levenshtein
             | Measure::Lcs
             | Measure::Exact => PreparedText::Raw(s),
-            _ => self.prepare_interned_with(kernel, &s, interner),
+            _ => self.prepare_interned(&s, interner),
         }
     }
 
@@ -236,14 +154,8 @@ impl Measure {
     /// strings.
     ///
     /// Mismatched preparations (arguments prepared by a different measure
-    /// family or engine) score 0 and bump the
-    /// `similarity.prepared.mismatch` counter.
+    /// family) score 0 and bump the `similarity.prepared.mismatch` counter.
     pub fn prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
-        self.prepared_with(SimKernel::from_env(), a, b)
-    }
-
-    /// [`Measure::prepared`] under an explicit kernel engine.
-    pub fn prepared_with(&self, kernel: SimKernel, a: &PreparedText, b: &PreparedText) -> f64 {
         use PreparedText as P;
         let mismatch = || {
             // Mismatched preparations cannot arise from the comparison
@@ -253,10 +165,10 @@ impl Measure {
             0.0
         };
         match (*self, a, b) {
-            (Measure::Jaro, P::Raw(x), P::Raw(y)) => jaro_k(kernel, x, y),
-            (Measure::JaroWinkler, P::Raw(x), P::Raw(y)) => jaro_winkler_k(kernel, x, y),
-            (Measure::Levenshtein, P::Raw(x), P::Raw(y)) => levenshtein_similarity_k(kernel, x, y),
-            (Measure::Lcs, P::Raw(x), P::Raw(y)) => lcs_similarity_k(kernel, x, y),
+            (Measure::Jaro, P::Raw(x), P::Raw(y)) => jaro(x, y),
+            (Measure::JaroWinkler, P::Raw(x), P::Raw(y)) => jaro_winkler(x, y),
+            (Measure::Levenshtein, P::Raw(x), P::Raw(y)) => levenshtein_similarity(x, y),
+            (Measure::Lcs, P::Raw(x), P::Raw(y)) => lcs_similarity(x, y),
             (Measure::Exact, P::Raw(x), P::Raw(y)) => {
                 if x == y {
                     1.0
@@ -278,8 +190,8 @@ impl Measure {
                 gram_family(SetOp::Dice, a, b).unwrap_or_else(mismatch)
             }
             (Measure::MongeElkanJw, P::TokenList(x), P::TokenList(y)) => {
-                let inner = |p: &str, q: &str| jaro_winkler_k(kernel, p, q);
-                0.5 * (monge_elkan_tokens(x, y, inner) + monge_elkan_tokens(y, x, inner))
+                0.5 * (monge_elkan_tokens(x, y, jaro_winkler)
+                    + monge_elkan_tokens(y, x, jaro_winkler))
             }
             (Measure::Soundex, P::SoundexCode(x), P::SoundexCode(y)) => {
                 if x == y {
@@ -310,6 +222,7 @@ impl Measure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::oracle;
 
     const ALL: [Measure; 14] = [
         Measure::Jaro,
@@ -359,20 +272,23 @@ mod tests {
 
     #[test]
     fn prepared_equals_text_under_both_engines() {
-        for kernel in [SimKernel::Fast, SimKernel::Reference] {
-            for m in ALL {
-                for a in SAMPLES {
-                    for b in SAMPLES {
-                        let direct = m.text_with(kernel, a, b);
-                        let pa = m.prepare_with(kernel, a);
-                        let pb = m.prepare_with(kernel, b);
-                        let via = m.prepared_with(kernel, &pa, &pb);
-                        assert!(
-                            direct.to_bits() == via.to_bits(),
-                            "{m:?}/{} on ({a:?}, {b:?}): direct {direct} != prepared {via}",
-                            kernel.name()
-                        );
-                    }
+        // The production kernels, then the oracle's hashed-set
+        // representation through its own prepare/prepared pair.
+        for m in ALL {
+            for a in SAMPLES {
+                for b in SAMPLES {
+                    let direct = m.text(a, b);
+                    let via = m.prepared(&m.prepare(a), &m.prepare(b));
+                    assert!(
+                        direct.to_bits() == via.to_bits(),
+                        "{m:?}/fast on ({a:?}, {b:?}): direct {direct} != prepared {via}"
+                    );
+                    let direct = oracle::text(m, a, b);
+                    let via = oracle::prepared(m, &oracle::prepare(m, a), &oracle::prepare(m, b));
+                    assert!(
+                        direct.to_bits() == via.to_bits(),
+                        "{m:?}/reference on ({a:?}, {b:?}): direct {direct} != prepared {via}"
+                    );
                 }
             }
         }
@@ -384,10 +300,10 @@ mod tests {
             let mut interner = StrInterner::new();
             for a in SAMPLES {
                 for b in SAMPLES {
-                    let pa = m.prepare_interned_with(SimKernel::Fast, a, &mut interner);
-                    let pb = m.prepare_interned_with(SimKernel::Fast, b, &mut interner);
-                    let via = m.prepared_with(SimKernel::Fast, &pa, &pb);
-                    let direct = m.text_with(SimKernel::Reference, a, b);
+                    let pa = m.prepare_interned(a, &mut interner);
+                    let pb = m.prepare_interned(b, &mut interner);
+                    let via = m.prepared(&pa, &pb);
+                    let direct = oracle::text(m, a, b);
                     assert!(
                         direct.to_bits() == via.to_bits(),
                         "{m:?} on ({a:?}, {b:?}): direct {direct} != interned {via}"
@@ -400,11 +316,9 @@ mod tests {
     #[test]
     fn interned_qgram_profiles_use_ids_only_above_pack_limit() {
         let mut interner = StrInterner::new();
-        let p3 =
-            Measure::QgramJaccard(3).prepare_interned_with(SimKernel::Fast, "abc", &mut interner);
+        let p3 = Measure::QgramJaccard(3).prepare_interned("abc", &mut interner);
         assert!(matches!(p3, PreparedText::PackedGrams(_)), "{p3:?}");
-        let p4 =
-            Measure::QgramJaccard(4).prepare_interned_with(SimKernel::Fast, "abc", &mut interner);
+        let p4 = Measure::QgramJaccard(4).prepare_interned("abc", &mut interner);
         assert!(matches!(p4, PreparedText::GramIds(_)), "{p4:?}");
     }
 
@@ -412,16 +326,11 @@ mod tests {
     fn prepare_owned_moves_raw_values() {
         let mut interner = StrInterner::new();
         for m in [Measure::Jaro, Measure::Levenshtein, Measure::Exact, Measure::Lcs] {
-            let p =
-                m.prepare_owned_interned_with(SimKernel::Fast, "martha".to_string(), &mut interner);
+            let p = m.prepare_owned_interned("martha".to_string(), &mut interner);
             assert_eq!(p, PreparedText::Raw("martha".to_string()), "{m:?}");
         }
         // Non-raw families still prepare their own representation.
-        let p = Measure::Year.prepare_owned_interned_with(
-            SimKernel::Fast,
-            "1999".to_string(),
-            &mut interner,
-        );
+        let p = Measure::Year.prepare_owned_interned("1999".to_string(), &mut interner);
         assert_eq!(p, PreparedText::Parsed(Some(1999.0)));
     }
 
@@ -435,10 +344,10 @@ mod tests {
             Measure::Numeric(5.0).prepared(&token_set, &Measure::Numeric(5.0).prepare("1")),
             0.0
         );
-        // Cross-engine representations mismatch too (sorted vs hashed).
-        let sorted = Measure::TokenJaccard.prepare_with(SimKernel::Fast, "a b c");
-        let hashed = Measure::TokenJaccard.prepare_with(SimKernel::Reference, "a b c");
-        assert_eq!(Measure::TokenJaccard.prepared_with(SimKernel::Fast, &sorted, &hashed), 0.0);
+        // Cross-representation pairs mismatch too (sorted strings vs ids).
+        let sorted = Measure::TokenJaccard.prepare("a b c");
+        let ids = Measure::TokenJaccard.prepare_interned("a b c", &mut StrInterner::new());
+        assert_eq!(Measure::TokenJaccard.prepared(&sorted, &ids), 0.0);
     }
 
     #[test]

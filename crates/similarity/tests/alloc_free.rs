@@ -4,13 +4,13 @@
 //! pairs must perform **zero** heap allocations, for every measure.
 //!
 //! This turns the "allocation-free after warm-up" design claim of the
-//! fast-kernel engine from a code-review statement into a tier-1 tested
+//! kernels from a code-review statement into a tier-1 tested
 //! invariant — any future kernel change that sneaks a `Vec::push` or a
 //! `String` into a scoring path fails here, not in a profile.
 
 use std::sync::Mutex;
 
-use transer_similarity::{Measure, PreparedText, SimKernel};
+use transer_similarity::{Measure, PreparedText};
 
 // An unused `--extern` crate is never loaded, and an unloaded crate's
 // `#[global_allocator]` is never registered — this linkage is what swaps
@@ -57,12 +57,7 @@ const CORPUS: [(&str, &str); 8] = [
 ];
 
 fn prepared_corpus(measure: Measure) -> Vec<(PreparedText, PreparedText)> {
-    CORPUS
-        .iter()
-        .map(|(a, b)| {
-            (measure.prepare_with(SimKernel::Fast, a), measure.prepare_with(SimKernel::Fast, b))
-        })
-        .collect()
+    CORPUS.iter().map(|(a, b)| (measure.prepare(a), measure.prepare(b))).collect()
 }
 
 #[test]
@@ -75,14 +70,14 @@ fn prepared_fast_scoring_is_allocation_free_after_warm_up() {
         // Warm-up: one full pass may grow thread-local kernel scratch.
         let mut sink = 0.0;
         for (a, b) in &corpus {
-            sink += measure.prepared_with(SimKernel::Fast, a, b);
+            sink += measure.prepared(a, b);
         }
         // Steady state: several passes under live allocation counting.
         alloc(true);
         let (c0, b0) = transer_trace::alloc::thread_counters();
         for _ in 0..3 {
             for (a, b) in &corpus {
-                sink += measure.prepared_with(SimKernel::Fast, a, b);
+                sink += measure.prepared(a, b);
             }
         }
         let (c1, b1) = transer_trace::alloc::thread_counters();

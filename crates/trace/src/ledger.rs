@@ -22,22 +22,9 @@ use crate::json::Json;
 /// Default ledger path, relative to the working directory of the run.
 pub const LEDGER_PATH: &str = "results/ledger.jsonl";
 
-/// The `TRANSER_*` knobs recorded by every ledger entry (set-or-absent; an
-/// unset variable is simply omitted from the record).
-const ENV_KNOBS: &[&str] = &[
-    "TRANSER_THREADS",
-    "TRANSER_TRACE",
-    "TRANSER_ALLOC_TRACE",
-    "TRANSER_FAULT",
-    "TRANSER_KNN_INDEX",
-    "TRANSER_TREE_ENGINE",
-    "TRANSER_GRAIN",
-    "TRANSER_SIM_KERNEL",
-    "TRANSER_L2_KERNEL",
-    "TRANSER_SERVE_MODEL",
-    "TRANSER_SERVE_INDEX",
-    "TRANSER_SERVE_BATCH",
-];
+/// Prefix of the environment variables every ledger entry records
+/// (set-or-absent; an unset variable is simply omitted from the record).
+const ENV_PREFIX: &str = "TRANSER_";
 
 /// The current git revision: `.git/HEAD` resolved through loose refs and
 /// `packed-refs`, with no subprocess. `None` outside a git checkout.
@@ -129,9 +116,12 @@ impl RunLedger {
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0.0, |d| d.as_secs_f64().floor());
         rec.insert("unix_secs".to_string(), Json::Num(unix_secs));
-        let env: BTreeMap<String, Json> = ENV_KNOBS
-            .iter()
-            .filter_map(|&k| std::env::var(k).ok().map(|v| (k.to_string(), Json::Str(v))))
+        // `vars_os`, not `vars`: the latter panics on a non-UTF-8 entry
+        // anywhere in the environment; such entries are skipped instead.
+        let env: BTreeMap<String, Json> = std::env::vars_os()
+            .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?)))
+            .filter(|(k, _)| k.starts_with(ENV_PREFIX))
+            .map(|(k, v)| (k, Json::Str(v)))
             .collect();
         rec.insert("env".to_string(), Json::Obj(env));
         rec.insert("secs_total".to_string(), Json::Num(self.start.elapsed().as_secs_f64()));
@@ -185,6 +175,9 @@ mod tests {
         let path = dir.join("ledger.jsonl");
         let path_str = path.to_str().expect("utf-8 temp path");
         let _ = std::fs::remove_file(&path);
+        // A made-up knob: the ledger records every `TRANSER_*` variable by
+        // prefix, not from a fixed list.
+        std::env::set_var("TRANSER_LEDGER_TEST", "on");
         for _ in 0..2 {
             let mut guard = RunLedger::new("unit_test").with_path(path_str);
             guard.set_summary(Json::Obj(std::collections::BTreeMap::from([(
@@ -193,6 +186,7 @@ mod tests {
             )])));
             drop(guard);
         }
+        std::env::remove_var("TRANSER_LEDGER_TEST");
         let text = std::fs::read_to_string(&path).expect("ledger written");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "one record per guard");
@@ -201,6 +195,10 @@ mod tests {
             assert_eq!(rec.get("bin").and_then(Json::as_str), Some("unit_test"));
             assert!(rec.get("secs_total").and_then(Json::as_num).is_some_and(|s| s >= 0.0));
             assert!(rec.get("env").and_then(Json::as_obj).is_some());
+            assert_eq!(
+                rec.get("env").and_then(|e| e.get("TRANSER_LEDGER_TEST")).and_then(Json::as_str),
+                Some("on")
+            );
             assert_eq!(
                 rec.get("summary").and_then(|s| s.get("cells")).and_then(Json::as_num),
                 Some(3.0)

@@ -13,9 +13,12 @@ REBASELINE=0
 # --workspace: the steps below run crate binaries (ablation_controlled,
 # trace_diff, the bench smokes), which a root-only build leaves stale.
 cargo build --release --workspace
-# --no-fail-fast: one failing test binary must not hide the binaries
-# after it.
-cargo test -q --no-fail-fast
+# --workspace: the root package is the only default member, so a bare
+# `cargo test` would skip every crate's unit tests and test binaries —
+# among them the oracle suites that pin each production kernel to its
+# original. --no-fail-fast: one failing test binary must not hide the
+# binaries after it.
+cargo test -q --workspace --no-fail-fast
 cargo bench --no-run
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
@@ -74,12 +77,12 @@ env $TRACED_ENV ./target/release/ablation_controlled --quick --scale 0.05 > /dev
 # target/ so the committed full-grid BENCH_scale.json is not clobbered.
 ./target/release/bench_scale --smoke --out target/BENCH_scale_smoke.json > /dev/null
 
-# Similarity-kernel smoke: every measure verified bitwise-equal between
-# the reference and fast engines on the bench corpus, the trace-counter
-# partition invariant asserted on live counts, the steady-state scoring
-# pass asserted allocation-free under the counting allocator
-# (TRANSER_ALLOC_TRACE=1), and the JSON artefact round-tripped through
-# the parser.
+# Similarity-kernel smoke: every measure verified bitwise-equal across
+# the direct, prepared and interned paths on the bench corpus, the
+# trace-counter partition invariant asserted on live counts, the
+# steady-state scoring pass asserted allocation-free under the counting
+# allocator (TRANSER_ALLOC_TRACE=1), and the JSON artefact round-tripped
+# through the parser.
 TRANSER_ALLOC_TRACE=1 \
     ./target/release/bench_similarity --smoke --out target/BENCH_similarity_smoke.json > /dev/null
 
