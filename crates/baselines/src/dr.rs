@@ -11,7 +11,7 @@
 //! this is the *negative transfer* the paper reports.
 
 use transer_common::{Label, Result};
-use transer_knn::KdTree;
+use transer_knn::BallTree;
 
 use crate::{HashedEmbedder, RunContext, TaskView, TransferMethod};
 
@@ -41,8 +41,8 @@ impl DeepRanker {
         es: &transer_common::FeatureMatrix,
         et: &transer_common::FeatureMatrix,
     ) -> Vec<f64> {
-        let source_tree = KdTree::build(es);
-        let target_tree = KdTree::build(et);
+        let source_tree = BallTree::build(es);
+        let target_tree = BallTree::build(et);
         let k = self.k.min(es.rows().saturating_sub(1)).max(1);
         (0..es.rows())
             .map(|i| {

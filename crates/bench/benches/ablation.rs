@@ -27,7 +27,7 @@ fn bench_ablation(c: &mut Criterion) {
             })
         });
     }
-    // Neighbourhood size drives the SEL phase's KD-tree cost.
+    // Neighbourhood size drives the SEL phase's k-NN cost.
     for k in [3usize, 7, 11] {
         let cfg = TransErConfig { k, ..Default::default() };
         let t = TransEr::new(cfg, ClassifierKind::LogisticRegression, 7).unwrap();

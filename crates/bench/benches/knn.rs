@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use transer_common::FeatureMatrix;
-use transer_knn::{brute_force_knn, BallTree, KdTree};
+use transer_knn::{brute_force_knn, BallTree};
 
 fn cloud(n: usize, m: usize, seed: u64) -> FeatureMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -19,14 +19,7 @@ fn bench_knn(c: &mut Criterion) {
     let mut g = c.benchmark_group("knn");
     for &n in &[1_000usize, 10_000] {
         let points = cloud(n, 8, 7);
-        g.bench_with_input(BenchmarkId::new("build", n), &points, |b, p| {
-            b.iter(|| KdTree::build(black_box(p)))
-        });
-        let tree = KdTree::build(&points);
         let query = points.row(n / 2).to_vec();
-        g.bench_with_input(BenchmarkId::new("k7_query", n), &tree, |b, t| {
-            b.iter(|| t.k_nearest(black_box(&query), 7))
-        });
         g.bench_with_input(BenchmarkId::new("balltree_build", n), &points, |b, p| {
             b.iter(|| BallTree::build(black_box(p)))
         });

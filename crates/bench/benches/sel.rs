@@ -1,12 +1,10 @@
 //! SEL / duplicate-aware k-NN benchmarks: the per-row reference path vs
-//! the interned engine on its backends, plus the engine's build cost.
+//! the interned engine, plus the engine's build cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use transer_bench::biblio_pair;
-use transer_core::{
-    select_instances_per_row_with_pool, select_instances_with_backend, IndexKind, TransErConfig,
-};
+use transer_core::{select_instances_per_row_with_pool, select_instances_with_pool, TransErConfig};
 use transer_eval::sel_bench::{round_features, tile_rows};
 use transer_knn::DedupKnn;
 use transer_parallel::Pool;
@@ -37,32 +35,27 @@ fn bench_sel(c: &mut Criterion) {
                 .expect("selection")
             })
         });
-        for kind in [IndexKind::KdTree, IndexKind::Blocked, IndexKind::Auto] {
-            g.bench_function(BenchmarkId::new(format!("dedup_{kind:?}"), name), |b| {
-                b.iter(|| {
-                    select_instances_with_backend(
-                        black_box(xs),
-                        black_box(ys),
-                        black_box(xt),
-                        &config,
-                        &pool,
-                        kind,
-                    )
-                    .expect("selection")
-                })
-            });
-        }
+        g.bench_function(BenchmarkId::new("dedup", name), |b| {
+            b.iter(|| {
+                select_instances_with_pool(
+                    black_box(xs),
+                    black_box(ys),
+                    black_box(xt),
+                    &config,
+                    &pool,
+                )
+                .expect("selection")
+            })
+        });
     }
     g.finish();
 
     let mut g = c.benchmark_group("dedup_knn");
     for (name, m) in [("biblio", &pair.source.x), ("biblio_dup8", &dup_xs)] {
-        for kind in [IndexKind::KdTree, IndexKind::Blocked] {
-            g.bench_function(BenchmarkId::new(format!("build_{kind:?}"), name), |b| {
-                b.iter(|| DedupKnn::build(black_box(m), kind))
-            });
-        }
-        let engine = DedupKnn::build(m, IndexKind::Auto);
+        g.bench_function(BenchmarkId::new("build", name), |b| {
+            b.iter(|| DedupKnn::build(black_box(m)))
+        });
+        let engine = DedupKnn::build(m);
         let query = m.row(m.rows() / 2).to_vec();
         g.bench_function(BenchmarkId::new("k7_query", name), |b| {
             b.iter(|| engine.k_nearest(black_box(&query), 7))

@@ -44,7 +44,7 @@ impl RowInterning {
     ///
     /// # Panics
     /// Panics when the matrix has more than `u32::MAX` rows (the engine
-    /// stores row indices as `u32`, like the KD-tree).
+    /// stores row indices as `u32`, like the ball tree).
     pub fn of(matrix: &FeatureMatrix) -> Self {
         let n = matrix.rows();
         assert!(n <= u32::MAX as usize, "row interning supports at most u32::MAX rows");

@@ -1,11 +1,10 @@
-//! The shared L2 distance kernel: one home for every squared-distance,
-//! squared-norm and dot-product loop in the workspace.
+//! The shared L2 distance kernel: one home for every squared-distance
+//! and dot-product loop in the workspace.
 //!
 //! Pairwise distance work dominates the SEL phase (and, through it, a
-//! large share of total ER cost), so every k-NN backend — KD-tree leaf
-//! scans, the blocked brute-force screen and recompute bands, and the
-//! ball-tree bound checks — routes through these functions instead of
-//! carrying its own per-pair loop.
+//! large share of total ER cost), so the ball tree's leaf scans, bound
+//! checks and splits and the brute-force k-NN reference route through
+//! these functions instead of carrying their own per-pair loop.
 //!
 //! Each function uses fixed-width lane accumulators: [`LANES`]
 //! independent partial sums walk the vectors in `LANES`-wide chunks, then
@@ -15,7 +14,7 @@
 //! float reassociation.
 //!
 //! The summation order is fixed, so results are bit-identical across
-//! runs, worker counts and k-NN backends. The original exact-order
+//! runs and worker counts, and the ball tree and brute force agree. The original exact-order
 //! sequential sums are kept in this module's tests as the oracle the lane
 //! kernels are checked against; they associate the additions differently,
 //! so the two agree bitwise on exactly representable inputs and to within
@@ -56,24 +55,6 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     reduce(acc, tail)
 }
 
-/// Squared Euclidean norm of a feature vector; same order conventions as
-/// [`sq_dist`].
-#[inline]
-pub fn sq_norm(v: &[f64]) -> f64 {
-    let split = v.len() - v.len() % LANES;
-    let mut acc = [0.0f64; LANES];
-    for c in v[..split].chunks_exact(LANES) {
-        for j in 0..LANES {
-            acc[j] += c[j] * c[j];
-        }
-    }
-    let mut tail = 0.0;
-    for x in &v[split..] {
-        tail += x * x;
-    }
-    reduce(acc, tail)
-}
-
 /// Dot product of two feature vectors; same order conventions as
 /// [`sq_dist`].
 #[inline]
@@ -104,11 +85,6 @@ mod tests {
         a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
     }
 
-    /// The original sequential sum `Σ vᵢ²`, the oracle for [`sq_norm`].
-    fn sq_norm_reference(v: &[f64]) -> f64 {
-        v.iter().map(|x| x * x).sum()
-    }
-
     /// The original sequential sum `Σ aᵢ·bᵢ`, the oracle for [`dot`].
     fn dot_reference(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
@@ -123,7 +99,6 @@ mod tests {
         let a: Vec<f64> = (0..24).map(|i| (i % 5) as f64).collect();
         let b: Vec<f64> = (0..24).map(|i| ((i + 2) % 7) as f64).collect();
         assert_eq!(sq_dist(&a, &b).to_bits(), sq_dist_reference(&a, &b).to_bits());
-        assert_eq!(sq_norm(&a).to_bits(), sq_norm_reference(&a).to_bits());
         assert_eq!(dot(&a, &b).to_bits(), dot_reference(&a, &b).to_bits());
     }
 
@@ -173,7 +148,6 @@ mod tests {
     fn empty_and_short_vectors() {
         assert_eq!(sq_dist(&[], &[]), 0.0);
         assert_eq!(sq_dist(&[3.0], &[0.0]), 9.0);
-        assert_eq!(sq_norm(&[]), 0.0);
         assert_eq!(dot(&[2.0, 3.0], &[4.0, 5.0]), 23.0);
     }
 }

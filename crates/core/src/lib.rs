@@ -64,9 +64,8 @@ pub use multi_source::{best_source, rank_sources, SourceScore};
 pub use pipeline::{Diagnostics, FallbackReason, FallbackSet, TransEr, TransErOutput};
 pub use pseudo::{generate_pseudo_labels, PseudoLabels};
 pub use selector::{
-    select_instances, select_instances_per_row_with_pool, select_instances_with_backend,
-    select_instances_with_pool, InstanceScores, SelectionResult,
+    select_instances, select_instances_per_row_with_pool, select_instances_with_pool,
+    InstanceScores, SelectionResult,
 };
 pub use semi::{SemiSupervisedTransEr, TargetLabel};
 pub use target::{train_target_classifier, TargetPhaseOutput};
-pub use transer_knn::IndexKind;

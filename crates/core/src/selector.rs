@@ -28,21 +28,21 @@
 //! unique rows, their multiplicities and the original row indices, so the
 //! scores are **bit-identical** to the straightforward per-row path
 //! (retained as [`select_instances_per_row_with_pool`] and pinned by
-//! tests) at every worker count and for both index backends.
+//! tests) at every worker count, on NaN and ±Inf cells too.
 
 use transer_common::{Error, FeatureMatrix, Label, Result};
-use transer_knn::{DedupKnn, IndexKind, Neighbor};
+use transer_knn::{BallTree, DedupKnn, Neighbor};
 use transer_linalg::{covariance, Mat};
 use transer_parallel::{CostClass, CostHint, Pool};
 
 use crate::config::{TransErConfig, Variant};
 use crate::decay::exp_decay_5;
 
-/// Unique source rows scored per parallel work item: fixed, so chunk
-/// boundaries — and thus floating-point results — never depend on the
-/// worker count, and large enough for the blocked kernel to amortise each
-/// point block across the panel.
-const PANEL: usize = 32;
+/// Unique source rows scored per parallel work item. Each row is scored
+/// on its own, so results never depend on it; it is pinned so the
+/// dispatch, and the chunk sizes the trace records, do not depend on the
+/// worker count either.
+const CHUNK: usize = 32;
 
 /// The per-instance similarity scores computed by the selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,9 +78,8 @@ impl SelectionResult {
 /// the enabled thresholds (lines 1–9 of Algorithm 1).
 ///
 /// Scoring runs per *unique* source row on the duplicate-aware engine and
-/// on the global [`Pool`] (`TRANSER_THREADS`); the k-NN backend is chosen
-/// per matrix shape ([`IndexKind::Auto`]). The result is bit-identical for
-/// every worker count and backend.
+/// on the global [`Pool`] (`TRANSER_THREADS`). The result is bit-identical
+/// for every worker count.
 ///
 /// # Errors
 /// Returns an error for empty inputs, mismatched shapes or an invalid
@@ -106,22 +105,6 @@ pub fn select_instances_with_pool(
     config: &TransErConfig,
     pool: &Pool,
 ) -> Result<SelectionResult> {
-    select_instances_with_backend(xs, ys, xt, config, pool, IndexKind::Auto)
-}
-
-/// [`select_instances_with_pool`] with an explicit k-NN backend — the hook
-/// benchmarks use to compare backends within one process.
-///
-/// # Errors
-/// As for [`select_instances`].
-pub fn select_instances_with_backend(
-    xs: &FeatureMatrix,
-    ys: &[Label],
-    xt: &FeatureMatrix,
-    config: &TransErConfig,
-    pool: &Pool,
-    kind: IndexKind,
-) -> Result<SelectionResult> {
     validate(xs, ys, xt, config)?;
     // Fault site `sel.knn`: float kinds corrupt a copy of the source the
     // scoring sees; shape/label kinds starve the selection outright (the
@@ -143,24 +126,27 @@ pub fn select_instances_with_backend(
         None => xs,
     };
     let k = config.k;
-    let source = DedupKnn::build(xs, kind);
-    let target = DedupKnn::build(xt, kind);
+    let source = DedupKnn::build(xs);
+    let target = DedupKnn::build(xt);
     let interning = source.interning();
 
     let unique_ids: Vec<u32> = (0..interning.unique_rows() as u32).collect();
-    // Per unique row: two panel k-NN queries plus group scoring. The panel
-    // is pinned (see [`PANEL`]) so only the inline/pooled decision — never
-    // the chunk boundaries, and thus never the floats — comes from the
-    // grain policy.
+    // Per unique row: two k-NN queries plus group scoring. The chunk size
+    // is pinned (see [`CHUNK`]), so only the inline/pooled decision comes
+    // from the grain policy. A chunk runs all its source queries, then all
+    // its target queries: staying on one tree keeps its upper levels in
+    // cache (alternating trees row by row ran the `transfer` benchmark
+    // about 5 % slower on a 2-core x86-64 host).
     let sel_hint = CostHint::new(unique_ids.len(), CostClass::Light);
     let groups: Vec<Vec<(u32, InstanceScores, bool)>> =
-        pool.par_chunks_costed(&unique_ids, Some(PANEL), sel_hint, |_, chunk| {
-            let queries: Vec<&[f64]> =
-                chunk.iter().map(|&u| interning.unique().row(u as usize)).collect();
+        pool.par_chunks_costed(&unique_ids, Some(CHUNK), sel_hint, |_, chunk| {
+            let row = |u: u32| interning.unique().row(u as usize);
             // Budget k + 1: after dropping the instance itself from the
             // expanded order, k neighbours are still covered.
-            let src = source.k_nearest_unique_panel(&queries, k + 1);
-            let tgt = target.k_nearest_unique_panel(&queries, k);
+            let src: Vec<Vec<Neighbor>> =
+                chunk.iter().map(|&u| source.k_nearest_unique(row(u), k + 1)).collect();
+            let tgt: Vec<Vec<Neighbor>> =
+                chunk.iter().map(|&u| target.k_nearest_unique(row(u), k)).collect();
             chunk
                 .iter()
                 .zip(src.iter().zip(&tgt))
@@ -189,23 +175,27 @@ pub fn select_instances_with_backend(
 ///
 /// Let `P` be the first `min(k + 1, n)` entries of the full neighbour
 /// order of the original matrix (obtained by expanding `weighted_src`).
-/// Every member `i` of the group is at squared distance exactly `+0.0`
-/// from the query (its own row), so its per-row neighbourhood is
+/// The per-row neighbourhood of a member `i` of the group is
 ///
 /// * `P \ {i}` when `i ∈ P`, and
 /// * `P[..k]` when `i ∉ P` (then `|P| = k + 1` and `i` sits beyond it in
 ///   the order, so removing it does not disturb the prefix).
 ///
-/// In the common *clean* case — every zero-distance entry of `P` belongs
-/// to this group, hence is bitwise equal to the query — the row-value
-/// sequence of `P \ {i}` equals that of `P[1..]` for every member in `P`:
-/// the leading zero-distance entries all hold the same bits, so removing
-/// any one of them leaves the same value sequence. Centroids and
+/// A finite row is at squared distance exactly `+0.0` from itself. In the
+/// common *clean* case — `P` opens with a zero-distance prefix and every
+/// entry of it belongs to this group, hence is bitwise equal to the query
+/// — the members in `P` are the first `zero_count` members, and the
+/// row-value sequence of `P \ {i}` equals that of `P[1..]` for each of
+/// them: the leading zero-distance entries all hold the same bits, so
+/// removing any one of them leaves the same value sequence. Centroids and
 /// covariances (functions of the value sequence) are therefore computed
-/// once per variant, and `sim_c` reduces to label counting over `P`. The
-/// rare non-clean case (a row numerically equal but not bitwise equal to
-/// the query, e.g. `0.0` vs `-0.0`, inside the zero prefix) falls back to
-/// exact per-member scoring from `P` — still without re-querying.
+/// once per variant, and `sim_c` reduces to label counting over `P`.
+/// Every other case falls back to exact per-member scoring from `P` —
+/// still without re-querying: a row numerically equal but not bitwise
+/// equal to the query (e.g. `0.0` vs `-0.0`) inside the zero prefix, a
+/// row with a NaN or ±Inf cell (at NaN from itself, so `P` has no zero
+/// prefix), and a negative-NaN distance, which `total_cmp` ranks before
+/// `+0.0`.
 #[allow(clippy::too_many_arguments)]
 fn score_group(
     u: usize,
@@ -233,8 +223,11 @@ fn score_group(
     let cov_t = (variant.use_sim_v && !nt.is_empty())
         .then(|| covariance(&xt.select_rows(&nt.iter().map(|n| n.index).collect::<Vec<_>>())));
 
+    // An empty zero prefix (a non-finite row, or a negative NaN ranked
+    // first) is not clean: the members are not at the front of `P`.
     let zero_count = p.iter().take_while(|n| n.sq_dist == 0.0).count();
-    let clean = p[..zero_count].iter().all(|n| interning.to_unique()[n.index] as usize == u);
+    let clean = zero_count > 0
+        && p[..zero_count].iter().all(|n| interning.to_unique()[n.index] as usize == u);
 
     let mut out = Vec::with_capacity(members.len());
     if clean {
@@ -375,7 +368,7 @@ fn record_verdict(sim_c: f64, sim_l: f64, sim_v: f64, config: &TransErConfig, ke
     }
 }
 
-/// The straightforward per-row SEL path: two KD-tree queries plus
+/// The straightforward per-row SEL path: two ball-tree queries plus
 /// centroid / covariance work for every source row, with no interning or
 /// memoization. Kept as the reference implementation the duplicate-aware
 /// path is pinned against (bit-for-bit) by the equivalence tests, and as
@@ -393,8 +386,8 @@ pub fn select_instances_per_row_with_pool(
     validate(xs, ys, xt, config)?;
     let k = config.k;
     let m = xs.cols() as f64;
-    let source_tree = transer_knn::KdTree::build(xs);
-    let target_tree = transer_knn::KdTree::build(xt);
+    let source_tree = BallTree::build(xs);
+    let target_tree = BallTree::build(xt);
 
     let variant = config.variant;
     let row_indices: Vec<usize> = (0..xs.rows()).collect();
@@ -560,6 +553,26 @@ mod tests {
         (FeatureMatrix::from_vecs(&xs).unwrap(), ys, FeatureMatrix::from_vecs(&xt).unwrap())
     }
 
+    /// Duplicated rows with NaN, negative-NaN and ±Inf cells: a
+    /// non-finite row is at NaN from itself, and a negative NaN ranks
+    /// before +0.0, so neither may take the zero-prefix shortcut.
+    fn non_finite_fixture() -> (FeatureMatrix, Vec<Label>, FeatureMatrix) {
+        let protos = [
+            vec![0.2, 0.4],
+            vec![f64::NAN, 0.4],
+            vec![f64::INFINITY, 0.1],
+            vec![0.3, f64::NEG_INFINITY],
+            vec![-f64::NAN, 0.9],
+            vec![0.25, 0.35],
+        ];
+        let pattern = [0usize, 1, 2, 0, 3, 1, 4, 2, 5, 0, 2, 3, 1, 5, 4, 0];
+        let xs = pattern.iter().map(|&p| protos[p].clone()).collect::<Vec<_>>();
+        let ys = (0..pattern.len()).map(|i| Label::from_bool(i % 3 == 0)).collect();
+        let xt =
+            [vec![0.2, 0.5], vec![f64::INFINITY, 0.1], vec![0.3, 0.3], vec![f64::NAN, f64::NAN]];
+        (FeatureMatrix::from_vecs(&xs).unwrap(), ys, FeatureMatrix::from_vecs(&xt).unwrap())
+    }
+
     fn config(k: usize) -> TransErConfig {
         TransErConfig { k, ..Default::default() }
     }
@@ -679,32 +692,24 @@ mod tests {
 
     #[test]
     fn dedup_path_is_bit_identical_to_per_row_path() {
-        for (name, (xs, ys, xt)) in [("clusters", fixture()), ("duplicated", duplicated_fixture())]
-        {
+        for (name, (xs, ys, xt)) in [
+            ("clusters", fixture()),
+            ("duplicated", duplicated_fixture()),
+            ("non-finite", non_finite_fixture()),
+        ] {
             for k in [1, 3, 5] {
                 let mut cfg = config(k);
                 cfg.variant.use_sim_v = true;
                 let reference =
                     select_instances_per_row_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(1)).unwrap();
-                for kind in
-                    [IndexKind::KdTree, IndexKind::BallTree, IndexKind::Blocked, IndexKind::Auto]
-                {
-                    for workers in [1, 4] {
-                        let fast = select_instances_with_backend(
-                            &xs,
-                            &ys,
-                            &xt,
-                            &cfg,
-                            &Pool::new(workers),
-                            kind,
-                        )
+                for workers in [1, 4] {
+                    let fast = select_instances_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(workers))
                         .unwrap();
-                        assert_bit_identical(
-                            &reference,
-                            &fast,
-                            &format!("{name} k={k} kind={kind:?} workers={workers}"),
-                        );
-                    }
+                    assert_bit_identical(
+                        &reference,
+                        &fast,
+                        &format!("{name} k={k} workers={workers}"),
+                    );
                 }
             }
         }
@@ -738,10 +743,10 @@ mod tests {
         cfg.variant.use_sim_v = true;
         let reference =
             select_instances_per_row_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(1)).unwrap();
-        for kind in [IndexKind::KdTree, IndexKind::BallTree, IndexKind::Blocked] {
+        for workers in [1, 4] {
             let fast =
-                select_instances_with_backend(&xs, &ys, &xt, &cfg, &Pool::new(2), kind).unwrap();
-            assert_bit_identical(&reference, &fast, &format!("kind={kind:?}"));
+                select_instances_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(workers)).unwrap();
+            assert_bit_identical(&reference, &fast, &format!("workers={workers}"));
         }
     }
 

@@ -1,12 +1,11 @@
 //! Benchmark the SEL phase: per-row reference path vs the duplicate-aware
-//! adaptive k-NN engine, per dataset and worker count, plus the
-//! per-(rows, dims) regime sweep of the raw index backends that the
-//! `IndexKind::Auto` crossovers are transcribed from. Records
+//! k-NN engine, per dataset and worker count. Records
 //! `results/BENCH_sel.json`. Accepts the shared eval flags plus
 //! `--threads <n>` (default: the global pool, i.e. `TRANSER_THREADS` or
-//! the machine's available parallelism) and `--smoke` (tier-1 mode: one
-//! small deterministic dataset, every backend asserted bitwise-identical
-//! to brute force, one timed regime cell as the artefact).
+//! the machine's available parallelism) and `--smoke` (tier-1 mode: the
+//! ball tree and the duplicate-aware engine asserted bitwise-identical to
+//! brute force on one small deterministic matrix and on a copy with NaN
+//! and ±Inf cells, one timed ball-tree cell as the artefact).
 
 use transer_eval::{sel_bench, Options};
 
@@ -24,22 +23,22 @@ fn main() {
     }
 
     if smoke {
-        // Panics (failing the tier-1 gate) if any backend disagrees with
-        // the brute-force reference on the smoke dataset.
+        // Panics (failing the tier-1 gate) if the ball tree or the engine
+        // disagrees with the brute-force reference.
         let cell = sel_bench::smoke(opts.seed);
         println!(
-            "SEL smoke: kdtree/balltree/blocked bitwise-identical to brute force \
-             on {} rows × {} dims (winner under the SEL cost model: {})",
-            cell.rows, cell.dim, cell.winner
+            "SEL smoke: ball tree and dedup engine bitwise-identical to brute force \
+             on {} rows × {} dims, finite and with NaN/±Inf cells; ball tree build \
+             {:.6} s, {:.0} ns per k={} query",
+            cell.rows, cell.dim, cell.build_secs, cell.ns_per_query, cell.k
         );
-        print!("{}", sel_bench::render_regimes(std::slice::from_ref(&cell)));
         opts.maybe_write_json(&cell);
         return;
     }
 
     let threads = args.windows(2).find(|w| w[0] == "--threads").and_then(|w| w[1].parse().ok());
     match sel_bench::sel_benchmark(&opts, threads) {
-        Ok(mut report) => {
+        Ok(report) => {
             println!(
                 "SEL benchmark — per-row path vs duplicate-aware engine (scale {}, k {}, {} core(s) available)",
                 report.scale, report.k, report.available_parallelism
@@ -56,9 +55,6 @@ fn main() {
                 );
                 print!("{}", sel_bench::render(d));
             }
-            println!("\nregime sweep — raw index backends, cost model build + rows × query\n");
-            report.regimes = sel_bench::regime_sweep(opts.seed);
-            print!("{}", sel_bench::render_regimes(&report.regimes));
             opts.maybe_write_json(&report);
         }
         Err(e) => {

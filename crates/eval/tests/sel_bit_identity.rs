@@ -1,13 +1,11 @@
 //! Acceptance test for the duplicate-aware SEL engine: on three synthetic
 //! datasets — including the duplicate-heavy rounded bibliographic pair —
 //! the engine must reproduce the per-row reference path bit for bit, at
-//! one worker and at several, for every k-NN backend (KD-tree, ball
-//! tree, blocked, auto).
+//! one worker and at several.
 
 use transer_common::{FeatureMatrix, Label, RowInterning};
 use transer_core::{
-    select_instances_per_row_with_pool, select_instances_with_backend, IndexKind, SelectionResult,
-    TransErConfig,
+    select_instances_per_row_with_pool, select_instances_with_pool, SelectionResult, TransErConfig,
 };
 use transer_datagen::ScenarioPair;
 use transer_eval::sel_bench::{round_features, tile_rows};
@@ -27,17 +25,9 @@ fn check_dataset(name: &str, xs: &FeatureMatrix, ys: &[Label], xt: &FeatureMatri
     let mut config = TransErConfig::default();
     config.variant.use_sim_v = true; // exercise every score path
     let reference = select_instances_per_row_with_pool(xs, ys, xt, &config, &Pool::new(1)).unwrap();
-    for kind in [IndexKind::KdTree, IndexKind::BallTree, IndexKind::Blocked, IndexKind::Auto] {
-        for workers in [1, 4] {
-            let fast =
-                select_instances_with_backend(xs, ys, xt, &config, &Pool::new(workers), kind)
-                    .unwrap();
-            assert_bit_identical(
-                &reference,
-                &fast,
-                &format!("{name} kind={kind:?} workers={workers}"),
-            );
-        }
+    for workers in [1, 4] {
+        let fast = select_instances_with_pool(xs, ys, xt, &config, &Pool::new(workers)).unwrap();
+        assert_bit_identical(&reference, &fast, &format!("{name} workers={workers}"));
     }
 }
 

@@ -7,7 +7,7 @@
 //! dimensionalities of ER feature matrices (9–24 features) this prunes
 //! where a KD-tree's axis-aligned splits no longer can, and the leaves
 //! are scanned as contiguous rows through the shared vectorizable L2
-//! kernel (`transer_common::l2`).
+//! kernel (`transer_common::l2`). It is the crate's only index.
 //!
 //! # Determinism and exactness
 //!
@@ -15,13 +15,14 @@
 //! and original-row-index tie-breaks, and a fixed mid-point partition, so
 //! the tree is a pure function of the matrix. Queries are *exact*: the
 //! pruning bound deflates the triangle-inequality lower bound by a
-//! rigorous floating-point slack (the same style as the blocked kernel's
-//! screening band), so a subtree is only pruned when every point in it is
-//! provably farther than the current selection boundary — boundary ties
-//! included. Results — indices, squared distances, tie-break order — are
-//! therefore bit-identical to [`brute_force_knn`](crate::brute_force_knn)
-//! and the other backends, which the `index_equivalence` proptests pin
-//! down.
+//! rigorous floating-point slack, so a subtree is only pruned when every
+//! point in it is provably farther than the current selection boundary —
+//! boundary ties included. A node holding a NaN or ±Inf cell has a NaN
+//! or infinite radius and is never pruned, and the heaps rank non-finite
+//! distances by `total_cmp`. Results — indices, squared distances,
+//! tie-break order — are therefore bit-identical to
+//! [`brute_force_knn`](crate::brute_force_knn) on any input, which the
+//! `index_equivalence` proptests pin down.
 //!
 //! Points are stored row-reordered so that every leaf's rows are
 //! contiguous in memory: a leaf scan is a linear sweep, not a gather.
@@ -175,7 +176,8 @@ impl BallTree {
     }
 
     /// The `k` nearest neighbours of `query`, ascending `(sq_dist, row)`
-    /// — the same contract as [`KdTree::k_nearest`](crate::KdTree::k_nearest).
+    /// under `total_cmp` — the order of
+    /// [`brute_force_knn`](crate::brute_force_knn).
     ///
     /// # Panics
     /// Panics when `query.len() != self.dim()`.
@@ -245,9 +247,17 @@ impl BallTree {
         }
     }
 
-    /// Duplicate-aware query over unique rows with multiplicity
-    /// `weights`; the same contract as
-    /// [`KdTree::k_nearest_weighted`](crate::KdTree::k_nearest_weighted).
+    /// Duplicate-aware query: the indexed rows are *unique* feature rows
+    /// and `weights[i]` is the multiplicity of row `i` in the original
+    /// (duplicated) matrix; a neighbour counts as `weights[i]` hits toward
+    /// the budget `k`.
+    ///
+    /// Returns the shortest prefix of distance classes whose cumulative
+    /// weight covers `k`, with the boundary class complete, sorted by
+    /// `(sq_dist, row index)` — see [`WeightedHeap`]. Expanding every row
+    /// `i` of the result into `weights[i]` duplicates and truncating at
+    /// `k` reproduces exactly what [`BallTree::k_nearest`] over the
+    /// duplicated matrix would return.
     ///
     /// # Panics
     /// Panics when `query.len() != self.dim()` or

@@ -1,7 +1,7 @@
-//! Brute-force k-NN reference: exact, `O(n)` per query. Distances come
-//! from the shared L2 kernel (`transer_common::l2`), the same code path
-//! every index backend uses — this module has no distance loop of its
-//! own.
+//! Brute-force k-NN reference: exact, `O(n)` per query — the oracle the
+//! ball tree and the duplicate-aware engine are tested against. Distances
+//! come from the shared L2 kernel (`transer_common::l2`), the same code
+//! path the ball tree uses — this module has no distance loop of its own.
 
 use transer_common::{sq_dist, FeatureMatrix};
 

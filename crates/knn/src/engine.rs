@@ -1,7 +1,7 @@
 //! Duplicate-aware k-NN over an original (duplicated) feature matrix.
 //!
 //! [`DedupKnn`] interns the matrix rows once ([`RowInterning`]), builds
-//! one index over the *unique* rows, and answers queries about the
+//! one ball tree over the *unique* rows, and answers queries about the
 //! *original* rows by running a weighted query (each unique row counts
 //! with its multiplicity) and expanding the result back to original row
 //! indices. On ER feature matrices with dedup ratios of 5–100× this turns
@@ -18,28 +18,29 @@
 //! rows of that class — which [`expand_to_original`](DedupKnn::expand_to_original)
 //! obtains by merging the groups' ascending member lists. The weighted
 //! heap keeps each boundary class whole, so the merge always has every
-//! candidate it needs before truncating at `k`.
+//! candidate it needs before truncating at `k`. It ranks the classes by
+//! `total_cmp`, as a plain query does, so the expansion holds on rows
+//! with NaN and ±Inf cells too.
 
 use transer_common::{FeatureMatrix, RowInterning};
 
-use crate::adaptive::{AdaptiveIndex, IndexKind};
+use crate::balltree::BallTree;
 use crate::heap::Neighbor;
 
-/// A k-NN engine over a duplicated matrix: interning + one index over the
-/// unique rows + the multiplicity weights.
+/// A k-NN engine over a duplicated matrix: interning + one ball tree over
+/// the unique rows + the multiplicity weights.
 #[derive(Debug, Clone)]
 pub struct DedupKnn {
     interning: RowInterning,
-    index: AdaptiveIndex,
+    index: BallTree,
     weights: Vec<u32>,
 }
 
 impl DedupKnn {
-    /// Intern `matrix` and index its unique rows with the backend chosen
-    /// by `kind`.
-    pub fn build(matrix: &FeatureMatrix, kind: IndexKind) -> Self {
+    /// Intern `matrix` and index its unique rows.
+    pub fn build(matrix: &FeatureMatrix) -> Self {
         let interning = RowInterning::of(matrix);
-        let index = AdaptiveIndex::build(interning.unique(), kind);
+        let index = BallTree::build(interning.unique());
         let weights = interning.multiplicities();
         transer_trace::counter("knn.dedup.builds", 1);
         if interning.unique_rows() > 0 {
@@ -58,11 +59,6 @@ impl DedupKnn {
         &self.interning
     }
 
-    /// Which backend the adaptive index picked.
-    pub fn backend_name(&self) -> &'static str {
-        self.index.backend_name()
-    }
-
     /// Number of original rows.
     pub fn len(&self) -> usize {
         self.interning.original_rows()
@@ -74,18 +70,12 @@ impl DedupKnn {
     }
 
     /// Weighted query against the unique rows: the raw
-    /// [`k_nearest_weighted`](AdaptiveIndex::k_nearest_weighted) result,
+    /// [`k_nearest_weighted`](BallTree::k_nearest_weighted) result,
     /// whose indices are *unique*-row indices. SEL memoization consumes
     /// this directly; use [`DedupKnn::k_nearest`] for original-row
     /// results.
     pub fn k_nearest_unique(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
         self.index.k_nearest_weighted(query, &self.weights, k)
-    }
-
-    /// Panel version of [`DedupKnn::k_nearest_unique`]: on the blocked
-    /// backend the queries share each point block.
-    pub fn k_nearest_unique_panel(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
-        self.index.k_nearest_weighted_panel(queries, &self.weights, k)
     }
 
     /// The `k` nearest *original* rows to `query`, bit-identical to
@@ -167,18 +157,16 @@ mod tests {
     #[test]
     fn matches_brute_force_over_original_matrix() {
         let m = duplicated();
-        for kind in [IndexKind::KdTree, IndexKind::BallTree, IndexKind::Blocked] {
-            let engine = DedupKnn::build(&m, kind);
-            assert_eq!(engine.len(), 12);
-            assert_eq!(engine.interning().unique_rows(), 4);
-            for q in [[0.5, 0.5], [0.2, 0.6], [0.0, 0.0]] {
-                for k in [1, 3, 5, 20] {
-                    assert_eq!(
-                        engine.k_nearest(&q, k),
-                        brute_force_knn(&m, &q, k, None),
-                        "kind={kind:?} q={q:?} k={k}"
-                    );
-                }
+        let engine = DedupKnn::build(&m);
+        assert_eq!(engine.len(), 12);
+        assert_eq!(engine.interning().unique_rows(), 4);
+        for q in [[0.5, 0.5], [0.2, 0.6], [0.0, 0.0]] {
+            for k in [1, 3, 5, 20] {
+                assert_eq!(
+                    engine.k_nearest(&q, k),
+                    brute_force_knn(&m, &q, k, None),
+                    "q={q:?} k={k}"
+                );
             }
         }
     }
@@ -186,7 +174,7 @@ mod tests {
     #[test]
     fn exclusion_matches_brute_force() {
         let m = duplicated();
-        let engine = DedupKnn::build(&m, IndexKind::Blocked);
+        let engine = DedupKnn::build(&m);
         for e in 0..m.rows() {
             for k in [1, 4, 11] {
                 assert_eq!(
@@ -200,10 +188,10 @@ mod tests {
 
     #[test]
     fn empty_and_k_zero() {
-        let engine = DedupKnn::build(&FeatureMatrix::empty(2), IndexKind::Auto);
+        let engine = DedupKnn::build(&FeatureMatrix::empty(2));
         assert!(engine.is_empty());
         assert!(engine.k_nearest(&[0.0, 0.0], 3).is_empty());
-        let engine = DedupKnn::build(&duplicated(), IndexKind::Auto);
+        let engine = DedupKnn::build(&duplicated());
         assert!(engine.k_nearest(&[0.0, 0.0], 0).is_empty());
         assert!(engine.k_nearest_excluding(&[0.0, 0.0], 0, 0).is_empty());
     }

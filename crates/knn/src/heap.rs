@@ -11,7 +11,11 @@ use std::collections::{BTreeMap, BinaryHeap};
 pub struct Neighbor {
     /// Row index of the neighbouring point.
     pub index: usize,
-    /// Squared Euclidean distance to the query point (finite, ≥ 0).
+    /// Squared Euclidean distance to the query point: finite and ≥ 0 on
+    /// finite inputs, `+Inf` or NaN when a coordinate is NaN or ±Inf. The
+    /// NaN may carry either sign (`inf − inf` yields a negative one on
+    /// x86-64); neighbours are ranked by `total_cmp`, which puts a
+    /// negative NaN before every number and a positive NaN after.
     pub sq_dist: f64,
 }
 
@@ -109,12 +113,11 @@ impl BoundedMaxHeap {
 /// query against the duplicated matrix would. The retained weight may
 /// therefore exceed the budget; truncation happens during expansion.
 ///
-/// Distances are non-negative (squared Euclidean), which makes their
-/// IEEE-754 bit patterns order-isomorphic to their values — the classes
-/// live in a [`BTreeMap`] keyed by those bits. The isomorphism extends to
-/// `+Inf` and NaN (they rank beyond every finite distance, as under
-/// `total_cmp`), so hostile inputs degrade gracefully instead of
-/// corrupting the order.
+/// The classes live in a [`BTreeMap`] keyed by `order_key`, whose
+/// unsigned order is `total_cmp`'s: the order of [`Neighbor`] and
+/// [`BoundedMaxHeap`]. NaN and ±Inf distances from hostile inputs
+/// therefore rank exactly as a plain query ranks them, negative NaN
+/// first and `+Inf` and positive NaN after every finite distance.
 #[derive(Debug)]
 pub struct WeightedHeap {
     classes: BTreeMap<u64, WeightClass>,
@@ -126,6 +129,24 @@ pub struct WeightedHeap {
 struct WeightClass {
     weight: usize,
     items: Vec<u32>,
+}
+
+/// A key whose unsigned order is `f64::total_cmp`'s order: a negative
+/// value (sign bit set, negative NaN included) has every bit flipped, a
+/// non-negative one only its sign bit. Inverted by [`from_order_key`].
+#[inline]
+fn order_key(d: f64) -> u64 {
+    let bits = d.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+#[inline]
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
 }
 
 impl WeightedHeap {
@@ -142,26 +163,24 @@ impl WeightedHeap {
     #[inline]
     pub fn push(&mut self, index: usize, sq_dist: f64, weight: usize) {
         // Squared distances are sums of squares, so they are never
-        // negative — but hostile inputs (NaN/±Inf features) make them
-        // +Inf or NaN. Both are fine here: for non-negative floats the
-        // IEEE-754 bit pattern is order-isomorphic to total_cmp, so +Inf
-        // and NaN classes simply rank beyond every finite distance.
+        // negative numbers — but hostile inputs (NaN/±Inf features) make
+        // them +Inf or a NaN of either sign, which `order_key` ranks as
+        // `total_cmp` does.
         debug_assert!(sq_dist >= 0.0 || sq_dist.is_nan(), "negative distance {sq_dist}");
         if self.budget == 0 || weight == 0 {
             return;
         }
-        let bits = sq_dist.to_bits();
+        let key = order_key(sq_dist);
         if self.total >= self.budget {
             // Full: a candidate strictly beyond the boundary class cannot
             // contribute (the prefix without it already covers the budget).
             if let Some((&last, _)) = self.classes.last_key_value() {
-                if bits > last {
+                if key > last {
                     return;
                 }
             }
         }
-        let class =
-            self.classes.entry(bits).or_insert(WeightClass { weight: 0, items: Vec::new() });
+        let class = self.classes.entry(key).or_insert(WeightClass { weight: 0, items: Vec::new() });
         class.weight += weight;
         class.items.push(index as u32);
         self.total += weight;
@@ -190,13 +209,13 @@ impl WeightedHeap {
     }
 
     /// Squared distance of the farthest retained class once the budget is
-    /// covered, `f64::INFINITY` before — the KD-tree pruning bound. The
-    /// bound is meant for *inclusive* pruning (`<=`) so boundary ties are
-    /// never cut away.
+    /// covered, `f64::INFINITY` before — the tree's pruning bound. Only
+    /// points strictly beyond it may be pruned, so boundary ties are never
+    /// cut away.
     #[inline]
     pub fn prune_bound(&self) -> f64 {
         if self.total >= self.budget {
-            self.classes.last_key_value().map_or(f64::INFINITY, |(&bits, _)| f64::from_bits(bits))
+            self.classes.last_key_value().map_or(f64::INFINITY, |(&key, _)| from_order_key(key))
         } else {
             f64::INFINITY
         }
@@ -207,9 +226,9 @@ impl WeightedHeap {
     /// the full boundary class instead of stopping at `k` rows.
     pub fn into_sorted(self) -> Vec<Neighbor> {
         let mut out = Vec::new();
-        for (bits, mut class) in self.classes {
+        for (key, mut class) in self.classes {
             class.items.sort_unstable();
-            let sq_dist = f64::from_bits(bits);
+            let sq_dist = from_order_key(key);
             out.extend(class.items.into_iter().map(|i| Neighbor { index: i as usize, sq_dist }));
         }
         out
@@ -340,6 +359,33 @@ mod tests {
         h.push(0, 0.25, 2);
         let out = h.into_sorted();
         assert_eq!(out.iter().map(|x| x.index).collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn weighted_heap_ranks_non_finite_distances_like_total_cmp() {
+        // `inf - inf` is a negative NaN on x86-64; build one portably.
+        let neg_nan = -f64::NAN;
+        let dists = [1.0, f64::NAN, 0.0, f64::INFINITY, neg_nan, 0.5];
+        let mut h = WeightedHeap::new(dists.len());
+        for (i, &d) in dists.iter().enumerate() {
+            h.push(i, d, 1);
+        }
+        let mut want: Vec<Neighbor> = dists.iter().enumerate().map(|(i, &d)| n(i, d)).collect();
+        want.sort_unstable();
+        let got = h.into_sorted();
+        assert_eq!(got.iter().map(|x| x.index).collect::<Vec<_>>(), vec![4, 2, 5, 0, 3, 1]);
+        assert_eq!(
+            got.iter().map(|x| (x.index, x.sq_dist.to_bits())).collect::<Vec<_>>(),
+            want.iter().map(|x| (x.index, x.sq_dist.to_bits())).collect::<Vec<_>>()
+        );
+        // The bound decodes the boundary class bit for bit.
+        let mut h = WeightedHeap::new(1);
+        h.push(0, 2.0, 1);
+        h.push(1, neg_nan, 1);
+        assert_eq!(h.prune_bound().to_bits(), neg_nan.to_bits());
+        for d in [0.0, 1.5, f64::INFINITY, f64::NAN, neg_nan, -0.0, -2.5, f64::NEG_INFINITY] {
+            assert_eq!(from_order_key(order_key(d)).to_bits(), d.to_bits());
+        }
     }
 
     #[test]

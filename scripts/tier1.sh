@@ -86,10 +86,12 @@ env $TRACED_ENV ./target/release/ablation_controlled --quick --scale 0.05 > /dev
 TRANSER_ALLOC_TRACE=1 \
     ./target/release/bench_similarity --smoke --out target/BENCH_similarity_smoke.json > /dev/null
 
-# k-NN index smoke: on one small deterministic dataset the KD-tree, ball
-# tree and blocked backends must agree bitwise with the brute-force
-# reference (neighbours, squared-distance bits, tie-break order) at
-# several k; panics non-zero on the first disagreement.
+# k-NN index smoke: on one small deterministic matrix and on a copy with
+# NaN and ±Inf cells, the ball tree and the duplicate-aware engine
+# (DedupKnn) must agree bitwise with the brute-force reference
+# (neighbours, squared-distance bits, tie-break order) with plain and
+# self-excluding queries at several k; panics non-zero on the first
+# disagreement. The artefact is one timed ball-tree cell.
 ./target/release/bench_sel --smoke --out target/BENCH_sel_smoke.json > /dev/null
 
 # Serving smoke: train at the smallest rung, round-trip the model and LSH
@@ -103,3 +105,10 @@ TRANSER_ALLOC_TRACE=1 \
 # Model-persistence round trip under the counting allocator: save → load
 # → predict must be bit-identical for every persistable classifier kind.
 TRANSER_ALLOC_TRACE=1 cargo test -q -p transer-ml --test persist_roundtrip
+
+# The repository benchmark compiles against the workspace's public API and
+# reads its k-NN span and counter names, but lives outside the workspace:
+# build it and run its own tests so an API change that breaks it fails
+# here, not when the benchmark runs. Its own target directory keeps the
+# build output out of perfbench/.
+CARGO_TARGET_DIR=target/perfbench cargo test --release --offline -q --manifest-path perfbench/Cargo.toml

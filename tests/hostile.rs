@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use transer::prelude::*;
 use transer::robust::{self, site, FaultKind};
-use transer_core::select_instances_with_pool;
+use transer_core::{select_instances_per_row_with_pool, select_instances_with_pool};
 use transer_parallel::Pool;
 
 const MAX_SRC: usize = 10;
@@ -144,7 +144,8 @@ proptest! {
     }
 
     /// Determinism rider: with the harness disarmed, instance selection
-    /// over hostile matrices is bit-identical at 1 and 4 workers.
+    /// over hostile matrices is bit-identical at 1 and 4 workers, and
+    /// bit-identical to the per-row reference path.
     #[test]
     fn selection_on_hostile_inputs_ignores_worker_count(case in case_strategy()) {
         let _guard = robust::test_lock();
@@ -152,19 +153,27 @@ proptest! {
         let (xs, ys) = case.source();
         let xt = case.target();
         let cfg = TransErConfig { k: 3, ..Default::default() };
-        let seq = select_instances_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(1));
-        let par = select_instances_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(4));
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.indices, &b.indices);
-                for (sa, sb) in a.scores.iter().zip(&b.scores) {
-                    prop_assert_eq!(sa.sim_c.to_bits(), sb.sim_c.to_bits());
-                    prop_assert_eq!(sa.sim_l.to_bits(), sb.sim_l.to_bits());
-                    prop_assert_eq!(sa.sim_v.to_bits(), sb.sim_v.to_bits());
+        let reference = select_instances_per_row_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(1));
+        for workers in [1, 4] {
+            let got = select_instances_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(workers));
+            match (&reference, got) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(&a.indices, &b.indices, "workers {}", workers);
+                    for (sa, sb) in a.scores.iter().zip(&b.scores) {
+                        prop_assert_eq!(sa.sim_c.to_bits(), sb.sim_c.to_bits());
+                        prop_assert_eq!(sa.sim_l.to_bits(), sb.sim_l.to_bits());
+                        prop_assert_eq!(sa.sim_v.to_bits(), sb.sim_v.to_bits());
+                    }
                 }
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => prop_assert!(
+                    false,
+                    "workers {} changed the outcome: {:?} vs {:?}",
+                    workers,
+                    a,
+                    b
+                ),
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "worker count changed outcome: {:?} vs {:?}", a, b),
         }
     }
 }
