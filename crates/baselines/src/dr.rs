@@ -11,7 +11,7 @@
 //! this is the *negative transfer* the paper reports.
 
 use transer_common::{Label, Result};
-use transer_knn::BallTree;
+use transer_knn::brute_force_knn;
 
 use crate::{HashedEmbedder, RunContext, TaskView, TransferMethod};
 
@@ -36,24 +36,24 @@ impl DeepRanker {
     /// k-NN density-ratio weights for the source instances: the ratio of
     /// the k-th-neighbour-distance-based density estimates under the
     /// target and source samples.
+    ///
+    /// The default embedder's rows are dense and 64-dimensional; there a
+    /// brute-force sweep returns the same neighbours as the k-d tree, and
+    /// faster.
     fn density_ratio_weights(
         &self,
         es: &transer_common::FeatureMatrix,
         et: &transer_common::FeatureMatrix,
     ) -> Vec<f64> {
-        let source_tree = BallTree::build(es);
-        let target_tree = BallTree::build(et);
         let k = self.k.min(es.rows().saturating_sub(1)).max(1);
         (0..es.rows())
             .map(|i| {
                 let row = es.row(i);
-                let ds = source_tree
-                    .k_nearest_excluding(row, k, Some(i))
+                let ds = brute_force_knn(es, row, k, Some(i))
                     .last()
                     .map_or(f64::INFINITY, |n| n.sq_dist)
                     .sqrt();
-                let dt = target_tree
-                    .k_nearest(row, k)
+                let dt = brute_force_knn(et, row, k, None)
                     .last()
                     .map_or(f64::INFINITY, |n| n.sq_dist)
                     .sqrt();

@@ -16,7 +16,7 @@
 //! zero, as Table 2 shows.
 
 use transer_common::{Error, FeatureMatrix, Label, Result};
-use transer_knn::BallTree;
+use transer_knn::KdTree;
 use transer_linalg::covariance;
 use transer_ml::{Classifier, LinearSvm};
 
@@ -66,8 +66,8 @@ impl TransferMethod for LocItStar {
         let xt = task.xt;
         let xs = task.xs;
         let k = self.k.min(xt.rows().saturating_sub(1)).max(1);
-        let target_tree = BallTree::build(xt);
-        let source_tree = BallTree::build(xs);
+        let target_tree = KdTree::build(xt);
+        let source_tree = KdTree::build(xs);
 
         // Self-supervised transferability training set from the target.
         let mut feats = FeatureMatrix::empty(2);

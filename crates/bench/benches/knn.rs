@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use transer_common::FeatureMatrix;
-use transer_knn::{brute_force_knn, BallTree};
+use transer_knn::{brute_force_knn, KdTree};
 
 fn cloud(n: usize, m: usize, seed: u64) -> FeatureMatrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -20,11 +20,11 @@ fn bench_knn(c: &mut Criterion) {
     for &n in &[1_000usize, 10_000] {
         let points = cloud(n, 8, 7);
         let query = points.row(n / 2).to_vec();
-        g.bench_with_input(BenchmarkId::new("balltree_build", n), &points, |b, p| {
-            b.iter(|| BallTree::build(black_box(p)))
+        g.bench_with_input(BenchmarkId::new("kdtree_build", n), &points, |b, p| {
+            b.iter(|| KdTree::build(black_box(p)))
         });
-        let ball = BallTree::build(&points);
-        g.bench_with_input(BenchmarkId::new("balltree_k7_query", n), &ball, |b, t| {
+        let tree = KdTree::build(&points);
+        g.bench_with_input(BenchmarkId::new("kdtree_k7_query", n), &tree, |b, t| {
             b.iter(|| t.k_nearest(black_box(&query), 7))
         });
         if n <= 1_000 {

@@ -3,7 +3,7 @@
 //! The benchmark harness mirrors the evaluation harness: every paper table
 //! and figure has a bench exercising the code that regenerates it (at a
 //! bench-friendly scale), plus micro-benches for the hot substrates
-//! (similarity functions, ball tree, MinHash blocking, classifier training).
+//! (similarity functions, k-d tree, MinHash blocking, classifier training).
 
 #![forbid(unsafe_code)]
 

@@ -1,24 +1,24 @@
 //! The shared L2 distance kernel: one home for every squared-distance
-//! and dot-product loop in the workspace.
+//! loop in the workspace.
 //!
 //! Pairwise distance work dominates the SEL phase (and, through it, a
-//! large share of total ER cost), so the ball tree's leaf scans, bound
-//! checks and splits and the brute-force k-NN reference route through
-//! these functions instead of carrying their own per-pair loop.
+//! large share of total ER cost), so the k-d tree's leaf scans and box
+//! bounds and the brute-force k-NN reference route through these
+//! functions instead of carrying their own per-pair loop.
 //!
 //! Each function uses fixed-width lane accumulators: [`LANES`]
 //! independent partial sums walk the vectors in `LANES`-wide chunks, then
 //! reduce in a fixed pairwise order. Independent accumulators break the
 //! single sequential dependency chain, so LLVM turns the inner loop into
-//! SIMD adds/multiplies (and FMA where the target has it) without needing
-//! float reassociation.
+//! SIMD adds and multiplies without needing float reassociation (Rust
+//! never contracts `a * b + c` into a fused multiply-add on its own).
 //!
 //! The summation order is fixed, so results are bit-identical across
-//! runs and worker counts, and the ball tree and brute force agree. The original exact-order
-//! sequential sums are kept in this module's tests as the oracle the lane
-//! kernels are checked against; they associate the additions differently,
-//! so the two agree bitwise on exactly representable inputs and to within
-//! a few ulps otherwise.
+//! runs and worker counts, and the k-d tree and brute force agree. The
+//! original exact-order sequential sum is kept in this module's tests as
+//! the oracle the lane kernel is checked against; the two associate the
+//! additions differently, so they agree bitwise on exactly representable
+//! inputs and to within a few ulps otherwise.
 
 /// Lane width of the kernel: four independent accumulators cover one AVX
 /// register (or two SSE2 registers) of `f64`s and keep the 9–24-dimensional
@@ -55,23 +55,49 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     reduce(acc, tail)
 }
 
-/// Dot product of two feature vectors; same order conventions as
-/// [`sq_dist`].
+/// Squared Euclidean distance from `q` to the axis-aligned box
+/// `[lo, hi]`: per axis the gap to the nearer face when `q` lies outside
+/// the slab and 0 inside, squared and summed in [`sq_dist`]'s lane and
+/// reduction order.
+///
+/// For every point `x` with `lo ≤ x ≤ hi` on each axis the result is
+/// `<=` the *computed* `sq_dist(q, x)`, not only the exact one: each gap
+/// is the rounding of a difference no larger than `|q − x|`, and
+/// round-to-nearest is monotone, so every squared term is no larger
+/// than `x`'s, and sums of non-negative terms taken in the same order
+/// keep that order. A NaN coordinate of `q` contributes 0, so the result
+/// is never NaN.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let split = a.len() - a.len() % LANES;
+pub fn sq_dist_to_box(q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+    debug_assert!(q.len() == lo.len() && q.len() == hi.len());
+    let split = q.len() - q.len() % LANES;
     let mut acc = [0.0f64; LANES];
-    for (ca, cb) in a[..split].chunks_exact(LANES).zip(b[..split].chunks_exact(LANES)) {
+    let chunks = q[..split].chunks_exact(LANES).zip(lo[..split].chunks_exact(LANES));
+    for ((cq, cl), ch) in chunks.zip(hi[..split].chunks_exact(LANES)) {
         for j in 0..LANES {
-            acc[j] += ca[j] * cb[j];
+            let g = axis_gap(cq[j], cl[j], ch[j]);
+            acc[j] += g * g;
         }
     }
     let mut tail = 0.0;
-    for (x, y) in a[split..].iter().zip(&b[split..]) {
-        tail += x * y;
+    for ((&x, &l), &h) in q[split..].iter().zip(&lo[split..]).zip(&hi[split..]) {
+        let g = axis_gap(x, l, h);
+        tail += g * g;
     }
     reduce(acc, tail)
+}
+
+/// Distance from `q` to the slab `[lo, hi]` on one axis; 0 inside it and
+/// for a NaN `q`.
+#[inline]
+fn axis_gap(q: f64, lo: f64, hi: f64) -> f64 {
+    if q < lo {
+        lo - q
+    } else if q > hi {
+        q - hi
+    } else {
+        0.0
+    }
 }
 
 #[cfg(test)]
@@ -85,27 +111,21 @@ mod tests {
         a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
     }
 
-    /// The original sequential sum `Σ aᵢ·bᵢ`, the oracle for [`dot`].
-    fn dot_reference(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
-
     #[test]
     fn engines_agree_on_exactly_representable_inputs() {
         // Powers of two and small integers: every partial sum is exact,
-        // so association order cannot matter and the kernels must agree
-        // bitwise.
+        // so association order cannot matter and the kernel must agree
+        // with the oracle bitwise.
         let a: Vec<f64> = (0..24).map(|i| (i % 5) as f64).collect();
         let b: Vec<f64> = (0..24).map(|i| ((i + 2) % 7) as f64).collect();
         assert_eq!(sq_dist(&a, &b).to_bits(), sq_dist_reference(&a, &b).to_bits());
-        assert_eq!(dot(&a, &b).to_bits(), dot_reference(&a, &b).to_bits());
     }
 
     #[test]
     fn engines_agree_within_ulp_tolerance() {
-        // Irrational-ish values: the kernels differ only in association
-        // order, so they agree to within a few units in the last place.
+        // Irrational-ish values: kernel and oracle differ only in
+        // association order, so they agree to within a few units in the
+        // last place.
         let a: Vec<f64> = (0..24).map(|i| ((i * 37 + 11) as f64 * 0.017).sin().abs()).collect();
         let b: Vec<f64> = (0..24).map(|i| ((i * 53 + 5) as f64 * 0.013).cos().abs()).collect();
         for dim in [0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 21, 24] {
@@ -113,9 +133,6 @@ mod tests {
             let slow = sq_dist_reference(&a[..dim], &b[..dim]);
             let tol = 8.0 * f64::EPSILON * slow.max(1.0);
             assert!((fast - slow).abs() <= tol, "dim {dim}: {fast} vs {slow}");
-            let fast = dot(&a[..dim], &b[..dim]);
-            let slow = dot_reference(&a[..dim], &b[..dim]);
-            assert!((fast - slow).abs() <= tol, "dot dim {dim}: {fast} vs {slow}");
         }
     }
 
@@ -148,6 +165,26 @@ mod tests {
     fn empty_and_short_vectors() {
         assert_eq!(sq_dist(&[], &[]), 0.0);
         assert_eq!(sq_dist(&[3.0], &[0.0]), 9.0);
-        assert_eq!(dot(&[2.0, 3.0], &[4.0, 5.0]), 23.0);
+        assert_eq!(sq_dist_to_box(&[], &[], &[]), 0.0);
+    }
+
+    #[test]
+    fn box_distance_sums_the_gaps_outside_the_slabs() {
+        // Below, inside and above the slab on one axis each, then the same
+        // past a lane boundary (the tail).
+        let (lo, hi) = ([1.0, 0.0, -1.0, 0.0, 2.0], [2.0, 1.0, 0.0, 0.0, 3.0]);
+        let q = [0.0, 0.5, 3.0, 0.0, 5.0];
+        assert_eq!(sq_dist_to_box(&q, &lo, &hi), 1.0 + 0.0 + 9.0 + 0.0 + 4.0);
+        // A degenerate box is a point: the bound is that point's distance,
+        // bit for bit.
+        let p: Vec<f64> = (0..13).map(|i| ((i * 29 + 3) as f64 * 0.031).sin()).collect();
+        let q: Vec<f64> = (0..13).map(|i| ((i * 17 + 7) as f64 * 0.047).cos()).collect();
+        assert_eq!(sq_dist_to_box(&q, &p, &p).to_bits(), sq_dist(&q, &p).to_bits());
+        // Non-finite query coordinates: NaN contributes 0, ±Inf outside a
+        // finite slab is infinitely far, and an unbounded slab holds all.
+        assert_eq!(sq_dist_to_box(&[f64::NAN, 3.0], &[0.0, 0.0], &[1.0, 1.0]), 4.0);
+        assert_eq!(sq_dist_to_box(&[f64::INFINITY], &[0.0], &[1.0]), f64::INFINITY);
+        let (lo, hi) = ([f64::NEG_INFINITY; 3], [f64::INFINITY; 3]);
+        assert_eq!(sq_dist_to_box(&[f64::INFINITY, f64::NAN, -1e308], &lo, &hi), 0.0);
     }
 }

@@ -31,7 +31,7 @@
 //! tests) at every worker count, on NaN and ±Inf cells too.
 
 use transer_common::{Error, FeatureMatrix, Label, Result};
-use transer_knn::{BallTree, DedupKnn, Neighbor};
+use transer_knn::{DedupKnn, KdTree, Neighbor};
 use transer_linalg::{covariance, Mat};
 use transer_parallel::{CostClass, CostHint, Pool};
 
@@ -130,16 +130,18 @@ pub fn select_instances_with_pool(
     let target = DedupKnn::build(xt);
     let interning = source.interning();
 
-    let unique_ids: Vec<u32> = (0..interning.unique_rows() as u32).collect();
-    // Per unique row: two k-NN queries plus group scoring. The chunk size
-    // is pinned (see [`CHUNK`]), so only the inline/pooled decision comes
-    // from the grain policy. A chunk runs all its source queries, then all
-    // its target queries: staying on one tree keeps its upper levels in
-    // cache (alternating trees row by row ran the `transfer` benchmark
-    // about 5 % slower on a 2-core x86-64 host).
+    // Per unique row: two k-NN queries plus group scoring. Rows are scored
+    // in the source index's leaf order, so consecutive source queries
+    // start next to each other and walk the same nodes and leaves. The
+    // chunk size is pinned (see [`CHUNK`]), so only the inline/pooled
+    // decision comes from the grain policy. A chunk runs all its source
+    // queries, then all its target queries: staying on one tree keeps its
+    // upper levels in cache (alternating trees row by row ran the
+    // `transfer` benchmark about 5 % slower on a 2-core x86-64 host).
+    let unique_ids = source.unique_rows_in_leaf_order();
     let sel_hint = CostHint::new(unique_ids.len(), CostClass::Light);
     let groups: Vec<Vec<(u32, InstanceScores, bool)>> =
-        pool.par_chunks_costed(&unique_ids, Some(CHUNK), sel_hint, |_, chunk| {
+        pool.par_chunks_costed(unique_ids, Some(CHUNK), sel_hint, |_, chunk| {
             let row = |u: u32| interning.unique().row(u as usize);
             // Budget k + 1: after dropping the instance itself from the
             // expanded order, k neighbours are still covered.
@@ -368,7 +370,7 @@ fn record_verdict(sim_c: f64, sim_l: f64, sim_v: f64, config: &TransErConfig, ke
     }
 }
 
-/// The straightforward per-row SEL path: two ball-tree queries plus
+/// The straightforward per-row SEL path: two k-d tree queries plus
 /// centroid / covariance work for every source row, with no interning or
 /// memoization. Kept as the reference implementation the duplicate-aware
 /// path is pinned against (bit-for-bit) by the equivalence tests, and as
@@ -386,8 +388,8 @@ pub fn select_instances_per_row_with_pool(
     validate(xs, ys, xt, config)?;
     let k = config.k;
     let m = xs.cols() as f64;
-    let source_tree = BallTree::build(xs);
-    let target_tree = BallTree::build(xt);
+    let source_tree = KdTree::build(xs);
+    let target_tree = KdTree::build(xt);
 
     let variant = config.variant;
     let row_indices: Vec<usize> = (0..xs.rows()).collect();

@@ -3,9 +3,10 @@
 //! `results/BENCH_sel.json`. Accepts the shared eval flags plus
 //! `--threads <n>` (default: the global pool, i.e. `TRANSER_THREADS` or
 //! the machine's available parallelism) and `--smoke` (tier-1 mode: the
-//! ball tree and the duplicate-aware engine asserted bitwise-identical to
-//! brute force on one small deterministic matrix and on a copy with NaN
-//! and ±Inf cells, one timed ball-tree cell as the artefact).
+//! k-d tree and the duplicate-aware engine asserted bitwise-identical to
+//! brute force on one small deterministic matrix, on a copy with NaN and
+//! ±Inf cells and on a tie-heavy 4-column matrix, one timed k-d tree cell
+//! as the artefact).
 
 use transer_eval::{sel_bench, Options};
 
@@ -23,12 +24,13 @@ fn main() {
     }
 
     if smoke {
-        // Panics (failing the tier-1 gate) if the ball tree or the engine
+        // Panics (failing the tier-1 gate) if the k-d tree or the engine
         // disagrees with the brute-force reference.
         let cell = sel_bench::smoke(opts.seed);
         println!(
-            "SEL smoke: ball tree and dedup engine bitwise-identical to brute force \
-             on {} rows × {} dims, finite and with NaN/±Inf cells; ball tree build \
+            "SEL smoke: k-d tree and dedup engine bitwise-identical to brute force \
+             on {} rows × {} dims, finite and with NaN/±Inf cells, and on a tie-heavy \
+             matrix; k-d tree build \
              {:.6} s, {:.0} ns per k={} query",
             cell.rows, cell.dim, cell.build_secs, cell.ns_per_query, cell.k
         );

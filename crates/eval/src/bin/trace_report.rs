@@ -12,8 +12,8 @@
 //!   layers, a `parallel.chunk_size` histogram consistent with the
 //!   pooled-dispatch counter, the similarity-kernel partition
 //!   invariant `bitparallel + fallback == levenshtein.calls`, and the
-//!   ball-tree traversal partition invariant
-//!   `node_visits + queries == bound_prunes + 2 × leaf_scans`); exits
+//!   k-d tree traversal partition invariant
+//!   `nodes + queries == bound_prunes + 2 × leaf_scans`); exits
 //!   non-zero on any violation. This is the tier-1 smoke check.
 
 use std::fmt::Write as _;
@@ -133,19 +133,19 @@ fn validate(doc: &Json) -> Result<(), String> {
              ({fallback}) != similarity.levenshtein.calls ({lev})"
         ));
     }
-    // Ball-tree traversal partition: every visited node is either a query
+    // k-d tree traversal partition: every visited node is either a query
     // root or an unpruned child, and every visited internal node hands
     // both children to exactly one of {prune, visit} while every visited
-    // leaf is scanned — so node_visits + queries == bound_prunes +
-    // 2 × leaf_scans (0 = 0 for runs that never touch the ball tree).
-    let visits = get("knn.balltree.node_visits");
-    let queries = get("knn.balltree.queries");
-    let prunes = get("knn.balltree.bound_prunes");
-    let leaf_scans = get("knn.balltree.leaf_scans");
-    if visits + queries != prunes + 2.0 * leaf_scans {
+    // leaf is scanned — so nodes + queries == bound_prunes +
+    // 2 × leaf_scans (0 = 0 for runs that never touch the k-d tree).
+    let nodes = get("knn.kdtree.nodes");
+    let queries = get("knn.kdtree.queries");
+    let prunes = get("knn.kdtree.bound_prunes");
+    let leaf_scans = get("knn.kdtree.leaf_scans");
+    if nodes + queries != prunes + 2.0 * leaf_scans {
         return Err(format!(
-            "knn.balltree.node_visits ({visits}) + knn.balltree.queries ({queries}) != \
-             knn.balltree.bound_prunes ({prunes}) + 2 × knn.balltree.leaf_scans ({leaf_scans})"
+            "knn.kdtree.nodes ({nodes}) + knn.kdtree.queries ({queries}) != \
+             knn.kdtree.bound_prunes ({prunes}) + 2 × knn.kdtree.leaf_scans ({leaf_scans})"
         ));
     }
     Ok(())
@@ -253,6 +253,87 @@ fn render_span(out: &mut String, span: &Json, depth: usize) {
     if let Some(children) = span.get("children").and_then(Json::as_arr) {
         for child in children {
             render_span(out, child, depth + 1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal v2 report of a traced pipeline run: the four phase spans,
+    /// one counter per required layer plus `counters`, and a
+    /// `parallel.chunk_size` histogram with `chunks` samples.
+    fn report(counters: &[(&str, u64)], chunks: u64) -> Json {
+        let span = |name: &str, children: &str| {
+            format!(
+                r#"{{"name": "{name}", "secs": 0.5, "alloc_count": 3, "alloc_bytes": 96, "children": [{children}]}}"#
+            )
+        };
+        let phases = ["sel", "gen", "tcl"].map(|p| span(p, "")).join(", ");
+        let mut all = vec![
+            ("blocking.pairs", 10),
+            ("ml.forest.trees", 4),
+            ("sel.accepted", 6),
+            ("parallel.dispatch.pooled", 2),
+        ];
+        all.extend_from_slice(counters);
+        let counters =
+            all.iter().map(|(k, v)| format!(r#""{k}": {v}"#)).collect::<Vec<_>>().join(", ");
+        let text = format!(
+            r#"{{"version": 2, "task": "test", "spans": [{pipeline}], "counters": {{{counters}}},
+                "histograms": {{"parallel.chunk_size": {{"count": {chunks}, "sum": 64, "zero": 0,
+                "negative": 0, "inf": 0, "nan": 0, "buckets": {{"5": {chunks}}}}}}},
+                "warnings": []}}"#,
+            pipeline = span("pipeline", &phases),
+        );
+        json::parse(&text).expect("test report is valid JSON")
+    }
+
+    /// Counters that satisfy every partition invariant: 10 Levenshtein
+    /// runs split 7 + 3, and 2 k-d tree queries visiting 9 nodes with
+    /// 3 prunes and 4 leaf scans (9 + 2 == 3 + 2 × 4).
+    const CONSISTENT: [(&str, u64); 7] = [
+        ("similarity.levenshtein.calls", 10),
+        ("similarity.kernel.bitparallel", 7),
+        ("similarity.kernel.fallback", 3),
+        ("knn.kdtree.queries", 2),
+        ("knn.kdtree.nodes", 9),
+        ("knn.kdtree.bound_prunes", 3),
+        ("knn.kdtree.leaf_scans", 4),
+    ];
+
+    fn with(name: &str, value: u64) -> Vec<(&'static str, u64)> {
+        CONSISTENT.iter().map(|&(k, v)| (k, if k == name { value } else { v })).collect()
+    }
+
+    #[test]
+    fn consistent_report_passes() {
+        assert_eq!(validate(&report(&CONSISTENT, 2)), Ok(()));
+    }
+
+    #[test]
+    fn chunk_histogram_must_match_pooled_dispatches() {
+        let err = validate(&report(&CONSISTENT, 3)).unwrap_err();
+        assert!(err.contains("parallel.chunk_size"), "{err}");
+    }
+
+    #[test]
+    fn levenshtein_kernel_partition_must_hold() {
+        let err = validate(&report(&with("similarity.kernel.fallback", 2), 2)).unwrap_err();
+        assert!(err.contains("similarity.levenshtein.calls"), "{err}");
+    }
+
+    #[test]
+    fn kdtree_traversal_partition_must_hold() {
+        for (name, value) in [
+            ("knn.kdtree.nodes", 10),
+            ("knn.kdtree.queries", 1),
+            ("knn.kdtree.bound_prunes", 4),
+            ("knn.kdtree.leaf_scans", 5),
+        ] {
+            let err = validate(&report(&with(name, value), 2)).unwrap_err();
+            assert!(err.contains("knn.kdtree.nodes"), "{name}: {err}");
         }
     }
 }

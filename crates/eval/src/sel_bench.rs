@@ -24,7 +24,7 @@ use transer_core::{
     select_instances_per_row_with_pool, select_instances_with_pool, SelectionResult, TransErConfig,
 };
 use transer_datagen::ScenarioPair;
-use transer_knn::{brute_force_knn, BallTree, DedupKnn, Neighbor};
+use transer_knn::{brute_force_knn, DedupKnn, KdTree, Neighbor};
 use transer_parallel::Pool;
 
 use crate::{Cell, Options};
@@ -225,10 +225,14 @@ pub fn sel_benchmark(opts: &Options, threads: Option<usize>) -> Result<SelBenchR
 const SMOKE_ROWS: usize = 512;
 /// Columns of the smoke matrix, inside the 9–24-feature band of ER matrices.
 const SMOKE_DIM: usize = 9;
+/// Columns of the smoke's tie-heavy matrix: with few columns of few
+/// values, exact distance ties between leaves are common, so a prune that
+/// cuts a boundary tie shows up (at 9 columns it did not).
+const SMOKE_TIED_DIM: usize = 4;
 /// Neighbourhood size of the timed smoke queries (SEL's default `k`).
 const SMOKE_K: usize = 7;
 
-/// The `bench_sel --smoke` artefact: the ball tree timed on the smoke
+/// The `bench_sel --smoke` artefact: the k-d tree timed on the smoke
 /// matrix after every check passed.
 #[derive(Debug, Clone, Serialize)]
 pub struct SmokeCell {
@@ -279,13 +283,27 @@ fn with_non_finite_cells(m: &FeatureMatrix) -> FeatureMatrix {
     poisoned
 }
 
-/// Assert that the ball tree and the duplicate-aware engine return the
+/// A copy of the uniform matrix `m` with four cells in five snapped to 0,
+/// ¼, ½ or 1 (the cell's value picks which), the rest kept: like the 0/1
+/// masses of Bp-Dp feature columns, so box faces coincide with queries
+/// and k-th distances tie across leaves.
+fn with_tied_cells(m: &FeatureMatrix) -> FeatureMatrix {
+    let mut tied = m.clone();
+    for v in tied.as_mut_slice() {
+        if *v < 0.8 {
+            *v = [0.0, 0.25, 0.5, 1.0][(*v * 5.0) as usize];
+        }
+    }
+    tied
+}
+
+/// Assert that the k-d tree and the duplicate-aware engine return the
 /// brute-force answer on `m`, bit for bit (NaN distances included), with
 /// plain and self-excluding queries from every 8th row at several `k`.
 fn check_against_brute_force(m: &FeatureMatrix, what: &str) {
     let bits =
         |nn: &[Neighbor]| nn.iter().map(|n| (n.index, n.sq_dist.to_bits())).collect::<Vec<_>>();
-    let ball = BallTree::build(m);
+    let tree = KdTree::build(m);
     let dedup = DedupKnn::build(m);
     for i in (0..m.rows()).step_by(8) {
         let q = m.row(i);
@@ -293,8 +311,8 @@ fn check_against_brute_force(m: &FeatureMatrix, what: &str) {
             let plain = bits(&brute_force_knn(m, q, k, None));
             let excluding = bits(&brute_force_knn(m, q, k, Some(i)));
             for (name, got, want) in [
-                ("balltree", ball.k_nearest(q, k), &plain),
-                ("balltree excluding", ball.k_nearest_excluding(q, k, Some(i)), &excluding),
+                ("kdtree", tree.k_nearest(q, k), &plain),
+                ("kdtree excluding", tree.k_nearest_excluding(q, k, Some(i)), &excluding),
                 ("dedup", dedup.k_nearest(q, k), &plain),
                 ("dedup excluding", dedup.k_nearest_excluding(q, k, i), &excluding),
             ] {
@@ -304,12 +322,12 @@ fn check_against_brute_force(m: &FeatureMatrix, what: &str) {
     }
 }
 
-/// Tier-1 smoke: on one small deterministic matrix and on a copy with
-/// NaN and ±Inf cells, the ball tree and the duplicate-aware engine must
-/// agree bitwise with the brute-force reference — neighbours,
-/// squared-distance bits and tie-break order — with plain and
-/// self-excluding queries at several `k`. Then times the ball tree on the
-/// finite matrix.
+/// Tier-1 smoke: on one small deterministic matrix, on a copy with NaN
+/// and ±Inf cells and on a tie-heavy 4-column matrix, the k-d tree and the
+/// duplicate-aware engine must agree bitwise with the brute-force
+/// reference — neighbours, squared-distance bits and tie-break order —
+/// with plain and self-excluding queries at several `k`. Then times the
+/// k-d tree on the finite matrix.
 ///
 /// # Panics
 /// Panics on the first disagreement, failing the tier-1 gate.
@@ -317,14 +335,16 @@ pub fn smoke(seed: u64) -> SmokeCell {
     let m = synthetic_matrix(SMOKE_ROWS, SMOKE_DIM, seed);
     check_against_brute_force(&m, "the finite matrix");
     check_against_brute_force(&with_non_finite_cells(&m), "the NaN/±Inf matrix");
+    let tied = with_tied_cells(&synthetic_matrix(SMOKE_ROWS, SMOKE_TIED_DIM, seed));
+    check_against_brute_force(&tied, "the tie-heavy matrix");
 
     let build_secs = time_best(|| {
-        std::hint::black_box(BallTree::build(&m));
+        std::hint::black_box(KdTree::build(&m));
     });
-    let ball = BallTree::build(&m);
+    let tree = KdTree::build(&m);
     let query_secs = time_best(|| {
         for i in 0..m.rows() {
-            std::hint::black_box(ball.k_nearest_excluding(m.row(i), SMOKE_K, Some(i)));
+            std::hint::black_box(tree.k_nearest_excluding(m.row(i), SMOKE_K, Some(i)));
         }
     });
     SmokeCell {
@@ -425,5 +445,10 @@ mod tests {
         let cells = poisoned.as_slice();
         assert!(cells.iter().any(|v| v.is_nan()));
         assert!(cells.contains(&f64::INFINITY) && cells.contains(&f64::NEG_INFINITY));
+        // The tie-heavy matrix holds mostly 0, ¼, ½ and 1, some others.
+        let tied = with_tied_cells(&synthetic_matrix(SMOKE_ROWS, SMOKE_TIED_DIM, 42));
+        let snapped = tied.as_slice().iter().filter(|v| [0.0, 0.25, 0.5, 1.0].contains(v)).count();
+        let share = snapped as f64 / tied.as_slice().len() as f64;
+        assert!((0.7..0.9).contains(&share), "{share}");
     }
 }

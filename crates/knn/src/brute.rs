@@ -1,7 +1,9 @@
 //! Brute-force k-NN reference: exact, `O(n)` per query — the oracle the
-//! ball tree and the duplicate-aware engine are tested against. Distances
+//! k-d tree and the duplicate-aware engine are tested against, and the
+//! faster search for dense rows of 16 or more dimensions (the DR
+//! baseline's 64-dimensional embeddings). Distances
 //! come from the shared L2 kernel (`transer_common::l2`), the same code
-//! path the ball tree uses — this module has no distance loop of its own.
+//! path the k-d tree uses — this module has no distance loop of its own.
 
 use transer_common::{sq_dist, FeatureMatrix};
 

@@ -1,7 +1,7 @@
 //! Duplicate-aware k-NN over an original (duplicated) feature matrix.
 //!
 //! [`DedupKnn`] interns the matrix rows once ([`RowInterning`]), builds
-//! one ball tree over the *unique* rows, and answers queries about the
+//! one k-d tree over the *unique* rows, and answers queries about the
 //! *original* rows by running a weighted query (each unique row counts
 //! with its multiplicity) and expanding the result back to original row
 //! indices. On ER feature matrices with dedup ratios of 5–100× this turns
@@ -24,15 +24,15 @@
 
 use transer_common::{FeatureMatrix, RowInterning};
 
-use crate::balltree::BallTree;
 use crate::heap::Neighbor;
+use crate::kdtree::KdTree;
 
-/// A k-NN engine over a duplicated matrix: interning + one ball tree over
+/// A k-NN engine over a duplicated matrix: interning + one k-d tree over
 /// the unique rows + the multiplicity weights.
 #[derive(Debug, Clone)]
 pub struct DedupKnn {
     interning: RowInterning,
-    index: BallTree,
+    index: KdTree,
     weights: Vec<u32>,
 }
 
@@ -40,7 +40,7 @@ impl DedupKnn {
     /// Intern `matrix` and index its unique rows.
     pub fn build(matrix: &FeatureMatrix) -> Self {
         let interning = RowInterning::of(matrix);
-        let index = BallTree::build(interning.unique());
+        let index = KdTree::build(interning.unique());
         let weights = interning.multiplicities();
         transer_trace::counter("knn.dedup.builds", 1);
         if interning.unique_rows() > 0 {
@@ -69,8 +69,15 @@ impl DedupKnn {
         self.len() == 0
     }
 
+    /// Every unique-row id once, in the index's leaf order: ids that share
+    /// a leaf are adjacent. Queries issued from rows in this order walk
+    /// the same nodes and leaves one after another, so they stay in cache.
+    pub fn unique_rows_in_leaf_order(&self) -> &[u32] {
+        self.index.leaf_order()
+    }
+
     /// Weighted query against the unique rows: the raw
-    /// [`k_nearest_weighted`](BallTree::k_nearest_weighted) result,
+    /// [`k_nearest_weighted`](KdTree::k_nearest_weighted) result,
     /// whose indices are *unique*-row indices. SEL memoization consumes
     /// this directly; use [`DedupKnn::k_nearest`] for original-row
     /// results.
@@ -184,6 +191,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn leaf_order_lists_every_unique_row_once() {
+        let engine = DedupKnn::build(&duplicated());
+        let mut ids = engine.unique_rows_in_leaf_order().to_vec();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]

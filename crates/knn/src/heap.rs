@@ -3,7 +3,7 @@
 //! duplicate-aware queries where a candidate counts as `weight` hits.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// One nearest-neighbour candidate: the index of the point in its matrix
 /// and its squared Euclidean distance to the query.
@@ -113,23 +113,24 @@ impl BoundedMaxHeap {
 /// query against the duplicated matrix would. The retained weight may
 /// therefore exceed the budget; truncation happens during expansion.
 ///
-/// The classes live in a [`BTreeMap`] keyed by `order_key`, whose
-/// unsigned order is `total_cmp`'s: the order of [`Neighbor`] and
+/// The candidates live in one flat vector of `(order_key, row, weight)`
+/// kept sorted by `(order_key, row)`, so a query allocates once, not once
+/// per accepted candidate, and draining needs no sort. The unsigned
+/// order of `order_key` is `total_cmp`'s: the order of [`Neighbor`] and
 /// [`BoundedMaxHeap`]. NaN and ±Inf distances from hostile inputs
 /// therefore rank exactly as a plain query ranks them, negative NaN
 /// first and `+Inf` and positive NaN after every finite distance.
 #[derive(Debug)]
 pub struct WeightedHeap {
-    classes: BTreeMap<u64, WeightClass>,
+    entries: Vec<(u64, u32, u32)>,
     total: usize,
     budget: usize,
 }
 
-#[derive(Debug)]
-struct WeightClass {
-    weight: usize,
-    items: Vec<u32>,
-}
+/// Cap on the entries a heap reserves up front: twice the budget leaves
+/// room for boundary ties at SEL's budgets (`k + 1` with the default
+/// `k = 7`), and a huge budget reserves no more than this.
+const RESERVED_ENTRIES: usize = 16;
 
 /// A key whose unsigned order is `f64::total_cmp`'s order: a negative
 /// value (sign bit set, negative NaN included) has every bit flipped, a
@@ -153,7 +154,11 @@ impl WeightedHeap {
     /// A heap that retains distance classes until their cumulative weight
     /// covers `budget`.
     pub fn new(budget: usize) -> Self {
-        WeightedHeap { classes: BTreeMap::new(), total: 0, budget }
+        WeightedHeap {
+            entries: Vec::with_capacity(budget.saturating_mul(2).min(RESERVED_ENTRIES)),
+            total: 0,
+            budget,
+        }
     }
 
     /// Offer candidate row `index` at `sq_dist` with multiplicity `weight`.
@@ -161,7 +166,7 @@ impl WeightedHeap {
     /// Rows must be offered at most once per query; `weight == 0` and
     /// `budget == 0` candidates are ignored.
     #[inline]
-    pub fn push(&mut self, index: usize, sq_dist: f64, weight: usize) {
+    pub fn push(&mut self, index: u32, sq_dist: f64, weight: u32) {
         // Squared distances are sums of squares, so they are never
         // negative numbers — but hostile inputs (NaN/±Inf features) make
         // them +Inf or a NaN of either sign, which `order_key` ranks as
@@ -171,29 +176,24 @@ impl WeightedHeap {
             return;
         }
         let key = order_key(sq_dist);
-        if self.total >= self.budget {
-            // Full: a candidate strictly beyond the boundary class cannot
-            // contribute (the prefix without it already covers the budget).
-            if let Some((&last, _)) = self.classes.last_key_value() {
-                if key > last {
-                    return;
-                }
-            }
+        // Full: a candidate strictly beyond the boundary class cannot
+        // contribute (the prefix without it already covers the budget).
+        if self.total >= self.budget && self.entries.last().is_some_and(|e| key > e.0) {
+            return;
         }
-        let class = self.classes.entry(key).or_insert(WeightClass { weight: 0, items: Vec::new() });
-        class.weight += weight;
-        class.items.push(index as u32);
-        self.total += weight;
+        let at = self.entries.partition_point(|e| (e.0, e.1) < (key, index));
+        self.entries.insert(at, (key, index, weight));
+        self.total += weight as usize;
         // Trim classes that are no longer needed to cover the budget. The
         // boundary class itself is always kept whole.
-        while let Some(entry) = self.classes.last_entry() {
-            let w = entry.get().weight;
-            if self.total - w >= self.budget {
-                entry.remove();
-                self.total -= w;
-            } else {
+        while let Some(&(last, _, _)) = self.entries.last() {
+            let start = self.entries.partition_point(|e| e.0 < last);
+            let w: usize = self.entries[start..].iter().map(|e| e.2 as usize).sum();
+            if self.total - w < self.budget {
                 break;
             }
+            self.entries.truncate(start);
+            self.total -= w;
         }
     }
 
@@ -205,7 +205,7 @@ impl WeightedHeap {
 
     /// True when nothing has been retained.
     pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
+        self.entries.is_empty()
     }
 
     /// Squared distance of the farthest retained class once the budget is
@@ -214,24 +214,21 @@ impl WeightedHeap {
     /// cut away.
     #[inline]
     pub fn prune_bound(&self) -> f64 {
-        if self.total >= self.budget {
-            self.classes.last_key_value().map_or(f64::INFINITY, |(&key, _)| from_order_key(key))
-        } else {
-            f64::INFINITY
+        match self.entries.last() {
+            Some(&(key, _, _)) if self.total >= self.budget => from_order_key(key),
+            _ => f64::INFINITY,
         }
     }
 
     /// Drain into a vector sorted by ascending distance, ties by row index
     /// — the same order as [`BoundedMaxHeap::into_sorted`], but covering
-    /// the full boundary class instead of stopping at `k` rows.
+    /// the full boundary class instead of stopping at `k` rows. Reuses the
+    /// heap's own buffer.
     pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut out = Vec::new();
-        for (key, mut class) in self.classes {
-            class.items.sort_unstable();
-            let sq_dist = from_order_key(key);
-            out.extend(class.items.into_iter().map(|i| Neighbor { index: i as usize, sq_dist }));
-        }
-        out
+        self.entries
+            .into_iter()
+            .map(|(key, index, _)| Neighbor { index: index as usize, sq_dist: from_order_key(key) })
+            .collect()
     }
 }
 
@@ -368,7 +365,7 @@ mod tests {
         let dists = [1.0, f64::NAN, 0.0, f64::INFINITY, neg_nan, 0.5];
         let mut h = WeightedHeap::new(dists.len());
         for (i, &d) in dists.iter().enumerate() {
-            h.push(i, d, 1);
+            h.push(i as u32, d, 1);
         }
         let mut want: Vec<Neighbor> = dists.iter().enumerate().map(|(i, &d)| n(i, d)).collect();
         want.sort_unstable();

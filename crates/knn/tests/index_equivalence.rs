@@ -1,17 +1,44 @@
 //! Property tests pinning the bit-identity contract of the k-NN index:
-//! the [`BallTree`] and the reference [`brute_force_knn`] must return the
+//! the [`KdTree`] and the reference [`brute_force_knn`] must return the
 //! *same* neighbours, squared distances and tie-break order on any input —
 //! including the heavy-duplicate quantised clouds typical of ER feature
-//! matrices, fully degenerate all-equidistant matrices and matrices with
+//! matrices, tie-heavy 0/¼/½/1 matrices whose box faces coincide with the
+//! queries, fully degenerate all-equidistant matrices and matrices with
 //! NaN and ±Inf cells — and the duplicate-aware [`DedupKnn`] engine must
 //! reproduce plain queries over the original (duplicated) matrix exactly.
 
 use proptest::prelude::*;
 use transer_common::{FeatureMatrix, RowInterning};
-use transer_knn::{brute_force_knn, BallTree, DedupKnn};
+use transer_knn::{brute_force_knn, DedupKnn, KdTree};
 
 fn cloud(dim: usize, max_points: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0..1.0f64, dim..=dim), 1..=max_points)
+}
+
+/// The values most cells of a tie-heavy matrix take, like the 0/1 masses
+/// of the Bp-Dp feature columns.
+const TIE_VALUES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+
+/// Tie-heavy cloud: about four cells in five come from [`TIE_VALUES`], the
+/// rest are uniform. Box faces sit on those values, so a query drawn from
+/// them lies exactly on faces, and k-th distances tie across leaves.
+fn tie_heavy_cloud(dim: usize, max_points: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let cell =
+        (0usize..5, 0.0..1.0f64).prop_map(|(pick, u)| TIE_VALUES.get(pick).map_or(u, |&v| v));
+    prop::collection::vec(prop::collection::vec(cell, dim..=dim), 1..=max_points)
+}
+
+/// Half the cases a uniform cloud of up to 120 rows, half a tie-heavy one
+/// of up to 300 (several tree levels).
+fn uniform_or_tie_heavy_cloud(dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    prop_oneof![cloud(dim, 120), tie_heavy_cloud(dim, 300)]
+}
+
+/// A query whose coordinates are each uniform or, half the time, one of
+/// [`TIE_VALUES`].
+fn tie_heavy_query(dim: usize) -> impl Strategy<Value = Vec<f64>> {
+    let coord = prop_oneof![0.0..1.0f64, prop::sample::select(TIE_VALUES.to_vec())];
+    prop::collection::vec(coord, dim..=dim)
 }
 
 /// Quantised cloud: coordinates snap to a 0.1 grid, forcing duplicates and
@@ -84,37 +111,45 @@ fn reference_weighted(m: &FeatureMatrix, query: &[f64], k: usize) -> Vec<(usize,
 }
 
 proptest! {
-    /// BallTree ≡ brute force: same neighbour sets, same squared-distance
-    /// bits, same tie-break order.
+    /// KdTree ≡ brute force: same neighbour sets, same squared-distance
+    /// bits, same tie-break order — on uniform clouds and on tie-heavy
+    /// ones, from a random query and from matrix rows.
     #[test]
-    fn balltree_bitwise_equals_brute_force(
-        rows in cloud(4, 120),
-        query in prop::collection::vec(0.0..1.0f64, 4..=4),
+    fn kdtree_bitwise_equals_brute_force(
+        rows in uniform_or_tie_heavy_cloud(4),
+        query in tie_heavy_query(4),
         k in 1usize..12,
     ) {
         let m = FeatureMatrix::from_vecs(&rows).unwrap();
-        let ball = BallTree::build(&m);
+        let tree = KdTree::build(&m);
         let reference = brute_force_knn(&m, &query, k, None);
-        prop_assert_eq!(bits(&ball.k_nearest(&query, k)), bits(&reference));
+        prop_assert_eq!(bits(&tree.k_nearest(&query, k)), bits(&reference));
+        for i in 0..m.rows() {
+            prop_assert_eq!(
+                bits(&tree.k_nearest(m.row(i), k)),
+                bits(&brute_force_knn(&m, m.row(i), k, None)),
+                "row {}", i
+            );
+        }
     }
 
     /// The same agreement on heavy-duplicate matrices, with and without
     /// NaN/±Inf cells, excluding the query row itself as SEL does.
     #[test]
-    fn balltree_agrees_on_duplicates_with_exclusion(
+    fn kdtree_agrees_on_duplicates_with_exclusion(
         rows in duplicated_cloud(3, 150),
         k in 1usize..10,
     ) {
         let m = FeatureMatrix::from_vecs(&rows).unwrap();
-        let ball = BallTree::build(&m);
+        let tree = KdTree::build(&m);
         for i in 0..m.rows().min(15) {
             prop_assert_eq!(
-                bits(&ball.k_nearest_excluding(m.row(i), k, Some(i))),
+                bits(&tree.k_nearest_excluding(m.row(i), k, Some(i))),
                 bits(&brute_force_knn(&m, m.row(i), k, Some(i))),
                 "row {}", i
             );
             prop_assert_eq!(
-                bits(&ball.k_nearest(m.row(i), k)),
+                bits(&tree.k_nearest(m.row(i), k)),
                 bits(&brute_force_knn(&m, m.row(i), k, None)),
                 "row {}", i
             );
@@ -125,14 +160,14 @@ proptest! {
     /// reproduce the pure index-order result — the hardest tie-break case
     /// for tree pruning bounds.
     #[test]
-    fn balltree_agrees_on_all_equidistant_matrices(
+    fn kdtree_agrees_on_all_equidistant_matrices(
         rows in equidistant_cloud(3, 120),
         query in prop::collection::vec(0.0..1.0f64, 3..=3),
         k in 1usize..10,
     ) {
         let m = FeatureMatrix::from_vecs(&rows).unwrap();
-        let ball = BallTree::build(&m);
-        prop_assert_eq!(&ball.k_nearest(&query, k), &brute_force_knn(&m, &query, k, None));
+        let tree = KdTree::build(&m);
+        prop_assert_eq!(&tree.k_nearest(&query, k), &brute_force_knn(&m, &query, k, None));
     }
 
     /// Results are sorted, sized `min(k, rows)` and in bounds.
@@ -143,7 +178,7 @@ proptest! {
         k in 1usize..20,
     ) {
         let m = FeatureMatrix::from_vecs(&rows).unwrap();
-        let nn = BallTree::build(&m).k_nearest(&query, k);
+        let nn = KdTree::build(&m).k_nearest(&query, k);
         prop_assert_eq!(nn.len(), k.min(m.rows()));
         for w in nn.windows(2) {
             prop_assert!(w[0].sq_dist <= w[1].sq_dist);
@@ -165,11 +200,11 @@ proptest! {
         let m = FeatureMatrix::from_vecs(&rows).unwrap();
         let it = RowInterning::of(&m);
         let weights = it.multiplicities();
-        let ball = BallTree::build(it.unique());
+        let tree = KdTree::build(it.unique());
         for i in 0..m.rows().min(10) {
             let query = m.row(i);
             prop_assert_eq!(
-                bits(&ball.k_nearest_weighted(query, &weights, k)),
+                bits(&tree.k_nearest_weighted(query, &weights, k)),
                 reference_weighted(&m, query, k),
                 "row {}", i
             );
@@ -201,18 +236,18 @@ proptest! {
         }
     }
 
-    /// The ball tree at its native regime: moderate dimensionality (dim 9,
+    /// The k-d tree at its native regime: moderate dimensionality (dim 9,
     /// multi-level trees) against the brute-force reference.
     #[test]
-    fn balltree_agrees_at_moderate_dimensionality(
+    fn kdtree_agrees_at_moderate_dimensionality(
         rows in cloud(9, 200),
         k in 1usize..10,
     ) {
         let m = FeatureMatrix::from_vecs(&rows).unwrap();
-        let ball = BallTree::build(&m);
+        let tree = KdTree::build(&m);
         for i in 0..m.rows().min(8) {
             let reference = brute_force_knn(&m, m.row(i), k, None);
-            prop_assert_eq!(&ball.k_nearest(m.row(i), k), &reference);
+            prop_assert_eq!(&tree.k_nearest(m.row(i), k), &reference);
         }
     }
 }

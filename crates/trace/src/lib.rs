@@ -379,12 +379,14 @@ mod tests {
             assert_eq!(first.counter("g.count"), 1);
             counter("g.count", 10);
             let _ = drain_report();
-            take_global_report()
+            let total = take_global_report();
+            // Taking clears it. Checked under the same lock: once
+            // `with_tracing` releases it, another test may drain into the
+            // global accumulator.
+            assert!(take_global_report().is_empty());
+            total
         });
         assert_eq!(total.counter("g.count"), 11);
-        // Taking clears it.
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(take_global_report().is_empty());
     }
 
     #[test]

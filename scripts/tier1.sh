@@ -86,12 +86,13 @@ env $TRACED_ENV ./target/release/ablation_controlled --quick --scale 0.05 > /dev
 TRANSER_ALLOC_TRACE=1 \
     ./target/release/bench_similarity --smoke --out target/BENCH_similarity_smoke.json > /dev/null
 
-# k-NN index smoke: on one small deterministic matrix and on a copy with
-# NaN and ±Inf cells, the ball tree and the duplicate-aware engine
+# k-NN index smoke: on one small deterministic matrix, on a copy with
+# NaN and ±Inf cells and on a tie-heavy 4-column matrix (cells mostly
+# 0, 1/4, 1/2 or 1), the k-d tree and the duplicate-aware engine
 # (DedupKnn) must agree bitwise with the brute-force reference
 # (neighbours, squared-distance bits, tie-break order) with plain and
 # self-excluding queries at several k; panics non-zero on the first
-# disagreement. The artefact is one timed ball-tree cell.
+# disagreement. The artefact is one timed k-d tree cell.
 ./target/release/bench_sel --smoke --out target/BENCH_sel_smoke.json > /dev/null
 
 # Serving smoke: train at the smallest rung, round-trip the model and LSH

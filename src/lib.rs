@@ -6,7 +6,7 @@
 //! resolution on structured data, together with every substrate it needs:
 //! the ER pipeline (similarity comparators, MinHash-LSH blocking,
 //! record-pair comparison), from-scratch traditional classifiers with
-//! calibrated probabilities, a ball tree, a small linear-algebra kit, the
+//! calibrated probabilities, a k-d tree, a small linear-algebra kit, the
 //! six baselines of the paper's evaluation, synthetic workload generators
 //! calibrated against the paper's seven data sets, and an experiment
 //! harness regenerating every table and figure.
@@ -40,7 +40,7 @@
 //! | [`common`] | `transer-common` | records, feature matrices, labels, datasets |
 //! | [`similarity`] | `transer-similarity` | Jaro-Winkler, Jaccard, Levenshtein, ... |
 //! | [`blocking`] | `transer-blocking` | MinHash LSH, standard blocking, comparison step |
-//! | [`knn`] | `transer-knn` | Ball-tree k-nearest-neighbour index |
+//! | [`knn`] | `transer-knn` | k-d tree k-nearest-neighbour index |
 //! | [`linalg`] | `transer-linalg` | dense matrices, Jacobi eigendecomposition |
 //! | [`ml`] | `transer-ml` | logistic regression, CART, random forest, SVM, MLP/GRL |
 //! | [`metrics`] | `transer-metrics` | precision, recall, F1, F*, histograms |
