@@ -82,9 +82,10 @@ impl FeatureMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Iterate over all rows.
+    /// Iterate over all rows: [`rows`](Self::rows) slices, empty ones for
+    /// a zero-column matrix.
     pub fn iter_rows(&self) -> impl Iterator<Item = &[f64]> + '_ {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 
     /// Append one row.
@@ -205,6 +206,14 @@ mod tests {
         assert_eq!(m.cols(), 2);
         assert_eq!(m.row(1), &[0.5, 0.5]);
         assert_eq!(m.iter_rows().count(), 3);
+    }
+
+    #[test]
+    fn zero_column_rows_are_iterated() {
+        let m = FeatureMatrix::from_rows(Vec::new(), 100, 0).unwrap();
+        assert_eq!(m.rows(), 100);
+        assert_eq!(m.iter_rows().count(), m.rows());
+        assert!(m.iter_rows().all(<[f64]>::is_empty));
     }
 
     #[test]

@@ -17,9 +17,32 @@
 //! equal; consumers that care about numeric ties handle them through
 //! distance classes, not through the interning.)
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{Hash, Hasher};
 
 use crate::FeatureMatrix;
+
+/// A row borrowed from the matrix being interned, hashed and compared by
+/// its cells' bit patterns (so `0.0` and `-0.0` differ, and NaNs group by
+/// sign and payload).
+struct RowBits<'a>(&'a [f64]);
+
+impl PartialEq for RowBits<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(other.0).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for RowBits<'_> {}
+
+impl Hash for RowBits<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.0 {
+            state.write_u64(v.to_bits());
+        }
+    }
+}
 
 /// The result of deduplicating the rows of a [`FeatureMatrix`].
 ///
@@ -48,15 +71,13 @@ impl RowInterning {
     pub fn of(matrix: &FeatureMatrix) -> Self {
         let n = matrix.rows();
         assert!(n <= u32::MAX as usize, "row interning supports at most u32::MAX rows");
-        let mut map: HashMap<Vec<u64>, u32> = HashMap::with_capacity(n);
+        let mut map: HashMap<RowBits<'_>, u32> = HashMap::with_capacity(n);
         let mut to_unique = Vec::with_capacity(n);
         let mut unique = FeatureMatrix::empty(matrix.cols());
-        for i in 0..n {
-            let row = matrix.row(i);
-            let key: Vec<u64> = row.iter().map(|v| v.to_bits()).collect();
-            let id = match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
+        for row in matrix.iter_rows() {
+            let id = match map.entry(RowBits(row)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
                     let id = unique.rows() as u32;
                     unique.push_row(row);
                     e.insert(id);
@@ -280,5 +301,23 @@ mod tests {
         let it = RowInterning::of(&m);
         assert_eq!(it.unique_rows(), 2);
         assert_eq!(it.to_unique(), &[0, 1, 0]);
+    }
+
+    #[test]
+    fn nan_rows_group_by_bit_pattern() {
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        let m = FeatureMatrix::from_vecs(&[
+            vec![quiet, 0.5],
+            vec![payload, 0.5],
+            vec![-quiet, 0.5],
+            vec![quiet, 0.5],
+            vec![payload, 0.5],
+        ])
+        .unwrap();
+        let it = RowInterning::of(&m);
+        assert_eq!(it.to_unique(), &[0, 1, 2, 0, 1]);
+        assert_eq!(it.members(1), &[1, 4]);
+        assert_eq!(it.unique().row(1)[0].to_bits(), payload.to_bits());
     }
 }

@@ -61,12 +61,15 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 /// reduction order.
 ///
 /// For every point `x` with `lo ≤ x ≤ hi` on each axis the result is
-/// `<=` the *computed* `sq_dist(q, x)`, not only the exact one: each gap
-/// is the rounding of a difference no larger than `|q − x|`, and
-/// round-to-nearest is monotone, so every squared term is no larger
-/// than `x`'s, and sums of non-negative terms taken in the same order
-/// keep that order. A NaN coordinate of `q` contributes 0, so the result
-/// is never NaN.
+/// `<=` the *computed* `sq_dist(q, x)` whenever that distance is not
+/// NaN, not only `<=` the exact one: each gap is the rounding of a
+/// difference no larger than `|q − x|`, and round-to-nearest is
+/// monotone, so every squared term is no larger than `x`'s, and sums of
+/// non-negative terms taken in the same order keep that order. A NaN
+/// coordinate of `q` contributes 0, so the result is never NaN; but then
+/// `sq_dist(q, x)` is NaN for every `x` and no order holds. A k-NN
+/// search stays exact there all the same: its k-th best distance is NaN
+/// too, and `bound > NaN` is false, so nothing is pruned.
 #[inline]
 pub fn sq_dist_to_box(q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
     debug_assert!(q.len() == lo.len() && q.len() == hi.len());
@@ -87,22 +90,32 @@ pub fn sq_dist_to_box(q: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
     reduce(acc, tail)
 }
 
-/// Distance from `q` to the slab `[lo, hi]` on one axis; 0 inside it and
-/// for a NaN `q`.
+/// Distance from `q` to the slab `[lo, hi]` on one axis; ±0 inside it
+/// and for a NaN `q`. Branch-free: outside the slab the far face's
+/// difference is negative, and `max` drops a NaN operand (an infinite
+/// `q` against an unbounded slab), so on every slab with `lo <= hi` the
+/// gap squares bit for bit to the branchy form's (`q < lo`, `q > hi`,
+/// else 0), which this module's tests keep as the oracle.
 #[inline]
 fn axis_gap(q: f64, lo: f64, hi: f64) -> f64 {
-    if q < lo {
-        lo - q
-    } else if q > hi {
-        q - hi
-    } else {
-        0.0
-    }
+    (lo - q).max(q - hi).max(0.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The gap to the nearer face outside the slab and 0 inside it or for
+    /// a NaN `q`, with branches: the oracle for [`axis_gap`].
+    fn axis_gap_reference(q: f64, lo: f64, hi: f64) -> f64 {
+        if q < lo {
+            lo - q
+        } else if q > hi {
+            q - hi
+        } else {
+            0.0
+        }
+    }
 
     /// The original exact-order sequential sum `Σ (aᵢ − bᵢ)²`, pinned as
     /// the oracle for [`sq_dist`].
@@ -166,6 +179,74 @@ mod tests {
         assert_eq!(sq_dist(&[], &[]), 0.0);
         assert_eq!(sq_dist(&[3.0], &[0.0]), 9.0);
         assert_eq!(sq_dist_to_box(&[], &[], &[]), 0.0);
+    }
+
+    /// Slab edges the k-d tree can store or meet in a query: signed
+    /// zeros, infinities, NaN, subnormals and the extremes of the range.
+    const EDGES: [f64; 19] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        1.0,
+        -1.0,
+        0.5,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::MIN_POSITIVE / 2.0,
+        5e-324,
+        -5e-324,
+        f64::MAX,
+        f64::MIN,
+        1.0 + f64::EPSILON,
+        1.0 - f64::EPSILON / 2.0,
+    ];
+
+    fn assert_gap_matches(q: f64, lo: f64, hi: f64) {
+        let (fast, slow) = (axis_gap(q, lo, hi), axis_gap_reference(q, lo, hi));
+        assert_eq!((fast * fast).to_bits(), (slow * slow).to_bits(), "q {q:e} in [{lo:e}, {hi:e}]");
+    }
+
+    #[test]
+    fn branch_free_gap_squares_to_the_reference_on_edges() {
+        for lo in EDGES {
+            for hi in EDGES {
+                // The tree stores `lo <= hi`, or `(−∞, +∞)` for a node
+                // holding a non-finite cell.
+                if lo.is_nan() || hi.is_nan() || lo > hi {
+                    continue;
+                }
+                for q in EDGES {
+                    assert_gap_matches(q, lo, hi);
+                    assert_gap_matches(q.next_up(), lo, hi);
+                    assert_gap_matches(q.next_down(), lo, hi);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn branch_free_gap_squares_to_the_reference_on_random_bits() {
+        // Splitmix64 over raw bit patterns: every exponent, NaN payloads
+        // and subnormals, not only values in [0, 1].
+        let mut state = 7u64;
+        let mut bits = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            f64::from_bits(z ^ (z >> 31))
+        };
+        for _ in 0..200_000 {
+            let (a, b, q) = (bits(), bits(), bits());
+            if a.is_nan() || b.is_nan() {
+                continue;
+            }
+            assert_gap_matches(q, a.min(b), a.max(b));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use transer_trace::alloc;
 // `#[global_allocator]` is never registered — so the linkage below is
 // load-bearing: it is what swaps this test binary's allocator from the
 // default shim to `CountingAllocator`.
-use transer_common as _;
+use transer_common::{FeatureMatrix, RowInterning};
 
 // The profiling switch is process-global; tests that flip it serialise
 // here and restore "disabled" before returning.
@@ -95,4 +95,22 @@ fn alloc_counted_measures_a_real_closure() {
     assert_eq!(len, 8192);
     assert!(report.counter("test.alloc.count") >= 1);
     assert!(report.counter("test.alloc.bytes") >= 8192);
+}
+
+#[test]
+fn row_interning_allocates_no_key_per_row() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // 10^4 rows of 4 columns, 5,000 distinct rows each seen twice.
+    let rows = 10_000;
+    let data: Vec<f64> = (0..rows * 4).map(|i| ((i / 4) % 5_000 + i % 4) as f64).collect();
+    let matrix = FeatureMatrix::from_rows(data, rows, 4).unwrap();
+    alloc::set_enabled(true);
+    let (c0, _) = alloc::thread_counters();
+    let interning = RowInterning::of(&matrix);
+    let (c1, _) = alloc::thread_counters();
+    alloc::set_enabled(false);
+    assert_eq!(interning.unique_rows(), 5_000);
+    // The map, the outputs and the unique matrix's doubling growth: a few
+    // dozen allocations, where a key per row would make 10^4.
+    assert!(c1 - c0 < 64, "interning {rows} rows made {} allocations", c1 - c0);
 }

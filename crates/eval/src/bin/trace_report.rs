@@ -13,8 +13,10 @@
 //!   pooled-dispatch counter, the similarity-kernel partition
 //!   invariant `bitparallel + fallback == levenshtein.calls`, and the
 //!   k-d tree traversal partition invariant
-//!   `nodes + queries == bound_prunes + 2 × leaf_scans`); exits
-//!   non-zero on any violation. This is the tier-1 smoke check.
+//!   `nodes + queries == bound_prunes + 2 × leaf_scans`, and at least
+//!   one distance evaluation per leaf scan, `dists >= leaf_scans`, with
+//!   `dists == 0` exactly when `leaf_scans == 0`); exits non-zero on any
+//!   violation. This is the tier-1 smoke check.
 
 use std::fmt::Write as _;
 
@@ -146,6 +148,15 @@ fn validate(doc: &Json) -> Result<(), String> {
         return Err(format!(
             "knn.kdtree.nodes ({nodes}) + knn.kdtree.queries ({queries}) != \
              knn.kdtree.bound_prunes ({prunes}) + 2 × knn.kdtree.leaf_scans ({leaf_scans})"
+        ));
+    }
+    // A leaf is never empty, so every scan evaluates at least one row's
+    // distance, and only leaf scans evaluate distances.
+    let dists = get("knn.kdtree.dists");
+    if dists < leaf_scans || (leaf_scans == 0.0 && dists > 0.0) {
+        return Err(format!(
+            "knn.kdtree.dists ({dists}) must be >= knn.kdtree.leaf_scans ({leaf_scans}), \
+             and 0 exactly when it is 0"
         ));
     }
     Ok(())
@@ -292,8 +303,9 @@ mod tests {
 
     /// Counters that satisfy every partition invariant: 10 Levenshtein
     /// runs split 7 + 3, and 2 k-d tree queries visiting 9 nodes with
-    /// 3 prunes and 4 leaf scans (9 + 2 == 3 + 2 × 4).
-    const CONSISTENT: [(&str, u64); 7] = [
+    /// 3 prunes and 4 leaf scans (9 + 2 == 3 + 2 × 4) that evaluate 50
+    /// distances.
+    const CONSISTENT: [(&str, u64); 8] = [
         ("similarity.levenshtein.calls", 10),
         ("similarity.kernel.bitparallel", 7),
         ("similarity.kernel.fallback", 3),
@@ -301,6 +313,7 @@ mod tests {
         ("knn.kdtree.nodes", 9),
         ("knn.kdtree.bound_prunes", 3),
         ("knn.kdtree.leaf_scans", 4),
+        ("knn.kdtree.dists", 50),
     ];
 
     fn with(name: &str, value: u64) -> Vec<(&'static str, u64)> {
@@ -335,5 +348,18 @@ mod tests {
             let err = validate(&report(&with(name, value), 2)).unwrap_err();
             assert!(err.contains("knn.kdtree.nodes"), "{name}: {err}");
         }
+    }
+
+    #[test]
+    fn kdtree_distance_count_must_cover_the_leaf_scans() {
+        let err = validate(&report(&with("knn.kdtree.dists", 3), 2)).unwrap_err();
+        assert!(err.contains("knn.kdtree.dists"), "{err}");
+        // No traversal at all: distances without a leaf scan are an error,
+        // all zeros are not.
+        let mut idle = CONSISTENT.map(|(k, v)| (k, if k.starts_with("knn.") { 0 } else { v }));
+        assert_eq!(validate(&report(&idle, 2)), Ok(()));
+        idle[7].1 = 5;
+        let err = validate(&report(&idle, 2)).unwrap_err();
+        assert!(err.contains("knn.kdtree.dists"), "{err}");
     }
 }

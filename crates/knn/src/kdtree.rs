@@ -13,16 +13,37 @@
 //! Leaves are scanned as contiguous rows through the shared vectorizable
 //! L2 kernel (`transer_common::l2`). It is the crate's only index.
 //!
+//! # Splits at the edge of a run
+//!
+//! A node is cut on its widest axis near the median, but never inside a
+//! run of equal values: the cut moves from the median to whichever edge
+//! of the median value's run lies nearer the middle, so every row holding
+//! that value lands on one side and sibling boxes are disjoint on the
+//! split axis. The plain median stays only when neither edge leaves both
+//! children non-empty, that is when every value on the axis is equal.
+//! The ER columns span `[0, 1]`, and on Bp-Dp 38–100 % of a column's
+//! cells are exact 0s or 1s, so a median cut usually lands inside a
+//! run; both children's boxes then hold that value, the bound
+//! cannot tell them apart, and a query scans several times the rows it
+//! needs (EXPERIMENTS.md, "Splits at the edge of a run"). A run-edge cut
+//! may be unbalanced, but the larger child holds the whole run and at
+//! most as many other rows as the smaller child, so the next cuts peel
+//! those off; trees on adversarial tie patterns stay within twice the
+//! depth of a balanced one (tested).
+//!
 //! # Determinism and exactness
 //!
-//! Construction is deterministic: each node splits at the median of its
-//! widest axis, ties broken by original row index, so the tree is a pure
-//! function of the matrix. Queries are *exact* with no slack term. The
+//! Construction is deterministic: the median is taken under `total_cmp`
+//! with ties broken by original row index, and the run edge is a function
+//! of the values, so the tree is a pure function of the matrix. Queries
+//! are *exact* with no slack term, whatever the tree's shape. The
 //! box bound is [`l2::sq_dist_to_box`], which sums in `l2::sq_dist`'s
 //! lane and reduction order; by monotone rounding it never exceeds the
 //! computed distance of any row inside the box, so pruning only when the
 //! bound is *strictly* greater than the heap's bound never cuts away a
-//! neighbour, boundary ties included. A node holding a NaN or ±Inf cell
+//! neighbour, boundary ties included. A query with a NaN coordinate is
+//! at NaN from every row; the heap's bound is then NaN, `bound > NaN` is
+//! false, and nothing is pruned. A node holding a NaN or ±Inf cell
 //! gets the unbounded box `(−∞, +∞)` on every axis: its bound is 0 for
 //! every query and it is never pruned. The heaps rank non-finite
 //! distances by `total_cmp`. Results — indices, squared distances,
@@ -42,8 +63,10 @@ const NONE: u32 = u32::MAX;
 
 /// Maximum rows per leaf. Leaves are scanned through the shared L2
 /// kernel, so a moderately wide leaf amortises the per-node bound checks
-/// over a contiguous, vectorizable sweep.
-const LEAF_SIZE: usize = 32;
+/// over a contiguous, vectorizable sweep. With run-edge splits, 16 and 8
+/// ran `transfer` within noise of each other and 32 about 6 % slower
+/// (EXPERIMENTS.md, "Splits at the edge of a run").
+const LEAF_SIZE: usize = 16;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -79,6 +102,8 @@ struct Stats {
     nodes: u64,
     prunes: u64,
     leaf_scans: u64,
+    /// Rows whose distance the leaf scans evaluated.
+    dists: u64,
 }
 
 impl Stats {
@@ -87,6 +112,7 @@ impl Stats {
         transer_trace::counter("knn.kdtree.nodes", self.nodes);
         transer_trace::counter("knn.kdtree.bound_prunes", self.prunes);
         transer_trace::counter("knn.kdtree.leaf_scans", self.leaf_scans);
+        transer_trace::counter("knn.kdtree.dists", self.dists);
     }
 }
 
@@ -269,6 +295,7 @@ impl KdTree {
         let node = self.nodes[id as usize];
         if node.left == NONE {
             stats.leaf_scans += 1;
+            stats.dists += u64::from(node.end - node.start);
             for pos in node.start as usize..node.end as usize {
                 out.offer(self.orig[pos], l2::sq_dist(query, self.point(pos)));
             }
@@ -327,13 +354,7 @@ fn build_recursive(
             }
         }
     }
-    // Widest axis of the finite cells; the first one wins a tie.
-    let mut axis = 0;
-    for j in 1..dim {
-        if hi[j] - lo[j] > hi[axis] - lo[axis] {
-            axis = j;
-        }
-    }
+    let axis = widest_axis(lo, hi);
     if !finite {
         lo.fill(f64::NEG_INFINITY);
         hi.fill(f64::INFINITY);
@@ -351,23 +372,64 @@ fn build_recursive(
         return id;
     }
 
-    // Median split on the widest axis under `total_cmp`, ties broken by
-    // original row index, so the split is a pure function of the matrix
-    // (non-finite cells sort to the ends).
+    // Median of the widest axis under `total_cmp`, ties broken by original
+    // row index, so the split is a pure function of the matrix (non-finite
+    // cells sort to the ends). The cut then moves to the nearer edge of
+    // the median value's run, so no run of equal values straddles it.
     keys.clear();
     keys.extend(order.iter().map(|&i| (matrix.row(i as usize)[axis], i)));
+    let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
     let mid = len / 2;
-    keys.select_nth_unstable_by(mid, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    keys.select_nth_unstable_by(mid, cmp);
+    let cut = run_edge_cut(keys, mid);
+    // Bring the run's rows on the wrong side of `cut` across it: they are
+    // the largest of `keys[..mid]` or the smallest of `keys[mid + 1..]`.
+    if cut < mid {
+        keys[..mid].select_nth_unstable_by(cut, cmp);
+    } else if cut > mid {
+        keys[mid + 1..].select_nth_unstable_by(cut - mid - 1, cmp);
+    }
     for (slot, &(_, i)) in order.iter_mut().zip(keys.iter()) {
         *slot = i;
     }
 
-    let (left_slice, right_slice) = order.split_at_mut(mid);
+    let (left_slice, right_slice) = order.split_at_mut(cut);
     let left = build_recursive(matrix, left_slice, base, nodes, boxes, keys);
-    let right = build_recursive(matrix, right_slice, base + mid, nodes, boxes, keys);
+    let right = build_recursive(matrix, right_slice, base + cut, nodes, boxes, keys);
     nodes[id as usize].left = left;
     nodes[id as usize].right = right;
     id
+}
+
+/// The axis along which `[lo, hi]` is widest; the first one wins a tie.
+fn widest_axis(lo: &[f64], hi: &[f64]) -> usize {
+    let mut axis = 0;
+    for j in 1..lo.len() {
+        if hi[j] - lo[j] > hi[axis] - lo[axis] {
+            axis = j;
+        }
+    }
+    axis
+}
+
+/// Where to cut `keys`, already selected at `mid` under the build order:
+/// at the edge of the median value's run (the keys `total_cmp`-equal to
+/// `keys[mid]`) that lies nearer the middle, among the edges that leave
+/// both sides non-empty, the lower edge on a tie. At `mid` itself only
+/// when neither edge does: every key holds the same value.
+fn run_edge_cut(keys: &[(f64, u32)], mid: usize) -> usize {
+    let len = keys.len();
+    let value = keys[mid].0;
+    let in_run = |k: &&(f64, u32)| k.0.total_cmp(&value).is_eq();
+    let start = mid - keys[..mid].iter().filter(in_run).count();
+    let end = mid + 1 + keys[mid + 1..].iter().filter(in_run).count();
+    let off_middle = |cut: usize| (2 * cut).abs_diff(len);
+    match (start > 0, end < len) {
+        (true, true) if off_middle(end) < off_middle(start) => end,
+        (true, _) => start,
+        (false, true) => end,
+        (false, false) => mid,
+    }
 }
 
 #[cfg(test)]
@@ -513,6 +575,13 @@ mod tests {
         };
         assert_eq!(rows(tree.k_nearest(&[], 5)), [0, 1, 2, 3, 4]);
         assert_eq!(rows(tree.k_nearest_excluding(&[], 3, Some(1))), [0, 2, 3]);
+        for k in [1, 5, 100, 101] {
+            assert_eq!(tree.k_nearest(&[], k), brute_force_knn(&m, &[], k, None), "k {k}");
+            assert_eq!(
+                tree.k_nearest_excluding(&[], k, Some(7)),
+                brute_force_knn(&m, &[], k, Some(7))
+            );
+        }
     }
 
     #[test]
@@ -525,15 +594,23 @@ mod tests {
 
     /// The box bound is exact: for every node and every query — matrix
     /// rows, the corners of every node's box, points one ulp outside
-    /// them and random points — it is `<=` the computed `l2::sq_dist`
-    /// from the query to each row the node holds. A node holding a NaN
-    /// or ±Inf cell must bound every query by 0, so it is never pruned.
+    /// them and random points — it is `<=` every non-NaN computed
+    /// `l2::sq_dist` from the query to a row the node holds. A query with
+    /// a NaN coordinate is at NaN from every row, so the heap's bound is
+    /// NaN once it fills, `bound > NaN` is false, and nothing is pruned.
+    /// A node holding a NaN or ±Inf cell must bound every query by 0, so
+    /// it is never pruned.
     #[test]
     fn box_bound_never_exceeds_a_member_distance() {
         let ties = [0.0, 0.25, 0.5, 1.0];
-        for (seed, dim, shape) in
-            [(1, 9, "uniform"), (2, 8, "ties"), (3, 13, "ties"), (4, 6, "hostile")]
-        {
+        let (mut checked, mut nan_checked) = (0, 0);
+        for (seed, dim, shape) in [
+            (1, 9, "uniform"),
+            (2, 8, "ties"),
+            (3, 13, "ties"),
+            (4, 6, "hostile"),
+            (5, 6, "sparse hostile"),
+        ] {
             let mut next = uniform(seed);
             let rows: Vec<Vec<f64>> = (0..400)
                 .map(|_| {
@@ -547,6 +624,12 @@ mod tests {
                                     [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
                                         [(u * 100.0) as usize]
                                 }
+                                // Few enough non-finite cells that some
+                                // nodes hold none at any leaf size.
+                                "sparse hostile" if u < 0.003 => {
+                                    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+                                        [(u * 1000.0) as usize]
+                                }
                                 _ => next(),
                             }
                         })
@@ -557,6 +640,11 @@ mod tests {
             let tree = KdTree::build(&m);
             assert!(tree.nodes.len() > 15, "{shape}: the tree has several levels");
             let mut queries: Vec<Vec<f64>> = rows.iter().step_by(7).cloned().collect();
+            queries.extend(rows.iter().step_by(29).enumerate().map(|(i, row)| {
+                let mut q = row.clone();
+                q[i % dim] = f64::NAN;
+                q
+            }));
             for id in 0..tree.nodes.len() {
                 let b = id * 2 * dim;
                 let (lo, hi) = tree.boxes[b..b + 2 * dim].split_at(dim);
@@ -567,6 +655,7 @@ mod tests {
             }
             queries.extend((0..50).map(|_| (0..dim).map(|_| next() * 4.0 - 2.0).collect()));
             for q in &queries {
+                let nan_query = q.iter().any(|v| v.is_nan());
                 for (id, node) in tree.nodes.iter().enumerate() {
                     let bound = tree.box_bound(id as u32, q);
                     let members = node.start as usize..node.end as usize;
@@ -576,8 +665,193 @@ mod tests {
                     }
                     for pos in members {
                         let d = l2::sq_dist(q, tree.point(pos));
-                        assert!(bound <= d, "{shape}: node {id} bound {bound} > {d} at {pos}");
+                        if nan_query {
+                            assert!(d.is_nan(), "{shape}: node {id} at {pos}: {d}");
+                            nan_checked += 1;
+                        } else {
+                            assert!(bound <= d, "{shape}: node {id} bound {bound} > {d} at {pos}");
+                            checked += 1;
+                        }
                     }
+                }
+            }
+        }
+        assert!(checked > 0 && nan_checked > 0, "finite nodes met both kinds of query");
+    }
+
+    /// Neighbours as `(row, distance bits)`: `Neighbor`'s `==` fails on
+    /// NaN distances.
+    fn bits(nn: Vec<Neighbor>) -> Vec<(usize, u64)> {
+        nn.iter().map(|n| (n.index, n.sq_dist.to_bits())).collect()
+    }
+
+    #[test]
+    fn non_finite_queries_match_brute_force_on_finite_rows() {
+        let mut next = uniform(5);
+        let rows: Vec<Vec<f64>> =
+            (0..600).map(|_| (0..6).map(|_| (next() * 8.0).round() / 8.0).collect()).collect();
+        let m = FeatureMatrix::from_vecs(&rows).unwrap();
+        let tree = KdTree::build(&m);
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let queries = [
+            [nan, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [0.25, 0.5, 0.75, 1.0, 0.0, -nan],
+            [inf, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [0.0, 0.0, 0.0, 0.0, 0.0, -inf],
+            [inf, -inf, 0.5, 0.5, 0.5, 0.5],
+            [nan, inf, 0.5, 0.5, 0.5, -inf],
+            [nan; 6],
+        ];
+        for q in &queries {
+            for k in [1, 7, 25] {
+                assert_eq!(
+                    bits(tree.k_nearest(q, k)),
+                    bits(brute_force_knn(&m, q, k, None)),
+                    "query {q:?} k {k}"
+                );
+                assert_eq!(
+                    bits(tree.k_nearest_excluding(q, k, Some(3))),
+                    bits(brute_force_knn(&m, q, k, Some(3))),
+                    "query {q:?} k {k}, row 3 excluded"
+                );
+            }
+        }
+    }
+
+    /// The axis `build_recursive` split internal node `id` on: the widest
+    /// of the finite cells of its rows.
+    fn split_axis(tree: &KdTree, id: usize) -> usize {
+        let node = tree.nodes[id];
+        let mut lo = vec![f64::INFINITY; tree.dim];
+        let mut hi = vec![f64::NEG_INFINITY; tree.dim];
+        for pos in node.start as usize..node.end as usize {
+            for (j, &v) in tree.point(pos).iter().enumerate() {
+                if v.is_finite() {
+                    lo[j] = lo[j].min(v);
+                    hi[j] = hi[j].max(v);
+                }
+            }
+        }
+        widest_axis(&lo, &hi)
+    }
+
+    /// Every internal node's left child lies `total_cmp`-below its right
+    /// child on the split axis, unless every value there is equal.
+    fn assert_no_run_straddles_a_split(tree: &KdTree, what: &str) {
+        for (id, node) in tree.nodes.iter().enumerate() {
+            if node.left == NONE {
+                continue;
+            }
+            let axis = split_axis(tree, id);
+            let values = |child: u32| {
+                let c = tree.nodes[child as usize];
+                (c.start as usize..c.end as usize).map(move |pos| tree.point(pos)[axis])
+            };
+            let left_max = values(node.left).max_by(f64::total_cmp).unwrap();
+            let right_min = values(node.right).min_by(f64::total_cmp).unwrap();
+            let all_equal =
+                values(node.left).chain(values(node.right)).all(|v| v.total_cmp(&left_max).is_eq());
+            assert!(
+                left_max.total_cmp(&right_min).is_lt() || all_equal,
+                "{what}: node {id} splits the run of {left_max} on axis {axis}"
+            );
+        }
+    }
+
+    fn depth(tree: &KdTree, id: u32) -> usize {
+        let node = tree.nodes[id as usize];
+        if node.left == NONE {
+            1
+        } else {
+            1 + depth(tree, node.left).max(depth(tree, node.right))
+        }
+    }
+
+    /// A `rows × dim` matrix whose every cell is `mix(u, v)` of two
+    /// uniform draws: the tie patterns pick a repeated value by `u`.
+    fn tie_matrix(
+        seed: u64,
+        rows: usize,
+        dim: usize,
+        mix: impl Fn(f64, f64) -> f64,
+    ) -> FeatureMatrix {
+        let mut next = uniform(seed);
+        let data = (0..rows * dim).map(|_| mix(next(), next())).collect();
+        FeatureMatrix::from_rows(data, rows, dim).unwrap()
+    }
+
+    #[test]
+    fn split_never_cuts_a_run_of_equal_values() {
+        let ties = [0.0, 0.25, 0.5, 1.0];
+        let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        let matrices = [
+            (
+                "ties",
+                tie_matrix(
+                    11,
+                    2_000,
+                    8,
+                    |u, v| if u < 0.8 { ties[(v * 4.0) as usize % 4] } else { v },
+                ),
+            ),
+            (
+                "hostile",
+                tie_matrix(12, 2_000, 5, |u, v| {
+                    if u < 0.05 {
+                        hostile[(v * 4.0) as usize % 4]
+                    } else {
+                        (v * 4.0).round() / 4.0
+                    }
+                }),
+            ),
+            ("uniform", tie_matrix(13, 2_000, 4, |_, v| v)),
+        ];
+        for (what, m) in &matrices {
+            let tree = KdTree::build(m);
+            assert!(tree.nodes.len() > 15, "{what}: the tree has several levels");
+            assert_no_run_straddles_a_split(&tree, what);
+        }
+    }
+
+    /// Tie patterns that could unbalance a split at a run edge still build
+    /// shallow trees, and every one answers exactly as brute force.
+    #[test]
+    fn adversarial_tie_patterns_build_shallow_exact_trees() {
+        let n = 10_000;
+        let mut one_distinct = vec![0.5; n * 4];
+        one_distinct[4 * 1234..4 * 1235].copy_from_slice(&[0.25, 0.75, 0.0, 1.0]);
+        let geometric = |u: f64, _| (-u.log2()).floor().min(60.0);
+        let patterns = [
+            ("90 % zeros", tie_matrix(21, n, 6, |u, v| if u < 0.9 { 0.0 } else { v })),
+            ("geometric runs", tie_matrix(22, n, 4, geometric)),
+            ("one distinct row", FeatureMatrix::from_rows(one_distinct, n, 4).unwrap()),
+            ("half-NaN column", {
+                let mut m = tie_matrix(23, n, 3, |u, _| (u * 8.0).round() / 8.0);
+                for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+                    if i % 3 == 0 && (i / 3) % 2 == 0 {
+                        *v = f64::NAN;
+                    }
+                }
+                m
+            }),
+            ("all rows equal", FeatureMatrix::from_rows(vec![0.75; n * 5], n, 5).unwrap()),
+        ];
+        // Twice the depth of a balanced tree over the same rows.
+        let balanced = (n as f64 / LEAF_SIZE as f64).log2().ceil() as usize + 1;
+        for (what, m) in &patterns {
+            let tree = KdTree::build(m);
+            let d = depth(&tree, tree.root);
+            assert!(d <= 2 * balanced, "{what}: depth {d} > 2 × {balanced}");
+            assert_no_run_straddles_a_split(&tree, what);
+            for qi in [0, 1234, 4321, n - 1] {
+                let q = m.row(qi);
+                for k in [1, 7, 25] {
+                    assert_eq!(bits(tree.k_nearest(q, k)), bits(brute_force_knn(m, q, k, None)));
+                    assert_eq!(
+                        bits(tree.k_nearest_excluding(q, k, Some(qi))),
+                        bits(brute_force_knn(m, q, k, Some(qi))),
+                        "{what}: row {qi} k {k}"
+                    );
                 }
             }
         }

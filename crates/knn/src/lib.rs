@@ -4,12 +4,14 @@
 //! neighbours in the source feature matrix and in the target feature matrix.
 //! The paper assumes a KD-tree (Bentley, 1975) for this, giving
 //! `O(m · n · log n)` construction and `O(log n)` expected query time, and
-//! [`KdTree`] is one: median splits on the widest axis, with a bounding
-//! box per node. Pruning on the distance to the whole box, not to the one
-//! split plane a node was cut at, keeps it pruning on the 4–11 clustered,
-//! tie-heavy features of the repo's ER matrices, and its bound is exact
-//! in floating point, so it equals brute force on every input, NaN and
-//! ±Inf cells included. [`brute_force_knn`] is the reference it is tested
+//! [`KdTree`] is one, with a bounding box per node. It cuts a node on its
+//! widest axis near the median, at the edge of the median value's run of
+//! equal values, so no run straddles a cut and sibling boxes are disjoint
+//! on the split axis. Pruning on the distance to the whole box, not to the
+//! one split plane a node was cut at, keeps it pruning on the 4–11
+//! clustered, tie-heavy features of the repo's ER matrices, and its bound
+//! is exact in floating point, so it equals brute force on every input,
+//! NaN and ±Inf cells included. [`brute_force_knn`] is the reference it is tested
 //! against, and the faster search on dense rows of 16 or more dimensions
 //! (the DR baseline's 64-dimensional embeddings).
 //!
