@@ -1,17 +1,15 @@
-//! Shared fixtures for the Criterion benches.
-//!
-//! The benchmark harness mirrors the evaluation harness: every paper table
-//! and figure has a bench exercising the code that regenerates it (at a
-//! bench-friendly scale), plus micro-benches for the hot substrates
-//! (similarity functions, k-d tree, MinHash blocking, classifier training).
+//! Shared fixtures for the benchmark binaries in `src/bin/`: the
+//! end-to-end scale ladder (`bench_scale`), the serving benchmark
+//! (`bench_serve`), the similarity-kernel micro-benchmark
+//! (`bench_similarity`) and the grain-dispatch calibration (`bench_grain`).
 
 #![forbid(unsafe_code)]
 
 use transer_common::DomainPair;
 use transer_datagen::ScenarioPair;
 
-/// Scale used by the experiment-level benches: large enough to be
-/// representative, small enough for Criterion's repeated sampling.
+/// Scale of the bench fixtures: large enough to be representative, small
+/// enough for repeated timing.
 pub const BENCH_SCALE: f64 = 0.05;
 
 /// Deterministic seed for all bench fixtures.
@@ -22,11 +20,6 @@ pub fn biblio_pair() -> DomainPair {
     ScenarioPair::Bibliographic
         .domain_pair(BENCH_SCALE, BENCH_SEED)
         .expect("bench workload generation")
-}
-
-/// The music transfer task at bench scale.
-pub fn music_pair() -> DomainPair {
-    ScenarioPair::Music.domain_pair(BENCH_SCALE, BENCH_SEED).expect("bench workload generation")
 }
 
 // Peak RSS moved into the run ledger (`transer_trace::ledger`), which

@@ -5,8 +5,8 @@
 //! set `B ⊂ R × R`. The paper's experiments use a locality-sensitive-
 //! hashing technique that maps records with similar attribute values to the
 //! same MinHash bucket (Papadakis et al., 2020); [`MinHashLsh`] implements
-//! that scheme, and [`StandardBlocking`] / [`SortedNeighbourhood`] provide
-//! the classic alternatives.
+//! that scheme for batch linking, and [`LshIndex`] keeps its buckets
+//! updatable for the serving path.
 //!
 //! The comparison step then turns each candidate pair into a feature vector
 //! of attribute similarities; [`Comparison`] declares which
@@ -20,20 +20,13 @@
 mod compare;
 mod lsh_index;
 mod minhash;
-mod resolution;
-mod sorted;
-mod standard;
 mod tokenize;
 
 pub use compare::Comparison;
 pub use lsh_index::{LshIndex, COMPACT_MIN_TOMBSTONES, INDEX_SCHEMA_VERSION};
 pub use minhash::{MinHashLsh, MinHashLshConfig};
-pub use resolution::{one_to_one_matching, transitive_clusters};
-pub use sorted::SortedNeighbourhood;
-pub use standard::StandardBlocking;
 pub use tokenize::{token_hashes, token_hashes_masked};
 
-/// A candidate record pair: indices into the two record slices handed to
-/// the blocker (for deduplication within one database both indices refer to
-/// the same slice and `left < right`).
+/// A candidate record pair: indices into the left and right record slices
+/// handed to the blocker.
 pub type CandidatePair = (usize, usize);

@@ -1,6 +1,6 @@
 //! An *updatable* MinHash-LSH index for the serving path.
 //!
-//! The batch blockers in [`crate::MinHashLsh`] rebuild their band buckets
+//! The batch blocker [`crate::MinHashLsh`] rebuilds its band buckets
 //! from scratch on every call — fine for one-shot runs, wasteful for a
 //! long-lived service where the reference database changes one record at a
 //! time. [`LshIndex`] keeps the band buckets persistent across
@@ -36,7 +36,7 @@ use transer_common::{Error, Record, Result};
 use transer_parallel::{CostClass, CostHint, Pool};
 use transer_trace::json::{self, obj, Json};
 
-use crate::minhash::{MinHashLsh, MinHashLshConfig};
+use crate::minhash::{apply_blocking_fault, MinHashLsh, MinHashLshConfig};
 
 /// Compaction triggers once at least this many tombstones have accumulated
 /// (and tombstones outnumber live entries). Small indexes never pay a
@@ -256,10 +256,14 @@ impl LshIndex {
     }
 
     /// [`LshIndex::query`] over a batch, parallelised on `pool`. Output is
-    /// in probe order and bit-identical for every worker count.
+    /// in probe order and bit-identical for every worker count. Hosts the
+    /// `blocking` fault site once per batch: an armed `empty` or
+    /// `task_fail` plan leaves every probe without candidates.
     pub fn query_batch(&self, records: &[Record], pool: &Pool) -> Vec<Vec<usize>> {
         let hint = CostHint::new(records.len(), CostClass::Medium);
-        pool.par_map_costed(records, hint, |rec| self.query(rec))
+        let mut candidates = pool.par_map_costed(records, hint, |rec| self.query(rec));
+        apply_blocking_fault(&mut candidates);
+        candidates
     }
 
     /// Serialise the index (live entries only) to the versioned JSON

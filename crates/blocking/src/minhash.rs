@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use transer_common::{Error, Record, Result};
 use transer_parallel::{CostClass, CostHint, Pool};
+use transer_robust::FaultKind;
 
 use crate::tokenize::token_hashes_masked;
 use crate::CandidatePair;
@@ -235,79 +236,23 @@ impl MinHashLsh {
             });
         pairs.sort_unstable();
         pairs.dedup();
+        apply_blocking_fault(std::slice::from_mut(&mut pairs));
         transer_trace::counter("blocking.passes", 1);
         transer_trace::counter("blocking.minhash.candidates", pairs.len() as u64);
         pairs
     }
+}
 
-    /// Candidate pairs for deduplication within one database: `(i, j)` with
-    /// `i < j`, deduplicated and sorted. Signature computation and the
-    /// bucket-member sweep run on the global [`Pool`].
-    pub fn candidate_pairs_dedup(&self, records: &[Record]) -> Vec<CandidatePair> {
-        self.candidate_pairs_dedup_masked_with_pool(records, None, &Pool::global())
-    }
-
-    /// Like [`MinHashLsh::candidate_pairs_dedup`] but blocking only on the
-    /// given attribute indices (`None` = all attributes), mirroring the
-    /// linking path.
-    pub fn candidate_pairs_dedup_masked(
-        &self,
-        records: &[Record],
-        attrs: Option<&[usize]>,
-    ) -> Vec<CandidatePair> {
-        self.candidate_pairs_dedup_masked_with_pool(records, attrs, &Pool::global())
-    }
-
-    /// [`MinHashLsh::candidate_pairs_dedup_masked`] on an explicit [`Pool`].
-    ///
-    /// The quadratic per-bucket member loop is sharded through the grain
-    /// model: buckets are costed by their actual pair counts (not bucket
-    /// count), so one giant bucket does not serialise the sweep. Indices are
-    /// `usize` throughout — no truncation at any dataset size — and the
-    /// sorted, deduplicated output is identical for every worker count.
-    pub fn candidate_pairs_dedup_masked_with_pool(
-        &self,
-        records: &[Record],
-        attrs: Option<&[usize]>,
-        pool: &Pool,
-    ) -> Vec<CandidatePair> {
-        let _span = transer_trace::span("blocking.candidates");
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, keys) in self.all_band_keys(records, attrs, pool).iter().enumerate() {
-            for &key in keys.iter().flatten() {
-                buckets.entry(key).or_default().push(i);
-            }
-        }
-        let cap = if self.config.max_bucket == 0 { usize::MAX } else { self.config.max_bucket };
-        // Only buckets that emit pairs: at least two members, under the cap.
-        let groups: Vec<&Vec<usize>> =
-            buckets.values().filter(|m| m.len() >= 2 && m.len() <= cap).collect();
-        // Cost one "item" (bucket) by the mean pairs-per-bucket so the grain
-        // model sees the quadratic work, not the bucket count.
-        let total_pairs: usize = groups.iter().map(|m| m.len() * (m.len() - 1) / 2).sum();
-        const DEDUP_PAIR_NANOS: u64 = 25;
-        let per_group = ((total_pairs as u64).saturating_mul(DEDUP_PAIR_NANOS)
-            / groups.len().max(1) as u64)
-            .max(1);
-        let hint = CostHint::with_per_item_nanos(groups.len(), per_group);
-        let mut pairs: Vec<CandidatePair> =
-            pool.par_chunks_costed(&groups, None, hint, |_start, chunk| {
-                let mut local = Vec::new();
-                for members in chunk {
-                    for (a, &i) in members.iter().enumerate() {
-                        for &j in &members[a + 1..] {
-                            let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                            local.push((lo, hi));
-                        }
-                    }
-                }
-                local
-            });
-        pairs.sort_unstable();
-        pairs.dedup();
-        transer_trace::counter("blocking.passes", 1);
-        transer_trace::counter("blocking.minhash.candidates", pairs.len() as u64);
-        pairs
+/// The `blocking` fault site, checked once per blocking call on the owner
+/// thread (so a plan fires at the same calls at any worker count): an
+/// armed `empty` or `task_fail` plan drops every candidate (blocking has
+/// no float or label payload to poison, so the other kinds are no-ops
+/// here). Downstream phases must then cope with an empty comparison set.
+pub(crate) fn apply_blocking_fault<T>(candidates: &mut [Vec<T>]) {
+    if let Some(FaultKind::Empty | FaultKind::TaskFail) =
+        transer_robust::fired(transer_robust::site::BLOCKING)
+    {
+        candidates.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -344,20 +289,6 @@ mod tests {
         let pairs = blocker().candidate_pairs(&left, &right);
         assert!(pairs.contains(&(0, 0)), "near-duplicate pair missed: {pairs:?}");
         assert!(!pairs.contains(&(1, 1)), "disjoint pair not pruned: {pairs:?}");
-    }
-
-    #[test]
-    fn dedup_within_one_database() {
-        let recs = vec![
-            rec(0, 1, "the beatles abbey road remastered"),
-            rec(1, 1, "the beatles abbey road"),
-            rec(2, 2, "pink floyd the dark side of the moon"),
-        ];
-        let pairs = blocker().candidate_pairs_dedup(&recs);
-        assert!(pairs.contains(&(0, 1)));
-        for &(i, j) in &pairs {
-            assert!(i < j);
-        }
     }
 
     #[test]
@@ -454,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn dedup_is_deterministic_across_pools_and_honours_attrs() {
+    fn masked_blocking_honours_attrs() {
         let titles = [
             "a fast algorithm for record linkage",
             "record linkage at scale",
@@ -462,30 +393,27 @@ mod tests {
             "entity resolution with transfer learning",
             "transfer learning for entity resolution",
         ];
-        let recs: Vec<Record> = (0..300)
-            .map(|i| {
-                Record::new(
-                    i,
-                    i % 9,
-                    vec![
-                        AttrValue::Text(format!("{} part {}", titles[i as usize % 5], i % 13)),
-                        AttrValue::Text(format!("noise {}", i)),
-                    ],
-                )
-            })
-            .collect();
+        let recs = |range: std::ops::Range<u64>| -> Vec<Record> {
+            range
+                .map(|i| {
+                    Record::new(
+                        i,
+                        i % 9,
+                        vec![
+                            AttrValue::Text(format!("{} part {}", titles[i as usize % 5], i % 13)),
+                            AttrValue::Text(format!("noise {}", i)),
+                        ],
+                    )
+                })
+                .collect()
+        };
+        let (left, right) = (recs(0..150), recs(150..300));
         let b = blocker();
-        let seq =
-            b.candidate_pairs_dedup_masked_with_pool(&recs, None, &transer_parallel::Pool::new(1));
-        let par =
-            b.candidate_pairs_dedup_masked_with_pool(&recs, None, &transer_parallel::Pool::new(4));
-        assert!(!seq.is_empty());
-        assert_eq!(seq, par, "dedup pairs must be bit-identical across worker counts");
-        assert_eq!(seq, b.candidate_pairs_dedup(&recs), "default entry point must agree");
         // Masking to the title attribute must differ from masking to the
         // noise attribute (attrs are actually plumbed through).
-        let on_title = b.candidate_pairs_dedup_masked(&recs, Some(&[0]));
-        let on_noise = b.candidate_pairs_dedup_masked(&recs, Some(&[1]));
+        let on_title = b.candidate_pairs_masked(&left, &right, Some(&[0]));
+        let on_noise = b.candidate_pairs_masked(&left, &right, Some(&[1]));
+        assert!(!on_title.is_empty());
         assert_ne!(on_title, on_noise);
     }
 }

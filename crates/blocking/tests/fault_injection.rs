@@ -47,30 +47,73 @@ mod compare {
     }
 }
 
-mod standard {
-    use transer_blocking::StandardBlocking;
-    use transer_common::{AttrValue, Record};
-    use transer_similarity::soundex;
+mod blocking {
+    use std::fmt::Debug;
 
-    fn rec(id: u64, name: &str) -> Record {
-        Record::new(id, id, vec![AttrValue::Text(name.into())])
+    use transer_blocking::{LshIndex, MinHashLsh, MinHashLshConfig};
+    use transer_common::{AttrValue, Record};
+    use transer_parallel::Pool;
+    use transer_robust::FaultKind;
+
+    fn corpus() -> Vec<Record> {
+        let titles = [
+            "a fast algorithm for record linkage",
+            "record linkage at scale",
+            "the beatles abbey road",
+            "entity resolution with transfer learning",
+            "transfer learning for entity resolution",
+        ];
+        (0..30)
+            .map(|i| {
+                let title = format!("{} part {}", titles[i as usize % 5], i % 3);
+                Record::new(i, i, vec![AttrValue::Text(title)])
+            })
+            .collect()
     }
 
-    fn surname_soundex(r: &Record) -> Vec<String> {
-        r.values[0].as_text().map(|s| vec![soundex(s)]).unwrap_or_default()
+    /// Arm `blocking:<kind>` for every kind and run `call` once per plan at
+    /// one and at four workers: the site fires exactly once per call,
+    /// `empty` and `task_fail` leave `no_candidates`, and the other kinds
+    /// leave the disarmed result untouched.
+    fn sweep<T: PartialEq + Debug>(call: impl Fn(&Pool) -> T, no_candidates: T) {
+        let _guard = transer_robust::test_lock();
+        transer_trace::set_enabled(true);
+        for workers in [1, 4] {
+            let pool = Pool::new(workers);
+            transer_robust::set_plan(None);
+            let disarmed = call(&pool);
+            assert_ne!(disarmed, no_candidates, "the fixture must block something");
+            let _ = transer_trace::drain_report();
+            for kind in FaultKind::ALL {
+                transer_robust::set_plan(Some(&format!("blocking:{}", kind.as_str())));
+                let armed = call(&pool);
+                let fires = transer_trace::drain_report().counter("robust.fault.blocking");
+                assert_eq!(fires, 1, "blocking:{} at {workers} workers", kind.as_str());
+                let expected = match kind {
+                    FaultKind::Empty | FaultKind::TaskFail => &no_candidates,
+                    FaultKind::Nan | FaultKind::Inf | FaultKind::SingleClass => &disarmed,
+                };
+                assert_eq!(&armed, expected, "blocking:{} at {workers} workers", kind.as_str());
+            }
+        }
+        transer_robust::set_plan(None);
+        transer_trace::set_enabled(false);
     }
 
     #[test]
-    fn blocking_fault_drops_candidates() {
-        let _guard = transer_robust::test_lock();
-        let left = vec![rec(0, "smith")];
-        let right = vec![rec(0, "smyth")];
-        let b = StandardBlocking::new(surname_soundex);
-        transer_robust::set_plan(Some("blocking:empty"));
-        assert!(b.candidate_pairs(&left, &right).is_empty());
-        transer_robust::set_plan(Some("blocking:nan"));
-        assert_eq!(b.candidate_pairs(&left, &right), vec![(0, 0)]);
-        transer_robust::set_plan(None);
-        assert_eq!(b.candidate_pairs(&left, &right), vec![(0, 0)]);
+    fn blocking_fault_site_covers_every_kind_on_minhash() {
+        let records = corpus();
+        let (left, right) = records.split_at(15);
+        let lsh = MinHashLsh::new(MinHashLshConfig::default()).expect("valid LSH config");
+        sweep(|pool| lsh.candidate_pairs_masked_with_pool(left, right, None, pool), Vec::new());
+    }
+
+    #[test]
+    fn blocking_fault_site_covers_every_kind_on_the_index() {
+        let records = corpus();
+        let index = LshIndex::from_records(MinHashLshConfig::default(), None, &records[..15])
+            .expect("valid LSH config");
+        let probes = &records[15..];
+        sweep(|pool| index.query_batch(probes, pool), vec![Vec::new(); probes.len()]);
     }
 }

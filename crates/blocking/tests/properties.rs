@@ -58,20 +58,11 @@ proptest! {
     }
 
     #[test]
-    fn dedup_pairs_are_strictly_ordered(recs in records(40)) {
-        let blocker = MinHashLsh::new(MinHashLshConfig::default()).expect("valid LSH config");
-        for (i, j) in blocker.candidate_pairs_dedup(&recs) {
-            prop_assert!(i < j);
-            prop_assert!(j < recs.len());
-        }
-    }
-
-    #[test]
-    fn bucket_cap_only_removes_pairs(recs in records(40)) {
+    fn bucket_cap_only_removes_pairs(left in records(40), right in records(40)) {
         let base = MinHashLsh::new(MinHashLshConfig::default()).expect("valid LSH config");
         let capped = MinHashLsh::new(MinHashLshConfig { max_bucket: 2, ..Default::default() }).expect("valid LSH config");
-        let all = base.candidate_pairs_dedup(&recs);
-        let few = capped.candidate_pairs_dedup(&recs);
+        let all = base.candidate_pairs(&left, &right);
+        let few = capped.candidate_pairs(&left, &right);
         prop_assert!(few.len() <= all.len());
         for p in &few {
             prop_assert!(all.contains(p), "capped produced a new pair {p:?}");

@@ -1,12 +1,13 @@
-//! Fault-injection sweep: every injection site × every fault kind, driven
-//! through the full pipeline for every paper classifier. The contract
-//! under test is the panic-free guarantee — each run either returns `Ok`
-//! (possibly via the degradation ladder) or a typed `Err`, never a panic —
-//! plus the zero-overhead promise that a disarmed harness leaves outputs
-//! bit-identical to the baseline. A fault plan is armed for the whole
-//! process, so every test that arms one lives in this binary and
-//! serialises on `transer_robust::test_lock`; the `pipeline` and `target`
-//! modules hold the phase-level seam tests.
+//! Fault-injection sweep: every injection site `fit_predict` reaches × every
+//! fault kind, driven through the full pipeline for every paper classifier.
+//! The contract under test is the panic-free guarantee — each run either
+//! returns `Ok` (possibly via the degradation ladder) or a typed `Err`,
+//! never a panic, and every run fires its site — plus the zero-overhead
+//! promise that a disarmed harness leaves outputs bit-identical to the
+//! baseline. A fault plan is armed for the whole process, so every test
+//! that arms one lives in this binary and serialises on
+//! `transer_robust::test_lock`; the `pipeline` and `target` modules hold
+//! the phase-level seam tests.
 
 use transer_common::{FeatureMatrix, Label};
 use transer_core::{select_instances_with_pool, TransEr, TransErConfig};
@@ -40,9 +41,10 @@ fn fixture() -> (FeatureMatrix, Vec<Label>, FeatureMatrix) {
     (FeatureMatrix::from_vecs(&xs).unwrap(), ys, FeatureMatrix::from_vecs(&xt).unwrap())
 }
 
-const SITES: [&str; 8] = [
-    site::COMPARE,
-    site::BLOCKING,
+/// The sites `fit_predict` reaches. `compare` and `blocking` sit in
+/// `transer-blocking`, upstream of the feature matrices; their sweeps live
+/// in that crate's `tests/fault_injection.rs`.
+const SITES: [&str; 6] = [
     site::SEL_KNN,
     site::GEN_FIT,
     site::GEN_PREDICT,
@@ -54,6 +56,7 @@ const SITES: [&str; 8] = [
 #[test]
 fn every_site_and_kind_is_ok_or_typed_err() {
     let _guard = transer_robust::test_lock();
+    transer_trace::set_enabled(true);
     let (xs, ys, xt) = fixture();
     let cfg = TransErConfig { k: 5, ..Default::default() };
     for classifier in ClassifierKind::PAPER_SET {
@@ -63,7 +66,23 @@ fn every_site_and_kind_is_ok_or_typed_err() {
         for s in SITES {
             for fault in FaultKind::ALL {
                 transer_robust::set_plan(Some(&format!("{s}:{}", fault.as_str())));
-                match t.fit_predict(&xs, &ys, &xt) {
+                let result = t.fit_predict(&xs, &ys, &xt);
+                // A finished run drains its trace into the output; an
+                // aborted one leaves it in the thread's buffer.
+                let counter = format!("robust.fault.{s}");
+                let fires = transer_trace::drain_report().counter(&counter)
+                    + result
+                        .as_ref()
+                        .ok()
+                        .and_then(|o| o.trace.as_ref())
+                        .map_or(0, |r| r.counter(&counter));
+                assert!(
+                    fires >= 1,
+                    "{s}:{} under {}: the site never fired",
+                    fault.as_str(),
+                    classifier.name()
+                );
+                match result {
                     Ok(out) => assert_eq!(
                         out.labels.len(),
                         xt.rows(),
@@ -87,6 +106,7 @@ fn every_site_and_kind_is_ok_or_typed_err() {
         assert_eq!(b.balanced_count, a.balanced_count);
         assert_eq!(b.fallbacks, a.fallbacks);
     }
+    transer_trace::set_enabled(false);
 }
 
 #[test]

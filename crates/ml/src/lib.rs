@@ -31,11 +31,9 @@ mod dann;
 mod forest;
 mod logistic;
 mod mlp;
-mod naive_bayes;
 mod persist;
 mod presorted;
 mod sampling;
-mod scaler;
 mod split;
 mod svm;
 mod traits;
@@ -45,10 +43,8 @@ pub use dann::{GrlConfig, GrlNet};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use logistic::{LogisticRegression, LogisticRegressionConfig};
 pub use mlp::{Mlp, MlpConfig};
-pub use naive_bayes::GaussianNaiveBayes;
 pub use persist::{PersistedModel, MODEL_SCHEMA_VERSION};
 pub use sampling::{bootstrap_bag, stratified_fraction, undersample_to_ratio};
-pub use scaler::StandardScaler;
 pub use svm::{LinearSvm, LinearSvmConfig};
 pub use traits::{Classifier, ClassifierKind};
 pub use tree::{DecisionTree, DecisionTreeConfig};

@@ -84,7 +84,7 @@ impl PersistedModel {
 
     /// Snapshot a trained classifier that only exists behind the trait
     /// object (the pipeline's TCL output). `None` for kinds without a
-    /// persistence format (SVM, MLP, naive Bayes).
+    /// persistence format (SVM, MLP).
     pub fn from_classifier(clf: &dyn Classifier) -> Option<Self> {
         let any = clf.as_any();
         if let Some(m) = any.downcast_ref::<RandomForest>() {

@@ -6,16 +6,19 @@
 //! A fault plan is declared through the `TRANSER_FAULT` environment
 //! variable as `<site>:<kind>[:<rate>[:<seed>]]`:
 //!
-//! * `site` — one of the registered injection points in [`site`]
+//! * `site` — one of the registered injection points in [`site::ALL`]
 //!   (`compare`, `blocking`, `sel.knn`, `gen.fit`, `gen.predict`,
-//!   `tcl.balance`, `tcl.fit`, `pool.dispatch`);
+//!   `tcl.balance`, `tcl.fit`, `pool.dispatch`, `serve.query`); any other
+//!   site makes the plan malformed;
 //! * `kind` — `nan`, `inf`, `empty`, `single_class` or `task_fail`
 //!   ([`FaultKind`]);
 //! * `rate` — firing probability in `[0, 1]`, default `1` (always fire);
 //! * `seed` — seed of the deterministic firing sequence, default `0`.
 //!
 //! Example: `TRANSER_FAULT=gen.fit:nan:0.5:7` poisons the GEN training
-//! matrix with NaNs on a deterministic half of the invocations.
+//! matrix with NaNs on a deterministic half of the invocations. A
+//! malformed plan (a typo such as `sel_knn:nan` included) prints a warning
+//! and leaves the harness disarmed.
 //!
 //! # Zero overhead when unset
 //!
@@ -45,7 +48,9 @@ use transer_common::{env, FeatureMatrix, Label};
 pub mod site {
     /// Record-pair comparison output (`transer-blocking::compare_pairs`).
     pub const COMPARE: &str = "compare";
-    /// Candidate-pair generation (`transer-blocking::StandardBlocking`).
+    /// Candidate-pair generation: once per batch blocking call
+    /// (`transer-blocking::MinHashLsh::candidate_pairs_masked_with_pool`)
+    /// and once per serving batch (`transer-blocking::LshIndex::query_batch`).
     pub const BLOCKING: &str = "blocking";
     /// SEL instance-selection k-NN scoring (`transer-core::select_instances`).
     pub const SEL_KNN: &str = "sel.knn";
@@ -61,6 +66,19 @@ pub mod site {
     pub const POOL_DISPATCH: &str = "pool.dispatch";
     /// Serving-path batch query (`transer-serve::MatchService::query_batch`).
     pub const SERVE_QUERY: &str = "serve.query";
+
+    /// Every registered site; a plan naming any other site is malformed.
+    pub const ALL: [&str; 9] = [
+        COMPARE,
+        BLOCKING,
+        SEL_KNN,
+        GEN_FIT,
+        GEN_PREDICT,
+        TCL_BALANCE,
+        TCL_FIT,
+        POOL_DISPATCH,
+        SERVE_QUERY,
+    ];
 }
 
 /// What an armed fault does when it fires at a site.
@@ -115,7 +133,7 @@ impl FaultKind {
 /// A parsed fault plan: one site, one kind, a firing rate and a seed.
 #[derive(Debug)]
 struct FaultPlan {
-    site: String,
+    site: &'static str,
     kind: FaultKind,
     rate: f64,
     seed: u64,
@@ -133,7 +151,8 @@ fn lock_plan() -> MutexGuard<'static, Option<Arc<FaultPlan>>> {
 
 fn parse_plan(spec: &str) -> Option<FaultPlan> {
     let mut parts = spec.split(':');
-    let site = parts.next()?.trim();
+    let name = parts.next()?.trim();
+    let site = *site::ALL.iter().find(|&&known| known == name)?;
     let kind = FaultKind::parse(parts.next()?.trim())?;
     let rate = match parts.next() {
         Some(r) => r.trim().parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r))?,
@@ -143,10 +162,10 @@ fn parse_plan(spec: &str) -> Option<FaultPlan> {
         Some(s) => s.trim().parse::<u64>().ok()?,
         None => 0,
     };
-    if site.is_empty() || parts.next().is_some() {
+    if parts.next().is_some() {
         return None;
     }
-    Some(FaultPlan { site: site.to_string(), kind, rate, seed, invocations: AtomicU64::new(0) })
+    Some(FaultPlan { site, kind, rate, seed, invocations: AtomicU64::new(0) })
 }
 
 #[cold]
@@ -230,7 +249,7 @@ fn fire_slow(site: &str) -> Option<FaultKind> {
         fraction < plan.rate
     };
     if fires {
-        transer_trace::counter(counter_name(&plan.site), 1);
+        transer_trace::counter(counter_name(plan.site), 1);
         Some(plan.kind)
     } else {
         None
@@ -327,17 +346,20 @@ mod tests {
     #[test]
     fn plan_parsing() {
         let p = parse_plan("gen.fit:nan").unwrap();
-        assert_eq!((p.site.as_str(), p.kind, p.rate, p.seed), ("gen.fit", FaultKind::Nan, 1.0, 0));
+        assert_eq!((p.site, p.kind, p.rate, p.seed), ("gen.fit", FaultKind::Nan, 1.0, 0));
         let p = parse_plan("compare:task_fail:0.25:9").unwrap();
-        assert_eq!(
-            (p.site.as_str(), p.kind, p.rate, p.seed),
-            ("compare", FaultKind::TaskFail, 0.25, 9)
-        );
+        assert_eq!((p.site, p.kind, p.rate, p.seed), ("compare", FaultKind::TaskFail, 0.25, 9));
         let p = parse_plan(" tcl.fit : INF : 0.5 ").unwrap();
-        assert_eq!((p.site.as_str(), p.kind, p.rate), ("tcl.fit", FaultKind::Inf, 0.5));
-        for bad in
-            ["", "gen.fit", "gen.fit:frobnicate", "gen.fit:nan:2.0", "gen.fit:nan:0.5:x:y", ":nan"]
-        {
+        assert_eq!((p.site, p.kind, p.rate), ("tcl.fit", FaultKind::Inf, 0.5));
+        for bad in [
+            "",
+            "gen.fit",
+            "gen.fit:frobnicate",
+            "gen.fit:nan:2.0",
+            "gen.fit:nan:0.5:x:y",
+            ":nan",
+            "sel_knn:nan",
+        ] {
             assert!(parse_plan(bad).is_none(), "{bad:?} should not parse");
         }
     }

@@ -19,7 +19,6 @@ cargo build --release --workspace
 # original. --no-fail-fast: one failing test binary must not hide the
 # binaries after it.
 cargo test -q --workspace --no-fail-fast
-cargo bench --no-run
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 bash scripts/panic_audit.sh

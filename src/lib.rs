@@ -39,7 +39,7 @@
 //! |---|---|---|
 //! | [`common`] | `transer-common` | records, feature matrices, labels, datasets |
 //! | [`similarity`] | `transer-similarity` | Jaro-Winkler, Jaccard, Levenshtein, ... |
-//! | [`blocking`] | `transer-blocking` | MinHash LSH, standard blocking, comparison step |
+//! | [`blocking`] | `transer-blocking` | MinHash LSH, updatable LSH index, comparison step |
 //! | [`knn`] | `transer-knn` | k-d tree k-nearest-neighbour index |
 //! | [`linalg`] | `transer-linalg` | dense matrices, Jacobi eigendecomposition |
 //! | [`ml`] | `transer-ml` | logistic regression, CART, random forest, SVM, MLP/GRL |
@@ -72,9 +72,7 @@ pub mod prelude {
         all_baselines, Coral, DeepRanker, DtalStar, LocItStar, Naive, ResourceBudget, RunContext,
         TaskView, Tca, TransferMethod,
     };
-    pub use transer_blocking::{
-        one_to_one_matching, transitive_clusters, Comparison, MinHashLsh, MinHashLshConfig,
-    };
+    pub use transer_blocking::{Comparison, MinHashLsh, MinHashLshConfig};
     pub use transer_common::{
         AttrType, AttrValue, DomainPair, FeatureMatrix, Label, LabeledDataset, Record, Schema,
     };

@@ -90,10 +90,8 @@ impl HostileCase {
 }
 
 /// The fault plan for one case: index 0 disarms the harness, the rest
-/// select a (site, kind) pair.
-const FAULT_SITES: [&str; 8] = [
-    site::COMPARE,
-    site::BLOCKING,
+/// select a (site, kind) pair among the sites `fit_predict` reaches.
+const FAULT_SITES: [&str; 6] = [
     site::SEL_KNN,
     site::GEN_FIT,
     site::GEN_PREDICT,
