@@ -9,8 +9,7 @@
 //! once), and `VmHWM` — the peak-RSS figure each cell reports — is a
 //! process-lifetime high-water mark that a shared process would smear
 //! across cells. The child prints one JSON object on stdout; the parent
-//! parses it with `transer_trace::json` (the vendored serde stub
-//! serialises but does not parse).
+//! parses it with `transer_trace::json`.
 //!
 //! The child also reports a hash of its final labels; the parent asserts
 //! the hash is identical across worker counts at each rung, turning the

@@ -1,7 +1,6 @@
 //! Shared fixtures for the benchmark binaries in `src/bin/`: the
 //! end-to-end scale ladder (`bench_scale`), the serving benchmark
-//! (`bench_serve`), the similarity-kernel micro-benchmark
-//! (`bench_similarity`) and the grain-dispatch calibration (`bench_grain`).
+//! (`bench_serve`) and the grain-dispatch calibration (`bench_grain`).
 
 #![forbid(unsafe_code)]
 

@@ -373,8 +373,7 @@ fn record_verdict(sim_c: f64, sim_l: f64, sim_v: f64, config: &TransErConfig, ke
 /// The straightforward per-row SEL path: two k-d tree queries plus
 /// centroid / covariance work for every source row, with no interning or
 /// memoization. Kept as the reference implementation the duplicate-aware
-/// path is pinned against (bit-for-bit) by the equivalence tests, and as
-/// the baseline of the `bench_sel` benchmark.
+/// path is pinned against (bit-for-bit) by the equivalence tests.
 ///
 /// # Errors
 /// As for [`select_instances`].

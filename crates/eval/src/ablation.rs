@@ -1,20 +1,30 @@
 //! Table 4 — ablation of TransER's components on the paper's three
 //! representative pairs (one bibliographic, one music, one demographic).
 
-use serde::Serialize;
 use transer_common::Result;
 use transer_core::{TransErConfig, Variant};
+use transer_trace::json::{obj, Json};
 
-use crate::tasks::{directed_tasks, run_transer, QualityNumbers};
+use crate::tasks::{directed_tasks, named, run_transer, QualityNumbers};
 use crate::{Cell, Options};
 
 /// Results of all six variants on one task.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// `"source -> target"`.
     pub task: String,
     /// `(variant name, quality)` in the paper's column order.
     pub variants: Vec<(String, QualityNumbers)>,
+}
+
+impl Table4Row {
+    /// Field names as keys; each variant a `[name, quality]` array.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("task", Json::Str(self.task.clone())),
+            ("variants", named(&self.variants, QualityNumbers::to_json)),
+        ])
+    }
 }
 
 /// The paper's three ablation tasks (Section 5.4).
@@ -57,12 +67,7 @@ pub fn render(rows: &[Table4Row]) -> String {
                 Cell::from(*mn),
             ];
             for (_, q) in &row.variants {
-                let (m, s) = match mi {
-                    0 => q.precision,
-                    1 => q.recall,
-                    2 => q.f_star,
-                    _ => q.f1,
-                };
+                let (m, s) = q.metrics()[mi];
                 line.push(Cell::Pct(m, s));
             }
             table.push(line);

@@ -1,6 +1,7 @@
 //! The Table 4 −SEL collapse, demonstrated at the paper's conflict
 //! intensities with the controllable generator (see EXPERIMENTS.md).
 use transer_eval::{controlled, Options};
+use transer_trace::json::Json;
 
 fn main() {
     // Appends one provenance record to results/ledger.jsonl on exit.
@@ -13,7 +14,7 @@ fn main() {
                 opts.scale
             );
             print!("{}", controlled::render(&points));
-            opts.maybe_write_json(&points);
+            opts.maybe_write_json(&Json::Arr(points.iter().map(|r| r.to_json()).collect()));
             if transer_trace::enabled() {
                 // The sweep is vector-based; one tiny record probe gives
                 // the trace its blocking/compare/ml coverage.

@@ -1,5 +1,6 @@
 //! Regenerate Figure 2 (bi-modal similarity distributions).
 use transer_eval::{distribution, Options};
+use transer_trace::json::Json;
 
 fn main() {
     // Appends one provenance record to results/ledger.jsonl on exit.
@@ -12,7 +13,7 @@ fn main() {
                 println!("{}", distribution::render(s));
                 println!("peaks at bins {:?}\n", s.peaks);
             }
-            opts.maybe_write_json(&series);
+            opts.maybe_write_json(&Json::Arr(series.iter().map(|r| r.to_json()).collect()));
         }
         Err(e) => {
             eprintln!("fig2 failed: {e}");

@@ -8,5 +8,5 @@ fn main() {
     let curves = decay_fig::fig5(20);
     println!("Figure 5 — exponential decay functions\n");
     print!("{}", decay_fig::render(&curves));
-    opts.maybe_write_json(&curves);
+    opts.maybe_write_json(&curves.to_json());
 }

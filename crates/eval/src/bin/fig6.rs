@@ -1,5 +1,6 @@
 //! Regenerate Figure 6 (sensitivity to labelled source size).
 use transer_eval::{sensitivity, Options};
+use transer_trace::json::Json;
 
 fn main() {
     // Appends one provenance record to results/ledger.jsonl on exit.
@@ -9,7 +10,7 @@ fn main() {
         Ok(series) => {
             println!("Figure 6 — sensitivity to labelled source fraction (scale {})\n", opts.scale);
             print!("{}", sensitivity::render_series("fraction", &series));
-            opts.maybe_write_json(&series);
+            opts.maybe_write_json(&Json::Arr(series.iter().map(|r| r.to_json()).collect()));
         }
         Err(e) => {
             eprintln!("fig6 failed: {e}");

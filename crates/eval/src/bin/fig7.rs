@@ -1,5 +1,6 @@
 //! Regenerate Figure 7 (parameter sensitivity).
 use transer_eval::{sensitivity, Options};
+use transer_trace::json::Json;
 
 fn main() {
     // Appends one provenance record to results/ledger.jsonl on exit.
@@ -11,7 +12,7 @@ fn main() {
             for p in &panels {
                 println!("{}", sensitivity::render_series(p.parameter.name(), &p.series));
             }
-            opts.maybe_write_json(&panels);
+            opts.maybe_write_json(&Json::Arr(panels.iter().map(|r| r.to_json()).collect()));
         }
         Err(e) => {
             eprintln!("fig7 failed: {e}");

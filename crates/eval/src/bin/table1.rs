@@ -1,5 +1,6 @@
 //! Regenerate Table 1 (data set characteristics).
 use transer_eval::{characteristics, Options};
+use transer_trace::json::Json;
 
 fn main() {
     // Appends one provenance record to results/ledger.jsonl on exit.
@@ -12,7 +13,7 @@ fn main() {
                 opts.scale, opts.seed
             );
             print!("{}", characteristics::render(&rows));
-            opts.maybe_write_json(&rows);
+            opts.maybe_write_json(&Json::Arr(rows.iter().map(|r| r.to_json()).collect()));
         }
         Err(e) => {
             eprintln!("table1 failed: {e}");

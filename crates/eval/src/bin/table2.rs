@@ -14,7 +14,7 @@ fn main() {
         Ok(t) => {
             println!("Table 2 — linkage quality (scale {}, seed {})\n", opts.scale, opts.seed);
             print!("{}", quality::render(&t));
-            opts.maybe_write_json(&t);
+            opts.maybe_write_json(&t.to_json());
         }
         Err(e) => {
             eprintln!("table2 failed: {e}");

@@ -8,8 +8,8 @@
 //!   side counters, span-tree shape, allocation counters, and any
 //!   non-timing value in a generic artefact — must match *exactly*;
 //! * **timing** fields — span seconds, histogram `sum`/`min`/`max`, and
-//!   keys that look like wall-clock figures (`secs`, `ns`, `speedup`,
-//!   ...) — are tolerance-banded: flagged only when the ratio exceeds
+//!   keys with a wall-clock word (`secs`, `ns`, `speedup`, ...) — are
+//!   tolerance-banded: flagged only when the ratio exceeds
 //!   `--time-tol` (default 3×) *and* the absolute gap exceeds 50 ms
 //!   (`--mean-tol` sets the relative band for histogram statistics,
 //!   default 1e-6 — float sums may differ by accumulation order only).
@@ -331,12 +331,14 @@ fn diff_hist(name: &str, a: &Json, b: &Json, tol: &Tolerances, diffs: &mut Vec<D
     }
 }
 
-/// A key that carries wall-clock measurements in the bench artefacts;
-/// such values drift run to run and get the timing band instead of
-/// exact comparison.
+/// A key that carries wall-clock measurements in the bench artefacts; such
+/// values drift run to run and get the timing band instead of exact
+/// comparison. Whole `_`-separated words of the last key match
+/// (`build_secs`, `peak_rss_bytes`), so `items` or `transfers` stay exact.
 fn is_timing_key(path: &str) -> bool {
     let last = path.rsplit('.').next().unwrap_or(path);
-    ["secs", "ns", "nanos", "ms", "speedup", "per_sec", "rss"].iter().any(|t| last.contains(t))
+    let last = last.split('[').next().unwrap_or(last);
+    last.split('_').any(|w| ["secs", "sec", "ns", "nanos", "ms", "speedup", "rss"].contains(&w))
 }
 
 fn diff_generic(path: &str, a: &Json, b: &Json, tol: &Tolerances, diffs: &mut Vec<Diff>) {
@@ -404,6 +406,47 @@ fn diff_generic(path: &str, a: &Json, b: &Json, tol: &Tolerances, diffs: &mut Ve
                     gating: true,
                 });
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Gating differences between two generic artefacts at the default
+    /// tolerances.
+    fn gating(a: &str, b: &str) -> usize {
+        let tol = Tolerances { time_tol: 3.0, mean_tol: 1e-6, ignore: Vec::new() };
+        let mut diffs = Vec::new();
+        diff_generic("", &json::parse(a).unwrap(), &json::parse(b).unwrap(), &tol, &mut diffs);
+        diffs.iter().filter(|d| d.gating).count()
+    }
+
+    #[test]
+    fn counts_compare_exactly() {
+        let (a, b) = (r#"{"items": 100, "transfers": 10}"#, r#"{"items": 250, "transfers": 25}"#);
+        assert_eq!(gating(a, b), 2);
+        assert_eq!(gating(r#"{"count": 100}"#, r#"{"count": 250}"#), 1);
+        for key in ["items", "transfers", "tokens", "invocations", "rows[3].items"] {
+            assert!(!is_timing_key(key), "{key}");
+        }
+    }
+
+    #[test]
+    fn wall_clock_keys_keep_the_timing_band() {
+        for key in [
+            "build_secs",
+            "queries_per_sec",
+            "direct_ns_per_pair",
+            "batch_latency_ms",
+            "peak_rss_bytes",
+        ] {
+            for path in [key.to_string(), format!("cells[2].{key}"), format!("x.{key}[1]")] {
+                assert!(is_timing_key(&path), "{path}");
+            }
+            assert_eq!(gating(&format!(r#"{{"{key}": 1.0}}"#), &format!(r#"{{"{key}": 2.0}}"#)), 0);
+            assert_eq!(gating(&format!(r#"{{"{key}": 1.0}}"#), &format!(r#"{{"{key}": 9.0}}"#)), 1);
         }
     }
 }

@@ -4,9 +4,9 @@
 
 use std::collections::HashMap;
 
-use serde::Serialize;
 use transer_common::LabeledDataset;
 use transer_datagen::ScenarioPair;
+use transer_trace::json::{obj, Json};
 
 use crate::{Cell, Options};
 
@@ -14,7 +14,7 @@ use crate::{Cell, Options};
 pub const ROUND_DECIMALS: u32 = 2;
 
 /// Per-data-set characteristics (the left two thirds of Table 1).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetStats {
     /// Data set name.
     pub name: String,
@@ -28,6 +28,20 @@ pub struct DatasetStats {
     pub non_match_frac: f64,
     /// Fraction of rows whose rounded feature vector carries both labels.
     pub ambiguous_frac: f64,
+}
+
+impl DatasetStats {
+    /// Field names as keys.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("num_features", Json::Num(self.num_features as f64)),
+            ("total", Json::Num(self.total as f64)),
+            ("match_frac", Json::Num(self.match_frac)),
+            ("non_match_frac", Json::Num(self.non_match_frac)),
+            ("ambiguous_frac", Json::Num(self.ambiguous_frac)),
+        ])
+    }
 }
 
 /// Group rows by rounded feature vector; value = (match rows, non-match
@@ -72,7 +86,7 @@ pub fn dataset_stats(ds: &LabeledDataset) -> DatasetStats {
 
 /// Statistics of the feature vectors two domains have in common (the right
 /// third of Table 1).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CommonStats {
     /// Number of distinct rounded vectors present in both domains.
     pub total: usize,
@@ -82,6 +96,18 @@ pub struct CommonStats {
     pub diff_class_frac: f64,
     /// Fraction ambiguous in at least one domain.
     pub ambiguous_frac: f64,
+}
+
+impl CommonStats {
+    /// Field names as keys.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("total", Json::Num(self.total as f64)),
+            ("same_class_frac", Json::Num(self.same_class_frac)),
+            ("diff_class_frac", Json::Num(self.diff_class_frac)),
+            ("ambiguous_frac", Json::Num(self.ambiguous_frac)),
+        ])
+    }
 }
 
 /// Compute the common-vector statistics of a domain pair.
@@ -116,7 +142,7 @@ pub fn common_stats(a: &LabeledDataset, b: &LabeledDataset) -> CommonStats {
 
 /// One Table 1 row: a scenario pair with both domains' statistics and
 /// their common-vector statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Left domain statistics.
     pub a: DatasetStats,
@@ -124,6 +150,17 @@ pub struct Table1Row {
     pub b: DatasetStats,
     /// Common feature vector statistics.
     pub common: CommonStats,
+}
+
+impl Table1Row {
+    /// Field names as keys.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("a", self.a.to_json()),
+            ("b", self.b.to_json()),
+            ("common", self.common.to_json()),
+        ])
+    }
 }
 
 /// Compute Table 1 for all four scenario pairs.

@@ -15,18 +15,18 @@
 //! implementation (whose TCL backfill is stronger than the paper's, see
 //! DESIGN.md).
 
-use serde::Serialize;
 use transer_common::Result;
 use transer_core::{TransEr, TransErConfig, Variant};
 use transer_datagen::vectors::{domain_pair, VectorDomainConfig};
 use transer_datagen::Scenario;
 use transer_metrics::evaluate;
 use transer_ml::ClassifierKind;
+use transer_trace::json::{obj, Json};
 
 use crate::{Cell, Options};
 
 /// Quality of the methods at one conflict level.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ConflictPoint {
     /// Fraction of instances living in the conflict band.
     pub conflict_mass: f64,
@@ -38,6 +38,19 @@ pub struct ConflictPoint {
     pub without_gen_tcl_f_star: f64,
     /// F* of the Naive baseline (no transfer machinery at all).
     pub naive_f_star: f64,
+}
+
+impl ConflictPoint {
+    /// Field names as keys.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("conflict_mass", Json::Num(self.conflict_mass)),
+            ("full_f_star", Json::Num(self.full_f_star)),
+            ("without_sel_f_star", Json::Num(self.without_sel_f_star)),
+            ("without_gen_tcl_f_star", Json::Num(self.without_gen_tcl_f_star)),
+            ("naive_f_star", Json::Num(self.naive_f_star)),
+        ])
+    }
 }
 
 /// Sweep the cross-domain conflict rate and measure full vs −SEL quality.

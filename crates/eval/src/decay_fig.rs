@@ -1,11 +1,13 @@
 //! Figure 5 — behaviour of the exponential decay functions the structural
 //! similarity could use; the paper picks `e^{-5d}`.
 
-use serde::Serialize;
 use transer_core::decay::{exp_decay_1, exp_decay_10, exp_decay_5};
+use transer_trace::json::{obj, Json};
+
+use crate::tasks::nums;
 
 /// The three decay curves sampled over `[0, 1]`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DecayCurves {
     /// Sample positions.
     pub x: Vec<f64>,
@@ -15,6 +17,18 @@ pub struct DecayCurves {
     pub rate5: Vec<f64>,
     /// `e^{-10x}`.
     pub rate10: Vec<f64>,
+}
+
+impl DecayCurves {
+    /// Field names as keys, each curve an array.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("x", nums(&self.x)),
+            ("rate1", nums(&self.rate1)),
+            ("rate5", nums(&self.rate5)),
+            ("rate10", nums(&self.rate10)),
+        ])
+    }
 }
 
 /// Sample the curves at `steps + 1` points.

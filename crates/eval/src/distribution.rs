@@ -1,14 +1,15 @@
 //! Figure 2 — the skewed, bi-modal distributions of mean record-pair
 //! similarity, shown in the paper for Musicbrainz and DBLP-ACM.
 
-use serde::Serialize;
 use transer_datagen::Scenario;
 use transer_metrics::Histogram;
+use transer_trace::json::{obj, Json};
 
+use crate::tasks::nums;
 use crate::Options;
 
 /// One distribution: scenario name and the per-bin relative frequencies.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DistributionSeries {
     /// Scenario name.
     pub name: String,
@@ -18,6 +19,18 @@ pub struct DistributionSeries {
     pub frequencies: Vec<f64>,
     /// Indices of local maxima — two entries confirm bi-modality.
     pub peaks: Vec<usize>,
+}
+
+impl DistributionSeries {
+    /// Field names as keys.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("name", Json::Str(self.name.clone())),
+            ("bin_centers", nums(&self.bin_centers)),
+            ("frequencies", nums(&self.frequencies)),
+            ("peaks", Json::Arr(self.peaks.iter().map(|&p| Json::Num(p as f64)).collect())),
+        ])
+    }
 }
 
 /// Number of histogram bins used by the figure.
@@ -45,14 +58,11 @@ pub fn fig2(opts: &Options) -> transer_common::Result<Vec<DistributionSeries>> {
 
 /// ASCII rendering of one series.
 pub fn render(series: &DistributionSeries) -> String {
-    let mut hist = Histogram::new(series.frequencies.len());
-    // Rebuild counts at a fixed resolution for the ASCII art.
     let mut out = format!("{} (mean pair similarity)\n", series.name);
     let max = series.frequencies.iter().cloned().fold(0.0, f64::max).max(1e-9);
     for (i, f) in series.frequencies.iter().enumerate() {
         let bar = "#".repeat((f / max * 50.0).round() as usize);
         out.push_str(&format!("{:>5.2} |{bar}\n", series.bin_centers[i]));
-        hist.add(series.bin_centers[i]);
     }
     out
 }

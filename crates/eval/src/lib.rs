@@ -14,11 +14,12 @@
 //! | Figure 7 (parameter sensitivity) | [`sensitivity`] | `fig7` |
 //! | Table 4 (ablation) | [`ablation`] | `table4` |
 //!
-//! Every binary accepts `--scale <f>` (entity-count multiplier relative to
+//! Every experiment binary accepts `--scale <f>` (entity-count multiplier relative to
 //! the paper's Table 1 sizes, default 0.1), `--seed <n>` and `--quick`
-//! (restrict the classifier set to logistic regression). Results print as
-//! aligned text tables; `--json <path>` additionally writes the raw
-//! numbers for downstream processing.
+//! (restrict the classifier set to logistic regression); an unknown flag or
+//! a bad value exits 2. Results print as aligned text tables; `--json
+//! <path>` (alias `--out`) also writes the raw numbers, each result type
+//! building its [`transer_trace::json`] value with `to_json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,11 +29,8 @@ pub mod characteristics;
 pub mod controlled;
 pub mod decay_fig;
 pub mod distribution;
-pub mod forest_bench;
 pub mod quality;
 pub mod runtime;
-pub mod scaling;
-pub mod sel_bench;
 pub mod sensitivity;
 
 mod options;

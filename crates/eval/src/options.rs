@@ -1,7 +1,13 @@
 //! Shared command-line options of the experiment binaries.
 
+use std::str::FromStr;
+
 use transer_baselines::ResourceBudget;
 use transer_ml::ClassifierKind;
+use transer_trace::json::{self, Json};
+
+/// The flags [`Options::parse`] accepts.
+const FLAGS: &str = "--scale F, --seed N, --quick, --json PATH, --budget-secs S, --budget-mb MB";
 
 /// Options shared by every experiment binary.
 #[derive(Debug, Clone)]
@@ -35,46 +41,39 @@ impl Default for Options {
 
 impl Options {
     /// Parse from an argument iterator (skip the program name first).
-    /// Unknown arguments are ignored so binaries can add their own.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    ///
+    /// # Errors
+    /// Names the first unknown argument, flag without a value, value that
+    /// does not parse, or `--scale` that is not finite and positive.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = Options::default();
-        let mut args = args.peekable();
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--scale" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.scale = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.seed = v;
-                    }
-                }
+                "--scale" => opts.scale = value(&arg, &mut args)?,
+                "--seed" => opts.seed = value(&arg, &mut args)?,
                 "--quick" => opts.quick = true,
-                // `--out` is the workspace-wide artefact-path flag
-                // (`transer_trace::ledger::out_path`); `--json` is the
-                // original spelling, kept as an alias.
-                "--json" | "--out" => opts.json = args.next(),
-                "--budget-secs" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                        opts.budget.max_secs = v;
-                    }
-                }
+                // `--out`: the workspace-wide spelling (`ledger::out_path`).
+                "--json" | "--out" => opts.json = Some(value(&arg, &mut args)?),
+                "--budget-secs" => opts.budget.max_secs = value(&arg, &mut args)?,
                 "--budget-mb" => {
-                    if let Some(v) = args.next().and_then(|v| v.parse::<u64>().ok()) {
-                        opts.budget.max_memory_bytes = v << 20;
-                    }
+                    opts.budget.max_memory_bytes = value::<u64>(&arg, &mut args)? << 20
                 }
-                _ => {}
+                _ => return Err(format!("unknown argument {arg:?}")),
             }
         }
-        opts
+        if !(opts.scale.is_finite() && opts.scale > 0.0) {
+            return Err(format!("--scale must be finite and positive, got {}", opts.scale));
+        }
+        Ok(opts)
     }
 
-    /// Parse from the process arguments.
+    /// Parse from the process arguments; on a bad argument print the
+    /// reason and the usage, and exit 2.
     pub fn from_env() -> Self {
-        Options::parse(std::env::args().skip(1))
+        Options::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nflags: {FLAGS}");
+            std::process::exit(2)
+        })
     }
 
     /// The classifier set the experiment averages over: the paper's four,
@@ -87,19 +86,23 @@ impl Options {
         }
     }
 
-    /// Write a serialisable result to the `--json` path when set.
-    pub fn maybe_write_json<T: serde::Serialize>(&self, value: &T) {
+    /// Write `doc` to the `--json` path when set, creating missing parent
+    /// directories; exit 1 when it cannot be written.
+    pub fn maybe_write_json(&self, doc: &Json) {
         if let Some(path) = &self.json {
-            match serde_json::to_string_pretty(value) {
-                Ok(body) => {
-                    if let Err(e) = std::fs::write(path, body) {
-                        eprintln!("warning: could not write {path}: {e}");
-                    }
-                }
-                Err(e) => eprintln!("warning: JSON serialisation failed: {e}"),
+            if let Err(e) = json::write_pretty(path, doc) {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(1);
             }
         }
     }
+}
+
+/// The value after `flag`, parsed; another flag there is no value.
+fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String> {
+    let raw = args.next().filter(|v| !v.starts_with("--"));
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|_| format!("{flag}: cannot parse {raw:?}"))
 }
 
 #[cfg(test)]
@@ -107,6 +110,10 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Options {
+        try_parse(args).unwrap()
+    }
+
+    fn try_parse(args: &[&str]) -> Result<Options, String> {
         Options::parse(args.iter().map(|s| s.to_string()))
     }
 
@@ -143,8 +150,36 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown() {
-        let o = parse(&["--frobnicate", "--scale", "0.5"]);
-        assert_eq!(o.scale, 0.5);
+    fn rejects_unknown_arguments() {
+        for args in [&["--scael", "0.05"][..], &["--threads", "2"], &["--smoke"], &["0.05"]] {
+            let err = try_parse(args).unwrap_err();
+            assert!(err.contains(&format!("{:?}", args[0])), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_missing_values() {
+        for flag in ["--scale", "--seed", "--json", "--out", "--budget-secs", "--budget-mb"] {
+            let want = format!("{flag} needs a value");
+            assert_eq!(try_parse(&["--quick", flag]).unwrap_err(), want);
+            assert_eq!(try_parse(&[flag, "--quick"]).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn rejects_unparsable_values() {
+        for case in ["--scale 0,05", "--seed -1", "--budget-secs ten", "--budget-mb 1.5"] {
+            let (flag, _) = case.split_once(' ').unwrap();
+            let err = try_parse(&case.split(' ').collect::<Vec<_>>()).unwrap_err();
+            assert!(err.starts_with(&format!("{flag}: cannot parse")), "{case}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_scale_that_is_not_finite_and_positive() {
+        for scale in ["0", "-0.5", "inf", "NaN"] {
+            let err = try_parse(&["--scale", scale]).unwrap_err();
+            assert!(err.starts_with("--scale must be finite and positive"), "{scale}: {err}");
+        }
     }
 }

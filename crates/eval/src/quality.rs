@@ -1,16 +1,18 @@
 //! Table 2 — linkage quality of TransER against every baseline on all
 //! eight directed transfer tasks, averaged over the classifier set.
 
-use serde::Serialize;
 use transer_baselines::all_baselines;
 use transer_core::TransErConfig;
 use transer_metrics::MeanStd;
+use transer_trace::json::{obj, Json};
 
-use crate::tasks::{directed_tasks, run_baseline, run_transer, MethodOutcome, QualityNumbers};
+use crate::tasks::{
+    directed_tasks, named, run_baseline, run_transer, MethodOutcome, QualityNumbers,
+};
 use crate::{Cell, Options};
 
 /// All method results for one directed task.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// `"source -> target"`.
     pub task: String,
@@ -19,13 +21,33 @@ pub struct Table2Row {
     pub methods: Vec<(String, MethodOutcome)>,
 }
 
+impl Table2Row {
+    /// Field names as keys; each method a `[name, outcome]` array.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("task", Json::Str(self.task.clone())),
+            ("methods", named(&self.methods, MethodOutcome::to_json)),
+        ])
+    }
+}
+
 /// The full Table 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Per-task rows.
     pub rows: Vec<Table2Row>,
     /// Per-method average quality over the tasks the method completed.
     pub averages: Vec<(String, QualityNumbers)>,
+}
+
+impl Table2 {
+    /// Field names as keys; each average a `[name, quality]` array.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("rows", Json::Arr(self.rows.iter().map(Table2Row::to_json).collect())),
+            ("averages", named(&self.averages, QualityNumbers::to_json)),
+        ])
+    }
 }
 
 /// Run the Table 2 experiment.
@@ -59,29 +81,15 @@ pub fn table2(opts: &Options) -> transer_common::Result<Table2> {
         .unwrap_or_default();
     let mut averages = Vec::new();
     for name in method_names {
-        let mut p = MeanStd::new();
-        let mut r = MeanStd::new();
-        let mut fs = MeanStd::new();
-        let mut f1 = MeanStd::new();
+        let mut stats = [MeanStd::new(); 4];
         for row in &rows {
             if let Some((_, MethodOutcome::Ok { quality, .. })) =
                 row.methods.iter().find(|(n, _)| *n == name)
             {
-                p.push(quality.precision.0);
-                r.push(quality.recall.0);
-                fs.push(quality.f_star.0);
-                f1.push(quality.f1.0);
+                stats.iter_mut().zip(quality.metrics()).for_each(|(s, (mean, _))| s.push(mean));
             }
         }
-        averages.push((
-            name,
-            QualityNumbers {
-                precision: (p.mean(), p.std()),
-                recall: (r.mean(), r.std()),
-                f_star: (fs.mean(), fs.std()),
-                f1: (f1.mean(), f1.std()),
-            },
-        ));
+        averages.push((name, QualityNumbers::from_stats(stats)));
     }
     Ok(Table2 { rows, averages })
 }
@@ -89,12 +97,7 @@ pub fn table2(opts: &Options) -> transer_common::Result<Table2> {
 fn metric_cell(outcome: &MethodOutcome, metric: usize) -> Cell {
     match outcome {
         MethodOutcome::Ok { quality, .. } => {
-            let (m, s) = match metric {
-                0 => quality.precision,
-                1 => quality.recall,
-                2 => quality.f_star,
-                _ => quality.f1,
-            };
+            let (m, s) = quality.metrics()[metric];
             Cell::Pct(m, s)
         }
         MethodOutcome::MemoryExceeded => Cell::from("ME"),
@@ -126,12 +129,7 @@ pub fn render(t: &Table2) -> String {
         let mut line =
             vec![if mi == 0 { Cell::from("Averages") } else { Cell::Empty }, Cell::from(*mn)];
         for (_, q) in &t.averages {
-            let (m, s) = match mi {
-                0 => q.precision,
-                1 => q.recall,
-                2 => q.f_star,
-                _ => q.f1,
-            };
+            let (m, s) = q.metrics()[mi];
             line.push(Cell::Pct(m, s));
         }
         rows.push(line);

@@ -40,12 +40,6 @@ impl From<String> for Cell {
     }
 }
 
-impl From<f64> for Cell {
-    fn from(v: f64) -> Self {
-        Cell::Num(v)
-    }
-}
-
 /// Render rows (the first being the header) as an aligned text table.
 pub fn format_table(rows: &[Vec<Cell>]) -> String {
     let columns = rows.iter().map(Vec::len).max().unwrap_or(0);

@@ -1,15 +1,15 @@
 //! Table 3 — feature-matrix sizes and per-method runtimes.
 
-use serde::Serialize;
 use transer_baselines::all_baselines;
 use transer_core::TransErConfig;
 use transer_ml::ClassifierKind;
+use transer_trace::json::{obj, Json};
 
-use crate::tasks::{directed_tasks, run_baseline, run_transer, MethodOutcome};
+use crate::tasks::{directed_tasks, named, run_baseline, run_transer, MethodOutcome};
 use crate::{Cell, Options};
 
 /// Sizes and runtimes for one directed task.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// `"source -> target"`.
     pub task: String,
@@ -19,6 +19,19 @@ pub struct Table3Row {
     pub target_rows: usize,
     /// `(method, runtime seconds or None for ME/TE)` — TransER first.
     pub runtimes: Vec<(String, Option<f64>)>,
+}
+
+impl Table3Row {
+    /// Field names as keys; each runtime a `[method, secs]` array, `null`
+    /// secs for ME/TE.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("task", Json::Str(self.task.clone())),
+            ("source_rows", Json::Num(self.source_rows as f64)),
+            ("target_rows", Json::Num(self.target_rows as f64)),
+            ("runtimes", named(&self.runtimes, |secs| secs.map_or(Json::Null, Json::Num))),
+        ])
+    }
 }
 
 /// Run the Table 3 experiment. Runtimes are measured with a single

@@ -1,12 +1,12 @@
 //! Figures 6 and 7 — sensitivity of TransER to the labelled-source size
 //! and to its four parameters, on the paper's three representative pairs.
 
-use serde::Serialize;
 use transer_common::Result;
 use transer_core::TransErConfig;
 use transer_ml::stratified_fraction;
+use transer_trace::json::{obj, Json};
 
-use crate::tasks::{directed_tasks, run_transer, EvalTask, QualityNumbers};
+use crate::tasks::{directed_tasks, nums, run_transer, EvalTask, QualityNumbers};
 use crate::{Cell, Options};
 
 /// The three tasks the sensitivity experiments run on (Section 5.2.3).
@@ -14,7 +14,7 @@ pub const SENSITIVITY_TASKS: [&str; 3] =
     ["DBLP-ACM -> DBLP-Scholar", "MB -> MSD", "KIL Bp-Dp -> IOS Bp-Dp"];
 
 /// One sensitivity series: quality per swept value on one task.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SensitivitySeries {
     /// Task name.
     pub task: String,
@@ -22,6 +22,17 @@ pub struct SensitivitySeries {
     pub values: Vec<f64>,
     /// Quality at each value.
     pub quality: Vec<QualityNumbers>,
+}
+
+impl SensitivitySeries {
+    /// Field names as keys.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("task", Json::Str(self.task.clone())),
+            ("values", nums(&self.values)),
+            ("quality", Json::Arr(self.quality.iter().map(QualityNumbers::to_json).collect())),
+        ])
+    }
 }
 
 fn sensitivity_tasks(opts: &Options) -> Result<Vec<EvalTask>> {
@@ -65,7 +76,7 @@ pub fn fig6(opts: &Options) -> Result<Vec<SensitivitySeries>> {
 }
 
 /// Which parameter a Figure 7 sweep varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweptParameter {
     /// Instance confidence threshold `t_c`.
     Tc,
@@ -81,6 +92,11 @@ impl SweptParameter {
     /// All four panels of Fig. 7.
     pub const ALL: [SweptParameter; 4] =
         [SweptParameter::Tc, SweptParameter::Tl, SweptParameter::Tp, SweptParameter::K];
+
+    /// The variant name (`"Tc"`, `"Tl"`, `"Tp"` or `"K"`) as a string.
+    pub fn to_json(&self) -> Json {
+        Json::Str(format!("{self:?}"))
+    }
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -116,12 +132,22 @@ impl SweptParameter {
 }
 
 /// One Figure 7 panel: a parameter swept across the three tasks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Panel {
     /// Which parameter this panel varies.
     pub parameter: SweptParameter,
     /// One series per task.
     pub series: Vec<SensitivitySeries>,
+}
+
+impl Fig7Panel {
+    /// Field names as keys.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("parameter", self.parameter.to_json()),
+            ("series", Json::Arr(self.series.iter().map(SensitivitySeries::to_json).collect())),
+        ])
+    }
 }
 
 /// Figure 7: sweep each parameter with the others at their defaults.

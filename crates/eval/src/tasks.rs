@@ -2,13 +2,13 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
 use transer_baselines::{ResourceBudget, RunContext, TaskView, TransferMethod};
 use transer_common::{Label, LabeledDataset, Result};
 use transer_core::{Diagnostics, TransEr, TransErConfig};
 use transer_datagen::ScenarioPair;
 use transer_metrics::{evaluate, MeanStd};
 use transer_ml::ClassifierKind;
+use transer_trace::json::{obj, Json};
 
 /// One directed transfer task with the raw pair texts the deep baselines
 /// embed.
@@ -69,7 +69,7 @@ pub fn directed_tasks(scale: f64, seed: u64) -> Result<Vec<EvalTask>> {
 }
 
 /// The paper's quality quadruple, as mean ± std over the classifier set.
-#[derive(Debug, Clone, Copy, Serialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityNumbers {
     /// Mean / std of precision.
     pub precision: (f64, f64),
@@ -82,30 +82,42 @@ pub struct QualityNumbers {
 }
 
 impl QualityNumbers {
+    /// Each field a `[mean, std]` array.
+    pub fn to_json(&self) -> Json {
+        let pair = |(mean, std): (f64, f64)| nums(&[mean, std]);
+        obj(vec![
+            ("precision", pair(self.precision)),
+            ("recall", pair(self.recall)),
+            ("f_star", pair(self.f_star)),
+            ("f1", pair(self.f1)),
+        ])
+    }
+
+    /// The `(mean, std)` pairs in the paper's P, R, F*, F1 row order.
+    pub fn metrics(&self) -> [(f64, f64); 4] {
+        [self.precision, self.recall, self.f_star, self.f1]
+    }
+
     /// Aggregate per-classifier outcomes.
     pub fn from_runs(predictions: &[Vec<Label>], truth: &[Label]) -> Self {
-        let mut p = MeanStd::new();
-        let mut r = MeanStd::new();
-        let mut fs = MeanStd::new();
-        let mut f1 = MeanStd::new();
+        let mut stats = [MeanStd::new(); 4];
         for pred in predictions {
             let cm = evaluate(pred, truth);
-            p.push(cm.precision());
-            r.push(cm.recall());
-            fs.push(cm.f_star());
-            f1.push(cm.f1());
+            let values = [cm.precision(), cm.recall(), cm.f_star(), cm.f1()];
+            stats.iter_mut().zip(values).for_each(|(s, v)| s.push(v));
         }
-        QualityNumbers {
-            precision: (p.mean(), p.std()),
-            recall: (r.mean(), r.std()),
-            f_star: (fs.mean(), fs.std()),
-            f1: (f1.mean(), f1.std()),
-        }
+        QualityNumbers::from_stats(stats)
+    }
+
+    /// From accumulators in P, R, F*, F1 order.
+    pub(crate) fn from_stats([p, r, fs, f1]: [MeanStd; 4]) -> Self {
+        let pair = |s: MeanStd| (s.mean(), s.std());
+        QualityNumbers { precision: pair(p), recall: pair(r), f_star: pair(fs), f1: pair(f1) }
     }
 }
 
 /// Outcome of running one method on one task with the full classifier set.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum MethodOutcome {
     /// Completed: quality numbers and total runtime in seconds.
     Ok {
@@ -123,10 +135,39 @@ pub enum MethodOutcome {
 }
 
 impl MethodOutcome {
-    /// Table cell text for quality columns, e.g. the F* cell.
+    /// Whether the method completed (the quality columns have numbers).
     pub fn is_ok(&self) -> bool {
         matches!(self, MethodOutcome::Ok { .. })
     }
+
+    /// Tagged by variant name: `{"Ok": {"quality": …, "secs": …}}`,
+    /// `"MemoryExceeded"`, `"TimeExceeded"` or `{"Failed": "<message>"}`.
+    pub fn to_json(&self) -> Json {
+        match self {
+            MethodOutcome::Ok { quality, secs } => obj(vec![(
+                "Ok",
+                obj(vec![("quality", quality.to_json()), ("secs", Json::Num(*secs))]),
+            )]),
+            MethodOutcome::MemoryExceeded => Json::Str("MemoryExceeded".to_string()),
+            MethodOutcome::TimeExceeded => Json::Str("TimeExceeded".to_string()),
+            MethodOutcome::Failed(message) => obj(vec![("Failed", Json::Str(message.clone()))]),
+        }
+    }
+}
+
+/// A float slice as a JSON array.
+pub(crate) fn nums(values: &[f64]) -> Json {
+    Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
+}
+
+/// A `(name, value)` list as arrays of two elements, `[[name, value], …]`.
+pub(crate) fn named<T>(entries: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(
+        entries
+            .iter()
+            .map(|(name, v)| Json::Arr(vec![Json::Str(name.clone()), value(v)]))
+            .collect(),
+    )
 }
 
 /// Run one baseline with every classifier in the set and aggregate.

@@ -8,8 +8,22 @@ use transer_core::{
     select_instances_per_row_with_pool, select_instances_with_pool, SelectionResult, TransErConfig,
 };
 use transer_datagen::ScenarioPair;
-use transer_eval::sel_bench::{round_features, tile_rows};
 use transer_parallel::Pool;
+
+/// Round every feature to `digits` decimals (few distinct rows remain).
+fn round_features(m: &FeatureMatrix, digits: u32) -> FeatureMatrix {
+    let scale = 10f64.powi(digits as i32);
+    let rows: Vec<Vec<f64>> =
+        m.iter_rows().map(|r| r.iter().map(|v| (v * scale).round() / scale).collect()).collect();
+    FeatureMatrix::from_vecs(&rows).unwrap()
+}
+
+/// Repeat the rows of a matrix `times` times: large candidate sets, where
+/// the distinct rounded feature vectors saturate while the row count grows.
+fn tile_rows(m: &FeatureMatrix, times: usize) -> FeatureMatrix {
+    let rows: Vec<Vec<f64>> = (0..times).flat_map(|_| m.iter_rows().map(<[f64]>::to_vec)).collect();
+    FeatureMatrix::from_vecs(&rows).unwrap()
+}
 
 fn assert_bit_identical(a: &SelectionResult, b: &SelectionResult, what: &str) {
     assert_eq!(a.indices, b.indices, "{what}: indices differ");
@@ -45,8 +59,8 @@ fn sel_engine_bit_identical_on_three_datasets() {
     // Duplicate-heavy: rounding collapses the features to a bounded grid
     // and tiling grows multiplicities, the regime the engine memoizes
     // hardest.
-    let (xs, ys) = tile_rows(&round_features(&biblio.source.x, 1), Some(&biblio.source.y), 8);
-    let (xt, _) = tile_rows(&round_features(&biblio.target.x, 1), None, 8);
+    let (xs, ys) = (tile_rows(&round_features(&biblio.source.x, 1), 8), biblio.source.y.repeat(8));
+    let xt = tile_rows(&round_features(&biblio.target.x, 1), 8);
     let interning = RowInterning::of(&xs);
     assert!(
         interning.dedup_ratio() > 5.0,

@@ -251,3 +251,72 @@ proptest! {
         }
     }
 }
+
+/// Deterministic uniform-`[0, 1)` matrix (SplitMix64): a pure function of
+/// `(rows, dim, seed)`.
+fn synthetic_matrix(rows: usize, dim: usize, seed: u64) -> FeatureMatrix {
+    let mut state =
+        seed ^ (rows as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (dim as u64).rotate_left(32);
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let data: Vec<Vec<f64>> = (0..rows).map(|_| (0..dim).map(|_| next()).collect()).collect();
+    FeatureMatrix::from_vecs(&data).unwrap()
+}
+
+/// Assert that the k-d tree and the duplicate-aware engine return the
+/// brute-force answer on `m`, bit for bit (NaN distances included), with
+/// plain and self-excluding queries from every 8th row at several `k`.
+fn check_against_brute_force(m: &FeatureMatrix, what: &str) {
+    let tree = KdTree::build(m);
+    let dedup = DedupKnn::build(m);
+    for i in (0..m.rows()).step_by(8) {
+        let q = m.row(i);
+        for k in [1, 7, 25] {
+            let plain = bits(&brute_force_knn(m, q, k, None));
+            let excluding = bits(&brute_force_knn(m, q, k, Some(i)));
+            for (name, got, want) in [
+                ("kdtree", tree.k_nearest(q, k), &plain),
+                ("kdtree excluding", tree.k_nearest_excluding(q, k, Some(i)), &excluding),
+                ("dedup", dedup.k_nearest(q, k), &plain),
+                ("dedup excluding", dedup.k_nearest_excluding(q, k, i), &excluding),
+            ] {
+                assert_eq!(&bits(&got), want, "{name} disagrees on {what} at row {i} k {k}");
+            }
+        }
+    }
+}
+
+/// Fixed matrices at ER scale: 512 × 9 uniform; its copy with every 5th
+/// cell NaN, `+Inf` or `-Inf` in turn (what SEL's `sel.knn` fault site
+/// feeds the index); and 512 × 4 with four cells in five snapped to 0, ¼,
+/// ½ or 1, so k-th distances tie across leaves (at 9 columns they did not).
+#[test]
+fn fixed_matrices_match_brute_force_bit_for_bit() {
+    let m = synthetic_matrix(512, 9, 42);
+    assert!(m.as_slice().iter().all(|v| (0.0..1.0).contains(v)));
+    check_against_brute_force(&m, "the finite matrix");
+
+    let mut poisoned = m.clone();
+    let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    for (j, v) in poisoned.as_mut_slice().iter_mut().step_by(5).enumerate() {
+        *v = hostile[j % hostile.len()];
+    }
+    let cells = poisoned.as_slice();
+    assert!(cells.iter().any(|v| v.is_nan()));
+    assert!(cells.contains(&f64::INFINITY) && cells.contains(&f64::NEG_INFINITY));
+    check_against_brute_force(&poisoned, "the NaN/±Inf matrix");
+
+    let mut tied = synthetic_matrix(512, 4, 42);
+    for v in tied.as_mut_slice().iter_mut().filter(|v| **v < 0.8) {
+        *v = TIE_VALUES[(*v * 5.0) as usize];
+    }
+    let snapped = tied.as_slice().iter().filter(|v| TIE_VALUES.contains(v)).count();
+    let share = snapped as f64 / tied.as_slice().len() as f64;
+    assert!((0.7..0.9).contains(&share), "{share}");
+    check_against_brute_force(&tied, "the tie-heavy matrix");
+}

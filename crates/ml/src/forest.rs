@@ -327,8 +327,48 @@ mod tests {
         assert_ne!(a.predict_proba(&probes), b.predict_proba(&probes));
     }
 
+    /// Synthetic training matrix: `rounded` snaps values onto a 2-decimal
+    /// grid (the ER regime, columns dominated by ties); labels follow a
+    /// noisy linear rule, so the trees grow to real depth.
+    fn synth(n: usize, m: usize, rounded: bool, seed: u64) -> (FeatureMatrix, Vec<Label>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (mut rows, mut y) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let row: Vec<f64> = (0..m)
+                .map(|_| if rounded { (next() * 100.0).round() / 100.0 } else { next() })
+                .collect();
+            let score = row.iter().take(3).sum::<f64>() / 3.0 + 0.35 * (next() - 0.5);
+            y.push(if score > 0.5 { Label::Match } else { Label::NonMatch });
+            rows.push(row);
+        }
+        (FeatureMatrix::from_vecs(&rows).unwrap(), y)
+    }
+
+    /// One worker against several, with the per-tree fan-out forced onto
+    /// the pool (at test sizes the grain rule would run it inline).
     #[test]
     fn parallel_fit_is_bit_identical_to_sequential() {
+        let check = |name: &str, x: &FeatureMatrix, y: &[Label], probes: &FeatureMatrix| {
+            let mut seq = RandomForest::with_seed(17).with_threads(1);
+            seq.fit(x, y).unwrap();
+            let expected = seq.predict_proba(probes);
+            for workers in [2, 4, 16] {
+                let pool = Pool::new(workers).with_grain(transer_parallel::GrainMode::AlwaysPool);
+                let mut par = RandomForest::with_seed(17).with_pool(pool);
+                par.fit(x, y).unwrap();
+                assert_eq!(par.tree_count(), seq.tree_count());
+                let got = par.predict_proba(probes);
+                for (i, (a, b)) in expected.iter().zip(&got).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name}: workers={workers} row {i}");
+                }
+            }
+        };
         let (x, y) = noisy_blobs(11);
         let probes = FeatureMatrix::from_vecs(&[
             vec![0.5, 0.5, 0.5],
@@ -338,18 +378,16 @@ mod tests {
             vec![0.2, 0.25, 0.9],
         ])
         .unwrap();
-        let mut seq = RandomForest::with_seed(17).with_threads(1);
-        seq.fit(&x, &y).unwrap();
-        let expected = seq.predict_proba(&probes);
-        for workers in [2, 4, 16] {
-            let mut par = RandomForest::with_seed(17).with_threads(workers);
-            par.fit(&x, &y).unwrap();
-            assert_eq!(par.tree_count(), seq.tree_count());
-            let got = par.predict_proba(&probes);
-            for (a, b) in expected.iter().zip(&got) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
-            }
-        }
+        check("noisy blobs", &x, &y, &probes);
+        // An ER-like 9-column matrix on a coarse grid (heavy ties) and a
+        // wide continuous 24-column one, probed on their training rows.
+        let (x, y) = synth(2000, 9, true, 42);
+        let distinct: std::collections::HashSet<u64> =
+            (0..x.rows()).map(|i| x.row(i)[0].to_bits()).collect();
+        assert!(distinct.len() < x.rows(), "rounded columns must contain ties");
+        check("er-rounded", &x, &y, &x);
+        let (x, y) = synth(2000, 24, false, 43);
+        check("wide-continuous", &x, &y, &x);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! invariant — any future kernel change that sneaks a `Vec::push` or a
 //! `String` into a scoring path fails here, not in a profile.
 
+mod corpus;
+
 use std::sync::Mutex;
 
+use corpus::{build_pairs, MEASURES};
 use transer_similarity::{Measure, PreparedText};
 
 // An unused `--extern` crate is never loaded, and an unloaded crate's
@@ -19,26 +22,6 @@ use transer_common as _;
 
 /// Allocation accounting is process-global; tests serialise here.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Every measure in the workspace, with the steady-state label used in
-/// failure messages.
-const MEASURES: [(&str, Measure); 15] = [
-    ("jaro", Measure::Jaro),
-    ("jaro_winkler", Measure::JaroWinkler),
-    ("levenshtein", Measure::Levenshtein),
-    ("lcs", Measure::Lcs),
-    ("token_jaccard", Measure::TokenJaccard),
-    ("token_dice", Measure::TokenDice),
-    ("token_overlap", Measure::TokenOverlap),
-    ("qgram_jaccard_2", Measure::QgramJaccard(2)),
-    ("qgram_dice_3", Measure::QgramDice(3)),
-    ("qgram_jaccard_4", Measure::QgramJaccard(4)),
-    ("monge_elkan_jw", Measure::MongeElkanJw),
-    ("soundex", Measure::Soundex),
-    ("exact", Measure::Exact),
-    ("numeric_5", Measure::Numeric(5.0)),
-    ("year", Measure::Year),
-];
 
 /// ER-shaped corpus: names, multi-token titles (unicode, one past the
 /// 64-char single-block Myers limit), years, plus empties and near-twins.
@@ -103,4 +86,34 @@ fn preparation_itself_is_observed_as_allocating() {
     let (c1, _) = transer_trace::alloc::thread_counters();
     transer_trace::alloc::set_enabled(false);
     assert!(c1 > c0, "preparing {} pairs must allocate", corpus.len());
+}
+
+/// The invariant at corpus scale with tracing on (the kernels record trace
+/// counters too): after a warm-up, a steady-state pass over every
+/// measure's prepared pair corpus attributes no allocation to its span.
+#[test]
+fn traced_steady_state_over_the_pair_corpus_is_allocation_free() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let pairs = build_pairs(400, 0x5EED);
+    let prepare = |m: Measure| pairs.iter().map(|(a, b)| (m.prepare(a), m.prepare(b))).collect();
+    let corpora: Vec<(Measure, Vec<_>)> = MEASURES.iter().map(|&(_, m)| (m, prepare(m))).collect();
+    let pass = || -> f64 {
+        corpora.iter().flat_map(|(m, corpus)| corpus.iter().map(|(a, b)| m.prepared(a, b))).sum()
+    };
+    let mut sink = pass(); // warm-up
+    transer_trace::alloc::set_enabled(true);
+    transer_trace::set_enabled(true);
+    let _ = transer_trace::drain_report();
+    // A traced warm-up: a counter's first touch after a drain allocates.
+    sink += pass();
+    {
+        let _span = transer_trace::span("similarity.steady");
+        sink += pass();
+    }
+    let report = transer_trace::drain_report();
+    transer_trace::set_enabled(false);
+    transer_trace::alloc::set_enabled(false);
+    std::hint::black_box(sink);
+    let span = report.find_span("similarity.steady").expect("steady-state span recorded");
+    assert_eq!((span.alloc_count, span.alloc_bytes), (0, 0), "steady-state (allocations, bytes)");
 }

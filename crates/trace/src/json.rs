@@ -1,11 +1,11 @@
-//! A minimal JSON value model with a writer and a strict parser.
-//!
-//! The workspace's vendored `serde_json` stub only serialises; the trace
-//! layer also needs to *read* its own reports back (the `trace_report`
-//! pretty-printer and the tier-1 schema check), so it carries this
-//! self-contained implementation. It supports exactly the JSON subset the
-//! trace reports use: objects, arrays, strings, finite numbers, booleans
-//! and `null`.
+//! A minimal JSON value model with a writer and a strict parser: the
+//! workspace's one JSON implementation. Every artefact is written through
+//! it (trace reports, the run ledger, the persisted model and LSH index,
+//! the `bench_*` outputs, and the eval bins' tables and figures, whose
+//! result types build a [`Json`] with `to_json`); `trace_report`,
+//! `trace_diff` and the loaders read them back with [`parse`]. It supports
+//! objects, arrays, strings, finite numbers (a non-finite one is written
+//! as `null`), booleans and `null`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
