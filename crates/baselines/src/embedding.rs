@@ -9,10 +9,15 @@
 //! training data — and exactly like real FastText on out-of-vocabulary
 //! personal names, it carries no task-specific semantics, which is the
 //! negative-transfer failure mode the paper demonstrates for DR.
+//!
+//! A gram is hashed by the workspace's SipHash-1-3
+//! ([`transer_common::hash::SipHasher13`]) over the bytes `std`'s
+//! `DefaultHasher` was fed for `(seed, window)`: the seed as 8
+//! little-endian bytes, the window's length as 8, then each char as 4.
+//! The embeddings are therefore the ones `std` gave, fixed by this
+//! repository rather than by the toolchain.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
+use transer_common::hash::SipHasher13;
 use transer_common::FeatureMatrix;
 
 /// Frozen hashed n-gram embedder.
@@ -49,9 +54,10 @@ impl HashedEmbedder {
         }
         let mut grams = 0usize;
         for window in chars.windows(self.ngram) {
-            let mut h = DefaultHasher::new();
-            self.seed.hash(&mut h);
-            window.hash(&mut h);
+            let mut h = SipHasher13::new();
+            h.write_u64(self.seed);
+            h.write_u64(window.len() as u64);
+            window.iter().for_each(|&c| h.write_u32(u32::from(c)));
             let mut state = h.finish() | 1;
             // Each gram contributes a deterministic pseudo-random ±1 pattern.
             for slot in v.iter_mut() {
@@ -118,6 +124,34 @@ mod tests {
 
     fn emb() -> HashedEmbedder {
         HashedEmbedder::default()
+    }
+
+    /// Embeddings read off the implementation that hashed with `std`'s
+    /// `DefaultHasher`: `(ngram, text, first cell, last cell, SipHash of
+    /// all 32 cells' bit patterns as a `[u64]`)`.
+    const PINNED: [(usize, &str, u64, u64, u64); 6] = [
+        (3, "john macdonald", 0x0000000000000000, 0x3fd3e8d3313adc21, 0xf79063666c7126f4),
+        (3, "ñandú İstanbul", 0x3fa61d72b7978671, 0xbfcba4cf657d680d, 0x22b2d0648d4ebb6f),
+        (1, "ab", 0x0000000000000000, 0x0000000000000000, 0xec41789a95b88320),
+        (2, "Ωmega", 0x3fd75e9746a0b098, 0x3fc75e9746a0b098, 0x6633b555e07766d0),
+        (4, "x", 0xbfcab099ae8f539a, 0x0000000000000000, 0xa0c59dea428b4d08),
+        (5, "entity resolution", 0xbfc8b043e5181183, 0x3fa3c03650e00e03, 0x2b3a720342f68f29),
+    ];
+
+    #[test]
+    fn embeddings_equal_the_default_hasher_implementation() {
+        for (ngram, text, first, last, all) in PINNED {
+            let v = HashedEmbedder { ngram, ..emb() }.embed(text);
+            let bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+            let mut h = SipHasher13::new();
+            h.write_u64(bits.len() as u64);
+            bits.iter().for_each(|&b| h.write_u64(b));
+            assert_eq!(
+                (bits[0], bits[31], h.finish()),
+                (first, last, all),
+                "{ngram}-grams of {text:?}"
+            );
+        }
     }
 
     #[test]

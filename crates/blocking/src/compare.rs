@@ -14,6 +14,7 @@
 //! shard emits its row-major block of the feature matrix with no per-pair
 //! staging.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use transer_common::{
@@ -278,12 +279,13 @@ enum PreparedValue {
     Missing,
     /// Textual value with the measure's per-value work hoisted out.
     Text(PreparedText),
-    /// Numeric value: the raw number for measures with a native numeric
-    /// path, plus the prepared decimal rendering for the text fallbacks
-    /// and Text/Number cross comparisons.
+    /// Numeric value: the raw number, plus — for a measure without a
+    /// native numeric path, whose Number × Number pairs compare decimal
+    /// renderings — the prepared rendering. A number-native measure
+    /// renders only when a Text × Number pair asks.
     Number {
         raw: f64,
-        text: PreparedText,
+        text: Option<PreparedText>,
     },
 }
 
@@ -298,31 +300,44 @@ impl PreparedValue {
             AttrValue::Text(s) => PreparedValue::Text(measure.prepare_interned(s, interner)),
             AttrValue::Number(x) => PreparedValue::Number {
                 raw: *x,
-                text: measure.prepare_owned_interned(x.to_string(), interner),
+                text: (!measure.number_native())
+                    .then(|| measure.prepare_owned_interned(x.to_string(), interner)),
             },
             AttrValue::Missing => PreparedValue::Missing,
         }
     }
 }
 
+/// The prepared decimal rendering of a numeric value: the cached one, or
+/// — for a number-native measure, which caches none — rendered now. Those
+/// measures prepare no interned representation, so the fresh rendering is
+/// exactly what the cache would have held.
+fn rendered(measure: Measure, raw: f64, text: &Option<PreparedText>) -> Cow<'_, PreparedText> {
+    match text {
+        Some(text) => Cow::Borrowed(text),
+        None => Cow::Owned(measure.prepare(&raw.to_string())),
+    }
+}
+
 /// [`compare_values`] over prepared inputs — bit-identical by construction:
-/// every arm reduces to the same similarity call on the same data (the
-/// `number_native` split mirrors [`Measure::number`]'s dispatch, and the
-/// text fallback there operates on exactly the renderings cached in
-/// [`PreparedValue::Number`]).
+/// every arm reduces to the same similarity call on the same data (a
+/// number-native measure scores Number × Number pairs on the raw values,
+/// as [`Measure::number`] dispatches, and every text fallback operates on
+/// exactly the rendering [`compare_values`] makes).
 fn prepared_pair(measure: Measure, a: &PreparedValue, b: &PreparedValue) -> f64 {
     use PreparedValue as P;
     match (a, b) {
         (P::Text(x), P::Text(y)) => measure.prepared(x, y),
-        (P::Number { raw: x, text: tx }, P::Number { raw: y, text: ty }) => {
-            if measure.number_native() {
-                measure.number(*x, *y)
-            } else {
-                measure.prepared(tx, ty)
-            }
+        (P::Number { raw: x, text: tx }, P::Number { raw: y, text: ty }) => match (tx, ty) {
+            (Some(tx), Some(ty)) => measure.prepared(tx, ty),
+            _ => measure.number(*x, *y),
+        },
+        (P::Text(x), P::Number { raw, text }) => {
+            measure.prepared(x, &rendered(measure, *raw, text))
         }
-        (P::Text(x), P::Number { text: y, .. }) => measure.prepared(x, y),
-        (P::Number { text: x, .. }, P::Text(y)) => measure.prepared(x, y),
+        (P::Number { raw, text }, P::Text(y)) => {
+            measure.prepared(&rendered(measure, *raw, text), y)
+        }
         _ => 0.0, // at least one side missing
     }
 }

@@ -24,7 +24,7 @@ mod tokenize;
 
 pub use compare::Comparison;
 pub use lsh_index::{LshIndex, COMPACT_MIN_TOMBSTONES, INDEX_SCHEMA_VERSION};
-pub use minhash::{MinHashLsh, MinHashLshConfig};
+pub use minhash::{BandScratch, MinHashLsh, MinHashLshConfig};
 pub use tokenize::{token_hashes, token_hashes_masked};
 
 /// A candidate record pair: indices into the left and right record slices

@@ -28,7 +28,19 @@
 //! versioned JSON format of `transer_trace::json` (schema-version field,
 //! strict parse: unknown keys are rejected, like `trace_report --check`).
 //! Band keys are full 64-bit hashes — beyond the 2^53 exact-integer range
-//! of a JSON number — so they are serialised as 16-digit hex strings.
+//! of a JSON number — so they are serialised as 16-digit hex strings. The
+//! keys are the workspace's own SipHash-1-3 of the band words (see
+//! [`crate::MinHashLsh`]), fixed by this repository and equal to the keys
+//! `std`'s hasher produced before, so an artefact answers alike under any
+//! toolchain. Loading is strict: ids and attribute indices must be exact
+//! non-negative integers.
+//!
+//! # The per-record kernel
+//! Inserts and queries compute band keys with
+//! [`MinHashLsh::record_band_keys_into`]: an index keeps one
+//! [`BandScratch`] for its inserts, and [`LshIndex::query_batch`] one per
+//! worker, so neither allocates per record beyond the keys an entry keeps
+//! and the candidates a query returns.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -36,7 +48,7 @@ use transer_common::{Error, Record, Result};
 use transer_parallel::{CostClass, CostHint, Pool};
 use transer_trace::json::{self, obj, Json};
 
-use crate::minhash::{apply_blocking_fault, MinHashLsh, MinHashLshConfig};
+use crate::minhash::{apply_blocking_fault, BandScratch, MinHashLsh, MinHashLshConfig};
 
 /// Compaction triggers once at least this many tombstones have accumulated
 /// (and tombstones outnumber live entries). Small indexes never pay a
@@ -71,6 +83,17 @@ pub struct LshIndex {
     /// Every id represented in `buckets` (live or tombstoned) → its entry.
     entries: HashMap<usize, Entry>,
     dead: usize,
+    /// Kernel buffers for [`LshIndex::insert`]; never part of the state.
+    scratch: BandScratch,
+}
+
+/// Per-worker buffers of a query: the kernel's, the probe's band keys and
+/// the live members of one bucket.
+#[derive(Debug, Default)]
+struct QueryScratch {
+    band: BandScratch,
+    keys: Vec<u64>,
+    live: Vec<usize>,
 }
 
 impl LshIndex {
@@ -87,6 +110,7 @@ impl LshIndex {
             buckets: HashMap::new(),
             entries: HashMap::new(),
             dead: 0,
+            scratch: BandScratch::default(),
         })
     }
 
@@ -159,7 +183,8 @@ impl LshIndex {
             Some(_) => self.purge(id),
             None => {}
         }
-        let keys = self.lsh.record_band_keys(record, self.attrs.as_deref()).unwrap_or_default();
+        let mut keys = Vec::with_capacity(self.config().bands);
+        self.lsh.record_band_keys_into(record, self.attrs.as_deref(), &mut self.scratch, &mut keys);
         for &key in &keys {
             self.buckets.entry(key).or_default().push(id);
         }
@@ -227,41 +252,49 @@ impl LshIndex {
     /// `max_bucket` cap counts live members only, so the result is
     /// bit-identical to a from-scratch index over the surviving records.
     pub fn query(&self, record: &Record) -> Vec<usize> {
-        let Some(keys) = self.lsh.record_band_keys(record, self.attrs.as_deref()) else {
-            transer_trace::counter("blocking.lsh_index.queries", 1);
-            return Vec::new();
-        };
+        self.query_with(record, &mut QueryScratch::default())
+    }
+
+    /// [`LshIndex::query`] in caller-owned buffers.
+    fn query_with(&self, record: &Record, scratch: &mut QueryScratch) -> Vec<usize> {
+        let QueryScratch { band, keys, live } = scratch;
+        self.lsh.record_band_keys_into(record, self.attrs.as_deref(), band, keys);
         let cap = if self.config().max_bucket == 0 { usize::MAX } else { self.config().max_bucket };
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        for key in keys {
-            let Some(members) = self.buckets.get(&key) else { continue };
+        for key in keys.iter() {
+            let Some(members) = self.buckets.get(key) else { continue };
             if self.dead == 0 {
                 if members.len() <= cap {
                     out.extend_from_slice(members);
                 }
             } else {
-                scratch.clear();
-                scratch.extend(members.iter().copied().filter(|&id| self.contains(id)));
-                if scratch.len() <= cap {
-                    out.extend_from_slice(&scratch);
+                live.clear();
+                live.extend(members.iter().copied().filter(|&id| self.contains(id)));
+                if live.len() <= cap {
+                    out.extend_from_slice(live);
                 }
             }
         }
         out.sort_unstable();
         out.dedup();
         transer_trace::counter("blocking.lsh_index.queries", 1);
-        transer_trace::counter("blocking.lsh_index.candidates", out.len() as u64);
+        if !keys.is_empty() {
+            transer_trace::counter("blocking.lsh_index.candidates", out.len() as u64);
+        }
         out
     }
 
-    /// [`LshIndex::query`] over a batch, parallelised on `pool`. Output is
-    /// in probe order and bit-identical for every worker count. Hosts the
-    /// `blocking` fault site once per batch: an armed `empty` or
-    /// `task_fail` plan leaves every probe without candidates.
+    /// [`LshIndex::query`] over a batch, parallelised on `pool` with one
+    /// set of query buffers per worker. Output is in probe order and
+    /// bit-identical for every worker count. Hosts the `blocking` fault
+    /// site once per batch: an armed `empty` or `task_fail` plan leaves
+    /// every probe without candidates.
     pub fn query_batch(&self, records: &[Record], pool: &Pool) -> Vec<Vec<usize>> {
         let hint = CostHint::new(records.len(), CostClass::Medium);
-        let mut candidates = pool.par_map_costed(records, hint, |rec| self.query(rec));
+        let mut candidates =
+            pool.par_map_init_costed(records, hint, QueryScratch::default, |scratch, _, rec| {
+                self.query_with(rec, scratch)
+            });
         apply_blocking_fault(&mut candidates);
         candidates
     }
@@ -334,9 +367,10 @@ impl LshIndex {
                 items
                     .iter()
                     .map(|j| {
-                        j.as_num().map(|n| n as usize).ok_or_else(|| {
+                        let n = j.as_num().ok_or_else(|| {
                             Error::Persist("index: attrs entries must be numbers".into())
-                        })
+                        })?;
+                        exact_index(n, "attrs", "index")
                     })
                     .collect::<Result<_>>()?,
             ),
@@ -422,7 +456,14 @@ fn num_field(map: &BTreeMap<String, Json>, key: &str, ctx: &str) -> Result<f64> 
 }
 
 fn usize_field(map: &BTreeMap<String, Json>, key: &str, ctx: &str) -> Result<usize> {
-    let n = num_field(map, key, ctx)?;
+    exact_index(num_field(map, key, ctx)?, key, ctx)
+}
+
+/// `n` as an index when it is a non-negative integer a JSON number holds
+/// exactly (at most 2^53); anything else — negative, fractional, NaN,
+/// infinite or huge — is an [`Error::Persist`] rather than a cast that
+/// silently lands on another index.
+fn exact_index(n: f64, key: &str, ctx: &str) -> Result<usize> {
     if n < 0.0 || n.fract() != 0.0 || n > 2f64.powi(53) {
         return Err(Error::Persist(format!("{ctx}: field {key:?} is not an exact index: {n}")));
     }
@@ -546,6 +587,25 @@ mod tests {
         let reparsed = json::parse(&doc.to_pretty()).expect("valid json");
         let loaded2 = LshIndex::from_json(&reparsed).expect("text round trip");
         assert_eq!(loaded2.query(&recs[0]), index.query(&recs[0]));
+    }
+
+    #[test]
+    fn attrs_must_be_exact_indices() {
+        let index = LshIndex::from_records(MinHashLshConfig::default(), Some(&[0]), &corpus())
+            .expect("valid");
+        // Each value used to load: -1 and 0.5 as attribute 0, 1e300 as
+        // usize::MAX (no record would ever block).
+        for bad in [-1.0, 0.5, 1e300] {
+            let mut doc = index.to_json();
+            if let Json::Obj(map) = &mut doc {
+                map.insert("attrs".into(), Json::Arr(vec![Json::Num(bad)]));
+            }
+            let err = LshIndex::from_json(&doc).expect_err("inexact attrs must not load");
+            assert!(matches!(err, Error::Persist(_)), "{bad}: {err}");
+            assert!(err.to_string().contains("attrs"), "{bad}: {err}");
+        }
+        let loaded = LshIndex::from_json(&index.to_json()).expect("exact attrs load");
+        assert_eq!(loaded.attrs(), Some(&[0][..]));
     }
 
     #[test]

@@ -156,10 +156,11 @@ fn hash_set(tokens: &[String]) -> Vec<u64> {
 }
 
 /// Text fragments that stress the word and gram rules: lower-case
-/// expansions (`İ` → `i̇`), one-char and whitespace-only pieces,
-/// punctuation that words strip but grams keep, the `#` pad character,
-/// combining marks and non-Latin scripts.
-const FRAGMENTS: [&str; 22] = [
+/// expansions (`İ` → `i̇`), one-char and whitespace-only pieces (`\x0B`
+/// splits words; `\x1F` does not), punctuation that words strip but grams
+/// keep, the `#` pad character, combining marks and non-Latin scripts.
+/// Records built only from ASCII fragments take the tokenizer's byte path.
+const FRAGMENTS: [&str; 24] = [
     "İstanbul",
     "ǅemal",
     "STRASSE",
@@ -182,6 +183,8 @@ const FRAGMENTS: [&str; 22] = [
     "#",
     "ﬁ",
     "İ",
+    "\x0B",
+    "a\x1Fb",
 ];
 
 /// Attribute masks: all, none selected, one, reordered, out of range and
@@ -241,7 +244,21 @@ proptest! {
 
 #[test]
 fn token_hashes_equal_the_oracle_on_edge_cases() {
-    let texts = ["İ", "İSTANBUL", "x", "ß", " ", "\t \n", "", "#", "a b a", "İ x İ"];
+    let texts = [
+        "İ",
+        "İSTANBUL",
+        "x",
+        "ß",
+        " ",
+        "\t \n",
+        "",
+        "#",
+        "a b a",
+        "İ x İ",
+        "entity\x0Bresolution",
+        "entity\x1Cresolution",
+        "O'Brien-Smith\r\n2nd",
+    ];
     for text in texts {
         let record = Record::new(0, 0, vec![AttrValue::Text(text.into()), AttrValue::Number(7.0)]);
         assert_hashes_match_oracle(&record);

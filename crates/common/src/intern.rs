@@ -20,6 +20,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{Hash, Hasher};
 
+use crate::hash::MulRotBuild;
 use crate::FeatureMatrix;
 
 /// A row borrowed from the matrix being interned, hashed and compared by
@@ -158,7 +159,12 @@ impl RowInterning {
 }
 
 /// Deterministic short-string interner: maps each distinct string to a
-/// dense `u32` id in order of first appearance.
+/// dense `u32` id in order of first appearance. Its map hashes with the
+/// fixed [`MulRotHasher`](crate::hash::MulRotHasher): ids follow first
+/// appearance whatever the hasher, so only the lookup cost depends on it.
+/// The hasher is not keyed, so tokens crafted to collide slow the lookups
+/// of the one compare shard that holds them; they cannot change an id or
+/// a score.
 ///
 /// The similarity fast kernel uses one interner per compare-run shard to
 /// turn token and q-gram profiles into sorted `u32` id slices, so the
@@ -170,7 +176,7 @@ impl RowInterning {
 /// different shards still yield bit-identical similarities.
 #[derive(Debug, Default, Clone)]
 pub struct StrInterner {
-    map: std::collections::HashMap<Box<str>, u32>,
+    map: HashMap<Box<str>, u32, MulRotBuild>,
 }
 
 impl StrInterner {

@@ -13,6 +13,9 @@
 //!   [`FeatureMatrix`] — the substrate of the presorted tree engine in
 //!   `transer-ml` — built by a cache-blocked transpose
 //!   ([`transpose_blocked`]) shared with `transer-linalg`.
+//! * [`hash`] holds the workspace's own SipHash-1-3, which fixes every
+//!   blocking hash independently of the toolchain, and the fixed hasher of
+//!   [`StrInterner`].
 //! * [`Label`] is the binary match / non-match class label.
 //! * [`LabeledDataset`] and [`DomainPair`] bundle feature matrices with
 //!   (ground-truth) labels for the source and target domains of a transfer
@@ -34,6 +37,7 @@ mod dataset;
 pub mod env;
 mod error;
 mod features;
+pub mod hash;
 mod intern;
 pub mod l2;
 mod label;

@@ -11,7 +11,8 @@
 //!   to 64 chars) with Hyyrö's multi-block formulation as the wide
 //!   fallback (`⌈m/64⌉` words per text char instead of an `O(m)` scalar
 //!   DP row), each with an ASCII byte-slice path and a unicode char path;
-//! * packed `u64` q-gram profiles for the set measures;
+//! * packed `u64` q-gram profiles for the set measures, and the interned
+//!   `u32` id profiles of the compare path, staged in the same scratch;
 //! * in test builds, `oracle`: the original per-call-allocating
 //!   kernels, kept verbatim, and the suite that pins every [`Measure`]
 //!   bit-identical to them through the direct, prepared and interned
@@ -29,7 +30,9 @@
 
 use std::cell::RefCell;
 
-use crate::qgram::for_each_qgram;
+use transer_common::StrInterner;
+
+use crate::qgram::{for_each_qgram, for_each_token};
 
 /// Reusable per-thread buffers for the fast char-level kernels. Every
 /// kernel entry point borrows the scratch exactly once (no kernel calls
@@ -55,6 +58,8 @@ pub(crate) struct Scratch {
     padded: String,
     /// Packed-gram staging buffer for q-gram packing.
     grams: Vec<u64>,
+    /// Interned-id staging buffer for interned token and gram profiles.
+    ids: Vec<u32>,
     /// Multi-block Myers: `(scalar, pattern index)` pairs for mask
     /// construction, the sorted unique scalars, their per-block masks
     /// (row-major, `blocks` words per scalar), the vertical delta
@@ -80,6 +85,7 @@ impl Scratch {
             peq_unicode: Vec::new(),
             padded: String::new(),
             grams: Vec::new(),
+            ids: Vec::new(),
             mb_keys: Vec::new(),
             mb_chars: Vec::new(),
             mb_masks: Vec::new(),
@@ -498,6 +504,28 @@ pub(crate) fn packed_qgram_profile(s: &str, q: usize) -> Vec<u64> {
         sc.grams.sort_unstable();
         sc.grams.dedup();
         sc.grams.clone()
+    })
+}
+
+/// The sorted distinct ids under `interner` of the whitespace tokens of
+/// `s` (`gram == None`) or of its padded `q`-grams (`Some(q)`), interned
+/// as the visitor yields them and returned in one exact-size allocation.
+pub(crate) fn interned_profile(
+    s: &str,
+    gram: Option<usize>,
+    interner: &mut StrInterner,
+) -> Vec<u32> {
+    with_scratch(|sc| {
+        let ids = &mut sc.ids;
+        ids.clear();
+        let intern = |t: &str| ids.push(interner.intern(t));
+        match gram {
+            None => for_each_token(s, &mut sc.padded, intern),
+            Some(q) => for_each_qgram(s, q, &mut sc.padded, intern),
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids.clone()
     })
 }
 

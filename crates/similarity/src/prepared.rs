@@ -19,7 +19,7 @@
 use transer_common::StrInterner;
 
 use crate::jaccard::{sorted_token_profile, SetOp};
-use crate::kernel::{packed_qgram_profile, PACK_MAX_Q};
+use crate::kernel::{interned_profile, packed_qgram_profile, PACK_MAX_Q};
 use crate::monge_elkan::monge_elkan_tokens;
 use crate::qgram::{qgrams, tokens};
 use crate::{
@@ -111,7 +111,10 @@ impl Measure {
     /// profiles (`q > 3`), producing dense `u32` id profiles instead of
     /// string profiles.
     ///
-    /// Ids are assigned in first-appearance order, so two prepared values
+    /// Tokens and grams are interned as [`crate::for_each_token`] and
+    /// [`crate::for_each_qgram`] yield them, with no string collected
+    /// first. Ids are
+    /// assigned in first-appearance order, so two prepared values
     /// are only comparable when prepared through the **same** interner —
     /// the per-shard contract of the comparison step. Scores are still
     /// independent of the id assignment (only id equality is consulted),
@@ -120,16 +123,10 @@ impl Measure {
     pub fn prepare_interned(&self, s: &str, interner: &mut StrInterner) -> PreparedText {
         match *self {
             Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap => {
-                let mut ids: Vec<u32> = tokens(s).iter().map(|t| interner.intern(t)).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                PreparedText::TokenIds(ids)
+                PreparedText::TokenIds(interned_profile(s, None, interner))
             }
             Measure::QgramJaccard(q) | Measure::QgramDice(q) if q > PACK_MAX_Q => {
-                let mut ids: Vec<u32> = qgrams(s, q).iter().map(|g| interner.intern(g)).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                PreparedText::GramIds(ids)
+                PreparedText::GramIds(interned_profile(s, Some(q), interner))
             }
             _ => self.prepare(s),
         }

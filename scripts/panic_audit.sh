@@ -13,6 +13,12 @@
 # A line may be exempted by listing `path:line-text-fragment` in
 # scripts/panic_allowlist.txt (currently empty: the sweep removed every
 # occurrence).
+#
+# The same extractor also keeps `std`'s DefaultHasher out of the
+# production lines of every crate: its algorithm is unspecified across
+# Rust releases, so every hash that reaches an output or an artefact goes
+# through the workspace's own SipHash-1-3 (`transer_common::hash`). Test
+# code may keep it as an oracle. No allowlist applies to this check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,3 +91,13 @@ if [ "$violations" -gt 0 ]; then
     exit 1
 fi
 echo "panic_audit: clean (${CRATES[*]})"
+
+hasher_hits=$(find crates/*/src -name '*.rs' -exec awk "$PRODUCTION_LINES" {} + \
+    | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
+    | grep -E 'DefaultHasher' || true)
+if [ -n "$hasher_hits" ]; then
+    echo "$hasher_hits" | sed 's/^/panic_audit: DefaultHasher in production code: /'
+    echo "panic_audit: hash with transer_common::hash instead" >&2
+    exit 1
+fi
+echo "panic_audit: no DefaultHasher in production code (crates/*/src)"
