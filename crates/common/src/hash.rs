@@ -99,7 +99,7 @@ impl SipHasher13 {
             self.compress(le_word(word));
         }
         let remainder = words.remainder();
-        self.tail = le_word(remainder);
+        self.tail = le_tail(remainder);
         self.ntail = remainder.len();
     }
 
@@ -135,12 +135,20 @@ impl SipHasher13 {
     }
 }
 
-/// Up to 8 bytes as a little-endian word, zero-filled above.
+/// An 8-byte chunk as a little-endian word. `chunks_exact(8)` hands out
+/// 8-byte slices, so the conversion never falls back and compiles to one
+/// load.
 #[inline(always)]
-fn le_word(bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    word[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(word)
+fn le_word(word: &[u8]) -> u64 {
+    u64::from_le_bytes(word.try_into().unwrap_or_default())
+}
+
+/// The 0–7 trailing bytes as a little-endian word, zero-filled above.
+/// Folded with shifts: copying a variable-length tail into a word buffer
+/// compiles to a `memcpy` call per hashed string.
+#[inline(always)]
+fn le_tail(bytes: &[u8]) -> u64 {
+    bytes.iter().rev().fold(0, |word, &b| (word << 8) | u64::from(b))
 }
 
 /// SipHash-1-3 (zero keys) of a string as `str::hash` feeds it: its
@@ -156,7 +164,7 @@ pub fn hash_str(s: &str) -> u64 {
     // The 0–7 trailing bytes and the terminator fill 1–8 bytes of the
     // last word; a full one is compressed before the length block.
     let remainder = words.remainder();
-    let last = le_word(remainder) | (0xff << (8 * remainder.len()));
+    let last = le_tail(remainder) | (0xff << (8 * remainder.len()));
     h.length = bytes.len() + 1;
     if remainder.len() == 7 {
         h.compress(last);
@@ -205,7 +213,7 @@ impl Hasher for MulRotHasher {
         }
         let remainder = words.remainder();
         if !remainder.is_empty() {
-            self.add(le_word(remainder) | ((remainder.len() as u64) << 59));
+            self.add(le_tail(remainder) | ((remainder.len() as u64) << 59));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Named scenarios reproducing the paper's seven data sets and the eight
 //! directed source → target transfer tasks of Table 2.
 
-use transer_blocking::{Comparison, MinHashLsh, MinHashLshConfig};
+use transer_blocking::{CandidatePair, Comparison, MinHashLsh, MinHashLshConfig};
 use transer_common::{DomainPair, LabeledDataset, Record, Result};
 
 use crate::biblio::{self, BiblioConfig};
@@ -133,7 +133,7 @@ impl Scenario {
     /// # Errors
     /// Propagates dataset-construction errors (never expected in practice).
     pub fn generate(self, scale: f64, seed: u64) -> Result<LabeledDataset> {
-        Ok(self.generate_with_text(scale, seed)?.0)
+        Ok(self.link(scale, seed)?.dataset)
     }
 
     /// Like [`Scenario::generate`] but also returning, per candidate pair,
@@ -147,6 +147,17 @@ impl Scenario {
         scale: f64,
         seed: u64,
     ) -> Result<(LabeledDataset, Vec<(String, String)>)> {
+        let Linked { dataset, left, right, pairs } = self.link(scale, seed)?;
+        let render =
+            |r: &Record| r.values.iter().map(ToString::to_string).collect::<Vec<_>>().join(" ");
+        let texts = pairs.iter().map(|&(i, j)| (render(&left[i]), render(&right[j]))).collect();
+        Ok((dataset, texts))
+    }
+
+    /// The body shared by [`Scenario::generate`] and
+    /// [`Scenario::generate_with_text`]: generate both databases, block
+    /// and compare them.
+    fn link(self, scale: f64, seed: u64) -> Result<Linked> {
         let entities = ((self.base_entities() as f64 * scale) as usize).max(40);
         let seed = seed ^ (self as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
         let (left, right) = match self {
@@ -170,11 +181,17 @@ impl Scenario {
         let blocker = MinHashLsh::new(self.lsh_config())?;
         let pairs = blocker.candidate_pairs_masked(&left, &right, Some(self.blocking_attrs()));
         let dataset = self.comparison().compare_to_dataset(self.name(), &left, &right, &pairs)?;
-        let render =
-            |r: &Record| r.values.iter().map(ToString::to_string).collect::<Vec<_>>().join(" ");
-        let texts = pairs.iter().map(|&(i, j)| (render(&left[i]), render(&right[j]))).collect();
-        Ok((dataset, texts))
+        Ok(Linked { dataset, left, right, pairs })
     }
+}
+
+/// A linked scenario: both databases, their candidate pairs and the
+/// labelled feature matrix of those pairs.
+struct Linked {
+    dataset: LabeledDataset,
+    left: Vec<Record>,
+    right: Vec<Record>,
+    pairs: Vec<CandidatePair>,
 }
 
 /// The four scenario pairs of Table 1, each yielding two directed transfer
@@ -241,6 +258,21 @@ mod tests {
             // contain some matches.
             let rate = d.match_rate();
             assert!(rate > 0.02 && rate < 0.7, "{}: match rate {rate}", s.name());
+        }
+    }
+
+    #[test]
+    fn generate_is_generate_with_text_without_the_text() {
+        for s in Scenario::ALL {
+            let plain = s.generate(0.02, 7).unwrap();
+            let (with_text, texts) = s.generate_with_text(0.02, 7).unwrap();
+            assert_eq!(plain.name, with_text.name);
+            assert_eq!(plain.y, with_text.y, "{}", s.name());
+            assert_eq!(plain.x.cols(), with_text.x.cols(), "{}", s.name());
+            let bits =
+                |d: &LabeledDataset| d.x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&plain), bits(&with_text), "{}", s.name());
+            assert_eq!(texts.len(), plain.y.len(), "{}", s.name());
         }
     }
 

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transer_common::{FeatureMatrix, Label, Result};
+use transer_common::{FeatureMatrix, Label, Result, RowInterning};
 use transer_parallel::{CostHint, Pool};
 
 /// Estimated cost of fitting one tree, per training row: drives the grain
@@ -15,7 +15,7 @@ const TREE_FIT_ROW_NANOS: u64 = 100;
 /// traversal).
 const TREE_PREDICT_ROW_NANOS: u64 = 50;
 
-use crate::presorted::ForestPresort;
+use crate::presorted::Presort;
 use crate::sampling::bootstrap_bag;
 use crate::traits::{check_training_input, Classifier};
 use crate::tree::{DecisionTree, DecisionTreeConfig};
@@ -155,11 +155,13 @@ impl Classifier for RandomForest {
             None => vec![1.0; n],
         };
 
-        // Sort the feature columns of the full matrix once per forest; each
-        // tree filters that order by its bag instead of re-sorting a
-        // materialised bagged matrix (bit-identical — see
-        // `presorted::grow_bagged`).
-        let presort = ForestPresort::new(x, &self.pool());
+        // Group the rows into entries (distinct rows per label, for an
+        // unweighted fit) and sort their feature columns once per forest;
+        // each tree folds its draw into the entries and filters that order
+        // by them instead of re-sorting a materialised bagged matrix
+        // (bit-identical — see `presorted`).
+        let presort = Presort::new(x, y, weights.is_some(), &self.pool());
+        let entries = presort.entries();
 
         // Each tree is independent given its two derived seeds (bootstrap
         // draw + feature-subset stream), so training parallelises with no
@@ -170,8 +172,8 @@ impl Classifier for RandomForest {
         let fitted: Vec<Option<DecisionTree>> = self.pool().par_map_init_costed(
             &indices,
             fit_hint,
-            || (vec![0u32; n], vec![0.0f64; n]),
-            |(counts, w_full), _, &t| {
+            || (vec![0u32; n], vec![0.0f64; entries], vec![0u32; entries]),
+            |(counts, w, rows), _, &t| {
                 let mut rng = StdRng::seed_from_u64(self.bootstrap_seed(t));
                 let (bag, bag_w) = bootstrap_bag(&mut rng, &base, counts);
                 transer_trace::counter("ml.trees", 1);
@@ -180,11 +182,8 @@ impl Classifier for RandomForest {
                     return None;
                 }
                 let mut tree = self.tree_for(t, max_features);
-                w_full.fill(0.0);
-                for (&row, &wv) in bag.iter().zip(&bag_w) {
-                    w_full[row] = wv;
-                }
-                tree.fit_bagged(&presort, y, w_full, counts);
+                presort.fold(bag.into_iter().zip(bag_w), w, rows);
+                tree.fit_presorted(&presort, w, rows);
                 Some(tree)
             },
         );
@@ -199,14 +198,19 @@ impl Classifier for RandomForest {
         if self.trees.is_empty() {
             return vec![0.5; x.rows()]; // unfitted: uninformative prior
         }
+        // Bitwise-equal rows reach the same leaf of every tree, so the
+        // trees run once per distinct row and the result is broadcast.
+        let interning = RowInterning::of(x);
+        transer_trace::observe("ml.dedup.predict_expansion", interning.dedup_ratio());
+        let distinct = interning.unique();
         // Trees vote independently; the fold over per-tree outputs stays
         // sequential in tree order so the float sums are bit-identical for
         // every worker count.
-        let per_tree_nanos = (x.rows() as u64).saturating_mul(TREE_PREDICT_ROW_NANOS);
+        let per_tree_nanos = (distinct.rows() as u64).saturating_mul(TREE_PREDICT_ROW_NANOS);
         let hint = CostHint::with_per_item_nanos(self.trees.len(), per_tree_nanos);
         let per_tree: Vec<Vec<f64>> =
-            self.pool().par_map_costed(&self.trees, hint, |tree| tree.predict_proba(x));
-        let mut probs = vec![0.0; x.rows()];
+            self.pool().par_map_costed(&self.trees, hint, |tree| tree.predict_proba(distinct));
+        let mut probs = vec![0.0; distinct.rows()];
         for tree_probs in &per_tree {
             for (acc, p) in probs.iter_mut().zip(tree_probs) {
                 *acc += p;
@@ -214,7 +218,7 @@ impl Classifier for RandomForest {
         }
         let k = self.trees.len() as f64;
         probs.iter_mut().for_each(|p| *p /= k);
-        probs
+        interning.to_unique().iter().map(|&u| probs[u as usize]).collect()
     }
 }
 
@@ -388,6 +392,38 @@ mod tests {
         check("er-rounded", &x, &y, &x);
         let (x, y) = synth(2000, 24, false, 43);
         check("wide-continuous", &x, &y, &x);
+    }
+
+    /// Predicting once per distinct row and broadcasting must equal the
+    /// per-row fold over the trees, on repeated rows, `±0.0` and NaN.
+    #[test]
+    fn predict_proba_on_repeated_rows_equals_the_per_row_fold() {
+        let (x, y) = synth(400, 4, true, 5);
+        let mut rf = RandomForest::with_seed(3);
+        rf.fit(&x, &y).unwrap();
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for i in 0..120 {
+            let mut row = x.row((i * 7) % 30).to_vec();
+            match i % 5 {
+                0 => row[0] = -0.0,
+                1 => row[0] = 0.0,
+                2 => row[1] = f64::NAN,
+                _ => {}
+            }
+            rows.push(row);
+        }
+        let probes = FeatureMatrix::from_vecs(&rows).unwrap();
+        assert!(RowInterning::of(&probes).unique_rows() < probes.rows() / 2);
+        let got = rf.predict_proba(&probes);
+        let k = rf.tree_count() as f64;
+        for (i, row) in probes.iter_rows().enumerate() {
+            let one = FeatureMatrix::from_vecs(&[row.to_vec()]).unwrap();
+            let mut acc = 0.0;
+            for tree in &rf.trees {
+                acc += tree.predict_proba(&one)[0];
+            }
+            assert_eq!((acc / k).to_bits(), got[i].to_bits(), "row {i}");
+        }
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!
 //! Decision trees (and the forests built from them) train with the
 //! presorted exact-greedy engine: sort each feature column once per tree
-//! (once per forest for bagged trees) and grow by stable partition. The
-//! per-node-sort CART and materialised-bag forest it replaced are kept in
-//! test builds as the oracle it is pinned bit-identical against.
+//! (once per forest for bagged trees) and grow by stable partition. An
+//! unweighted fit trains on distinct `(row, label)` entries rather than
+//! rows, and the forest predicts once per distinct row. The per-node-sort
+//! CART and materialised-bag forest it replaced are kept in test builds as
+//! the oracle it is pinned bit-identical against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

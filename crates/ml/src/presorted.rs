@@ -5,18 +5,18 @@
 //! the per-node sort entirely:
 //!
 //! 1. **Presort once.** Each feature column of the column-major training
-//!    view ([`ColMajorMatrix`]) is sorted into a row-id index array under
-//!    the NaN-safe total order of `crate::split`, ties broken by ascending
-//!    row — `O(features · n log n)` once. Only the `u32` ids are stored;
+//!    view ([`ColMajorMatrix`]) is sorted into an id array under the
+//!    NaN-safe total order of `crate::split`, ties broken by ascending id
+//!    — `O(features · n log n)` once. Only the `u32` ids are stored;
 //!    feature values are gathered from the column-major view during the
 //!    scans, which keeps the per-split partition traffic at 4 bytes per
 //!    entry.
 //! 2. **Grow by stable partition.** A node is a contiguous segment
-//!    `[start, end)` shared by all per-feature arrays (plus a row-ordered
-//!    index array used for the weighted totals). Splitting stably
-//!    partitions every array in place against the left/right mask —
+//!    `[start, end)` shared by all per-feature arrays (plus an id-ordered
+//!    array used for the weighted totals). Splitting stably partitions
+//!    every array in place against the left/right mask —
 //!    `O(features · n)` per level, no sorting — which preserves the
-//!    `(value, row)` order inside both children.
+//!    `(value, id)` order inside both children.
 //! 3. **Weighted prefix-sum scans.** Each candidate feature's segment is
 //!    already sorted, so the split search is one linear scan through
 //!    `crate::split::best_feature_split` — the same arithmetic, in the
@@ -24,21 +24,35 @@
 //!    bit-identical trees (pinned against that CART, kept in test builds as
 //!    `DecisionTree::fit_reference`, by the `equivalence` tests below).
 //!
-//! For the random forest the presort is hoisted out of the bagging loop
-//! entirely ([`ForestPresort`]): the full matrix is sorted once per
-//! forest, and each tree derives its bagged columns by filtering the
-//! global order against its bootstrap multiplicities. The filter is
-//! stable, and the bag's local row numbering is monotone in the original
-//! row ids, so the filtered order equals what sorting the bagged matrix
-//! from scratch would produce — tie-breaks included. That turns the
-//! engine's dominant fixed cost, `O(trees · features · n log n)`, into
+//! The presort is hoisted out of the forest's bagging loop entirely
+//! ([`Presort`]): the training set is sorted once per forest, and each
+//! tree derives its bagged columns by filtering the global order against
+//! its bootstrap multiplicities. The filter is stable, and the bag's local
+//! row numbering is monotone in the original row ids, so the filtered
+//! order equals what sorting the bagged matrix from scratch would produce
+//! — tie-breaks included. That turns the engine's dominant fixed cost,
+//! `O(trees · features · n log n)`, into
 //! `O(features · n log n) + O(trees · features · n)`.
+//!
+//! **Distinct-row entries.** ER similarity vectors repeat heavily, so an
+//! unweighted fit trains on *entries*, not rows: rows with bitwise-equal
+//! features and the same label form one entry, numbered in order of first
+//! occurrence. A tree's entry weight is the sum of its drawn rows' weights
+//! (bootstrap multiplicities, integers) and its row count the number of
+//! its distinct drawn rows. The trees stay the same to the last bit:
+//! integer weight sums are exact in `f64` whatever their order, a
+//! threshold only ever falls between distinct values (so an entry's rows
+//! never straddle one), and every sample-count rule — `min_samples_split`,
+//! `min_samples_leaf`, the balance tie-break and the partition skip —
+//! reads row counts. A weighted fit keeps one entry per row: a sum of
+//! fractional weights depends on its order, so merging rows could move an
+//! ulp.
 //!
 //! Large nodes fan the candidate scans out over `transer-parallel` in
 //! fixed-size feature panels; panel outputs are reduced sequentially in
 //! candidate order, so results are independent of the worker count.
 
-use transer_common::{ColMajorMatrix, FeatureMatrix, Label};
+use transer_common::{ColMajorMatrix, FeatureMatrix, Label, RowInterning};
 use transer_parallel::{CostHint, Pool};
 
 use crate::split::{best_feature_split, feature_cmp, fold_best, gini, SplitCandidate};
@@ -49,7 +63,7 @@ use crate::tree::{DecisionTree, DecisionTreeConfig, Node, NO_NODE};
 /// never depend on scheduling.
 const SPLIT_PANEL: usize = 2;
 
-/// Estimated cost of scanning one presorted row during a split search:
+/// Estimated cost of scanning one presorted entry during a split search:
 /// feeds the [`CostHint`] that gates fanning the search out.
 const SPLIT_SCAN_ROW_NANOS: u64 = 20;
 
@@ -57,7 +71,7 @@ const SPLIT_SCAN_ROW_NANOS: u64 = 20;
 /// small log factor folded in).
 const COL_SORT_ROW_NANOS: u64 = 100;
 
-/// One feature's row ids in presorted `(value, row)` order; stably
+/// One feature's entry ids in presorted `(value, entry)` order; stably
 /// partitioned at every split so each tree node stays a contiguous
 /// segment. Values live in the shared [`ColMajorMatrix`].
 type SortedColumn = Vec<u32>;
@@ -78,119 +92,164 @@ fn presort_columns(matrix: &ColMajorMatrix, pool: &Pool) -> Vec<SortedColumn> {
     })
 }
 
-/// The forest-shared half of the engine: the column-major view and the
-/// full-matrix presort, computed once per forest and borrowed by every
-/// tree's bagged training call (`DecisionTree::fit_bagged`).
-pub(crate) struct ForestPresort {
+/// A training set as the engine sees it: its entries (see the module
+/// docs), their column-major features and every column presorted. Built
+/// once per fit and shared by every tree of a forest
+/// (`DecisionTree::fit_presorted`).
+pub(crate) struct Presort {
+    /// One feature row per entry: the first row of its group.
     matrix: ColMajorMatrix,
+    /// Entry ids of every feature column in `(value, entry)` order.
     columns: Vec<SortedColumn>,
+    /// Label of each entry.
+    labels: Vec<Label>,
+    /// Entry of each training row.
+    entry_of: Vec<u32>,
 }
 
-impl ForestPresort {
-    /// Build the training view and presort every feature column of `x`.
-    pub(crate) fn new(x: &FeatureMatrix, pool: &Pool) -> Self {
-        let matrix = ColMajorMatrix::from_matrix(x);
+impl Presort {
+    /// Group the rows of `(x, y)` into entries — one per row for a
+    /// `weighted` fit, one per distinct `(row, label)` otherwise — and
+    /// presort every feature column of the entries.
+    pub(crate) fn new(x: &FeatureMatrix, y: &[Label], weighted: bool, pool: &Pool) -> Self {
+        let (matrix, labels, entry_of) = if weighted {
+            (ColMajorMatrix::from_matrix(x), y.to_vec(), (0..x.rows() as u32).collect())
+        } else {
+            let interning = RowInterning::of(x);
+            let distinct = interning.unique();
+            // Entry id of each (distinct row, label) pair, by first occurrence.
+            let mut slot = vec![u32::MAX; 2 * distinct.rows()];
+            let mut firsts = FeatureMatrix::empty(x.cols());
+            let mut labels = Vec::new();
+            let entry_of: Vec<u32> = interning
+                .to_unique()
+                .iter()
+                .zip(y)
+                .map(|(&u, &label)| {
+                    let id = &mut slot[2 * u as usize + usize::from(label.is_match())];
+                    if *id == u32::MAX {
+                        *id = labels.len() as u32;
+                        labels.push(label);
+                        firsts.push_row(distinct.row(u as usize));
+                    }
+                    *id
+                })
+                .collect();
+            (ColMajorMatrix::from_matrix(&firsts), labels, entry_of)
+        };
+        transer_trace::observe(
+            "ml.dedup.fit_expansion",
+            entry_of.len() as f64 / labels.len().max(1) as f64,
+        );
         let columns = presort_columns(&matrix, pool);
-        ForestPresort { matrix, columns }
+        Presort { matrix, columns, labels, entry_of }
+    }
+
+    /// Number of entries.
+    pub(crate) fn entries(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Fold drawn training rows into per-entry weights `w` and row counts
+    /// `rows` (both `entries()` long, any contents): each `(row, weight)`
+    /// adds its weight to its entry's and one to its entry's row count.
+    /// Entries left at zero rows are not trained on.
+    pub(crate) fn fold(
+        &self,
+        drawn: impl IntoIterator<Item = (usize, f64)>,
+        w: &mut [f64],
+        rows: &mut [u32],
+    ) {
+        // `-0.0` is the additive identity: an entry of one row keeps that
+        // row's weight bit for bit, `-0.0` included.
+        w.fill(-0.0);
+        rows.fill(0);
+        for (row, weight) in drawn {
+            let e = self.entry_of[row] as usize;
+            w[e] += weight;
+            rows[e] += 1;
+        }
     }
 }
 
-/// Train `tree` on `(x, y, w)` with the presorted engine; returns the root
-/// node id. Called by `DecisionTree::fit_weighted` after input validation.
-pub(crate) fn grow(tree: &mut DecisionTree, x: &FeatureMatrix, y: &[Label], w: &[f64]) -> u32 {
-    let n = x.rows();
-    let pool = tree.pool();
-    let matrix = ColMajorMatrix::from_matrix(x);
-    let columns = presort_columns(&matrix, &pool);
-    let rows: Vec<u32> = (0..n as u32).collect();
-    grow_segments(tree, &matrix, columns, rows, y, w, pool)
-}
-
-/// Train `tree` on the bagged subset of a forest-shared presort; returns
-/// the root node id. `y` and `w` are full-length (original row ids), with
-/// `w` zero outside the bag; `counts` are the bootstrap multiplicities —
-/// rows with `counts > 0` form the bag.
+/// Train `tree` on the entries of `presort` with per-entry weights `w` and
+/// row counts `rows` (from [`Presort::fold`]); entries with `rows > 0` are
+/// trained on. Returns the root node id.
 ///
-/// Filtering the global sorted order by bag membership is stable, and the
-/// bag-local row numbering the per-node-sort oracle would use is monotone in
-/// the original ids, so every scan sees the exact `(value, weight, label)`
-/// sequence it would see on a freshly sorted bagged matrix.
-pub(crate) fn grow_bagged(
-    tree: &mut DecisionTree,
-    presort: &ForestPresort,
-    y: &[Label],
-    w: &[f64],
-    counts: &[u32],
-) -> u32 {
+/// Filtering the global sorted order by membership is stable, and the
+/// local numbering the per-node-sort oracle would use is monotone in the
+/// entry ids, so every scan sees the `(value, weight, label)` sequence it
+/// would see on a freshly sorted training set.
+pub(crate) fn grow(tree: &mut DecisionTree, presort: &Presort, w: &[f64], rows: &[u32]) -> u32 {
     let pool = tree.pool();
-    let rows: Vec<u32> =
-        (0..presort.matrix.rows() as u32).filter(|&r| counts[r as usize] > 0).collect();
-    // Branchless compaction: in-bag membership is near-random along the
-    // sorted order, so `filter` would mispredict on most rows.
-    let columns: Vec<SortedColumn> = presort
+    let active: Vec<u32> =
+        (0..presort.entries() as u32).filter(|&e| rows[e as usize] > 0).collect();
+    // Branchless compaction: membership is near-random along the sorted
+    // order, so `filter` would mispredict on most entries.
+    let mut columns: Vec<SortedColumn> = presort
         .columns
         .iter()
         .map(|full| {
-            // One slack slot: out-of-bag rows write there and are then
+            // One slack slot: inactive entries write there and are then
             // overwritten (or truncated away).
-            let mut ids = vec![0u32; rows.len() + 1];
+            let mut ids = vec![0u32; active.len() + 1];
             let mut write = 0;
-            for &r in full {
-                ids[write] = r;
-                write += (counts[r as usize] > 0) as usize;
+            for &e in full {
+                ids[write] = e;
+                write += (rows[e as usize] > 0) as usize;
             }
-            debug_assert_eq!(write, rows.len());
-            ids.truncate(rows.len());
+            debug_assert_eq!(write, active.len());
+            ids.truncate(active.len());
             ids
         })
         .collect();
-    grow_segments(tree, &presort.matrix, columns, rows, y, w, pool)
-}
-
-/// Common driver: grow the whole tree from the active `rows` (ascending)
-/// and their per-feature sorted `columns`.
-fn grow_segments(
-    tree: &mut DecisionTree,
-    matrix: &ColMajorMatrix,
-    mut columns: Vec<SortedColumn>,
-    rows: Vec<u32>,
-    y: &[Label],
-    w: &[f64],
-    pool: Pool,
-) -> u32 {
-    let n = rows.len();
-    // Weight and label packed into one array — the label in the sign bit —
-    // so every scan entry costs a single gather. `abs` and the sign test
-    // recover the exact originals (`-0.0` keeps a zero-weight non-match
-    // distinguishable), so the split arithmetic is unchanged.
-    let wl: Vec<f64> =
-        y.iter().zip(w).map(|(lab, &wv)| if lab.is_match() { wv } else { -wv }).collect();
+    // Weight and label packed into one value — the label in the sign bit —
+    // next to the row count, so every scan entry costs a single gather.
+    // `abs` and the sign test recover the exact originals (`-0.0` keeps a
+    // zero-weight non-match distinguishable), so the split arithmetic is
+    // unchanged.
+    let entries: Vec<Entry> = presort
+        .labels
+        .iter()
+        .zip(w)
+        .zip(rows)
+        .map(|((label, &wv), &rows)| Entry { wl: if label.is_match() { wv } else { -wv }, rows })
+        .collect();
+    let n = active.len();
     let mut ws = Workspace {
-        rows,
+        ids: active,
         scratch: Vec::with_capacity(n),
-        goes_left: vec![false; matrix.rows()],
+        goes_left: vec![false; presort.entries()],
         candidates: Vec::new(),
     };
-    let mut grower = Grower { tree, matrix, wl: &wl, pool };
+    let mut grower = Grower { tree, matrix: &presort.matrix, entries: &entries, pool };
     grower.grow_node(&mut columns, &mut ws, 0, n, 0)
+}
+
+/// One entry's training data for the current tree.
+#[derive(Clone, Copy)]
+struct Entry {
+    /// Sign-packed `(weight, label)`: `w` for matches, `-w` for
+    /// non-matches.
+    wl: f64,
+    /// Training rows the entry stands for.
+    rows: u32,
 }
 
 struct Grower<'a> {
     tree: &'a mut DecisionTree,
     matrix: &'a ColMajorMatrix,
-    /// Sign-packed per-row `(weight, label)`: `w` for matches, `-w` for
-    /// non-matches.
-    wl: &'a [f64],
+    entries: &'a [Entry],
     pool: Pool,
 }
 
 struct Workspace {
-    /// Row ids of the current node in ascending row order — the same
-    /// accumulation order as the oracle's `indices` recursion,
-    /// so the weighted totals are bit-identical.
-    rows: Vec<u32>,
+    /// Entry ids of the current node in ascending order — the same
+    /// accumulation order as the oracle's `indices` recursion, so the
+    /// weighted totals are bit-identical.
+    ids: Vec<u32>,
     scratch: Vec<u32>,
-    /// Left/right mask of the split being applied, indexed by row id.
+    /// Left/right mask of the split being applied, indexed by entry id.
     goes_left: Vec<bool>,
     /// Per-node candidate-feature buffer, reused across the whole tree.
     candidates: Vec<usize>,
@@ -213,23 +272,26 @@ impl Grower<'_> {
     ) -> u32 {
         let config: DecisionTreeConfig = self.tree.config;
         let n_node = end - start;
-        // One pass, one gather per row; each accumulator sees the same
-        // addition sequence as the oracle's two sums. `-0.0` is
-        // the identity `Sum<f64>` folds from — it keeps an empty match sum
-        // (a pure non-match node) bit-identical to the reference.
+        // One pass, one gather per entry; each accumulator sees the same
+        // addition sequence as the oracle's two sums (or, for integer
+        // weights, the same exact sum). `-0.0` is the identity `Sum<f64>`
+        // folds from — it keeps an empty match sum (a pure non-match node)
+        // bit-identical to the reference.
         let mut total_w = -0.0;
         let mut match_w = -0.0;
-        for &i in &ws.rows[start..end] {
-            let wl = self.wl[i as usize];
+        let mut n_rows = 0usize;
+        for &e in &ws.ids[start..end] {
+            let Entry { wl, rows } = self.entries[e as usize];
             total_w += wl.abs();
             if !wl.is_sign_negative() {
                 match_w += wl;
             }
+            n_rows += rows as usize;
         }
         let p_match = if total_w > 0.0 { match_w / total_w } else { 0.5 };
 
         if depth >= config.max_depth
-            || n_node < config.min_samples_split
+            || n_rows < config.min_samples_split
             || p_match == 0.0
             || p_match == 1.0
             || total_w <= 0.0
@@ -248,10 +310,11 @@ impl Grower<'_> {
             let segment = &columns[f][start..end];
             best_feature_split(
                 n_node,
+                n_rows,
                 |k| {
-                    let row = segment[k] as usize;
-                    let wl = self.wl[row];
-                    (col[row], wl.abs(), !wl.is_sign_negative())
+                    let e = segment[k] as usize;
+                    let Entry { wl, rows } = self.entries[e];
+                    (col[e], wl.abs(), !wl.is_sign_negative(), rows as usize)
                 },
                 total_w,
                 match_w,
@@ -275,7 +338,7 @@ impl Grower<'_> {
             fold_best(&mut best, feature, cand);
         }
 
-        let Some((feature, SplitCandidate { threshold, n_left, .. })) = best else {
+        let Some((feature, SplitCandidate { threshold, n_left, left_rows, .. })) = best else {
             return self.push_leaf(p_match);
         };
 
@@ -284,7 +347,7 @@ impl Grower<'_> {
         // left count comes from the winning scan's boundary position, so
         // the routing pass needs no counter: one fused pass gathers the
         // split column, records the mask for the column partitions below,
-        // and stably routes the row ids branchlessly.
+        // and stably routes the entry ids branchlessly.
         debug_assert!(n_left > 0 && n_left < n_node);
         let column = self.matrix.col(feature);
         if ws.scratch.len() < n_node {
@@ -293,23 +356,23 @@ impl Grower<'_> {
         let out = &mut ws.scratch[..n_node];
         let mut left = 0;
         let mut right = n_left;
-        for &row in &ws.rows[start..end] {
-            let go = column[row as usize] <= threshold;
-            ws.goes_left[row as usize] = go;
-            out[if go { left } else { right }] = row;
+        for &e in &ws.ids[start..end] {
+            let go = column[e as usize] <= threshold;
+            ws.goes_left[e as usize] = go;
+            out[if go { left } else { right }] = e;
             left += go as usize;
             right += !go as usize;
         }
         debug_assert_eq!(left, n_left);
-        ws.rows[start..end].copy_from_slice(out);
-        // Children that are guaranteed leaves (depth exhausted, or both too
-        // small to split) only ever read `ws.rows` — their leaf checks fire
-        // before any column access — so the per-feature partitions can be
-        // skipped entirely. This prunes the deepest, widest level of the
-        // partition work.
-        let n_right = n_node - n_left;
+        ws.ids[start..end].copy_from_slice(out);
+        // Children that are guaranteed leaves (depth exhausted, or both
+        // under `min_samples_split` rows) only ever read `ws.ids` — their
+        // leaf checks fire before any column access — so the per-feature
+        // partitions can be skipped entirely. This prunes the deepest,
+        // widest level of the partition work.
+        let right_rows = n_rows - left_rows;
         let child_may_split = depth + 1 < config.max_depth
-            && (n_left >= config.min_samples_split || n_right >= config.min_samples_split);
+            && (left_rows >= config.min_samples_split || right_rows >= config.min_samples_split);
         if child_may_split {
             for (f, ids) in columns.iter_mut().enumerate() {
                 // The winning feature's segment is already partitioned: the
@@ -341,13 +404,12 @@ impl Grower<'_> {
     }
 }
 
-/// Stable in-place partition of the row-id `segment` by the row-indexed
-/// mask: ids mapping to `true` are compacted to the front, the rest
-/// follow, both sides in their original relative order. Returns the left
-/// count.
+/// Stable in-place partition of the entry-id `segment` by the
+/// entry-indexed mask: ids mapping to `true` are compacted to the front,
+/// the rest follow, both sides in their original relative order.
 ///
 /// The split mask is near-random per element, so a branching loop pays a
-/// misprediction per row; this writes both sides branchlessly through a
+/// misprediction per entry; this writes both sides branchlessly through a
 /// scratch buffer instead. `n_left` (the mask's population count over the
 /// segment) seeds the right-side cursor.
 fn partition_stable(
@@ -363,10 +425,10 @@ fn partition_stable(
     let out = &mut scratch[..segment.len()];
     let mut left = 0;
     let mut right = n_left;
-    for &row in segment.iter() {
-        let go = goes_left[row as usize];
+    for &e in segment.iter() {
+        let go = goes_left[e as usize];
         // Both cursors exist; the mask picks which one commits — no branch.
-        out[if go { left } else { right }] = row;
+        out[if go { left } else { right }] = e;
         left += go as usize;
         right += !go as usize;
     }
@@ -403,13 +465,46 @@ mod tests {
         // the bagged rows directly — including ties (rows 1, 3 tie at 0.5).
         let x = FeatureMatrix::from_vecs(&[vec![0.9], vec![0.5], vec![0.1], vec![0.5], vec![0.3]])
             .unwrap();
-        let pool = Pool::sequential();
-        let presort = ForestPresort::new(&x, &pool);
+        let y = [Label::Match; 5];
+        let presort = Presort::new(&x, &y, true, &Pool::sequential());
         assert_eq!(presort.columns[0], vec![2, 4, 1, 3, 0]);
         let counts = [1u32, 0, 2, 1, 0];
         let bagged: Vec<u32> =
             presort.columns[0].iter().copied().filter(|&r| counts[r as usize] > 0).collect();
         assert_eq!(bagged, vec![2, 3, 0]);
+    }
+
+    #[test]
+    fn entries_group_equal_rows_by_label_in_first_occurrence_order() {
+        let (m, n) = (Label::Match, Label::NonMatch);
+        let rows = [
+            (vec![0.5, 1.0], n),
+            (vec![0.5, 1.0], m),
+            (vec![-0.0, f64::NAN], n),
+            (vec![0.5, 1.0], n),
+            (vec![0.0, f64::NAN], n), // +0.0 is not -0.0
+            (vec![-0.0, f64::NAN], n),
+            (vec![0.5, 1.0], m),
+        ];
+        let x = FeatureMatrix::from_vecs(&rows.iter().map(|r| r.0.clone()).collect::<Vec<_>>())
+            .unwrap();
+        let y: Vec<Label> = rows.iter().map(|r| r.1).collect();
+        let presort = Presort::new(&x, &y, false, &Pool::sequential());
+        assert_eq!(presort.entry_of, [0, 1, 2, 0, 3, 2, 1]);
+        assert_eq!(presort.labels, [n, m, n, n]);
+        // Each entry's features are its first row's, bit for bit.
+        assert_eq!(presort.matrix.get(2, 0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(presort.matrix.get(3, 0).to_bits(), 0.0f64.to_bits());
+        // A bag folds into entry weights (multiplicity sums) and row
+        // counts (distinct drawn rows); undrawn entries keep zero rows.
+        let (mut w, mut r) = (vec![9.0; 4], vec![9; 4]);
+        presort.fold([(0, 2.0), (3, 1.0), (6, 3.0)], &mut w, &mut r);
+        assert_eq!(r, [2, 1, 0, 0]);
+        assert_eq!(&w[..2], [3.0, 3.0]);
+        // A weighted fit keeps one entry per row.
+        let weighted = Presort::new(&x, &y, true, &Pool::sequential());
+        assert_eq!(weighted.entry_of, (0..7).collect::<Vec<u32>>());
+        assert_eq!(weighted.labels, y);
     }
 }
 
@@ -423,8 +518,8 @@ mod equivalence {
     use proptest::prelude::*;
     use transer_common::{FeatureMatrix, Label};
 
-    use crate::tree::Engine;
-    use crate::{Classifier, DecisionTree, RandomForest, RandomForestConfig};
+    use crate::tree::{Engine, Node};
+    use crate::{Classifier, DecisionTree, DecisionTreeConfig, RandomForest, RandomForestConfig};
 
     /// Deterministic xorshift in `[0, 1)` (proptest drives only the seed).
     fn xorshift(seed: u64) -> impl FnMut() -> f64 {
@@ -553,6 +648,178 @@ mod equivalence {
             for workers in [1, 4] {
                 let probs = fit(Engine::Presorted, workers);
                 assert_bitwise_eq(&reference, &probs, &format!("forest probs, workers={workers}"));
+            }
+        }
+    }
+
+    /// Bitwise equality of two fitted trees, node by node: the same
+    /// features, thresholds, children and leaf probabilities.
+    fn assert_same_tree(a: &DecisionTree, b: &DecisionTree, what: &str) {
+        let ((_, a_nodes, a_root), (_, b_nodes, b_root)) = (a.persist_parts(), b.persist_parts());
+        assert_eq!(a_root, b_root, "{what}: root");
+        assert_eq!(a_nodes.len(), b_nodes.len(), "{what}: node count");
+        for (i, (p, q)) in a_nodes.iter().zip(b_nodes).enumerate() {
+            let same = match (*p, *q) {
+                (Node::Leaf { p_match: x }, Node::Leaf { p_match: y }) => {
+                    x.to_bits() == y.to_bits()
+                }
+                (
+                    Node::Split { feature: f, threshold: t, left: l, right: r },
+                    Node::Split { feature: g, threshold: u, left: k, right: s },
+                ) => (f, t.to_bits(), l, r) == (g, u.to_bits(), k, s),
+                _ => false,
+            };
+            assert!(same, "{what}: node {i}: {p:?} vs {q:?}");
+        }
+    }
+
+    /// The two configurations the duplicated cases run under: the default,
+    /// and one where `min_samples_split` and `min_samples_leaf` bind, so
+    /// every rule that counts samples sees entries that stand for several
+    /// rows.
+    fn sample_count_configs() -> [DecisionTreeConfig; 2] {
+        let default = DecisionTreeConfig::default();
+        [default, DecisionTreeConfig { min_samples_split: 5, min_samples_leaf: 3, ..default }]
+    }
+
+    /// One tree and one forest on `case` under `config`, each against its
+    /// oracle at 1 and 4 workers: the same nodes and the same
+    /// probabilities, bit for bit.
+    fn check_duplicated(case: &Case, config: DecisionTreeConfig, seed: u64, what: &str) {
+        let w = case.w.as_deref();
+        let mut reference = DecisionTree::new(config);
+        reference.fit_reference(&case.x, &case.y, w).unwrap();
+        let forest_config =
+            RandomForestConfig { n_trees: 6, tree: config, ..RandomForestConfig::default() };
+        let mut forest_reference = RandomForest::new(forest_config, seed);
+        forest_reference.fit_reference(&case.x, &case.y, w).unwrap();
+        for workers in [1, 4] {
+            let what = format!("{what}, workers={workers}");
+            let mut tree = DecisionTree::new(config).with_threads(workers);
+            tree.fit_weighted(&case.x, &case.y, w).unwrap();
+            assert_same_tree(&reference, &tree, &format!("{what}: tree"));
+            for probes in [&case.x, &case.probes] {
+                assert_bitwise_eq(
+                    &reference.predict_proba(probes),
+                    &tree.predict_proba(probes),
+                    &format!("{what}: tree probs"),
+                );
+            }
+            let mut forest = RandomForest::new(forest_config, seed).with_threads(workers);
+            forest.fit_weighted(&case.x, &case.y, w).unwrap();
+            let (expected, got) = (forest_reference.persist_parts().2, forest.persist_parts().2);
+            assert_eq!(expected.len(), got.len(), "{what}: forest size");
+            for (t, (a, b)) in expected.iter().zip(got).enumerate() {
+                assert_same_tree(a, b, &format!("{what}: forest tree {t}"));
+            }
+            for probes in [&case.x, &case.probes] {
+                assert_bitwise_eq(
+                    &forest_reference.predict_proba(probes),
+                    &forest.predict_proba(probes),
+                    &format!("{what}: forest probs"),
+                );
+            }
+        }
+    }
+
+    /// `n` rows drawn from `k` distinct 3-feature vectors — the regime
+    /// distinct-row entries exist for. Cells come from a grid holding
+    /// `-0.0`, `0.0` and NaN; each vector has its own match rate (0, 1, ½
+    /// or random), so some vectors carry both labels; the draw is skewed,
+    /// so multiplicities differ. Weighted cases mix fractional weights.
+    fn duplicated_case(n: usize, k: usize, seed: u64, weighted: bool) -> Case {
+        const CELLS: [f64; 6] = [-0.0, 0.0, 0.25, 0.5, 1.0, f64::NAN];
+        const PROBE_CELLS: [f64; 8] = [-0.0, 0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0];
+        let mut next = xorshift(seed);
+        let mut pick = |len: usize| (next() * len as f64) as usize;
+        let vectors: Vec<(Vec<f64>, f64)> = (0..k)
+            .map(|_| {
+                let v: Vec<f64> = (0..3).map(|_| CELLS[pick(CELLS.len())]).collect();
+                let rate = [0.0, 1.0, 0.5, 0.3][pick(4)];
+                (v, rate)
+            })
+            .collect();
+        let mut rows = Vec::with_capacity(n);
+        let mut y = Vec::with_capacity(n);
+        for _ in 0..n {
+            // The smaller of two draws: earlier vectors come up more often.
+            let (v, rate) = &vectors[pick(k).min(pick(k))];
+            rows.push(v.clone());
+            y.push(Label::from_bool((pick(1000) as f64) < rate * 1000.0));
+        }
+        let w = weighted.then(|| (0..n).map(|_| [0.5, 1.0, 2.0, 3.0][pick(4)]).collect());
+        let mut probes: Vec<Vec<f64>> = vectors.into_iter().map(|(v, _)| v).collect();
+        probes.extend((0..16).map(|_| (0..3).map(|_| PROBE_CELLS[pick(8)]).collect()));
+        Case {
+            x: FeatureMatrix::from_vecs(&rows).unwrap(),
+            y,
+            w,
+            probes: FeatureMatrix::from_vecs(&probes).unwrap(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn duplicated_rows_train_bitwise_equal_trees_and_forests(
+            n in 200usize..600,
+            k in 3usize..=20,
+            seed in 0u64..10_000,
+            weighted in any::<bool>(),
+        ) {
+            let case = duplicated_case(n, k, seed, weighted);
+            for config in sample_count_configs() {
+                check_duplicated(&case, config, seed, &format!("n={n} k={k} {config:?}"));
+            }
+        }
+    }
+
+    /// XOR over features 0 and 1, with feature 2 spreading the `a = 0`
+    /// half over three distinct vectors per label. Every label class is
+    /// 12 rows, and every value class of every feature is half matches,
+    /// so each root split has zero gain and balance decides: by rows the
+    /// feature-0 split (24 | 24) comes first among the ties, while by
+    /// entries it is 6 | 2 and feature 1 (4 | 4) would win.
+    #[test]
+    fn xor_zero_gain_root_is_decided_by_row_balance() {
+        let mut rows = Vec::new();
+        let mut y = Vec::new();
+        for (v, label, copies) in [
+            ([0.0, 0.0, 0.1], false, 4),
+            ([0.0, 0.0, 0.2], false, 4),
+            ([0.0, 0.0, 0.3], false, 4),
+            ([0.0, 1.0, 0.1], true, 4),
+            ([0.0, 1.0, 0.2], true, 4),
+            ([0.0, 1.0, 0.3], true, 4),
+            ([1.0, 0.0, 0.5], true, 12),
+            ([1.0, 1.0, 0.5], false, 12),
+        ] {
+            for _ in 0..copies {
+                rows.push(v.to_vec());
+                y.push(Label::from_bool(label));
+            }
+        }
+        let x = FeatureMatrix::from_vecs(&rows).unwrap();
+        let mut tree = DecisionTree::default();
+        tree.fit(&x, &y).unwrap();
+        assert!(
+            matches!(tree.nodes[0], Node::Split { feature: 0, .. }),
+            "root: {:?}",
+            tree.nodes[0]
+        );
+        let probes = FeatureMatrix::from_vecs(&[
+            vec![0.5, 0.5, 0.5],
+            vec![0.2, 0.7, 0.15],
+            vec![0.9, 0.1, 0.4],
+            vec![-0.0, 1.0, f64::NAN],
+        ])
+        .unwrap();
+        for weighted in [false, true] {
+            let w = weighted.then(|| vec![1.0; y.len()]);
+            let case = Case { x: x.clone(), y: y.clone(), w, probes: probes.clone() };
+            for config in sample_count_configs() {
+                check_duplicated(&case, config, 7, &format!("xor weighted={weighted} {config:?}"));
             }
         }
     }

@@ -1,12 +1,12 @@
 //! CART decision tree with weighted Gini impurity.
 //!
 //! Trees train with the presorted engine (`crate::presorted`), which sorts
-//! each feature column once per tree and maintains the order by stable
-//! partition. The per-node-sort CART it replaced re-sorts every candidate
-//! column at every node; it is kept in test builds
-//! (`DecisionTree::fit_reference`) as the oracle the engine is pinned
-//! bit-identical against. Both share the split-scan arithmetic in
-//! `crate::split`.
+//! each feature column once per fit — over the distinct rows, for an
+//! unweighted fit — and maintains the order by stable partition. The
+//! per-node-sort CART it replaced re-sorts every candidate column at every
+//! node; it is kept in test builds (`DecisionTree::fit_reference`) as the
+//! oracle the engine is pinned bit-identical against. Both share the
+//! split-scan arithmetic in `crate::split`.
 
 use transer_common::{FeatureMatrix, Label, Result};
 use transer_parallel::Pool;
@@ -178,21 +178,14 @@ impl DecisionTree {
         }
     }
 
-    /// Forest fast path for the presorted engine: train on the bagged
-    /// subset of a forest-shared presort (`presorted::ForestPresort`)
-    /// instead of re-sorting a materialised bagged matrix. `y` and `w` are
-    /// full-length over the original rows (`w` zero outside the bag);
-    /// `counts` are the bootstrap multiplicities. Produces exactly the
-    /// tree `fit_weighted` would on the selected rows.
-    pub(crate) fn fit_bagged(
-        &mut self,
-        presort: &presorted::ForestPresort,
-        y: &[Label],
-        w: &[f64],
-        counts: &[u32],
-    ) {
+    /// Train on the entries of a presorted training set
+    /// (`presorted::Presort`), shared by every tree of a forest, with the
+    /// per-entry weights `w` and row counts `rows` of
+    /// `presorted::Presort::fold`. Produces exactly the tree
+    /// `fit_weighted` would on the drawn rows.
+    pub(crate) fn fit_presorted(&mut self, presort: &presorted::Presort, w: &[f64], rows: &[u32]) {
         self.nodes.clear();
-        self.root = presorted::grow_bagged(self, presort, y, w, counts);
+        self.root = presorted::grow(self, presort, w, rows);
     }
 }
 
@@ -212,12 +205,12 @@ impl Classifier for DecisionTree {
         weights: Option<&[f64]>,
     ) -> Result<()> {
         check_training_input(x, y, weights)?;
-        let w: Vec<f64> = match weights {
-            Some(w) => w.to_vec(),
-            None => vec![1.0; y.len()],
-        };
-        self.nodes.clear();
-        self.root = presorted::grow(self, x, y, &w);
+        let presort = presorted::Presort::new(x, y, weights.is_some(), &self.pool());
+        let mut w = vec![0.0; presort.entries()];
+        let mut rows = vec![0; presort.entries()];
+        let row_weight = |i: usize| weights.map_or(1.0, |w| w[i]);
+        presort.fold((0..x.rows()).map(|i| (i, row_weight(i))), &mut w, &mut rows);
+        self.fit_presorted(&presort, &w, &rows);
         Ok(())
     }
 
@@ -303,7 +296,11 @@ impl DecisionTree {
             column.sort_by(|a, b| feature_cmp(a.0, b.0));
             let cand = best_feature_split(
                 column.len(),
-                |k| column[k],
+                column.len(),
+                |k| {
+                    let (value, weight, is_match) = column[k];
+                    (value, weight, is_match, 1)
+                },
                 total_w,
                 match_w,
                 parent_impurity,
