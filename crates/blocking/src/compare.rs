@@ -1,41 +1,65 @@
 //! The record-pair comparison step: turning candidate pairs into similarity
 //! feature vectors and ground-truth labels.
 //!
-//! A record is prepared — tokenised, q-grammed, parsed — only when a pair
-//! needs it, so a call costs what its pairs touch rather than what the
-//! record slices hold: a serving request with a few dozen candidate pairs
-//! against 10^4 reference records prepares a few dozen records. The pair
-//! list is cut into shards aligned to left-record group boundaries — the
-//! natural locality unit the blocker emits — and each shard keeps its
-//! *own* prepared-value caches and string interner, built on the worker
-//! that consumes them: a left record is prepared once per run of pairs
-//! that share it, a right record once per shard. Peak memory stays
-//! bounded by the shard size instead of `O(records × features)`, and each
-//! shard emits its row-major block of the feature matrix with no per-pair
-//! staging.
+//! # One store per call
+//! A call prepares each distinct value its pairs touch once — tokenised,
+//! q-grammed, parsed — into one store, then scores the pairs from it:
+//!
+//! 1. The records each side's pairs touch are found from the pairs alone,
+//!    by sorting each side's record indices, so a call costs what its
+//!    pairs touch, never what the record slices hold: a serving request
+//!    with a few dozen candidate pairs against 10^4 reference records
+//!    prepares a few dozen values.
+//! 2. Per feature, each touched record's value maps to a value id by exact
+//!    equality — text by its bytes, a number by its bits, and every
+//!    missing value to one reserved id — and each distinct value is
+//!    prepared once, in first-occurrence order (left records first),
+//!    through one string interner shared by every feature of the call. A
+//!    set measure's profiles are interned token or q-gram ids in one flat
+//!    arena per feature, with no allocation per value.
+//! 3. The pair loop reads two value ids per feature and scores their
+//!    preparations. It runs in fixed-size shards on the pool, each
+//!    writing its row-major block of the feature matrix with no per-pair
+//!    staging.
+//!
+//! Preparation is sequential and in a fixed order, so every id is the
+//! same at any worker count, and the scores read ids only for equality.
+//! The store is dropped before the blocks are joined into the matrix: no
+//! id outlives the call that assigned it, so none is ever compared
+//! across calls, and the store's memory grows with the distinct values
+//! the pairs touch, not with the pairs or the record slices.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
+use transer_common::hash::MulRotBuild;
 use transer_common::{
     AttrValue, Error, FeatureMatrix, Label, LabeledDataset, Record, Result, StrInterner,
 };
 use transer_parallel::{CostHint, Pool};
+use transer_robust::FaultKind;
 use transer_similarity::{Measure, PreparedText};
 
+use crate::exact::Exact;
 use crate::CandidatePair;
 
-/// Estimated cost of one prepared pairwise comparison across a feature
-/// row — the grain hint for the pair loop.
-const PAIR_COMPARE_NANOS: u64 = 10_000;
+/// Cost of scoring one pair across a feature row once the store is
+/// built — the grain hint for the pair loop, the only part on the pool.
+/// Timed on `link` (four features: two token Jaccards, an exact match, a
+/// year; one worker, 2-core x86-64 host): the loop takes 110–150 ns per
+/// pair, the sequential store build 730–860.
+const PAIR_NANOS: u64 = 150;
 
-/// Estimated cost of preparing one record's attribute values.
-const PREPARE_NANOS: u64 = 20_000;
+/// Pairs per shard of the pair loop: large enough to amortise a dispatch,
+/// small enough that shards balance.
+const SHARD_PAIRS: usize = 2048;
 
-/// Target pairs per shard: large enough to amortise the shard-local cache
-/// build, small enough that shards balance and per-shard memory stays a
-/// rounding error.
-const SHARD_TARGET_PAIRS: usize = 2048;
+/// The value id of a missing value, which scores 0 against anything and
+/// is therefore never prepared.
+const MISSING: u32 = u32::MAX;
+
+/// The most pairs one call takes: touched-record slots and value ids of
+/// both sides are `u32`s below [`MISSING`].
+const MAX_PAIRS: usize = (u32::MAX / 2) as usize;
 
 /// Declares the feature space: which similarity [`Measure`] applies to
 /// which attribute index. Sharing one `Comparison` between the source and
@@ -97,33 +121,15 @@ impl Comparison {
         }
     }
 
-    /// Precompute the per-feature state every pair comparison of `record`
-    /// needs (token sets, q-gram sets, parsed numbers, …) through a
-    /// shard-local [`StrInterner`]: token and wide q-gram profiles come out
-    /// as dense `u32` ids, comparable against every
-    /// other value prepared through the *same* interner (the per-shard
-    /// contract).
-    fn prepare_one_interned(
-        &self,
-        record: &Record,
-        interner: &mut StrInterner,
-    ) -> Vec<PreparedValue> {
-        self.features
-            .iter()
-            .map(|&(attr, measure)| {
-                PreparedValue::new_interned(measure, &record.values[attr], interner)
-            })
-            .collect()
-    }
-
     /// Compare all candidate pairs between two databases, producing the
     /// feature matrix and ground-truth labels (from the records' entity
     /// identifiers). Runs on the global [`Pool`] (`TRANSER_THREADS`);
     /// results are bit-identical for every worker count.
     ///
     /// # Errors
-    /// Returns [`Error::DimensionMismatch`] if the assembled matrix buffer
-    /// is not rectangular (cannot occur by construction) and
+    /// Returns [`Error::InvalidParameter`] for more than 2^31 − 1 pairs,
+    /// [`Error::DimensionMismatch`] if the assembled matrix buffer is not
+    /// rectangular (cannot occur by construction) and
     /// [`Error::FaultInjected`] under a `compare:task_fail` plan.
     pub fn compare_pairs(
         &self,
@@ -135,7 +141,8 @@ impl Comparison {
     }
 
     /// [`Comparison::compare_pairs`] on an explicit [`Pool`] — the hook the
-    /// determinism tests and benchmarks use to pin the worker count.
+    /// determinism tests and benchmarks use to pin the worker count:
+    /// [`Comparison::compare_features_with_pool`] plus the labels.
     ///
     /// # Errors
     /// As for [`Comparison::compare_pairs`].
@@ -147,74 +154,82 @@ impl Comparison {
         pool: &Pool,
     ) -> Result<(FeatureMatrix, Vec<Label>)> {
         let _span = transer_trace::span("blocking.compare");
-        let m = self.num_features();
-        transer_trace::counter("compare.pairs", pairs.len() as u64);
-        transer_trace::counter("compare.invocations", (pairs.len() * m) as u64);
-        let ranges = shard_ranges(pairs, SHARD_TARGET_PAIRS);
-        transer_trace::counter("compare.shards", ranges.len() as u64);
-        let per_shard = (pairs.len() as u64 / ranges.len().max(1) as u64)
-            .saturating_mul(PAIR_COMPARE_NANOS)
-            .saturating_add(PREPARE_NANOS);
-        let hint = CostHint::with_per_item_nanos(ranges.len(), per_shard);
-        let blocks: Vec<Vec<f64>> = pool
-            .par_map_costed(&ranges, hint, |&(s, e)| self.compare_shard(left, right, &pairs[s..e]));
-        let mut x = FeatureMatrix::from_rows(blocks.concat(), pairs.len(), m)?;
+        let (x, fault) = self.faulted_features(left, right, pairs, pool)?;
         let mut y = pair_labels(left, right, pairs);
-        if let Some(kind) = transer_robust::fired(transer_robust::site::COMPARE) {
-            if kind == transer_robust::FaultKind::TaskFail {
-                return Err(Error::FaultInjected(transer_robust::site::COMPARE));
-            }
-            transer_robust::corrupt_matrix(&mut x, kind);
+        if let Some(kind) = fault {
             transer_robust::corrupt_labels(&mut y, kind);
         }
         Ok((x, y))
     }
 
-    /// The row-major feature block of one shard. The left record is
-    /// re-prepared only when the pair list moves to a new one (sorted
-    /// lists touch each left record once); right records are cached for
-    /// the whole shard.
-    fn compare_shard(
+    /// The feature matrix of the candidate pairs alone, for callers that
+    /// must not see ground truth (serving): no labels are derived. The
+    /// `compare` fault site fires here as in
+    /// [`Comparison::compare_pairs_with_pool`], with the same effect on
+    /// the matrix.
+    ///
+    /// # Errors
+    /// As for [`Comparison::compare_pairs`].
+    pub fn compare_features_with_pool(
         &self,
         left: &[Record],
         right: &[Record],
-        shard: &[CandidatePair],
-    ) -> Vec<f64> {
-        let m = self.num_features();
-        let mut block = vec![0.0; shard.len() * m];
-        // Shard-local interner: token/gram profiles become dense u32 ids.
-        // Ids are consistent exactly within this shard's caches — which is
-        // the only scope they are compared in — and scores consult id
-        // equality only, so the choice of interner (and hence shard layout)
-        // cannot change a score.
-        let mut interner = StrInterner::new();
-        let mut left_prepared: Vec<PreparedValue> = Vec::new();
-        let mut current_left = None;
-        let mut right_cache: HashMap<usize, Vec<PreparedValue>> = HashMap::new();
-        let mut prepares = 0u64;
-        for (row, &(i, j)) in block.chunks_exact_mut(m).zip(shard) {
-            if current_left != Some(i) {
-                left_prepared = self.prepare_one_interned(&left[i], &mut interner);
-                current_left = Some(i);
-                prepares += 1;
+        pairs: &[CandidatePair],
+        pool: &Pool,
+    ) -> Result<FeatureMatrix> {
+        let _span = transer_trace::span("blocking.compare");
+        self.faulted_features(left, right, pairs, pool).map(|(x, _)| x)
+    }
+
+    /// The feature matrix through the `compare` fault site, which fires
+    /// once per call: `task_fail` is an error, every other kind corrupts
+    /// the matrix and is returned for the labels.
+    fn faulted_features(
+        &self,
+        left: &[Record],
+        right: &[Record],
+        pairs: &[CandidatePair],
+        pool: &Pool,
+    ) -> Result<(FeatureMatrix, Option<FaultKind>)> {
+        let mut x = self.feature_matrix(left, right, pairs, pool)?;
+        let fault = transer_robust::fired(transer_robust::site::COMPARE);
+        if let Some(kind) = fault {
+            if kind == FaultKind::TaskFail {
+                return Err(Error::FaultInjected(transer_robust::site::COMPARE));
             }
-            let right_prepared = right_cache.entry(j).or_insert_with(|| {
-                prepares += 1;
-                self.prepare_one_interned(&right[j], &mut interner)
-            });
-            for (slot, (&(_, measure), (a, b))) in row
-                .iter_mut()
-                .zip(self.features.iter().zip(left_prepared.iter().zip(right_prepared)))
-            {
-                *slot = prepared_pair(measure, a, b);
-            }
+            transer_robust::corrupt_matrix(&mut x, kind);
         }
-        transer_trace::counter("compare.prepared", prepares * m as u64);
-        transer_trace::counter(
-            "compare.cache_hits",
-            (2 * shard.len() as u64).saturating_sub(prepares) * m as u64,
-        );
-        block
+        Ok((x, fault))
+    }
+
+    /// The feature matrix, from one store of the call's distinct values
+    /// (see the module docs).
+    fn feature_matrix(
+        &self,
+        left: &[Record],
+        right: &[Record],
+        pairs: &[CandidatePair],
+        pool: &Pool,
+    ) -> Result<FeatureMatrix> {
+        if pairs.len() > MAX_PAIRS {
+            return Err(Error::InvalidParameter {
+                name: "pairs",
+                message: format!("{} pairs in one call, at most {MAX_PAIRS}", pairs.len()),
+            });
+        }
+        let m = self.num_features();
+        transer_trace::counter("compare.pairs", pairs.len() as u64);
+        transer_trace::counter("compare.invocations", (pairs.len() * m) as u64);
+        transer_trace::counter("compare.shards", pairs.len().div_ceil(SHARD_PAIRS) as u64);
+        // The store is dropped before the blocks are joined, so the matrix
+        // can take its memory.
+        let blocks = {
+            let store = Store::new(&self.features, left, right, pairs);
+            let shards: Vec<&[(u32, u32)]> = store.slots.chunks(SHARD_PAIRS).collect();
+            let hint = CostHint::with_per_item_nanos(shards.len(), PAIR_NANOS * SHARD_PAIRS as u64);
+            pool.par_map_costed(&shards, hint, |shard| store.block(&self.features, shard))
+        };
+        FeatureMatrix::from_rows(blocks.concat(), pairs.len(), m)
     }
 
     /// Convenience: compare pairs and bundle the result as a named
@@ -241,28 +256,6 @@ fn pair_labels(left: &[Record], right: &[Record], pairs: &[CandidatePair]) -> Ve
     pairs.iter().map(|&(i, j)| Label::from_bool(left[i].entity == right[j].entity)).collect()
 }
 
-/// Cut `pairs` into contiguous shard ranges of roughly `target` pairs,
-/// preferring cuts at left-record group boundaries (where `pairs[k].0`
-/// changes) so each left record's prepared values live in exactly one
-/// shard. A pathological single group is force-split at `4 × target` so
-/// one bucket cannot serialise the whole stage.
-fn shard_ranges(pairs: &[CandidatePair], target: usize) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::with_capacity(pairs.len() / target.max(1) + 1);
-    let mut start = 0;
-    for k in 1..pairs.len() {
-        let len = k - start;
-        let group_boundary = pairs[k].0 != pairs[k - 1].0;
-        if (len >= target && group_boundary) || len >= 4 * target {
-            ranges.push((start, k));
-            start = k;
-        }
-    }
-    if start < pairs.len() {
-        ranges.push((start, pairs.len()));
-    }
-    ranges
-}
-
 fn compare_values(measure: Measure, a: &AttrValue, b: &AttrValue) -> f64 {
     match (a, b) {
         (AttrValue::Text(x), AttrValue::Text(y)) => measure.text(x, y),
@@ -273,72 +266,160 @@ fn compare_values(measure: Measure, a: &AttrValue, b: &AttrValue) -> f64 {
     }
 }
 
-/// One record attribute prepared for a specific feature column.
-#[derive(Debug, Clone)]
-enum PreparedValue {
-    Missing,
-    /// Textual value with the measure's per-value work hoisted out.
-    Text(PreparedText),
-    /// Numeric value: the raw number, plus — for a measure without a
-    /// native numeric path, whose Number × Number pairs compare decimal
-    /// renderings — the prepared rendering. A number-native measure
-    /// renders only when a Text × Number pair asks.
-    Number {
-        raw: f64,
-        text: Option<PreparedText>,
-    },
+/// The distinct values one call's pairs touch, prepared (see the module
+/// docs). Touched records are numbered in slots, left records first.
+struct Store {
+    /// Each pair's left and right slot.
+    slots: Vec<(u32, u32)>,
+    /// Every slot's value id per feature, `m` per slot; [`MISSING`] for a
+    /// missing value.
+    ids: Vec<u32>,
+    /// Each feature's distinct values, indexed by value id.
+    columns: Vec<Column>,
 }
 
-impl PreparedValue {
-    /// Prepare `value` for `measure` through a shard-local interner; every
-    /// value of a shard — including numeric renderings — must go through
-    /// the same interner so their id profiles stay comparable. A numeric
-    /// rendering is moved into the preparation, so the Raw family stores
-    /// it without a second allocation.
-    fn new_interned(measure: Measure, value: &AttrValue, interner: &mut StrInterner) -> Self {
-        match value {
-            AttrValue::Text(s) => PreparedValue::Text(measure.prepare_interned(s, interner)),
-            AttrValue::Number(x) => PreparedValue::Number {
-                raw: *x,
-                text: (!measure.number_native())
-                    .then(|| measure.prepare_owned_interned(x.to_string(), interner)),
+impl Store {
+    /// Number and prepare the values of the records `pairs` touch. Counts
+    /// `compare.prepared` (distinct values prepared, summed over features)
+    /// and `compare.cache_hits` (lookups of a value already prepared).
+    fn new(
+        features: &[(usize, Measure)],
+        left: &[Record],
+        right: &[Record],
+        pairs: &[CandidatePair],
+    ) -> Store {
+        let (lefts, left_slot) = touched(pairs, |&(i, _)| i);
+        let (rights, right_slot) = touched(pairs, |&(_, j)| j);
+        let first_right = lefts.len() as u32;
+        let slots =
+            left_slot.into_iter().zip(right_slot).map(|(l, r)| (l, first_right + r)).collect();
+        let records = lefts.iter().map(|&i| &left[i]).chain(rights.iter().map(|&j| &right[j]));
+        let m = features.len();
+        let mut ids = vec![MISSING; (lefts.len() + rights.len()) * m];
+        let mut interner = StrInterner::new();
+        let mut columns: Vec<Column> =
+            features.iter().map(|&(_, measure)| Column::new(measure)).collect();
+        let mut seen: Vec<HashMap<Exact<'_>, u32, MulRotBuild>> =
+            features.iter().map(|_| HashMap::default()).collect();
+        let mut lookups = 0u64;
+        // One pass over the records, every feature per record: a record's
+        // values are fetched once.
+        for (row, record) in ids.chunks_exact_mut(m).zip(records) {
+            for (f, &(attr, measure)) in features.iter().enumerate() {
+                let value = &record.values[attr];
+                if matches!(value, AttrValue::Missing) {
+                    continue;
+                }
+                lookups += 1;
+                let next = seen[f].len() as u32;
+                row[f] = *seen[f].entry(Exact(value)).or_insert_with(|| {
+                    columns[f].push(measure, value, &mut interner);
+                    next
+                });
+            }
+        }
+        let prepared = seen.iter().map(|s| s.len() as u64).sum::<u64>();
+        transer_trace::counter("compare.prepared", prepared);
+        transer_trace::counter("compare.cache_hits", lookups - prepared);
+        Store { slots, ids, columns }
+    }
+
+    /// The row-major feature block of one shard of pairs.
+    fn block(&self, features: &[(usize, Measure)], shard: &[(u32, u32)]) -> Vec<f64> {
+        let m = features.len();
+        let values = |slot: u32| &self.ids[slot as usize * m..(slot as usize + 1) * m];
+        let mut block = vec![0.0; shard.len() * m];
+        for (row, &(l, r)) in block.chunks_exact_mut(m).zip(shard) {
+            let (a, b) = (values(l), values(r));
+            for (f, out) in row.iter_mut().enumerate() {
+                *out = self.columns[f].score(features[f].1, a[f], b[f]);
+            }
+        }
+        block
+    }
+}
+
+/// The records one side of `pairs` touches, ascending, and each pair's
+/// slot among them — found from the pairs alone, so the cost follows the
+/// pairs, never the record slice.
+fn touched(pairs: &[CandidatePair], side: fn(&CandidatePair) -> usize) -> (Vec<usize>, Vec<u32>) {
+    let mut order: Vec<(usize, usize)> = pairs.iter().map(side).zip(0..).collect();
+    order.sort_unstable();
+    let mut records: Vec<usize> = Vec::new();
+    let mut slot = vec![0; pairs.len()];
+    for (record, p) in order {
+        if records.last() != Some(&record) {
+            records.push(record);
+        }
+        slot[p] = (records.len() - 1) as u32;
+    }
+    (records, slot)
+}
+
+/// The distinct values of one feature, prepared for its measure.
+enum Column {
+    /// A set measure's interned profiles in one arena: value `v` is
+    /// `ids[offsets[v]..offsets[v + 1]]`.
+    Sets { offsets: Vec<usize>, ids: Vec<u32> },
+    /// Any other measure: each value's preparation.
+    Values(Vec<Prepared>),
+}
+
+/// A value prepared for a measure without interned profiles: the
+/// preparation of its text or of a number's decimal rendering, and for a
+/// number-native measure the raw number.
+struct Prepared {
+    raw: Option<f64>,
+    text: PreparedText,
+}
+
+impl Column {
+    fn new(measure: Measure) -> Column {
+        if measure.is_set() {
+            Column::Sets { offsets: vec![0], ids: Vec::new() }
+        } else {
+            Column::Values(Vec::new())
+        }
+    }
+
+    /// Prepare the next value (never a missing one, which takes the
+    /// [`MISSING`] id). A number is compared by its decimal rendering, as
+    /// [`compare_values`] renders it, except in a number-native measure's
+    /// Number × Number pairs, which read the raw values as
+    /// [`Measure::number`] does.
+    fn push(&mut self, measure: Measure, value: &AttrValue, interner: &mut StrInterner) {
+        let rendered = value.as_number().map(|x| x.to_string());
+        let text = rendered.as_deref().or(value.as_text()).unwrap_or_default();
+        match self {
+            Column::Sets { offsets, ids } => {
+                measure.push_interned_set(text, interner, ids);
+                offsets.push(ids.len());
+            }
+            Column::Values(values) => values.push(Prepared {
+                raw: value.as_number().filter(|_| measure.number_native()),
+                text: measure.prepare(text),
+            }),
+        }
+    }
+
+    /// [`compare_values`] of the values with ids `a` and `b` —
+    /// bit-identical by construction: every arm reduces to the same
+    /// similarity call on the same data.
+    fn score(&self, measure: Measure, a: u32, b: u32) -> f64 {
+        if a == MISSING || b == MISSING {
+            return 0.0; // at least one side missing
+        }
+        let (a, b) = (a as usize, b as usize);
+        match self {
+            Column::Sets { offsets, ids } => measure.interned_set_score(
+                &ids[offsets[a]..offsets[a + 1]],
+                &ids[offsets[b]..offsets[b + 1]],
+            ),
+            Column::Values(values) => match (values[a].raw, values[b].raw) {
+                (Some(x), Some(y)) => measure.number(x, y),
+                _ => measure.prepared(&values[a].text, &values[b].text),
             },
-            AttrValue::Missing => PreparedValue::Missing,
         }
-    }
-}
-
-/// The prepared decimal rendering of a numeric value: the cached one, or
-/// — for a number-native measure, which caches none — rendered now. Those
-/// measures prepare no interned representation, so the fresh rendering is
-/// exactly what the cache would have held.
-fn rendered(measure: Measure, raw: f64, text: &Option<PreparedText>) -> Cow<'_, PreparedText> {
-    match text {
-        Some(text) => Cow::Borrowed(text),
-        None => Cow::Owned(measure.prepare(&raw.to_string())),
-    }
-}
-
-/// [`compare_values`] over prepared inputs — bit-identical by construction:
-/// every arm reduces to the same similarity call on the same data (a
-/// number-native measure scores Number × Number pairs on the raw values,
-/// as [`Measure::number`] dispatches, and every text fallback operates on
-/// exactly the rendering [`compare_values`] makes).
-fn prepared_pair(measure: Measure, a: &PreparedValue, b: &PreparedValue) -> f64 {
-    use PreparedValue as P;
-    match (a, b) {
-        (P::Text(x), P::Text(y)) => measure.prepared(x, y),
-        (P::Number { raw: x, text: tx }, P::Number { raw: y, text: ty }) => match (tx, ty) {
-            (Some(tx), Some(ty)) => measure.prepared(tx, ty),
-            _ => measure.number(*x, *y),
-        },
-        (P::Text(x), P::Number { raw, text }) => {
-            measure.prepared(x, &rendered(measure, *raw, text))
-        }
-        (P::Number { raw, text }, P::Text(y)) => {
-            measure.prepared(&rendered(measure, *raw, text), y)
-        }
-        _ => 0.0, // at least one side missing
     }
 }
 
@@ -426,13 +507,15 @@ mod tests {
         cmp().feature_vector_into(&a, &a, &mut [0.0]);
     }
 
-    /// Compare `pairs` over `records` under every worker count × dispatch
-    /// mode and check each cell bit-for-bit against the per-pair
-    /// [`Comparison::feature_vector`] oracle, and each label against the
-    /// records' entities.
+    /// Compare `pairs` between `left` and `right` under every worker
+    /// count × dispatch mode and check each cell bit-for-bit against the
+    /// per-pair [`Comparison::feature_vector`] oracle, each label against
+    /// the records' entities, and the features-only entry against the
+    /// labelled one.
     fn assert_matches_feature_vector(
         comparison: &Comparison,
-        records: &[Record],
+        left: &[Record],
+        right: &[Record],
         pairs: &[CandidatePair],
     ) {
         use transer_parallel::{GrainMode, Pool};
@@ -443,12 +526,16 @@ mod tests {
             (4, GrainMode::AlwaysPool),
         ] {
             let pool = Pool::new(workers).with_grain(mode);
-            let (x, y) =
-                comparison.compare_pairs_with_pool(records, records, pairs, &pool).unwrap();
+            let (x, y) = comparison.compare_pairs_with_pool(left, right, pairs, &pool).unwrap();
+            let features = comparison.compare_features_with_pool(left, right, pairs, &pool);
+            let bits = |m: &FeatureMatrix| -> Vec<u64> {
+                m.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&features.unwrap()), bits(&x));
             assert_eq!(x.rows(), pairs.len());
             for (row, &(i, j)) in pairs.iter().enumerate() {
-                assert_eq!(y[row], Label::from_bool(records[i].entity == records[j].entity));
-                let direct = comparison.feature_vector(&records[i], &records[j]);
+                assert_eq!(y[row], Label::from_bool(left[i].entity == right[j].entity));
+                let direct = comparison.feature_vector(&left[i], &right[j]);
                 for (f, (got, want)) in x.row(row).iter().zip(&direct).enumerate() {
                     assert!(
                         got.to_bits() == want.to_bits(),
@@ -460,27 +547,28 @@ mod tests {
         }
     }
 
+    const MEASURES: [Measure; 14] = [
+        Measure::Jaro,
+        Measure::JaroWinkler,
+        Measure::Levenshtein,
+        Measure::TokenJaccard,
+        Measure::QgramJaccard(2),
+        Measure::TokenDice,
+        Measure::QgramDice(3),
+        Measure::TokenOverlap,
+        Measure::Lcs,
+        Measure::MongeElkanJw,
+        Measure::Soundex,
+        Measure::Exact,
+        Measure::Numeric(5.0),
+        Measure::Year,
+    ];
+
     /// The prepared matrix path must equal the per-pair `feature_vector`
     /// path bit-for-bit, for every measure and every Text/Number/Missing
     /// value combination.
     #[test]
     fn prepared_path_matches_feature_vector_exactly() {
-        let measures = [
-            Measure::Jaro,
-            Measure::JaroWinkler,
-            Measure::Levenshtein,
-            Measure::TokenJaccard,
-            Measure::QgramJaccard(2),
-            Measure::TokenDice,
-            Measure::QgramDice(3),
-            Measure::TokenOverlap,
-            Measure::Lcs,
-            Measure::MongeElkanJw,
-            Measure::Soundex,
-            Measure::Exact,
-            Measure::Numeric(5.0),
-            Measure::Year,
-        ];
         let values = [
             AttrValue::Text("deep entity matching".into()),
             AttrValue::Text("1999".into()),
@@ -490,7 +578,7 @@ mod tests {
             AttrValue::Missing,
         ];
         // One record per value; a comparison applying every measure to it.
-        let comparison = Comparison::new(measures.iter().map(|&m| (0, m)).collect()).unwrap();
+        let comparison = Comparison::new(MEASURES.iter().map(|&m| (0, m)).collect()).unwrap();
         let records: Vec<Record> = values
             .iter()
             .enumerate()
@@ -498,12 +586,56 @@ mod tests {
             .collect();
         let pairs: Vec<CandidatePair> =
             (0..records.len()).flat_map(|i| (0..records.len()).map(move |j| (i, j))).collect();
-        assert_matches_feature_vector(&comparison, &records, &pairs);
+        assert_matches_feature_vector(&comparison, &records, &records, &pairs);
+    }
+
+    /// Duplicate-heavy sides, as the blockers' record slices are: values
+    /// repeated within and across sides, a text and a number with the same
+    /// rendering, `0.0` against `-0.0`, NaNs of both signs, and pairs in
+    /// no order, under every measure. Exact value ids must keep apart what
+    /// an equality by rendering or by `==` would merge.
+    #[test]
+    fn duplicate_heavy_sides_match_feature_vector_exactly() {
+        let values = [
+            AttrValue::Text("deep entity matching".into()),
+            AttrValue::Text("Deep entity matching".into()),
+            AttrValue::Text("1999".into()),
+            AttrValue::Number(1999.0),
+            AttrValue::Number(1999.5),
+            AttrValue::Number(0.0),
+            AttrValue::Number(-0.0),
+            AttrValue::Text("0".into()),
+            AttrValue::Text("-0".into()),
+            AttrValue::Number(f64::NAN),
+            AttrValue::Number(-f64::NAN),
+            AttrValue::Text("NaN".into()),
+            AttrValue::Text(String::new()),
+            AttrValue::Missing,
+        ];
+        let mut comparison = Comparison::new(MEASURES.iter().map(|&m| (0, m)).collect()).unwrap();
+        comparison.features.extend(MEASURES.iter().map(|&m| (1, m)));
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut side = |n: usize| -> Vec<Record> {
+            (0..n as u64)
+                .map(|i| {
+                    let pick = [next(values.len()), next(4)];
+                    Record::new(i, pick[1] as u64, pick.map(|v| values[v].clone()).to_vec())
+                })
+                .collect()
+        };
+        let (left, right) = (side(50), side(30));
+        let pairs: Vec<CandidatePair> = (0..400).map(|_| (next(50), next(30))).collect();
+        assert_matches_feature_vector(&comparison, &left, &right, &pairs);
     }
 
     /// Ragged, sorted pair lists like the blocker emits, over mixed value
-    /// shapes — one shard at 60 records, several (each with its own
-    /// interner) at 600.
+    /// shapes — one shard at 60 records, several at 600.
     #[test]
     fn sharded_path_matches_feature_vector_exactly() {
         let comparison = Comparison::new(vec![
@@ -535,30 +667,31 @@ mod tests {
                 .collect();
             let pairs: Vec<CandidatePair> =
                 (0..n).flat_map(|i| (0..1 + (i * 7) % 9).map(move |j| (i, (i + j) % n))).collect();
-            assert_eq!(shard_ranges(&pairs, SHARD_TARGET_PAIRS).len() > 1, n == 600);
-            assert_matches_feature_vector(&comparison, &records, &pairs);
+            assert_eq!(pairs.len() > SHARD_PAIRS, n == 600);
+            assert_matches_feature_vector(&comparison, &records, &records, &pairs);
         }
     }
 
-    /// A record is prepared only when a pair touches it: a sorted pair list
-    /// over 3 of 1,000 left records and 2 of 50 right records prepares
-    /// exactly those 5 records, once each.
+    /// A value is prepared only when a pair touches its record, and once
+    /// per call: pairs over 3 of 1,000 left records and 2 of 50 right
+    /// records, all titles distinct and all years equal, prepare the 5
+    /// titles and one year. Every other lookup finds its value.
     #[test]
     fn prepares_only_the_records_pairs_touch() {
         let left: Vec<Record> =
             (0..1000).map(|i| rec(i, i, &format!("left title {i}"), 1990.0)).collect();
         let right: Vec<Record> =
             (0..50).map(|i| rec(i, i, &format!("right title {i}"), 1990.0)).collect();
-        let pairs = [(3, 7), (3, 41), (500, 7), (999, 7), (999, 41)];
+        let pairs = [(999, 7), (3, 41), (500, 7), (3, 7), (999, 41)];
         let c = cmp();
         transer_trace::set_enabled(true);
         let out = c.compare_pairs_with_pool(&left, &right, &pairs, &transer_parallel::Pool::new(1));
         let report = transer_trace::drain_report();
         transer_trace::set_enabled(false);
         assert_eq!(out.unwrap().0.rows(), pairs.len());
-        let m = c.num_features() as u64;
-        assert_eq!(report.counter("compare.prepared"), 5 * m);
-        assert_eq!(report.counter("compare.cache_hits"), (2 * pairs.len() as u64 - 5) * m);
+        let touched = 5 * c.num_features() as u64;
+        assert_eq!(report.counter("compare.prepared"), 5 + 1);
+        assert_eq!(report.counter("compare.cache_hits"), touched - 6);
         assert_eq!(report.counter("compare.shards"), 1);
     }
 
@@ -580,33 +713,5 @@ mod tests {
             .compare_pairs_with_pool(&left, &right, &pairs, &transer_parallel::Pool::new(4))
             .unwrap();
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn shard_ranges_cover_and_respect_groups() {
-        // Pairs with ragged left groups, including one oversized group.
-        let mut pairs: Vec<CandidatePair> = Vec::new();
-        for i in 0..40 {
-            let fanout = if i == 7 { 50 } else { 1 + i % 5 };
-            for j in 0..fanout {
-                pairs.push((i, j));
-            }
-        }
-        let ranges = shard_ranges(&pairs, 10);
-        assert!(ranges.len() > 1);
-        // Exact cover, in order.
-        assert_eq!(ranges[0].0, 0);
-        assert_eq!(ranges.last().unwrap().1, pairs.len());
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
-        }
-        // Cuts land on group boundaries unless the group is oversized.
-        for w in ranges.windows(2) {
-            let k = w[0].1;
-            let same_group = pairs[k].0 == pairs[k - 1].0;
-            assert!(!same_group || w[0].1 - w[0].0 >= 40, "cut inside small group at {k}");
-        }
-        assert!(shard_ranges(&[], 10).is_empty());
-        assert_eq!(shard_ranges(&[(0, 0)], 10), vec![(0, 1)]);
     }
 }

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 mod compare;
+mod exact;
 mod lsh_index;
 mod minhash;
 mod tokenize;

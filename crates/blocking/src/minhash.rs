@@ -28,24 +28,33 @@
 //! before, stays as it was, and no toolchain change can move it.
 //!
 //! # The batch join
-//! [`MinHashLsh::candidate_pairs_masked_with_pool`] keys each side into
-//! one sorted list of `(band key, record)` entries, written by the pool
-//! into a single exact-size vector with one [`BandScratch`] per worker,
-//! and merge-joins runs of equal keys. A left run holds exactly the records a bucket of that
-//! key would hold, so the `max_bucket` cap skips the same keys a hash-map
-//! bucket join skips; the output is sorted and deduplicated, and the same
-//! at every worker count.
+//! [`MinHashLsh::candidate_pairs_masked_with_pool`] numbers the masked
+//! values of both sides' records by first occurrence, left before right,
+//! under exact equality (text by bytes, numbers by bits, missing equal to
+//! missing). The band keys are a pure function of those values, so the
+//! kernel runs once per distinct value, on the pool with one
+//! [`BandScratch`] per worker, into a single exact-size vector; on a
+//! benchmark task about half the records repeat a value. Each side's
+//! records then read their keys into one sorted list of
+//! `(band key, record)` entries, and the join merges runs of equal keys.
+//! A left run holds exactly the records a bucket of that key would hold,
+//! so the `max_bucket` cap skips the same keys a hash-map bucket join
+//! skips; the output is sorted and deduplicated, and the same at every
+//! worker count.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use transer_common::hash::SipHasher13;
+use transer_common::hash::{MulRotBuild, SipHasher13};
 use transer_common::{Error, Record, Result};
 use transer_parallel::{CostClass, CostHint, Pool};
 use transer_robust::FaultKind;
 
-use crate::tokenize::push_token_hashes;
+use crate::exact::Exact;
+use crate::tokenize::{masked_values, push_token_hashes};
 use crate::CandidatePair;
 
 /// Configuration of the MinHash LSH blocker.
@@ -218,38 +227,48 @@ impl MinHashLsh {
         (!keys.is_empty()).then_some(keys)
     }
 
-    /// One side of the join: `(band key, record index)` for every band of
-    /// every record with tokens, sorted. Each `(record, band)` slot is one
-    /// item of the parallel map, so the keys land in a single exact-size
-    /// vector rather than in per-chunk pieces; a worker runs the kernel at
-    /// the first slot of a record it meets, in its own buffers, and reads
-    /// the record's other bands from them. The sort makes the list
-    /// independent of how slots are split among workers.
-    fn sorted_band_keys(
+    /// The band keys of every distinct value, `bands` slots per value,
+    /// each `None` for a value without tokens. Each `(value, band)` slot
+    /// is one item of the parallel map, so the keys land in a single
+    /// exact-size vector; a worker runs the kernel at the first slot of a
+    /// value it meets, in its own buffers, and reads the value's other
+    /// bands from them.
+    fn distinct_band_keys(
         &self,
-        records: &[Record],
+        firsts: &[&Record],
         attrs: Option<&[usize]>,
         pool: &Pool,
-    ) -> Vec<(u64, usize)> {
+    ) -> Vec<Option<u64>> {
         let bands = self.config.bands;
         // A zero-sized item per slot: the map needs a slice of the output's
         // length, and `Vec<()>` allocates nothing.
-        let slots = vec![(); records.len() * bands];
-        // Tokenise + sign + band is per-record tokenising/hashing work,
-        // shared by the record's slots.
+        let slots = vec![(); firsts.len() * bands];
+        // Tokenise + sign + band is per-value tokenising/hashing work,
+        // shared by the value's slots.
         let per_slot = CostClass::Medium.nanos_per_item() / bands as u64;
         let hint = CostHint::with_per_item_nanos(slots.len(), per_slot);
         let init = || (BandScratch::default(), Vec::with_capacity(bands), usize::MAX);
-        let keyed = pool.par_map_init_costed(&slots, hint, init, |(scratch, keys, at), slot, _| {
-            let i = slot / bands;
-            if *at != i {
-                self.record_band_keys_into(&records[i], attrs, scratch, keys);
-                *at = i;
+        pool.par_map_init_costed(&slots, hint, init, |(scratch, keys, at), slot, _| {
+            let v = slot / bands;
+            if *at != v {
+                self.record_band_keys_into(firsts[v], attrs, scratch, keys);
+                *at = v;
             }
-            // A record without tokens has no keys, so no slot yields one.
-            keys.get(slot % bands).map(|&key| (key, i))
-        });
-        let mut keyed: Vec<(u64, usize)> = keyed.into_iter().flatten().collect();
+            keys.get(slot % bands).copied()
+        })
+    }
+
+    /// One side of the join: `(band key, record index)` for every band of
+    /// every record with tokens, read off its value's keys, sorted.
+    fn sorted_band_keys(&self, values: &[usize], keys: &[Option<u64>]) -> Vec<(u64, usize)> {
+        let bands = self.config.bands;
+        let of = |v: usize| &keys[v * bands..(v + 1) * bands];
+        // A value has keys in every band or in none.
+        let keyed_records = values.iter().filter(|&&v| of(v)[0].is_some()).count();
+        let mut keyed = Vec::with_capacity(keyed_records * bands);
+        for (i, &v) in values.iter().enumerate() {
+            keyed.extend(of(v).iter().flatten().map(|&key| (key, i)));
+        }
         keyed.sort_unstable();
         keyed
     }
@@ -284,10 +303,17 @@ impl MinHashLsh {
         pool: &Pool,
     ) -> Vec<CandidatePair> {
         let _span = transer_trace::span("blocking.candidates");
-        // Record indices stay `usize`: a `u32` here once silently aliased
-        // indices above 2^32 into wrong pairs.
-        let lefts = self.sorted_band_keys(left, attrs, pool);
-        let rights = self.sorted_band_keys(right, attrs, pool);
+        // Record indices and value ids stay `usize`: a `u32` here once
+        // silently aliased indices above 2^32 into wrong pairs.
+        let (value_of, firsts) = distinct_masked_values(left.iter().chain(right), attrs);
+        transer_trace::counter("blocking.minhash.distinct_values", firsts.len() as u64);
+        let keys = self.distinct_band_keys(&firsts, attrs, pool);
+        // Each buffer goes as soon as it is read, ahead of the next one.
+        drop(firsts);
+        let (left_values, right_values) = value_of.split_at(left.len());
+        let lefts = self.sorted_band_keys(left_values, &keys);
+        let rights = self.sorted_band_keys(right_values, &keys);
+        drop((value_of, keys));
         let cap = if self.config.max_bucket == 0 { usize::MAX } else { self.config.max_bucket };
         let mut pairs: Vec<CandidatePair> = Vec::new();
         let (mut l, mut r) = (0, 0);
@@ -323,6 +349,52 @@ pub struct BandScratch {
     token: String,
     hashes: Vec<u64>,
     signature: Vec<u64>,
+}
+
+/// A record's masked values — exactly what [`push_token_hashes`] reads —
+/// compared and hashed value by value under [`Exact`] equality.
+struct Masked<'a> {
+    record: &'a Record,
+    attrs: Option<&'a [usize]>,
+}
+
+impl Masked<'_> {
+    fn values(&self) -> impl Iterator<Item = Exact<'_>> {
+        masked_values(self.record, self.attrs).map(Exact)
+    }
+}
+
+impl PartialEq for Masked<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for Masked<'_> {}
+
+impl Hash for Masked<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().for_each(|value| value.hash(state));
+    }
+}
+
+/// Number the masked values of `records` by first occurrence: the value
+/// id of every record, and the first record holding each value.
+fn distinct_masked_values<'a>(
+    records: impl Iterator<Item = &'a Record>,
+    attrs: Option<&'a [usize]>,
+) -> (Vec<usize>, Vec<&'a Record>) {
+    let mut ids: HashMap<Masked<'a>, usize, MulRotBuild> = HashMap::default();
+    let mut firsts = Vec::new();
+    let value_of = records
+        .map(|record| {
+            *ids.entry(Masked { record, attrs }).or_insert_with(|| {
+                firsts.push(record);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    (value_of, firsts)
 }
 
 /// The end of the run of entries that share `keyed[start]`'s key.
@@ -564,6 +636,31 @@ mod tests {
             .collect()
     }
 
+    /// A duplicate-heavy corpus of one to three values per record, drawn
+    /// from small pools so that values repeat within and across sides,
+    /// records that agree under a mask differ outside it, `Deep` and
+    /// `deep` differ in bytes while their tokens agree, `0.0` and `-0.0`
+    /// (tokens `num:0` and `num:-0`) are different values, and masks reach
+    /// past a record's end.
+    fn duplicate_records(n: usize, seed: u64) -> Vec<Record> {
+        let texts = ["deep learning", "Deep learning", "deep learning x", "", "storm title"];
+        let numbers = [0.0, -0.0, 1999.0, f64::NAN];
+        let mut next = xorshift(seed);
+        (0..n as u64)
+            .map(|i| {
+                let len = 1 + next() % 3;
+                let values = (0..len)
+                    .map(|_| match next() % 5 {
+                        0..=2 => AttrValue::Text(texts[(next() % 5) as usize].into()),
+                        3 => AttrValue::Number(numbers[(next() % 4) as usize]),
+                        _ => AttrValue::Missing,
+                    })
+                    .collect();
+                Record::new(i, i, values)
+            })
+            .collect()
+    }
+
     /// Keyed on the pool, batches of slots start inside a record: the
     /// record's keys are then computed by two workers, and the join must
     /// not notice. Inline, one worker walks every slot in order.
@@ -591,16 +688,31 @@ mod tests {
             n_right in 0usize..150,
             seed in any::<u64>(),
         ) {
-            let left = tied_records(n_left, seed);
-            let right = tied_records(n_right, seed ^ 0x5eed);
-            for max_bucket in [0, 1, 2, 40] {
-                let lsh = MinHashLsh::new(MinHashLshConfig { max_bucket, ..SCALE })
-                    .expect("valid layout");
-                let want = bucket_join(&lsh, &left, &right, None);
-                for workers in [1, 4] {
-                    let pool = Pool::new(workers);
-                    let got = lsh.candidate_pairs_masked_with_pool(&left, &right, None, &pool);
-                    prop_assert_eq!(&got, &want, "max_bucket {}, {} workers", max_bucket, workers);
+            let corpora = [
+                (tied_records(n_left, seed), tied_records(n_right, seed ^ 0x5eed)),
+                (duplicate_records(n_left, seed), duplicate_records(n_right, seed ^ 0x5eed)),
+            ];
+            let masks: [Option<&[usize]>; 4] = [None, Some(&[0]), Some(&[0, 2]), Some(&[2, 0, 5])];
+            for (left, right) in &corpora {
+                for attrs in masks {
+                    for max_bucket in [0, 1, 2, 40] {
+                        let lsh = MinHashLsh::new(MinHashLshConfig { max_bucket, ..SCALE })
+                            .expect("valid layout");
+                        let want = bucket_join(&lsh, left, right, attrs);
+                        for workers in [1, 4] {
+                            let pool = Pool::new(workers);
+                            let got =
+                                lsh.candidate_pairs_masked_with_pool(left, right, attrs, &pool);
+                            prop_assert_eq!(
+                                &got,
+                                &want,
+                                "{:?}, max_bucket {}, {} workers",
+                                attrs,
+                                max_bucket,
+                                workers
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -52,23 +52,35 @@ pub(crate) fn push_token_hashes(
     out: &mut Vec<u64>,
 ) {
     let mut push = |token: &str| out.push(hash_str(token));
-    let mut visit = |value: &AttrValue| match value {
-        AttrValue::Text(s) if !s.is_empty() => {
-            for_each_token(s, buf, &mut push);
-            for_each_qgram(s, 3, buf, &mut push);
+    for value in masked_values(record, attrs) {
+        match value {
+            AttrValue::Text(s) if !s.is_empty() => {
+                for_each_token(s, buf, &mut push);
+                for_each_qgram(s, 3, buf, &mut push);
+            }
+            AttrValue::Number(x) => {
+                buf.clear();
+                // Writing into a `String` cannot fail.
+                let _ = write!(buf, "num:{x}");
+                push(buf);
+            }
+            _ => {}
         }
-        AttrValue::Number(x) => {
-            buf.clear();
-            // Writing into a `String` cannot fail.
-            let _ = write!(buf, "num:{x}");
-            push(buf);
-        }
-        _ => {}
-    };
-    match attrs {
-        Some(idx) => idx.iter().filter_map(|&q| record.values.get(q)).for_each(&mut visit),
-        None => record.values.iter().for_each(&mut visit),
     }
+}
+
+/// The values of `record` that blocking reads under `attrs`, in order:
+/// every value (`None`), or those at the given indices, skipping an index
+/// past the record's end.
+pub(crate) fn masked_values<'a>(
+    record: &'a Record,
+    attrs: Option<&'a [usize]>,
+) -> impl Iterator<Item = &'a AttrValue> {
+    let (picked, all) = match attrs {
+        Some(idx) => (idx, &[][..]),
+        None => (&[][..], &record.values[..]),
+    };
+    picked.iter().filter_map(|&q| record.values.get(q)).chain(all)
 }
 
 #[cfg(test)]

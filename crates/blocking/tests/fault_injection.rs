@@ -5,7 +5,8 @@
 
 mod compare {
     use transer_blocking::Comparison;
-    use transer_common::{AttrValue, Error, Label, Record};
+    use transer_common::{AttrValue, Error, FeatureMatrix, Label, Record};
+    use transer_parallel::Pool;
     use transer_similarity::Measure;
 
     fn rec(id: u64, entity: u64, title: &str, year: f64) -> Record {
@@ -24,17 +25,26 @@ mod compare {
         let pairs = [(0, 0), (0, 1), (1, 1)];
         let c = cmp();
 
+        // The features-only entry fires the same seam with the same effect
+        // on the matrix.
+        let features = || c.compare_features_with_pool(&left, &right, &pairs, &Pool::new(1));
+        let bits =
+            |x: &FeatureMatrix| -> Vec<u64> { x.as_slice().iter().map(|v| v.to_bits()).collect() };
+
         transer_robust::set_plan(Some("compare:task_fail"));
         assert_eq!(c.compare_pairs(&left, &right, &pairs), Err(Error::FaultInjected("compare")));
+        assert_eq!(features(), Err(Error::FaultInjected("compare")));
 
         transer_robust::set_plan(Some("compare:nan"));
         let (x, y) = c.compare_pairs(&left, &right, &pairs).unwrap();
         assert!(x.as_slice().iter().any(|v| v.is_nan()));
         assert_eq!(y.len(), pairs.len());
+        assert_eq!(bits(&features().unwrap()), bits(&x));
 
         transer_robust::set_plan(Some("compare:empty"));
         let (x, y) = c.compare_pairs(&left, &right, &pairs).unwrap();
         assert!(x.is_empty() && y.is_empty());
+        assert!(features().unwrap().is_empty());
 
         transer_robust::set_plan(Some("compare:single_class"));
         let (_, y) = c.compare_pairs(&left, &right, &pairs).unwrap();

@@ -1,6 +1,6 @@
 //! The comparison step must be bit-identical across worker counts: {1, 4}
-//! workers (with their different shard-local interners) produce exactly
-//! the same feature matrix.
+//! workers (with their different shard splits) produce exactly the same
+//! feature matrix.
 
 use proptest::prelude::*;
 use transer_blocking::{CandidatePair, Comparison};
@@ -139,11 +139,10 @@ proptest! {
     }
 }
 
-/// Duplicated right records across shard boundaries: the same record is
-/// prepared by different shard interners (different id assignments) and
-/// must still score identically.
+/// Duplicated right records across shard boundaries: every shard reads
+/// the same few right records' values and must score them identically.
 #[test]
-fn shard_local_interners_are_invisible_in_scores() {
+fn right_records_shared_by_every_shard_score_alike() {
     let records = build_records(64, 7);
     // Every left record pairs with the same few right records, so those
     // right records appear in every shard's cache.

@@ -17,7 +17,7 @@
 //! equal; consumers that care about numeric ties handle them through
 //! distance classes, not through the interning.)
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::hash::MulRotBuild;
@@ -42,6 +42,63 @@ impl Hash for RowBits<'_> {
         for v in self.0 {
             state.write_u64(v.to_bits());
         }
+    }
+}
+
+/// The distinct rows of a [`FeatureMatrix`] without their groups: the
+/// hashing half of [`RowInterning::of`], for callers that read only which
+/// distinct row each row is (the random forest's fit and predict).
+///
+/// `unique.row(to_unique[i])` is bitwise equal to row `i`, and unique rows
+/// are numbered in order of first occurrence, exactly as in
+/// [`RowInterning`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct DistinctRows {
+    /// The matrix of distinct rows, in order of first occurrence.
+    pub unique: FeatureMatrix,
+    /// For every original row, the unique row it maps to.
+    pub to_unique: Vec<u32>,
+}
+
+impl DistinctRows {
+    /// Deduplicate the rows of `matrix` by their cells' bit patterns.
+    ///
+    /// # Panics
+    /// Panics when the matrix has more than `u32::MAX` rows (the engine
+    /// stores row indices as `u32`, like the k-d tree).
+    pub fn of(matrix: &FeatureMatrix) -> Self {
+        let n = matrix.rows();
+        assert!(n <= u32::MAX as usize, "row interning supports at most u32::MAX rows");
+        // The map keeps each distinct row's id and first row (the row index
+        // fits in the entry's padding), so the distinct rows are copied
+        // out once, into a matrix of exactly their size.
+        let mut map: HashMap<RowBits<'_>, (u32, u32)> = HashMap::with_capacity(n);
+        let to_unique = (0..n as u32)
+            .zip(matrix.iter_rows())
+            .map(|(i, row)| {
+                let next = map.len() as u32;
+                map.entry(RowBits(row)).or_insert((next, i)).0
+            })
+            .collect();
+        let mut firsts = vec![0; map.len()];
+        for &(id, first) in map.values() {
+            firsts[id as usize] = first as usize;
+        }
+        DistinctRows { unique: matrix.select_rows(&firsts), to_unique }
+    }
+
+    /// `original rows / unique rows`, as [`RowInterning::dedup_ratio`].
+    pub fn dedup_ratio(&self) -> f64 {
+        dedup_ratio(self.to_unique.len(), self.unique.rows())
+    }
+}
+
+/// `original / unique`, defined as 1.0 when there are no rows.
+fn dedup_ratio(original: usize, unique: usize) -> f64 {
+    if unique == 0 {
+        1.0
+    } else {
+        original as f64 / unique as f64
     }
 }
 
@@ -70,23 +127,8 @@ impl RowInterning {
     /// Panics when the matrix has more than `u32::MAX` rows (the engine
     /// stores row indices as `u32`, like the k-d tree).
     pub fn of(matrix: &FeatureMatrix) -> Self {
-        let n = matrix.rows();
-        assert!(n <= u32::MAX as usize, "row interning supports at most u32::MAX rows");
-        let mut map: HashMap<RowBits<'_>, u32> = HashMap::with_capacity(n);
-        let mut to_unique = Vec::with_capacity(n);
-        let mut unique = FeatureMatrix::empty(matrix.cols());
-        for row in matrix.iter_rows() {
-            let id = match map.entry(RowBits(row)) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let id = unique.rows() as u32;
-                    unique.push_row(row);
-                    e.insert(id);
-                    id
-                }
-            };
-            to_unique.push(id);
-        }
+        let DistinctRows { unique, to_unique } = DistinctRows::of(matrix);
+        let n = to_unique.len();
         // Counting sort: members of each group in ascending original order.
         let nu = unique.rows();
         let mut offsets = vec![0u32; nu + 1];
@@ -150,11 +192,7 @@ impl RowInterning {
     /// `original_rows / unique_rows` — 1.0 means no duplication; ER
     /// matrices commonly reach 5–100×. Defined as 1.0 for empty matrices.
     pub fn dedup_ratio(&self) -> f64 {
-        if self.unique_rows() == 0 {
-            1.0
-        } else {
-            self.original_rows() as f64 / self.unique_rows() as f64
-        }
+        dedup_ratio(self.original_rows(), self.unique_rows())
     }
 }
 
@@ -228,8 +266,37 @@ mod tests {
         .unwrap()
     }
 
+    /// [`DistinctRows::of`] and [`RowInterning::of`] agree bit for bit on
+    /// the distinct rows and every row's mapping.
+    fn assert_forms_agree(m: &FeatureMatrix) {
+        let it = RowInterning::of(m);
+        let rows = DistinctRows::of(m);
+        let bits =
+            |m: &FeatureMatrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&rows.unique), bits(it.unique()));
+        assert_eq!(rows.unique.rows(), it.unique_rows());
+        assert_eq!(rows.to_unique, it.to_unique());
+        assert_eq!(rows.dedup_ratio().to_bits(), it.dedup_ratio().to_bits());
+    }
+
     #[test]
     fn groups_by_first_occurrence() {
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        let signed = FeatureMatrix::from_vecs(&[
+            vec![0.0, quiet],
+            vec![-0.0, quiet],
+            vec![0.0, payload],
+            vec![-0.0, quiet],
+            vec![0.0, -quiet],
+            vec![0.0, quiet],
+        ])
+        .unwrap();
+        // `0.0`/`-0.0` and NaNs of other sign or payload are other rows.
+        assert_eq!(DistinctRows::of(&signed).to_unique, [0, 1, 2, 1, 3, 0]);
+        for m in [duplicated(), signed, FeatureMatrix::empty(2)] {
+            assert_forms_agree(&m);
+        }
         let it = RowInterning::of(&duplicated());
         assert_eq!(it.original_rows(), 6);
         assert_eq!(it.unique_rows(), 3);

@@ -59,7 +59,7 @@ static GLOBAL_ALLOCATOR: CountingAllocator = CountingAllocator;
 pub use dataset::{DomainPair, LabeledDataset};
 pub use error::{Error, Result};
 pub use features::FeatureMatrix;
-pub use intern::{RowInterning, StrInterner};
+pub use intern::{DistinctRows, RowInterning, StrInterner};
 pub use l2::sq_dist;
 pub use label::{count_matches, Label};
 pub use record::{AttrType, AttrValue, Record, RecordId, Schema};

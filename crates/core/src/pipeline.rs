@@ -8,7 +8,7 @@ use transer_robust::{site, FaultKind};
 
 use crate::config::TransErConfig;
 use crate::pseudo::{generate_pseudo_labels, PseudoLabels};
-use crate::selector::select_instances;
+use crate::selector::{select_instances, transfer_all};
 use crate::target::train_target_classifier;
 
 /// One step of the pipeline's graceful-degradation ladder: why a phase
@@ -357,18 +357,7 @@ impl TransEr {
             let sel = select_instances(xs, ys, xt, &self.config)?;
             sel.transferred(xs, ys)
         } else {
-            // "without SEL": transfer everything. Still validates inputs.
-            let cfg = TransErConfig {
-                variant: crate::config::Variant {
-                    use_sim_c: false,
-                    use_sim_l: false,
-                    use_sim_v: false,
-                    ..variant
-                },
-                ..self.config
-            };
-            let sel = select_instances(xs, ys, xt, &cfg)?;
-            sel.transferred(xs, ys)
+            transfer_all(xs, ys, xt, &self.config)?
         };
         diag.selected_count = xu.rows();
 

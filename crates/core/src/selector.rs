@@ -171,6 +171,32 @@ pub fn select_instances_with_pool(
     Ok(SelectionResult { indices, scores })
 }
 
+/// The "without SEL" ablation: transfer every source row, scoring none.
+/// With every filter off SEL keeps every row whatever its scores, so the
+/// k-NN queries are skipped, while the rest of [`select_instances`] holds:
+/// inputs are validated with the same errors, and the `sel.knn` fault
+/// site fires. A float kind would corrupt only scores, so every row is
+/// still transferred; any other kind starves the selection. Each
+/// transferred row counts `sel.accepted`, as a scored row does.
+///
+/// # Errors
+/// As for [`select_instances`].
+pub(crate) fn transfer_all(
+    xs: &FeatureMatrix,
+    ys: &[Label],
+    xt: &FeatureMatrix,
+    config: &TransErConfig,
+) -> Result<(FeatureMatrix, Vec<Label>)> {
+    validate(xs, ys, xt, config)?;
+    match transer_robust::fired(transer_robust::site::SEL_KNN) {
+        None | Some(transer_robust::FaultKind::Nan | transer_robust::FaultKind::Inf) => {
+            transer_trace::counter("sel.accepted", xs.rows() as u64);
+            Ok((xs.clone(), ys.to_vec()))
+        }
+        Some(_) => Ok((FeatureMatrix::empty(xs.cols()), Vec::new())),
+    }
+}
+
 /// Score every member of unique source row `u` from the group's weighted
 /// neighbour queries (`weighted_src` at budget `k + 1`, `weighted_tgt` at
 /// budget `k`, both over unique rows).

@@ -10,7 +10,7 @@
 //! the phase-level seam tests.
 
 use transer_common::{FeatureMatrix, Label};
-use transer_core::{select_instances_with_pool, TransEr, TransErConfig};
+use transer_core::{select_instances_with_pool, FallbackReason, TransEr, TransErConfig, Variant};
 use transer_ml::ClassifierKind;
 use transer_parallel::Pool;
 use transer_robust::{site, FaultKind};
@@ -106,6 +106,41 @@ fn every_site_and_kind_is_ok_or_typed_err() {
         assert_eq!(b.balanced_count, a.balanced_count);
         assert_eq!(b.fallbacks, a.fallbacks);
     }
+    transer_trace::set_enabled(false);
+}
+
+/// The "without SEL" ablation transfers every row without k-NN queries,
+/// yet its `sel.knn` seam fires once per run with the effect of scoring
+/// with every filter off: a float kind transfers every row, and any other
+/// kind starves the selection into the full-source fallback.
+#[test]
+fn without_sel_seam_fires_as_filter_free_scoring_did() {
+    let _guard = transer_robust::test_lock();
+    let (xs, ys, xt) = fixture();
+    let cfg = TransErConfig { k: 5, variant: Variant::without_sel(), ..Default::default() };
+    let filters_off = TransErConfig {
+        variant: Variant { use_sim_c: false, use_sim_l: false, use_sim_v: false, ..cfg.variant },
+        ..cfg
+    };
+    let t = TransEr::new(cfg, ClassifierKind::RandomForest, 7).unwrap();
+    transer_trace::set_enabled(true);
+    for fault in FaultKind::ALL {
+        transer_robust::set_plan(Some(&format!("{}:{}", site::SEL_KNN, fault.as_str())));
+        let scored = select_instances_with_pool(&xs, &ys, &xt, &filters_off, &Pool::new(1));
+        let _ = transer_trace::drain_report();
+        let out = t.fit_predict(&xs, &ys, &xt).unwrap();
+        let trace = out.trace.expect("a traced run");
+        assert_eq!(trace.counter("robust.fault.sel.knn"), 1, "{}", fault.as_str());
+        assert_eq!(trace.counter("knn.dedup.builds"), 0, "{}", fault.as_str());
+        let kept = scored.unwrap().indices.len();
+        let d = out.diagnostics;
+        assert_eq!(d.selected_count, kept, "{}", fault.as_str());
+        let starved = !matches!(fault, FaultKind::Nan | FaultKind::Inf);
+        assert_eq!(kept, if starved { 0 } else { xs.rows() }, "{}", fault.as_str());
+        assert_eq!(d.fallbacks.contains(FallbackReason::SelectionStarved), starved);
+        assert_eq!(trace.counter("sel.accepted"), kept as u64, "{}", fault.as_str());
+    }
+    transer_robust::set_plan(None);
     transer_trace::set_enabled(false);
 }
 

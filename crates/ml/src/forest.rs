@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use transer_common::{FeatureMatrix, Label, Result, RowInterning};
+use transer_common::{DistinctRows, FeatureMatrix, Label, Result};
 use transer_parallel::{CostHint, Pool};
 
 /// Estimated cost of fitting one tree, per training row: drives the grain
@@ -200,9 +200,9 @@ impl Classifier for RandomForest {
         }
         // Bitwise-equal rows reach the same leaf of every tree, so the
         // trees run once per distinct row and the result is broadcast.
-        let interning = RowInterning::of(x);
-        transer_trace::observe("ml.dedup.predict_expansion", interning.dedup_ratio());
-        let distinct = interning.unique();
+        let rows = DistinctRows::of(x);
+        transer_trace::observe("ml.dedup.predict_expansion", rows.dedup_ratio());
+        let distinct = &rows.unique;
         // Trees vote independently; the fold over per-tree outputs stays
         // sequential in tree order so the float sums are bit-identical for
         // every worker count.
@@ -218,7 +218,7 @@ impl Classifier for RandomForest {
         }
         let k = self.trees.len() as f64;
         probs.iter_mut().for_each(|p| *p /= k);
-        interning.to_unique().iter().map(|&u| probs[u as usize]).collect()
+        rows.to_unique.iter().map(|&u| probs[u as usize]).collect()
     }
 }
 
@@ -413,7 +413,7 @@ mod tests {
             rows.push(row);
         }
         let probes = FeatureMatrix::from_vecs(&rows).unwrap();
-        assert!(RowInterning::of(&probes).unique_rows() < probes.rows() / 2);
+        assert!(DistinctRows::of(&probes).unique.rows() < probes.rows() / 2);
         let got = rf.predict_proba(&probes);
         let k = rf.tree_count() as f64;
         for (i, row) in probes.iter_rows().enumerate() {

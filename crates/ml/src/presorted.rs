@@ -52,7 +52,7 @@
 //! fixed-size feature panels; panel outputs are reduced sequentially in
 //! candidate order, so results are independent of the worker count.
 
-use transer_common::{ColMajorMatrix, FeatureMatrix, Label, RowInterning};
+use transer_common::{ColMajorMatrix, DistinctRows, FeatureMatrix, Label};
 use transer_parallel::{CostHint, Pool};
 
 use crate::split::{best_feature_split, feature_cmp, fold_best, gini, SplitCandidate};
@@ -115,14 +115,14 @@ impl Presort {
         let (matrix, labels, entry_of) = if weighted {
             (ColMajorMatrix::from_matrix(x), y.to_vec(), (0..x.rows() as u32).collect())
         } else {
-            let interning = RowInterning::of(x);
-            let distinct = interning.unique();
+            let rows = DistinctRows::of(x);
+            let distinct = &rows.unique;
             // Entry id of each (distinct row, label) pair, by first occurrence.
             let mut slot = vec![u32::MAX; 2 * distinct.rows()];
             let mut firsts = FeatureMatrix::empty(x.cols());
             let mut labels = Vec::new();
-            let entry_of: Vec<u32> = interning
-                .to_unique()
+            let entry_of: Vec<u32> = rows
+                .to_unique
                 .iter()
                 .zip(y)
                 .map(|(&u, &label)| {

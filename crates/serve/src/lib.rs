@@ -221,11 +221,10 @@ impl MatchService {
             return Ok(BatchResponse::default());
         }
 
-        // Compare: candidate pairs into similarity features. The labels
-        // derived from entity ids are ground truth the serving path must
-        // not see; only the features flow onward.
-        let (mut x, _y) =
-            self.comparison.compare_pairs_with_pool(&self.records, batch, &pairs, pool)?;
+        // Compare: candidate pairs into similarity features only. Entity
+        // ids are ground truth the serving path must not see.
+        let mut x =
+            self.comparison.compare_features_with_pool(&self.records, batch, &pairs, pool)?;
         if let Some(kind @ (FaultKind::Nan | FaultKind::Inf)) = fault {
             transer_robust::corrupt_matrix(&mut x, kind);
         }

@@ -58,8 +58,6 @@ pub(crate) struct Scratch {
     padded: String,
     /// Packed-gram staging buffer for q-gram packing.
     grams: Vec<u64>,
-    /// Interned-id staging buffer for interned token and gram profiles.
-    ids: Vec<u32>,
     /// Multi-block Myers: `(scalar, pattern index)` pairs for mask
     /// construction, the sorted unique scalars, their per-block masks
     /// (row-major, `blocks` words per scalar), the vertical delta
@@ -85,7 +83,6 @@ impl Scratch {
             peq_unicode: Vec::new(),
             padded: String::new(),
             grams: Vec::new(),
-            ids: Vec::new(),
             mb_keys: Vec::new(),
             mb_chars: Vec::new(),
             mb_masks: Vec::new(),
@@ -507,26 +504,33 @@ pub(crate) fn packed_qgram_profile(s: &str, q: usize) -> Vec<u64> {
     })
 }
 
-/// The sorted distinct ids under `interner` of the whitespace tokens of
-/// `s` (`gram == None`) or of its padded `q`-grams (`Some(q)`), interned
-/// as the visitor yields them and returned in one exact-size allocation.
-pub(crate) fn interned_profile(
+/// Push the sorted distinct ids under `interner` of the whitespace tokens
+/// of `s` (`gram == None`) or of its padded `q`-grams (`Some(q)`) onto
+/// `out`, interned as the visitor yields them.
+pub(crate) fn push_interned_profile(
     s: &str,
     gram: Option<usize>,
     interner: &mut StrInterner,
-) -> Vec<u32> {
+    out: &mut Vec<u32>,
+) {
+    let start = out.len();
     with_scratch(|sc| {
-        let ids = &mut sc.ids;
-        ids.clear();
-        let intern = |t: &str| ids.push(interner.intern(t));
+        let intern = |t: &str| out.push(interner.intern(t));
         match gram {
             None => for_each_token(s, &mut sc.padded, intern),
             Some(q) => for_each_qgram(s, q, &mut sc.padded, intern),
         }
-        ids.sort_unstable();
-        ids.dedup();
-        ids.clone()
-    })
+    });
+    let profile = &mut out[start..];
+    profile.sort_unstable();
+    let mut len = 0;
+    for k in 0..profile.len() {
+        if k == 0 || profile[k] != profile[len - 1] {
+            profile[len] = profile[k];
+            len += 1;
+        }
+    }
+    out.truncate(start + len);
 }
 
 #[cfg(test)]
@@ -1059,14 +1063,17 @@ pub(crate) mod oracle {
                     reference.to_bits(),
                     "{m:?} prepared/reference on ({a:?}, {b:?})"
                 );
-                let ia = m.prepare_interned(a, &mut interner);
-                let ib = m.prepare_interned(b, &mut interner);
-                let interned = m.prepared(&ia, &ib);
-                assert_eq!(
-                    interned.to_bits(),
-                    reference.to_bits(),
-                    "{m:?} interned on ({a:?}, {b:?})"
-                );
+                if m.is_set() {
+                    let (mut ia, mut ib) = (Vec::new(), Vec::new());
+                    m.push_interned_set(a, &mut interner, &mut ia);
+                    m.push_interned_set(b, &mut interner, &mut ib);
+                    let interned = m.interned_set_score(&ia, &ib);
+                    assert_eq!(
+                        interned.to_bits(),
+                        reference.to_bits(),
+                        "{m:?} interned on ({a:?}, {b:?})"
+                    );
+                }
             }
         }
 
@@ -1128,19 +1135,19 @@ pub(crate) mod oracle {
         #[test]
         fn interner_id_assignment_cannot_change_scores() {
             let (a, b) = ("deep entity matching 1999", "entity matching deep 2003");
-            for m in ALL {
-                let mut fresh = StrInterner::new();
-                let pa = m.prepare_interned(a, &mut fresh);
-                let pb = m.prepare_interned(b, &mut fresh);
-                let fresh_score = m.prepared(&pa, &pb);
-
+            let score = |m: Measure, interner: &mut StrInterner| {
+                let (mut pa, mut pb) = (Vec::new(), Vec::new());
+                m.push_interned_set(a, interner, &mut pa);
+                m.push_interned_set(b, interner, &mut pb);
+                m.interned_set_score(&pa, &pb)
+            };
+            for m in ALL.into_iter().filter(Measure::is_set) {
+                let fresh_score = score(m, &mut StrInterner::new());
                 let mut seeded = StrInterner::new();
-                for w in ["zzz", "matching", "qqq", "entity", "2003"] {
+                for w in ["zzz", "matching", "qqq", "entity", "2003", "#en"] {
                     seeded.intern(w);
                 }
-                let qa = m.prepare_interned(a, &mut seeded);
-                let qb = m.prepare_interned(b, &mut seeded);
-                let seeded_score = m.prepared(&qa, &qb);
+                let seeded_score = score(m, &mut seeded);
 
                 assert_eq!(fresh_score.to_bits(), seeded_score.to_bits(), "{m:?}");
                 assert_eq!(fresh_score.to_bits(), super::text(m, a, b).to_bits(), "{m:?}");

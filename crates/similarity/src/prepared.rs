@@ -9,17 +9,18 @@
 //! the tests below pin down measure by measure.
 //!
 //! The set families prepare *sorted* profiles — sorted deduplicated
-//! token/gram vectors, q-grams packed into `u64`s for `q ≤ 3`, or
-//! interned `u32` ids when the caller supplies a [`StrInterner`] — and
-//! score them with `O(n + m)` merges. All set scores depend only on
-//! `(|A ∩ B|, |A|, |B|)` and every representation preserves exactly that
-//! structure, so they are bit-identical to one another and to the
-//! `HashSet` oracle in `kernel::oracle`.
+//! token/gram vectors, or q-grams packed into `u64`s for `q ≤ 3` — and
+//! score them with `O(n + m)` merges. [`Measure::push_interned_set`]
+//! writes the same profiles as interned `u32` ids into a caller's buffer,
+//! for callers that keep many profiles in one arena. All set scores
+//! depend only on `(|A ∩ B|, |A|, |B|)` and every representation
+//! preserves exactly that structure, so they are bit-identical to one
+//! another and to the `HashSet` oracle in `kernel::oracle`.
 
 use transer_common::StrInterner;
 
 use crate::jaccard::{sorted_token_profile, SetOp};
-use crate::kernel::{interned_profile, packed_qgram_profile, PACK_MAX_Q};
+use crate::kernel::{packed_qgram_profile, push_interned_profile, PACK_MAX_Q};
 use crate::monge_elkan::monge_elkan_tokens;
 use crate::qgram::{qgrams, tokens};
 use crate::{
@@ -30,8 +31,7 @@ use crate::{
 /// A textual value with the measure-specific per-value work already done.
 ///
 /// Produced by [`Measure::prepare`]; only meaningful when consumed by the
-/// *same* measure's [`Measure::prepared`] — and, for the id variants, by a
-/// value prepared through the same interner.
+/// *same* measure's [`Measure::prepared`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PreparedText {
     /// The raw string — character-level measures (Jaro, Jaro-Winkler,
@@ -43,12 +43,6 @@ pub enum PreparedText {
     SortedGrams(Vec<String>),
     /// Sorted packed padded q-grams (`q ≤ 3`, 21 bits per char).
     PackedGrams(Vec<u64>),
-    /// Sorted deduplicated interned token ids. Ids are only comparable
-    /// against values interned by the same [`StrInterner`].
-    TokenIds(Vec<u32>),
-    /// Sorted deduplicated interned q-gram ids; same same-interner
-    /// contract as [`PreparedText::TokenIds`].
-    GramIds(Vec<u32>),
     /// Token list in order (Monge-Elkan).
     TokenList(Vec<String>),
     /// Soundex code.
@@ -63,7 +57,6 @@ fn token_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
     use PreparedText as P;
     match (a, b) {
         (P::SortedTokens(x), P::SortedTokens(y)) => Some(op.sorted(x, y)),
-        (P::TokenIds(x), P::TokenIds(y)) => Some(op.sorted(x, y)),
         _ => None,
     }
 }
@@ -75,7 +68,6 @@ fn gram_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
     match (a, b) {
         (P::SortedGrams(x), P::SortedGrams(y)) => Some(op.sorted(x, y)),
         (P::PackedGrams(x), P::PackedGrams(y)) => Some(op.sorted(x, y)),
-        (P::GramIds(x), P::GramIds(y)) => Some(op.sorted(x, y)),
         _ => None,
     }
 }
@@ -107,42 +99,50 @@ impl Measure {
         }
     }
 
-    /// [`Measure::prepare`] using `interner` for the token and q-gram
-    /// profiles (`q > 3`), producing dense `u32` id profiles instead of
-    /// string profiles.
-    ///
-    /// Tokens and grams are interned as [`crate::for_each_token`] and
-    /// [`crate::for_each_qgram`] yield them, with no string collected
-    /// first. Ids are
-    /// assigned in first-appearance order, so two prepared values
-    /// are only comparable when prepared through the **same** interner —
-    /// the per-shard contract of the comparison step. Scores are still
-    /// independent of the id assignment (only id equality is consulted),
-    /// hence bit-identical across interners and to the other
-    /// representations.
-    pub fn prepare_interned(&self, s: &str, interner: &mut StrInterner) -> PreparedText {
+    /// Whether this is a set measure — token or q-gram Jaccard, Dice or
+    /// overlap — whose values [`Measure::push_interned_set`] profiles.
+    pub fn is_set(&self) -> bool {
+        self.set_kind().is_some()
+    }
+
+    /// A set measure's operation, and its q-gram length (`None` for
+    /// whitespace tokens).
+    fn set_kind(&self) -> Option<(SetOp, Option<usize>)> {
         match *self {
-            Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap => {
-                PreparedText::TokenIds(interned_profile(s, None, interner))
-            }
-            Measure::QgramJaccard(q) | Measure::QgramDice(q) if q > PACK_MAX_Q => {
-                PreparedText::GramIds(interned_profile(s, Some(q), interner))
-            }
-            _ => self.prepare(s),
+            Measure::TokenJaccard => Some((SetOp::Jaccard, None)),
+            Measure::TokenDice => Some((SetOp::Dice, None)),
+            Measure::TokenOverlap => Some((SetOp::Overlap, None)),
+            Measure::QgramJaccard(q) => Some((SetOp::Jaccard, Some(q))),
+            Measure::QgramDice(q) => Some((SetOp::Dice, Some(q))),
+            _ => None,
         }
     }
 
-    /// [`Measure::prepare_interned`] taking ownership of the string, so
-    /// the Raw family (Jaro, Jaro-Winkler, Levenshtein, LCS, Exact) moves
-    /// it instead of cloning.
-    pub fn prepare_owned_interned(&self, s: String, interner: &mut StrInterner) -> PreparedText {
-        match *self {
-            Measure::Jaro
-            | Measure::JaroWinkler
-            | Measure::Levenshtein
-            | Measure::Lcs
-            | Measure::Exact => PreparedText::Raw(s),
-            _ => self.prepare_interned(&s, interner),
+    /// For a set measure ([`Measure::is_set`]), push the sorted distinct
+    /// ids of the whitespace tokens (or padded q-grams) of `s`, interned
+    /// through `interner` as [`crate::for_each_token`] and
+    /// [`crate::for_each_qgram`] yield them, onto `out`. Any other measure
+    /// pushes nothing.
+    ///
+    /// Ids follow first appearance in `interner`, so two profiles are
+    /// comparable only when interned through the **same** interner. A set
+    /// score consults id equality only, so
+    /// [`Measure::interned_set_score`] is bit-identical to
+    /// [`Measure::text`] whatever ids the interner assigned.
+    pub fn push_interned_set(&self, s: &str, interner: &mut StrInterner, out: &mut Vec<u32>) {
+        if let Some((_, gram)) = self.set_kind() {
+            push_interned_profile(s, gram, interner, out);
+        }
+    }
+
+    /// Score two profiles written by [`Measure::push_interned_set`]
+    /// through one interner — exactly (bit-for-bit) `self.text(a, b)` on
+    /// the original strings. A measure that is not a set measure scores 0
+    /// and bumps the `similarity.prepared.mismatch` counter.
+    pub fn interned_set_score(&self, a: &[u32], b: &[u32]) -> f64 {
+        match self.set_kind() {
+            Some((op, _)) => op.sorted(a, b),
+            None => mismatch(),
         }
     }
 
@@ -154,13 +154,6 @@ impl Measure {
     /// family) score 0 and bump the `similarity.prepared.mismatch` counter.
     pub fn prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
         use PreparedText as P;
-        let mismatch = || {
-            // Mismatched preparations cannot arise from the comparison
-            // step (it prepares per measure); treat API misuse as
-            // zero similarity instead of panicking, and leave a trace.
-            transer_trace::counter("similarity.prepared.mismatch", 1);
-            0.0
-        };
         match (*self, a, b) {
             (Measure::Jaro, P::Raw(x), P::Raw(y)) => jaro(x, y),
             (Measure::JaroWinkler, P::Raw(x), P::Raw(y)) => jaro_winkler(x, y),
@@ -214,6 +207,14 @@ impl Measure {
     pub fn number_native(&self) -> bool {
         matches!(self, Measure::Numeric(_) | Measure::Year | Measure::Exact)
     }
+}
+
+/// Mismatched preparations cannot arise from the comparison step (it
+/// prepares per measure); treat API misuse as zero similarity instead of
+/// panicking, and leave a trace.
+fn mismatch() -> f64 {
+    transer_trace::counter("similarity.prepared.mismatch", 1);
+    0.0
 }
 
 #[cfg(test)]
@@ -292,14 +293,20 @@ mod tests {
     }
 
     #[test]
-    fn interned_preparation_is_bit_identical() {
-        for m in ALL {
+    fn interned_sets_are_bit_identical() {
+        for m in ALL.into_iter().filter(Measure::is_set) {
+            // Every profile in one arena, as the comparison step keeps them.
             let mut interner = StrInterner::new();
+            let mut arena = Vec::new();
+            let mut ranges = Vec::new();
             for a in SAMPLES {
-                for b in SAMPLES {
-                    let pa = m.prepare_interned(a, &mut interner);
-                    let pb = m.prepare_interned(b, &mut interner);
-                    let via = m.prepared(&pa, &pb);
+                let start = arena.len();
+                m.push_interned_set(a, &mut interner, &mut arena);
+                ranges.push(start..arena.len());
+            }
+            for (a, ra) in SAMPLES.iter().zip(&ranges) {
+                for (b, rb) in SAMPLES.iter().zip(&ranges) {
+                    let via = m.interned_set_score(&arena[ra.clone()], &arena[rb.clone()]);
                     let direct = oracle::text(m, a, b);
                     assert!(
                         direct.to_bits() == via.to_bits(),
@@ -311,24 +318,30 @@ mod tests {
     }
 
     #[test]
-    fn interned_qgram_profiles_use_ids_only_above_pack_limit() {
-        let mut interner = StrInterner::new();
-        let p3 = Measure::QgramJaccard(3).prepare_interned("abc", &mut interner);
-        assert!(matches!(p3, PreparedText::PackedGrams(_)), "{p3:?}");
-        let p4 = Measure::QgramJaccard(4).prepare_interned("abc", &mut interner);
-        assert!(matches!(p4, PreparedText::GramIds(_)), "{p4:?}");
-    }
-
-    #[test]
-    fn prepare_owned_moves_raw_values() {
-        let mut interner = StrInterner::new();
-        for m in [Measure::Jaro, Measure::Levenshtein, Measure::Exact, Measure::Lcs] {
-            let p = m.prepare_owned_interned("martha".to_string(), &mut interner);
-            assert_eq!(p, PreparedText::Raw("martha".to_string()), "{m:?}");
+    fn interned_sets_append_sorted_distinct_ids() {
+        let set_measures = [
+            Measure::TokenJaccard,
+            Measure::TokenDice,
+            Measure::TokenOverlap,
+            Measure::QgramJaccard(2),
+            Measure::QgramDice(3),
+            Measure::QgramJaccard(4),
+        ];
+        for m in ALL.into_iter().chain(set_measures) {
+            assert_eq!(m.is_set(), set_measures.contains(&m), "{m:?}");
+            let mut interner = StrInterner::new();
+            for w in ["b", "a", "##a"] {
+                interner.intern(w);
+            }
+            let mut out = vec![9, 3];
+            m.push_interned_set("a b a b", &mut interner, &mut out);
+            assert_eq!(out[..2], [9, 3], "{m:?} touched what was already there");
+            assert_eq!(out.len() > 2, m.is_set(), "{m:?}: {out:?}");
+            assert!(out[2..].windows(2).all(|w| w[0] < w[1]), "{m:?}: {out:?}");
         }
-        // Non-raw families still prepare their own representation.
-        let p = Measure::Year.prepare_owned_interned("1999".to_string(), &mut interner);
-        assert_eq!(p, PreparedText::Parsed(Some(1999.0)));
+        let mut out = Vec::new();
+        Measure::TokenJaccard.push_interned_set("b a b a", &mut StrInterner::new(), &mut out);
+        assert_eq!(out, [0, 1]);
     }
 
     #[test]
@@ -341,10 +354,11 @@ mod tests {
             Measure::Numeric(5.0).prepared(&token_set, &Measure::Numeric(5.0).prepare("1")),
             0.0
         );
-        // Cross-representation pairs mismatch too (sorted strings vs ids).
-        let sorted = Measure::TokenJaccard.prepare("a b c");
-        let ids = Measure::TokenJaccard.prepare_interned("a b c", &mut StrInterner::new());
-        assert_eq!(Measure::TokenJaccard.prepared(&sorted, &ids), 0.0);
+        // Cross-representation pairs mismatch too (sorted tokens vs packed
+        // grams), and so do id profiles under a measure without them.
+        let grams = Measure::QgramJaccard(2).prepare("a b c");
+        assert_eq!(Measure::TokenJaccard.prepared(&token_set, &grams), 0.0);
+        assert_eq!(Measure::Jaro.interned_set_score(&[0, 1], &[0, 1]), 0.0);
     }
 
     #[test]
