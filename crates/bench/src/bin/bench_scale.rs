@@ -14,18 +14,15 @@
 //! The child also reports a hash of its final labels; the parent asserts
 //! the hash is identical across worker counts at each rung, turning the
 //! ladder into an end-to-end bit-identity check of the parallel wiring.
-//! Each rung's hash is additionally compared against the committed
-//! `results/BENCH_scale.json` baseline, so a kernel rewrite that changes
-//! any score anywhere in the ladder fails loudly; `--rebaseline` skips
-//! the comparison when a behaviour change is intentional.
+//! Tier-1 gates the smoke artefact, hashes included, against a blessed
+//! copy with `trace_diff --gate` (see `scripts/tier1.sh`).
 //!
-//! `--smoke` runs the 10^4 rung only (workers 1 and 2), asserts a finite
-//! records/sec figure and validates the written JSON — the tier-1 hook.
+//! `--smoke` runs the 10^4 rung only (workers 1 and 2) and asserts a
+//! finite records/sec figure — the tier-1 hook.
 
 use std::process::Command;
 use std::time::Instant;
 
-use transer_bench::peak_rss_bytes;
 use transer_blocking::MinHashLsh;
 use transer_common::{Label, Record};
 use transer_core::{TransEr, TransErConfig};
@@ -33,7 +30,7 @@ use transer_datagen::{ScaleConfig, ScaleGen};
 use transer_ml::ClassifierKind;
 use transer_parallel::Pool;
 use transer_trace::json::{self, obj, Json};
-use transer_trace::RunLedger;
+use transer_trace::ledger::peak_rss_bytes;
 
 /// Env var carrying the rows-per-domain figure to a grid-cell child.
 const CHILD_ENV: &str = "TRANSER_BENCH_SCALE_CHILD";
@@ -138,26 +135,6 @@ fn num(cell: &Json, key: &str) -> f64 {
     cell.get(key).and_then(Json::as_num).unwrap_or(f64::NAN)
 }
 
-/// The committed artefact that carries the per-rung baseline hashes.
-const BASELINE_PATH: &str = "results/BENCH_scale.json";
-
-/// Per-rung `rows → label_hash` from an earlier artefact (empty when the
-/// file is missing or unreadable — first run on a fresh checkout).
-fn baseline_hashes(path: &str) -> Vec<(f64, String)> {
-    let Ok(text) = std::fs::read_to_string(path) else { return Vec::new() };
-    let Ok(doc) = json::parse(&text) else { return Vec::new() };
-    let Some(cells) = doc.get("cells").and_then(Json::as_arr) else { return Vec::new() };
-    let mut out: Vec<(f64, String)> = Vec::new();
-    for cell in cells {
-        let rows = num(cell, "rows");
-        let Some(hash) = cell.get("label_hash").and_then(Json::as_str) else { continue };
-        if !out.iter().any(|(r, _)| *r == rows) {
-            out.push((rows, hash.to_string()));
-        }
-    }
-    out
-}
-
 fn main() {
     if let Ok(rows) = std::env::var(CHILD_ENV) {
         match rows.parse::<usize>() {
@@ -170,13 +147,10 @@ fn main() {
         return;
     }
 
-    let mut ledger = RunLedger::new("bench_scale");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let rebaseline = args.iter().any(|a| a == "--rebaseline");
-    let path = transer_trace::ledger::out_path(&args, BASELINE_PATH);
+    let path = transer_trace::ledger::out_path(&args, "results/BENCH_scale.json");
     let path = path.as_str();
-    let committed = if rebaseline { Vec::new() } else { baseline_hashes(BASELINE_PATH) };
     let (rung_list, worker_list): (&[usize], &[usize]) =
         if smoke { (&[10_000], &[1, 2]) } else { (&[10_000, 100_000, 1_000_000], &[1, 4, 8]) };
 
@@ -209,15 +183,6 @@ fn main() {
             }
             let speedup = baseline_secs / secs;
             let hash = cell.get("label_hash").and_then(Json::as_str).unwrap_or("").to_string();
-            if let Some((_, expect)) = committed.iter().find(|(r, _)| *r == rows as f64) {
-                if *expect != hash {
-                    eprintln!(
-                        "bench_scale: BASELINE HASH MISMATCH at rows={rows} workers={workers}: \
-                         {hash} != committed {expect} (pass --rebaseline if intentional)"
-                    );
-                    failed = true;
-                }
-            }
             match &baseline_hash {
                 None => baseline_hash = Some(hash),
                 Some(expect) if *expect != hash => {
@@ -260,23 +225,7 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {path}");
-    ledger.set_summary(obj(vec![
-        ("out", Json::Str(path.to_string())),
-        (
-            "cells",
-            Json::Num(report.get("cells").and_then(Json::as_arr).map_or(0, <[Json]>::len) as f64),
-        ),
-    ]));
 
-    if smoke {
-        // Round-trip the artefact through the parser: the file must be
-        // valid JSON with a non-empty cell grid.
-        let text = std::fs::read_to_string(path).expect("re-read artefact");
-        let parsed = json::parse(&text).expect("artefact must parse");
-        let n = parsed.get("cells").and_then(Json::as_arr).map_or(0, <[Json]>::len);
-        assert!(n > 0, "smoke grid produced no cells");
-        println!("smoke OK: {n} cells validated");
-    }
     if failed {
         std::process::exit(1);
     }

@@ -1,9 +1,9 @@
 //! The single home for `TRANSER_*` environment-variable reads.
 //!
 //! Every knob the workspace honours is declared here, and every read goes
-//! through [`raw`] / [`parsed`] / [`parsed_with`], which emit a structured
-//! warning through `transer-trace` when a variable is *set but unusable*
-//! instead of silently falling back. The call sites keep their own
+//! through [`raw`] or [`parsed`]; [`parsed`] emits a structured warning
+//! through `transer-trace` when a variable is *set but unusable* instead
+//! of silently falling back. The call sites keep their own
 //! fallback semantics (and their own read-once caching where they need
 //! it); this module standardises reading and diagnostics.
 //!
@@ -13,10 +13,6 @@
 //! | `TRANSER_TRACE` | enable structured tracing |
 //! | `TRANSER_ALLOC_TRACE` | enable allocation profiling (per-span alloc counts/bytes) |
 //! | `TRANSER_FAULT` | fault injection: `<site>:<kind>[:<rate>:<seed>]` |
-//! | `TRANSER_GRAIN` | dispatch grain threshold in ns; `0` = always pool, `inf` = always inline |
-//! | `TRANSER_SERVE_MODEL` | serving: path of the persisted model artefact |
-//! | `TRANSER_SERVE_INDEX` | serving: path of the persisted LSH index artefact |
-//! | `TRANSER_SERVE_BATCH` | serving: records per query batch (default 256) |
 
 /// Worker count for the parallel pool (unset/`0`/unparsable → all cores).
 pub const THREADS: &str = "TRANSER_THREADS";
@@ -27,16 +23,6 @@ pub const TRACE: &str = "TRANSER_TRACE";
 pub const ALLOC_TRACE: &str = "TRANSER_ALLOC_TRACE";
 /// Fault-injection plan (`transer-robust`): `<site>:<kind>[:<rate>:<seed>]`.
 pub const FAULT: &str = "TRANSER_FAULT";
-/// Grain-dispatch override (`transer-parallel`): an inline threshold in
-/// nanoseconds, `0` = always pool, `inf` = always inline.
-pub const GRAIN: &str = "TRANSER_GRAIN";
-/// Serving: path of the persisted model artefact (`transer-serve` /
-/// `bench_serve`).
-pub const SERVE_MODEL: &str = "TRANSER_SERVE_MODEL";
-/// Serving: path of the persisted LSH index artefact.
-pub const SERVE_INDEX: &str = "TRANSER_SERVE_INDEX";
-/// Serving: records per query batch (default 256).
-pub const SERVE_BATCH: &str = "TRANSER_SERVE_BATCH";
 
 /// The trimmed value of `var`, or `None` when unset, empty or not UTF-8.
 pub fn raw(var: &str) -> Option<String> {
@@ -49,19 +35,8 @@ pub fn raw(var: &str) -> Option<String> {
 /// unparsable, warns through the trace layer and returns `None` (the call
 /// site applies its fallback).
 pub fn parsed<T: std::str::FromStr>(var: &str, expected: &str, fallback: &str) -> Option<T> {
-    parsed_with(var, |s| s.parse().ok(), expected, fallback)
-}
-
-/// Parse `var` with a custom parser. Same unset/invalid semantics as
-/// [`parsed`].
-pub fn parsed_with<T>(
-    var: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-    expected: &str,
-    fallback: &str,
-) -> Option<T> {
     let value = raw(var)?;
-    let result = parse(&value);
+    let result = value.parse().ok();
     if result.is_none() {
         transer_trace::warn_invalid_env(var, &value, expected, fallback);
     }
@@ -97,7 +72,7 @@ mod tests {
     fn invalid_value_is_recorded_in_the_trace_report() {
         transer_trace::set_enabled(true);
         std::env::set_var("TRANSER_TEST_WARNED", "nonsense");
-        let got = parsed_with("TRANSER_TEST_WARNED", |s| s.parse::<u32>().ok(), "an integer", "42");
+        let got = parsed::<u32>("TRANSER_TEST_WARNED", "an integer", "42");
         assert_eq!(got, None);
         let report = transer_trace::drain_report();
         transer_trace::set_enabled(false);

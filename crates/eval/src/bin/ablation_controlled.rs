@@ -4,8 +4,6 @@ use transer_eval::{controlled, Options};
 use transer_trace::json::Json;
 
 fn main() {
-    // Appends one provenance record to results/ledger.jsonl on exit.
-    let _ledger = transer_trace::RunLedger::new("ablation_controlled");
     let opts = Options::from_env();
     match controlled::conflict_sweep(&opts) {
         Ok(points) => {

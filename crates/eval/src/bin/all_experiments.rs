@@ -5,8 +5,6 @@ use transer_eval::{
 };
 
 fn main() {
-    // Appends one provenance record to results/ledger.jsonl on exit.
-    let _ledger = transer_trace::RunLedger::new("all_experiments");
     let opts = Options::from_env();
     let run = |name: &str, body: &mut dyn FnMut() -> Result<String, transer_common::Error>| {
         eprintln!(">>> {name}");

@@ -3,8 +3,6 @@ use transer_eval::{sensitivity, Options};
 use transer_trace::json::Json;
 
 fn main() {
-    // Appends one provenance record to results/ledger.jsonl on exit.
-    let _ledger = transer_trace::RunLedger::new("fig6");
     let opts = Options::from_env();
     match sensitivity::fig6(&opts) {
         Ok(series) => {

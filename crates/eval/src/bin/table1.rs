@@ -3,8 +3,6 @@ use transer_eval::{characteristics, Options};
 use transer_trace::json::Json;
 
 fn main() {
-    // Appends one provenance record to results/ledger.jsonl on exit.
-    let _ledger = transer_trace::RunLedger::new("table1");
     let opts = Options::from_env();
     match characteristics::table1(&opts) {
         Ok(rows) => {

@@ -2,8 +2,6 @@
 use transer_eval::{quality, Options};
 
 fn main() {
-    // Appends one provenance record to results/ledger.jsonl on exit.
-    let _ledger = transer_trace::RunLedger::new("table2");
     let opts = Options::from_env();
     eprintln!(
         "Running Table 2 at scale {} with {} classifier(s); this is the heavyweight experiment...",

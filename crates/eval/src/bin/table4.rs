@@ -3,8 +3,6 @@ use transer_eval::{ablation, Options};
 use transer_trace::json::Json;
 
 fn main() {
-    // Appends one provenance record to results/ledger.jsonl on exit.
-    let _ledger = transer_trace::RunLedger::new("table4");
     let opts = Options::from_env();
     match ablation::table4(&opts) {
         Ok(rows) => {

@@ -8,7 +8,8 @@
 //!   side counters, span-tree shape, allocation counters, and any
 //!   non-timing value in a generic artefact — must match *exactly*;
 //! * **timing** fields — span seconds, histogram `sum`/`min`/`max`, and
-//!   keys with a wall-clock word (`secs`, `ns`, `speedup`, ...) — are
+//!   values whose path has a wall-clock word (`secs`, `ns`, `speedup`,
+//!   ...) in any segment, such as `phase_secs.sel` — are
 //!   tolerance-banded: flagged only when the ratio exceeds
 //!   `--time-tol` (default 3×) *and* the absolute gap exceeds 50 ms
 //!   (`--mean-tol` sets the relative band for histogram statistics,
@@ -331,14 +332,18 @@ fn diff_hist(name: &str, a: &Json, b: &Json, tol: &Tolerances, diffs: &mut Vec<D
     }
 }
 
-/// A key that carries wall-clock measurements in the bench artefacts; such
+/// A path that carries wall-clock measurements in the bench artefacts; such
 /// values drift run to run and get the timing band instead of exact
-/// comparison. Whole `_`-separated words of the last key match
-/// (`build_secs`, `peak_rss_bytes`), so `items` or `transfers` stay exact.
+/// comparison. Whole `_`-separated words of any `.`-separated segment
+/// match (`build_secs`, `peak_rss_bytes`, every field of a `phase_secs`
+/// object), so `items` or `transfers` stay exact.
 fn is_timing_key(path: &str) -> bool {
-    let last = path.rsplit('.').next().unwrap_or(path);
-    let last = last.split('[').next().unwrap_or(last);
-    last.split('_').any(|w| ["secs", "sec", "ns", "nanos", "ms", "speedup", "rss"].contains(&w))
+    path.split('.').any(|segment| {
+        let segment = segment.split('[').next().unwrap_or(segment);
+        segment
+            .split('_')
+            .any(|w| ["secs", "sec", "ns", "nanos", "ms", "speedup", "rss"].contains(&w))
+    })
 }
 
 fn diff_generic(path: &str, a: &Json, b: &Json, tol: &Tolerances, diffs: &mut Vec<Diff>) {
@@ -428,9 +433,12 @@ mod tests {
         let (a, b) = (r#"{"items": 100, "transfers": 10}"#, r#"{"items": 250, "transfers": 25}"#);
         assert_eq!(gating(a, b), 2);
         assert_eq!(gating(r#"{"count": 100}"#, r#"{"count": 250}"#), 1);
+        let cell = |hash: &str| format!(r#"{{"cells": [{{"label_hash": "{hash}"}}]}}"#);
+        assert_eq!(gating(&cell("c167699c4dbb9688"), &cell("c167699c4dbb9689")), 1);
         for key in ["items", "transfers", "tokens", "invocations", "rows[3].items"] {
             assert!(!is_timing_key(key), "{key}");
         }
+        assert!(!is_timing_key("cells[0].label_hash"));
     }
 
     #[test]
@@ -441,6 +449,8 @@ mod tests {
             "direct_ns_per_pair",
             "batch_latency_ms",
             "peak_rss_bytes",
+            "cells[0].phase_secs.sel",
+            "rungs[0].cells[0].batch_latency_ms.p50",
         ] {
             for path in [key.to_string(), format!("cells[2].{key}"), format!("x.{key}[1]")] {
                 assert!(is_timing_key(&path), "{path}");
@@ -448,5 +458,9 @@ mod tests {
             assert_eq!(gating(&format!(r#"{{"{key}": 1.0}}"#), &format!(r#"{{"{key}": 2.0}}"#)), 0);
             assert_eq!(gating(&format!(r#"{{"{key}": 1.0}}"#), &format!(r#"{{"{key}": 9.0}}"#)), 1);
         }
+        // A field nested under a timing object, as `bench_scale` writes it.
+        let nested = |v: f64| format!(r#"{{"cells": [{{"phase_secs": {{"sel": {v}}}}}]}}"#);
+        assert_eq!(gating(&nested(1.0), &nested(2.0)), 0);
+        assert_eq!(gating(&nested(1.0), &nested(9.0)), 1);
     }
 }

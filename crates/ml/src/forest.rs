@@ -6,9 +6,9 @@ use transer_common::{DistinctRows, FeatureMatrix, Label, Result};
 use transer_parallel::{CostHint, Pool};
 
 /// Estimated cost of fitting one tree, per training row: drives the grain
-/// hint that decides whether per-tree training fans out. `bench_grain`
-/// measures ~60 ns/tree-row at bench scale (the presorted engine fits
-/// much faster than a naive estimate suggests).
+/// hint that decides whether per-tree training fans out.
+/// `results/BENCH_grain.json` records ~60 ns/tree-row at bench scale (the
+/// presorted engine fits much faster than a naive estimate suggests).
 const TREE_FIT_ROW_NANOS: u64 = 100;
 
 /// Estimated cost of one tree predicting one row (a depth-bounded

@@ -16,28 +16,27 @@
 //!
 //! # Calibration
 //!
-//! All constants live in the one table below and were calibrated with the
-//! `bench_grain` bin (see `results/BENCH_grain.json` and EXPERIMENTS.md):
-//! per-class per-item estimates only need to be right to within an order
-//! of magnitude, because the inline threshold sits two orders of magnitude
-//! above the measured spawn/merge overhead.
+//! All constants live in the one table below. They date from a
+//! calibration run against kernels several times slower than today's
+//! (`results/BENCH_grain.json`, kept as history): [`MEDIUM_NANOS`] assumes
+//! 30 µs per MinHash value, where about 3 µs per distinct value is
+//! measured now. A per-class estimate only needs to be right to within an
+//! order of magnitude, because the inline threshold sits two orders of
+//! magnitude above the measured spawn/merge overhead. A recalibration
+//! should take seconds per item at each call site from traced spans.
 //!
-//! # Overrides
+//! # Pinning the policy in tests
 //!
-//! `TRANSER_GRAIN` overrides the policy at runtime: `0` forces every call
-//! through the pooled path, `inf` forces every call inline, and any other
-//! positive number replaces [`INLINE_THRESHOLD_NANOS`]. Tests override
-//! per-pool via [`Pool::with_grain`](crate::Pool::with_grain) instead, so
-//! they never race on process-global state.
+//! Production pools run [`GrainMode::Auto`]. Tests pin
+//! [`GrainMode::AlwaysInline`] or [`GrainMode::AlwaysPool`] per pool via
+//! [`Pool::with_grain`](crate::Pool::with_grain) to check that both paths
+//! give bit-identical results; to move an `Auto` call across the
+//! boundary, they size its hint at [`INLINE_THRESHOLD_NANOS`].
 
 use std::sync::OnceLock;
 
-/// Environment variable overriding the dispatch policy (see module docs).
-pub const GRAIN_ENV: &str = transer_common::env::GRAIN;
-
 // ---------------------------------------------------------------------
-// The calibration table. Sources: `bench_grain` on the development
-// container (results/BENCH_grain.json); methodology in EXPERIMENTS.md.
+// The calibration table (see "Calibration" above).
 // ---------------------------------------------------------------------
 
 /// Estimated per-item cost of a [`CostClass::Trivial`] item (integer or
@@ -133,55 +132,15 @@ impl CostHint {
 }
 
 /// The dispatch policy in force for a pool: the automatic threshold rule,
-/// or one of the `TRANSER_GRAIN` overrides.
+/// or one of the two paths pinned by a test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrainMode {
-    /// Inline below the calibrated threshold, pool above it.
+    /// Inline below [`INLINE_THRESHOLD_NANOS`], pool at or above it.
     Auto,
-    /// `TRANSER_GRAIN=0`: every multi-item call takes the pooled path.
+    /// Every multi-item call takes the pooled path.
     AlwaysPool,
-    /// `TRANSER_GRAIN=inf`: every call runs inline on the caller thread.
+    /// Every call runs inline on the caller thread.
     AlwaysInline,
-    /// `TRANSER_GRAIN=<nanos>`: [`GrainMode::Auto`] with a custom inline
-    /// threshold.
-    Threshold(u64),
-}
-
-impl GrainMode {
-    /// Parse a `TRANSER_GRAIN` value: `0` = always pool, `inf` = always
-    /// inline, any other positive number = a threshold in nanoseconds.
-    pub fn parse(value: &str) -> Option<GrainMode> {
-        let v: f64 = value.trim().parse().ok()?;
-        if v == 0.0 {
-            Some(GrainMode::AlwaysPool)
-        } else if v.is_infinite() && v > 0.0 {
-            Some(GrainMode::AlwaysInline)
-        } else if v.is_finite() && v > 0.0 {
-            Some(GrainMode::Threshold(v as u64))
-        } else {
-            None
-        }
-    }
-
-    /// Read `TRANSER_GRAIN` through `transer_common::env` *right now* (no
-    /// caching): unset or invalid (with a structured warning) → `Auto`.
-    /// The dispatch path uses the once-per-process [`GrainMode::from_env`];
-    /// this uncached form exists so tests can exercise the round-trip.
-    pub fn from_env_now() -> GrainMode {
-        transer_common::env::parsed_with(
-            GRAIN_ENV,
-            GrainMode::parse,
-            "a threshold in ns, `0` (always pool) or `inf` (always inline)",
-            "auto",
-        )
-        .unwrap_or(GrainMode::Auto)
-    }
-
-    /// The process-wide mode from `TRANSER_GRAIN`, read once.
-    pub fn from_env() -> GrainMode {
-        static MODE: OnceLock<GrainMode> = OnceLock::new();
-        *MODE.get_or_init(GrainMode::from_env_now)
-    }
 }
 
 /// The machine's available parallelism, read once. When the host has a
@@ -192,8 +151,8 @@ fn hardware_parallelism() -> usize {
 }
 
 /// Should this call take the pooled path? `workers` is the pool's
-/// effective worker count. Single-item calls always inline; mode overrides
-/// win; the auto rule inlines when either the pool or the hardware is
+/// effective worker count. Single-item calls always inline; a pinned mode
+/// wins; the auto rule inlines when either the pool or the hardware is
 /// effectively sequential, or when the estimated work is under threshold.
 pub fn should_pool(hint: &CostHint, workers: usize, mode: GrainMode) -> bool {
     if hint.items() <= 1 {
@@ -202,15 +161,11 @@ pub fn should_pool(hint: &CostHint, workers: usize, mode: GrainMode) -> bool {
     match mode {
         GrainMode::AlwaysInline => false,
         GrainMode::AlwaysPool => true,
-        GrainMode::Auto | GrainMode::Threshold(_) => {
+        GrainMode::Auto => {
             if workers == 1 || hardware_parallelism() == 1 {
                 return false;
             }
-            let threshold = match mode {
-                GrainMode::Threshold(t) => t,
-                _ => INLINE_THRESHOLD_NANOS,
-            };
-            hint.estimated_nanos() >= threshold
+            hint.estimated_nanos() >= INLINE_THRESHOLD_NANOS
         }
     }
 }
@@ -251,21 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_the_documented_forms() {
-        assert_eq!(GrainMode::parse("0"), Some(GrainMode::AlwaysPool));
-        assert_eq!(GrainMode::parse("0.0"), Some(GrainMode::AlwaysPool));
-        assert_eq!(GrainMode::parse("inf"), Some(GrainMode::AlwaysInline));
-        assert_eq!(GrainMode::parse("INF"), Some(GrainMode::AlwaysInline));
-        assert_eq!(GrainMode::parse("infinity"), Some(GrainMode::AlwaysInline));
-        assert_eq!(GrainMode::parse("250000"), Some(GrainMode::Threshold(250_000)));
-        assert_eq!(GrainMode::parse("1e6"), Some(GrainMode::Threshold(1_000_000)));
-        assert_eq!(GrainMode::parse(" 42 "), Some(GrainMode::Threshold(42)));
-        for bad in ["-1", "-inf", "nan", "many", ""] {
-            assert_eq!(GrainMode::parse(bad), None, "{bad:?}");
-        }
-    }
-
-    #[test]
     fn overrides_beat_the_threshold_rule() {
         let tiny = CostHint::new(10, CostClass::Trivial);
         let huge = CostHint::new(1_000_000, CostClass::Medium);
@@ -279,37 +219,19 @@ mod tests {
     }
 
     #[test]
-    fn transer_grain_round_trips_through_common_env() {
-        // Reads the real variable uncached and restores it at the end.
-        // Only this test reads `TRANSER_GRAIN` uncached; a racy cached
-        // initialisation elsewhere cannot change observable results
-        // because every dispatch mode is bit-identical.
-        std::env::set_var(GRAIN_ENV, "0");
-        assert_eq!(GrainMode::from_env_now(), GrainMode::AlwaysPool);
-        std::env::set_var(GRAIN_ENV, "inf");
-        assert_eq!(GrainMode::from_env_now(), GrainMode::AlwaysInline);
-        std::env::set_var(GRAIN_ENV, "750000");
-        assert_eq!(GrainMode::from_env_now(), GrainMode::Threshold(750_000));
-        std::env::set_var(GRAIN_ENV, "gravel");
-        assert_eq!(GrainMode::from_env_now(), GrainMode::Auto); // warns, falls back
-        std::env::remove_var(GRAIN_ENV);
-        assert_eq!(GrainMode::from_env_now(), GrainMode::Auto);
-    }
-
-    #[test]
     fn auto_rule_respects_workers_and_threshold() {
         let big = CostHint::new(1_000_000, CostClass::Medium);
         assert!(!should_pool(&big, 1, GrainMode::Auto), "one worker is sequential");
         let small = CostHint::new(4, CostClass::Trivial);
         assert!(!should_pool(&small, 8, GrainMode::Auto), "under threshold inlines");
-        // A custom threshold moves the boundary: 10 trivial items pool when
-        // the threshold sits below their estimate.
-        let ten = CostHint::new(10, CostClass::Trivial);
-        let verdict = should_pool(&ten, 8, GrainMode::Threshold(ten.estimated_nanos()));
+        // The boundary: ten items pool once their estimate reaches the
+        // threshold, and inline one nanosecond per item below it.
+        let at = CostHint::with_per_item_nanos(10, INLINE_THRESHOLD_NANOS / 10);
+        let below = CostHint::with_per_item_nanos(10, INLINE_THRESHOLD_NANOS / 10 - 1);
         // On a single-core host the auto rule still inlines; elsewhere it
         // must pool once the estimate reaches the threshold.
         let multi_core = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-        assert_eq!(verdict, multi_core);
-        assert!(!should_pool(&ten, 8, GrainMode::Threshold(ten.estimated_nanos() + 1)));
+        assert_eq!(should_pool(&at, 8, GrainMode::Auto), multi_core);
+        assert!(!should_pool(&below, 8, GrainMode::Auto));
     }
 }

@@ -33,8 +33,7 @@
 //! the chunk size is derived from the hint. Because every primitive is
 //! bit-identical to its sequential form, the dispatch decision never
 //! changes results — only where and in what grouping the work runs. See
-//! the [`grain`] module for the policy, the calibration table and the
-//! `TRANSER_GRAIN` override.
+//! the [`grain`] module for the policy and the calibration table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,8 +47,6 @@ pub use grain::{CostClass, CostHint, GrainMode};
 
 /// Environment variable selecting the global worker count.
 pub const THREADS_ENV: &str = transer_common::env::THREADS;
-/// Environment variable overriding the grain-dispatch policy.
-pub const GRAIN_ENV: &str = transer_common::env::GRAIN;
 
 /// A deterministic parallel executor with a fixed worker count.
 ///
@@ -59,8 +56,8 @@ pub const GRAIN_ENV: &str = transer_common::env::GRAIN;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     workers: usize,
-    /// Per-pool grain-policy override; `None` = `TRANSER_GRAIN` / auto.
-    grain: Option<GrainMode>,
+    /// Grain-dispatch policy: [`GrainMode::Auto`] unless a test pins it.
+    grain: GrainMode,
 }
 
 fn global_workers() -> usize {
@@ -82,39 +79,32 @@ impl Default for Pool {
 impl Pool {
     /// A pool with an explicit worker count (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
-        Pool { workers: workers.max(1), grain: None }
+        Pool { workers: workers.max(1), grain: GrainMode::Auto }
     }
 
     /// The process-wide pool: worker count from `TRANSER_THREADS`, or
     /// [`std::thread::available_parallelism`] when unset. The variable is
     /// read once; later changes do not affect the global pool.
     pub fn global() -> Self {
-        Pool { workers: global_workers(), grain: None }
+        Pool { workers: global_workers(), grain: GrainMode::Auto }
     }
 
     /// A single-worker pool: every primitive runs sequentially on the
     /// calling thread.
     pub fn sequential() -> Self {
-        Pool { workers: 1, grain: None }
+        Pool { workers: 1, grain: GrainMode::Auto }
     }
 
-    /// Pin the grain-dispatch policy for this pool, overriding
-    /// `TRANSER_GRAIN`. How the bit-identity tests force the inline and
-    /// pooled paths without touching process-global state.
+    /// Pin the grain-dispatch policy for this pool: how the bit-identity
+    /// tests force the inline and pooled paths.
     pub fn with_grain(mut self, mode: GrainMode) -> Self {
-        self.grain = Some(mode);
+        self.grain = mode;
         self
     }
 
     /// Number of workers this pool uses.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The grain policy in force: the pool's override, else the
-    /// process-wide `TRANSER_GRAIN` mode.
-    pub fn grain_mode(&self) -> GrainMode {
-        self.grain.unwrap_or_else(GrainMode::from_env)
     }
 
     /// The worker count a primitive should actually use: the pool's count,
@@ -259,7 +249,7 @@ impl Pool {
     /// Apply the grain policy for one call and record the decision: `true`
     /// means take the pooled path with the given chunk size.
     fn pool_for(&self, hint: &CostHint, workers: usize, chunk: usize) -> bool {
-        if grain::should_pool(hint, workers, self.grain_mode()) {
+        if grain::should_pool(hint, workers, self.grain) {
             transer_trace::counter("parallel.dispatch.pooled", 1);
             transer_trace::observe("parallel.chunk_size", chunk as f64);
             true
@@ -571,26 +561,28 @@ mod tests {
         let items: Vec<u64> = (0..777).collect();
         let map_expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         let init_expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| x + i as u64).collect();
-        let modes = [
-            GrainMode::Auto,
-            GrainMode::AlwaysInline,
-            GrainMode::AlwaysPool,
-            GrainMode::Threshold(1),
-            GrainMode::Threshold(u64::MAX),
+        let trivial = CostHint::new(items.len(), CostClass::Trivial);
+        // Sized at the inline threshold, so `Auto` pools on a multi-core host.
+        let per_item = grain::INLINE_THRESHOLD_NANOS.div_ceil(items.len() as u64);
+        let at_threshold = CostHint::with_per_item_nanos(items.len(), per_item);
+        let cases = [
+            (GrainMode::Auto, trivial),
+            (GrainMode::AlwaysInline, trivial),
+            (GrainMode::AlwaysPool, trivial),
+            (GrainMode::Auto, at_threshold),
         ];
-        for mode in modes {
+        for (mode, hint) in cases {
             for workers in [1, 4] {
                 let pool = Pool::new(workers).with_grain(mode);
-                let hint = CostHint::new(items.len(), CostClass::Trivial);
                 assert_eq!(
                     pool.par_map_costed(&items, hint, |x| x * 3 + 1),
                     map_expect,
-                    "{mode:?} workers={workers}"
+                    "{mode:?} {hint:?} workers={workers}"
                 );
                 assert_eq!(
                     pool.par_map_init_costed(&items, hint, || 0u64, |_, i, x| x + i as u64),
                     init_expect,
-                    "{mode:?} workers={workers}"
+                    "{mode:?} {hint:?} workers={workers}"
                 );
                 // Per-item-pure chunk closure: any chunking is equivalent.
                 assert_eq!(
@@ -598,7 +590,7 @@ mod tests {
                         c.iter().map(|x| x * 3 + 1).collect()
                     }),
                     map_expect,
-                    "{mode:?} workers={workers}"
+                    "{mode:?} {hint:?} workers={workers}"
                 );
             }
         }

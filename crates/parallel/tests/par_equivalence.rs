@@ -3,11 +3,23 @@
 //! inputs (including empty and single-element) and worker counts.
 
 use proptest::prelude::*;
+use transer_parallel::grain::INLINE_THRESHOLD_NANOS;
 use transer_parallel::{CostClass, CostHint, GrainMode, Pool};
 
-/// The four grain modes every costed primitive must be invariant under.
-const MODES: [GrainMode; 4] =
-    [GrainMode::Auto, GrainMode::AlwaysInline, GrainMode::AlwaysPool, GrainMode::Threshold(1)];
+/// The dispatch cases every costed primitive must be invariant under: each
+/// grain mode with the call's own hint, and `Auto` with the items hinted
+/// at the inline threshold, so it takes the pooled path on a multi-core
+/// host whatever the per-item class.
+fn cases(hint: CostHint) -> [(GrainMode, CostHint); 4] {
+    let per_item = INLINE_THRESHOLD_NANOS.div_ceil(hint.items().max(1) as u64);
+    let at_threshold = CostHint::with_per_item_nanos(hint.items(), per_item);
+    [
+        (GrainMode::Auto, hint),
+        (GrainMode::AlwaysInline, hint),
+        (GrainMode::AlwaysPool, hint),
+        (GrainMode::Auto, at_threshold),
+    ]
+}
 
 proptest! {
     #[test]
@@ -67,9 +79,9 @@ proptest! {
         let f = |x: &i64| x.wrapping_mul(31).wrapping_add(7);
         let seq: Vec<i64> = v.iter().map(f).collect();
         let hint = CostHint::new(v.len(), class);
-        for mode in MODES {
+        for (mode, hint) in cases(hint) {
             let got = Pool::new(workers).with_grain(mode).par_map_costed(&v, hint, f);
-            prop_assert_eq!(&got, &seq, "mode {:?}", mode);
+            prop_assert_eq!(&got, &seq, "mode {:?} {:?}", mode, hint);
         }
     }
 
@@ -84,7 +96,7 @@ proptest! {
             .map(|(i, x)| (i as u64) ^ u64::from(x.to_le_bytes().iter().map(|&b| u32::from(b)).sum::<u32>()))
             .collect();
         let hint = CostHint::new(v.len(), CostClass::Medium);
-        for mode in MODES {
+        for (mode, hint) in cases(hint) {
             let got = Pool::new(workers).with_grain(mode).par_map_init_costed(
                 &v,
                 hint,
@@ -95,7 +107,7 @@ proptest! {
                     (i as u64) ^ u64::from(buf.iter().map(|&b| u32::from(b)).sum::<u32>())
                 },
             );
-            prop_assert_eq!(&got, &seq, "mode {:?}", mode);
+            prop_assert_eq!(&got, &seq, "mode {:?} {:?}", mode, hint);
         }
     }
 
@@ -116,9 +128,9 @@ proptest! {
             seq.extend(f(start, &v[start..end]));
         }
         let hint = CostHint::new(v.len(), CostClass::Light);
-        for mode in MODES {
+        for (mode, hint) in cases(hint) {
             let got = Pool::new(workers).with_grain(mode).par_chunks_costed(&v, Some(chunk), hint, f);
-            prop_assert_eq!(&got, &seq, "mode {:?}", mode);
+            prop_assert_eq!(&got, &seq, "mode {:?} {:?}", mode, hint);
         }
     }
 
@@ -131,14 +143,14 @@ proptest! {
         let class = [CostClass::Trivial, CostClass::Light, CostClass::Medium, CostClass::Heavy][class];
         let seq: Vec<i64> = v.iter().map(|x| x.wrapping_mul(13)).collect();
         let hint = CostHint::new(v.len(), class);
-        for mode in MODES {
+        for (mode, hint) in cases(hint) {
             let got = Pool::new(workers).with_grain(mode).par_chunks_costed(
                 &v,
                 None,
                 hint,
                 |_, c| c.iter().map(|x| x.wrapping_mul(13)).collect(),
             );
-            prop_assert_eq!(&got, &seq, "mode {:?}", mode);
+            prop_assert_eq!(&got, &seq, "mode {:?} {:?}", mode, hint);
         }
     }
 }

@@ -24,22 +24,10 @@
 #![warn(missing_docs)]
 
 use transer_blocking::{Comparison, LshIndex, MinHashLshConfig};
-use transer_common::{env, Error, Label, Record, Result};
+use transer_common::{Error, Label, Record, Result};
 use transer_ml::PersistedModel;
 use transer_parallel::Pool;
 use transer_robust::{site, FaultKind};
-
-/// Default records per query batch when `TRANSER_SERVE_BATCH` is unset.
-pub const DEFAULT_BATCH_SIZE: usize = 256;
-
-/// Records per query batch: `TRANSER_SERVE_BATCH`, falling back to
-/// [`DEFAULT_BATCH_SIZE`] when unset, unparsable or zero.
-pub fn batch_size_from_env() -> usize {
-    match env::parsed::<usize>(env::SERVE_BATCH, "a positive integer", "256") {
-        Some(n) if n > 0 => n,
-        _ => DEFAULT_BATCH_SIZE,
-    }
-}
 
 /// One match decision: a candidate reference record scored against one
 /// query record of the batch.

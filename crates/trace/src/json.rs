@@ -1,7 +1,7 @@
 //! A minimal JSON value model with a writer and a strict parser: the
 //! workspace's one JSON implementation. Every artefact is written through
-//! it (trace reports, the run ledger, the persisted model and LSH index,
-//! the `bench_*` outputs, and the eval bins' tables and figures, whose
+//! it (trace reports, the persisted model and LSH index, the
+//! `bench_scale` ladder, and the eval bins' tables and figures, whose
 //! result types build a [`Json`] with `to_json`); `trace_report`,
 //! `trace_diff` and the loaders read them back with [`parse`]. It supports
 //! objects, arrays, strings, finite numbers (a non-finite one is written
@@ -78,8 +78,8 @@ impl Json {
         out
     }
 
-    /// Serialise on one line with no whitespace — the JSONL form used by
-    /// the run ledger (`results/ledger.jsonl`, one record per line).
+    /// Serialise on one line with no whitespace (one record per line, as
+    /// the benchmark prints its summary).
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
         self.write_compact(&mut out);

@@ -49,7 +49,6 @@ use std::time::Instant;
 
 pub use collect::{absorb, worker_harvest, WorkerTrace};
 pub use hist::Histogram;
-pub use ledger::RunLedger;
 pub use report::{SpanNode, TraceReport, Warning, REPORT_VERSION};
 
 /// Environment variable enabling tracing (`0`/`false`/`off`/empty = off).
@@ -257,8 +256,8 @@ pub fn drain_report() -> TraceReport {
 }
 
 /// Drain the calling thread, then *copy* the process-wide accumulated
-/// report without clearing it. For observers (e.g. the run ledger) that
-/// want the counters-so-far while leaving [`take_global_report`]'s
+/// report without clearing it. For observers (e.g. the benchmark's
+/// summary line) that want the counters-so-far while leaving [`take_global_report`]'s
 /// take-and-clear semantics to the experiment harness.
 pub fn peek_global_report() -> TraceReport {
     let _ = drain_report();

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build + full test suite, then clippy with warnings
 # denied and formatting checked. Run from anywhere; operates on the repo
-# root. `--rebaseline` refreshes the blessed trace baseline in
-# results/baselines/ from this run instead of gating against it (use when
-# a counter, span or allocation-profile change is intentional).
+# root. `--rebaseline` refreshes the blessed baselines in results/baselines/
+# (the controlled trace and the scale-ladder smoke) from this run instead
+# of gating against them (use when a counter, span, allocation-profile or
+# label change is intentional).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,25 +36,30 @@ TRANSER_FAULT=gen.fit:nan ./target/release/ablation_controlled --quick --scale 0
 # profile are identical run to run and comparable against the committed
 # baseline (at two workers the allocation profile moves between identical
 # runs). Worker-count invariance is covered elsewhere: the
-# parallel/tests/trace_merge.rs merge test and the cross-worker hash
-# checks of the bench_scale and bench_serve smokes below.
+# parallel/tests/trace_merge.rs merge test, the bench_scale smoke's
+# cross-worker hash check below and serve/tests/persisted_service.rs.
 TRACED_ENV="TRANSER_TRACE=1 TRANSER_ALLOC_TRACE=1 TRANSER_THREADS=1"
 env $TRACED_ENV ./target/release/ablation_controlled --quick --scale 0.05 > /dev/null
 ./target/release/trace_report --check results/TRACE_controlled.json
 
-# Trace regression gate: the traced smoke run must match the blessed
-# baseline — deterministic counters, histogram structure, span-tree
-# shape and allocation profile exactly; timings within the band. An
-# intentional change reruns with `tier1.sh --rebaseline` and commits the
-# refreshed baseline.
+# Regression gate: an artefact must match its blessed baseline in
+# results/baselines/ — counts, hashes, span-tree shape and allocation
+# profile exactly; timings within the band. An intentional change reruns
+# with `tier1.sh --rebaseline` and commits the refreshed baselines.
+# Usage: gate <baseline> <artefact> [trace_diff flags...]
+gate() {
+    local baseline=$1 artefact=$2
+    shift 2
+    if [ "$REBASELINE" = 1 ] || [ ! -f "$baseline" ]; then
+        mkdir -p "$(dirname "$baseline")"
+        cp "$artefact" "$baseline"
+        echo "tier1: rebaselined $baseline"
+    else
+        ./target/release/trace_diff --gate "$@" "$baseline" "$artefact"
+    fi
+}
 BASELINE=results/baselines/TRACE_controlled.json
-if [ "$REBASELINE" = 1 ] || [ ! -f "$BASELINE" ]; then
-    mkdir -p results/baselines
-    cp results/TRACE_controlled.json "$BASELINE"
-    echo "tier1: rebaselined $BASELINE"
-else
-    ./target/release/trace_diff --gate "$BASELINE" results/TRACE_controlled.json
-fi
+gate "$BASELINE" results/TRACE_controlled.json
 
 # Negative control for the gate: a fault-perturbed traced run must FAIL
 # the diff (the degradation ladder changes the counter stream), otherwise
@@ -70,19 +76,25 @@ echo "tier1: trace_diff gate flags the fault-perturbed control run (expected)"
 env $TRACED_ENV ./target/release/ablation_controlled --quick --scale 0.05 > /dev/null
 
 # Scale-ladder smoke: the end-to-end bench at its smallest rung (10^4
-# rows per domain) must report finite records/sec, bit-identical labels
-# across worker counts (and matching the committed BENCH_scale.json
-# baseline hash), and write a parseable JSON artefact. Written to
-# target/ so the committed full-grid BENCH_scale.json is not clobbered.
+# rows per domain) must report finite records/sec and bit-identical labels
+# across worker counts. Written to target/ so the committed full-grid
+# BENCH_scale.json is not clobbered, then gated like the trace: label
+# hashes, pair and selection counts exactly, seconds within the band.
+# `available_parallelism` is the host's core count, not a result.
+SCALE_BASELINE=results/baselines/BENCH_scale_smoke.json
 ./target/release/bench_scale --smoke --out target/BENCH_scale_smoke.json > /dev/null
+gate "$SCALE_BASELINE" target/BENCH_scale_smoke.json --ignore available_parallelism
 
-# Serving smoke: train at the smallest rung, round-trip the model and LSH
-# index through their on-disk JSON artefacts, then serve the query domain
-# through the warm MatchService. The decision hash must be bit-identical
-# across worker counts AND match the committed BENCH_serve.json baseline
-# (a behaviour change reruns bench_serve --rebaseline and commits the
-# refreshed artefact).
-./target/release/bench_serve --smoke --out target/BENCH_serve_smoke.json > /dev/null
+# Negative control for the scale gate: the smoke artefact with one label
+# hash altered must FAIL it.
+sed '0,/"label_hash": "[0-9a-f]*"/s//"label_hash": "0000000000000000"/' \
+    target/BENCH_scale_smoke.json > target/BENCH_scale_altered.json
+if ./target/release/trace_diff --gate --ignore available_parallelism \
+    "$SCALE_BASELINE" target/BENCH_scale_altered.json > /dev/null; then
+    echo "tier1: trace_diff gate FAILED to flag an altered label hash" >&2
+    exit 1
+fi
+echo "tier1: trace_diff gate flags the altered label hash (expected)"
 
 # Model-persistence round trip under the counting allocator: save → load
 # → predict must be bit-identical for every persistable classifier kind.
