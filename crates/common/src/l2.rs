@@ -36,8 +36,34 @@ fn reduce(acc: [f64; LANES], tail: f64) -> f64 {
 /// independent partial sums over `LANES`-wide chunks, remainder
 /// accumulated sequentially, reduced in the fixed order
 /// `((acc₀ + acc₁) + (acc₂ + acc₃)) + tail`. Deterministic, SIMD-friendly.
+///
+/// A NaN result takes its bits from one compiled copy of the sum. An add
+/// of two NaNs returns one of them, and which one depends on the operand
+/// order the compiler emits, which differs between a copy inlined at a
+/// constant width (the k-d tree's walk) and one at a run-time width
+/// (brute force). `total_cmp` ranks a NaN distance by its sign, so without
+/// the one copy the neighbours of a query with NaN or ±Inf cells would
+/// depend on the call site. Every other result is exact whatever the
+/// order.
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    let d = lane_sum(a, b);
+    if d.is_nan() {
+        nan_sq_dist(a, b)
+    } else {
+        d
+    }
+}
+
+/// [`sq_dist`] of a pair whose distance is NaN, compiled once.
+#[cold]
+#[inline(never)]
+fn nan_sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    lane_sum(a, b)
+}
+
+#[inline]
+fn lane_sum(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     let split = a.len() - a.len() % LANES;
     let mut acc = [0.0f64; LANES];

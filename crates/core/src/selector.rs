@@ -31,12 +31,19 @@
 //! tests) at every worker count, on NaN and ±Inf cells too.
 
 use transer_common::{Error, FeatureMatrix, Label, Result};
-use transer_knn::{DedupKnn, KdTree, Neighbor};
+use transer_knn::{DedupKnn, KdTree, Neighbor, QueryScratch};
 use transer_linalg::{covariance, Mat};
 use transer_parallel::{CostClass, CostHint, Pool};
 
 use crate::config::{TransErConfig, Variant};
 use crate::decay::exp_decay_5;
+
+/// Cost of scoring one unique source row, its two weighted k-NN queries
+/// included: the grain hint for the chunk loop. Timed on perfbench's
+/// `transfer` (seed 42, one worker, 2-core x86-64 host): SEL takes
+/// 0.64–0.74 s untraced for 52,020 unique rows, 12–14 µs each, of which
+/// the two queries take 11–12 µs (`pipeline/sel` reads 0.78 s traced).
+const UNIQUE_ROW_NANOS: u64 = 12_000;
 
 /// Unique source rows scored per parallel work item. Each row is scored
 /// on its own, so results never depend on it; it is pinned so the
@@ -139,20 +146,20 @@ pub fn select_instances_with_pool(
     // upper levels in cache (alternating trees row by row ran the
     // `transfer` benchmark about 5 % slower on a 2-core x86-64 host).
     let unique_ids = source.unique_rows_in_leaf_order();
-    let sel_hint = CostHint::new(unique_ids.len(), CostClass::Light);
+    let sel_hint = CostHint::with_per_item_nanos(unique_ids.len(), UNIQUE_ROW_NANOS);
     let groups: Vec<Vec<(u32, InstanceScores, bool)>> =
         pool.par_chunks_costed(unique_ids, Some(CHUNK), sel_hint, |_, chunk| {
-            let row = |u: u32| interning.unique().row(u as usize);
+            let mut scratch = QueryScratch::default();
             // Budget k + 1: after dropping the instance itself from the
             // expanded order, k neighbours are still covered.
-            let src: Vec<Vec<Neighbor>> =
-                chunk.iter().map(|&u| source.k_nearest_unique(row(u), k + 1)).collect();
-            let tgt: Vec<Vec<Neighbor>> =
-                chunk.iter().map(|&u| target.k_nearest_unique(row(u), k)).collect();
+            let rows = interning.unique();
+            let (src, src_ends) = query_chunk(&source, rows, chunk, k + 1, &mut scratch);
+            let (tgt, tgt_ends) = query_chunk(&target, rows, chunk, k, &mut scratch);
             chunk
                 .iter()
-                .zip(src.iter().zip(&tgt))
-                .map(|(&u, (sw, tw))| {
+                .zip(src_ends.windows(2).zip(tgt_ends.windows(2)))
+                .map(|(&u, (s, t))| {
+                    let (sw, tw) = (&src[s[0]..s[1]], &tgt[t[0]..t[1]]);
                     score_group(u as usize, sw, tw, xs, ys, xt, &source, &target, config)
                 })
                 .collect()
@@ -169,6 +176,26 @@ pub fn select_instances_with_pool(
     }
     let indices = keep.iter().enumerate().filter_map(|(i, &kept)| kept.then_some(i)).collect();
     Ok(SelectionResult { indices, scores })
+}
+
+/// Query `engine` at budget `k` from row `u` of `rows` for every `u` in
+/// `chunk`, in order, collecting the weighted results into one flat
+/// buffer. Returns it with its offsets: chunk row `j`'s neighbours are
+/// `buffer[ends[j]..ends[j + 1]]`.
+fn query_chunk(
+    engine: &DedupKnn,
+    rows: &FeatureMatrix,
+    chunk: &[u32],
+    k: usize,
+    scratch: &mut QueryScratch,
+) -> (Vec<Neighbor>, Vec<usize>) {
+    let (mut buffer, mut ends) = (Vec::new(), Vec::with_capacity(chunk.len() + 1));
+    ends.push(0);
+    for &u in chunk {
+        engine.k_nearest_unique_into(rows.row(u as usize), k, scratch, &mut buffer);
+        ends.push(buffer.len());
+    }
+    (buffer, ends)
 }
 
 /// The "without SEL" ablation: transfer every source row, scoring none.
@@ -520,6 +547,7 @@ fn centroid(x: &FeatureMatrix, neighbours: &[Neighbor], fallback: &[f64]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use transer_parallel::GrainMode;
 
     /// Source: tight match cluster at (0.9, 0.9), tight non-match cluster
     /// at (0.1, 0.1), plus one contested instance at (0.5, 0.5) surrounded
@@ -714,6 +742,10 @@ mod tests {
         for workers in [2, 4, 16] {
             let par = select_instances_with_pool(&xs, &ys, &xt, &cfg, &Pool::new(workers)).unwrap();
             assert_bit_identical(&seq, &par, &format!("workers={workers}"));
+            // The fixture is below the inline threshold: force the pool.
+            let pooled = Pool::new(workers).with_grain(GrainMode::AlwaysPool);
+            let par = select_instances_with_pool(&xs, &ys, &xt, &cfg, &pooled).unwrap();
+            assert_bit_identical(&seq, &par, &format!("workers={workers}, pooled"));
         }
     }
 

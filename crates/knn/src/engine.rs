@@ -25,7 +25,7 @@
 use transer_common::{FeatureMatrix, RowInterning};
 
 use crate::heap::Neighbor;
-use crate::kdtree::KdTree;
+use crate::kdtree::{KdTree, QueryScratch};
 
 /// A k-NN engine over a duplicated matrix: interning + one k-d tree over
 /// the unique rows + the multiplicity weights.
@@ -83,6 +83,18 @@ impl DedupKnn {
     /// results.
     pub fn k_nearest_unique(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
         self.index.k_nearest_weighted(query, &self.weights, k)
+    }
+
+    /// [`DedupKnn::k_nearest_unique`] on caller-owned buffers: the result
+    /// is appended to `out` (see [`KdTree::k_nearest_weighted_into`]).
+    pub fn k_nearest_unique_into(
+        &self,
+        query: &[f64],
+        k: usize,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        self.index.k_nearest_weighted_into(query, &self.weights, k, scratch, out);
     }
 
     /// The `k` nearest *original* rows to `query`, bit-identical to

@@ -114,23 +114,22 @@ impl BoundedMaxHeap {
 /// therefore exceed the budget; truncation happens during expansion.
 ///
 /// The candidates live in one flat vector of `(order_key, row, weight)`
-/// kept sorted by `(order_key, row)`, so a query allocates once, not once
-/// per accepted candidate, and draining needs no sort. The unsigned
-/// order of `order_key` is `total_cmp`'s: the order of [`Neighbor`] and
+/// kept sorted by `(order_key, row)`, so draining needs no sort. It holds
+/// about a budget's worth of entries, so an offer finds its slot and the
+/// boundary class by scanning from the back, not by binary search.
+/// [`WeightedHeap::reset`] empties it for the next query and keeps the
+/// buffer: a heap reused across queries allocates only when a query
+/// retains more entries than every one before it. The unsigned order of
+/// `order_key` is `total_cmp`'s: the order of [`Neighbor`] and
 /// [`BoundedMaxHeap`]. NaN and ±Inf distances from hostile inputs
 /// therefore rank exactly as a plain query ranks them, negative NaN
 /// first and `+Inf` and positive NaN after every finite distance.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WeightedHeap {
     entries: Vec<(u64, u32, u32)>,
     total: usize,
     budget: usize,
 }
-
-/// Cap on the entries a heap reserves up front: twice the budget leaves
-/// room for boundary ties at SEL's budgets (`k + 1` with the default
-/// `k = 7`), and a huge budget reserves no more than this.
-const RESERVED_ENTRIES: usize = 16;
 
 /// A key whose unsigned order is `f64::total_cmp`'s order: a negative
 /// value (sign bit set, negative NaN included) has every bit flipped, a
@@ -151,14 +150,12 @@ fn from_order_key(key: u64) -> f64 {
 }
 
 impl WeightedHeap {
-    /// A heap that retains distance classes until their cumulative weight
-    /// covers `budget`.
-    pub fn new(budget: usize) -> Self {
-        WeightedHeap {
-            entries: Vec::with_capacity(budget.saturating_mul(2).min(RESERVED_ENTRIES)),
-            total: 0,
-            budget,
-        }
+    /// Empty the heap for a query at `budget`: it retains distance classes
+    /// until their cumulative weight covers `budget`. Keeps the buffer.
+    pub fn reset(&mut self, budget: usize) {
+        self.entries.clear();
+        self.total = 0;
+        self.budget = budget;
     }
 
     /// Offer candidate row `index` at `sq_dist` with multiplicity `weight`.
@@ -181,14 +178,23 @@ impl WeightedHeap {
         if self.total >= self.budget && self.entries.last().is_some_and(|e| key > e.0) {
             return;
         }
-        let at = self.entries.partition_point(|e| (e.0, e.1) < (key, index));
-        self.entries.insert(at, (key, index, weight));
+        self.entries.push((key, index, weight));
+        let mut at = self.entries.len() - 1;
+        while at > 0 && (self.entries[at - 1].0, self.entries[at - 1].1) > (key, index) {
+            self.entries[at] = self.entries[at - 1];
+            at -= 1;
+        }
+        self.entries[at] = (key, index, weight);
         self.total += weight as usize;
         // Trim classes that are no longer needed to cover the budget. The
         // boundary class itself is always kept whole.
-        while let Some(&(last, _, _)) = self.entries.last() {
-            let start = self.entries.partition_point(|e| e.0 < last);
-            let w: usize = self.entries[start..].iter().map(|e| e.2 as usize).sum();
+        while self.total > self.budget {
+            let Some(&(last, _, _)) = self.entries.last() else { break };
+            let (mut start, mut w) = (self.entries.len(), 0);
+            while start > 0 && self.entries[start - 1].0 == last {
+                start -= 1;
+                w += self.entries[start].2 as usize;
+            }
             if self.total - w < self.budget {
                 break;
             }
@@ -220,15 +226,14 @@ impl WeightedHeap {
         }
     }
 
-    /// Drain into a vector sorted by ascending distance, ties by row index
-    /// — the same order as [`BoundedMaxHeap::into_sorted`], but covering
-    /// the full boundary class instead of stopping at `k` rows. Reuses the
-    /// heap's own buffer.
-    pub fn into_sorted(self) -> Vec<Neighbor> {
-        self.entries
-            .into_iter()
-            .map(|(key, index, _)| Neighbor { index: index as usize, sq_dist: from_order_key(key) })
-            .collect()
+    /// Append the retained candidates to `out` by ascending distance, ties
+    /// by row index — the order of [`BoundedMaxHeap::into_sorted`], but
+    /// covering the full boundary class instead of stopping at `k` rows.
+    pub fn append_sorted(&self, out: &mut Vec<Neighbor>) {
+        out.extend(self.entries.iter().map(|&(key, index, _)| Neighbor {
+            index: index as usize,
+            sq_dist: from_order_key(key),
+        }));
     }
 }
 
@@ -238,6 +243,18 @@ mod tests {
 
     fn n(index: usize, d: f64) -> Neighbor {
         Neighbor { index, sq_dist: d }
+    }
+
+    fn weighted(budget: usize) -> WeightedHeap {
+        let mut h = WeightedHeap::default();
+        h.reset(budget);
+        h
+    }
+
+    fn sorted(h: &WeightedHeap) -> Vec<Neighbor> {
+        let mut out = Vec::new();
+        h.append_sorted(&mut out);
+        out
     }
 
     #[test]
@@ -318,7 +335,7 @@ mod tests {
 
     #[test]
     fn weighted_heap_counts_multiplicity_towards_budget() {
-        let mut h = WeightedHeap::new(5);
+        let mut h = weighted(5);
         assert!(h.is_empty());
         assert_eq!(h.prune_bound(), f64::INFINITY);
         h.push(0, 1.0, 3);
@@ -333,28 +350,28 @@ mod tests {
         h.push(3, 0.5, 2);
         assert_eq!(h.prune_bound(), 1.0);
         assert_eq!(h.total_weight(), 5);
-        let out = h.into_sorted();
+        let out = sorted(&h);
         assert_eq!(out.iter().map(|x| x.index).collect::<Vec<_>>(), vec![3, 0]);
     }
 
     #[test]
     fn weighted_heap_keeps_boundary_class_whole() {
-        let mut h = WeightedHeap::new(2);
+        let mut h = weighted(2);
         h.push(4, 1.0, 1);
         h.push(1, 1.0, 1);
         h.push(9, 1.0, 5);
         // All three share the boundary distance: none may be trimmed, and
         // the output resolves ties by row index.
         assert_eq!(h.total_weight(), 7);
-        let out = h.into_sorted();
+        let out = sorted(&h);
         assert_eq!(out.iter().map(|x| x.index).collect::<Vec<_>>(), vec![1, 4, 9]);
         // A strictly closer class covering the budget evicts the whole
         // boundary class at once.
-        let mut h = WeightedHeap::new(2);
+        let mut h = weighted(2);
         h.push(4, 1.0, 1);
         h.push(9, 1.0, 1);
         h.push(0, 0.25, 2);
-        let out = h.into_sorted();
+        let out = sorted(&h);
         assert_eq!(out.iter().map(|x| x.index).collect::<Vec<_>>(), vec![0]);
     }
 
@@ -363,20 +380,20 @@ mod tests {
         // `inf - inf` is a negative NaN on x86-64; build one portably.
         let neg_nan = -f64::NAN;
         let dists = [1.0, f64::NAN, 0.0, f64::INFINITY, neg_nan, 0.5];
-        let mut h = WeightedHeap::new(dists.len());
+        let mut h = weighted(dists.len());
         for (i, &d) in dists.iter().enumerate() {
             h.push(i as u32, d, 1);
         }
         let mut want: Vec<Neighbor> = dists.iter().enumerate().map(|(i, &d)| n(i, d)).collect();
         want.sort_unstable();
-        let got = h.into_sorted();
+        let got = sorted(&h);
         assert_eq!(got.iter().map(|x| x.index).collect::<Vec<_>>(), vec![4, 2, 5, 0, 3, 1]);
         assert_eq!(
             got.iter().map(|x| (x.index, x.sq_dist.to_bits())).collect::<Vec<_>>(),
             want.iter().map(|x| (x.index, x.sq_dist.to_bits())).collect::<Vec<_>>()
         );
         // The bound decodes the boundary class bit for bit.
-        let mut h = WeightedHeap::new(1);
+        let mut h = weighted(1);
         h.push(0, 2.0, 1);
         h.push(1, neg_nan, 1);
         assert_eq!(h.prune_bound().to_bits(), neg_nan.to_bits());
@@ -385,13 +402,58 @@ mod tests {
         }
     }
 
+    /// The classes a weighted query must keep, from every offer at once:
+    /// sort by `(distance, row)` under `total_cmp` and take whole classes
+    /// until their weight covers the budget.
+    fn reference_classes(offers: &[(u32, f64, u32)], budget: usize) -> Vec<(usize, u64)> {
+        let mut all: Vec<_> = offers.iter().filter(|o| o.2 > 0).copied().collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let (mut out, mut total) = (Vec::new(), 0);
+        for (i, &(row, d, w)) in all.iter().enumerate() {
+            if total >= budget && d.to_bits() != all[i - 1].1.to_bits() {
+                break;
+            }
+            out.push((row as usize, d.to_bits()));
+            total += w as usize;
+        }
+        out
+    }
+
+    /// One heap reset across budgets keeps exactly the reference classes,
+    /// on offers heavy in ties, zero weights and non-finite distances.
+    #[test]
+    fn weighted_heap_reset_and_push_match_the_sorted_reference() {
+        let dists = [0.0, 0.25, 0.5, 1.0, 2.0, f64::INFINITY, f64::NAN, -f64::NAN];
+        let mut state = 7u64;
+        let mut next = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut h = WeightedHeap::default();
+        for round in 0..400 {
+            let budget = [0, 1, 2, 8, 13, 40][round % 6];
+            let offers: Vec<(u32, f64, u32)> = (0..next(30) as u32)
+                .map(|row| (row * 7 % 31, dists[next(8) as usize], next(4) as u32))
+                .collect();
+            let mut seen = std::collections::HashSet::new();
+            let offers: Vec<_> = offers.into_iter().filter(|o| seen.insert(o.0)).collect();
+            h.reset(budget);
+            for &(row, d, w) in &offers {
+                h.push(row, d, w);
+            }
+            let got: Vec<_> = sorted(&h).iter().map(|n| (n.index, n.sq_dist.to_bits())).collect();
+            let want = if budget == 0 { Vec::new() } else { reference_classes(&offers, budget) };
+            assert_eq!(got, want, "round {round} budget {budget}");
+        }
+    }
+
     #[test]
     fn weighted_heap_zero_budget_and_zero_weight_are_inert() {
-        let mut h = WeightedHeap::new(0);
+        let mut h = weighted(0);
         h.push(0, 1.0, 3);
         assert!(h.is_empty());
-        assert!(h.into_sorted().is_empty());
-        let mut h = WeightedHeap::new(3);
+        assert!(sorted(&h).is_empty());
+        let mut h = weighted(3);
         h.push(0, 1.0, 0);
         assert!(h.is_empty());
         assert_eq!(h.total_weight(), 0);

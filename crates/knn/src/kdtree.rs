@@ -53,6 +53,40 @@
 //!
 //! Points are stored row-reordered so that every leaf's rows are
 //! contiguous in memory: a leaf scan is a linear sweep, not a gather.
+//!
+//! # Queries
+//!
+//! Every query runs one iterative walk from the root. At an internal node
+//! it evaluates both children's box bounds, pushes the farther child and
+//! its bound onto a stack and descends into the nearer one unless that
+//! one's bound is strictly greater than the current k-th distance. A
+//! popped child is tested against the k-th distance of that moment. That
+//! is the order and the test of a recursive search that checks each child
+//! just before descending into it, so the nodes visited, the prunes, the
+//! leaf scans and the rows evaluated are those of such a search, and the
+//! `knn.kdtree.*` counters count them.
+//!
+//! The walk holds the prune bound in a local and refreshes it only after a
+//! leaf row was offered to the heap. A row whose distance is strictly
+//! greater than the bound is skipped before its weight is read: under
+//! IEEE `>` both sides are then numbers, and the heap would reject it.
+//! NaN distances, signed zeros and ties still reach the heap, which ranks
+//! them by `total_cmp`.
+//!
+//! The walk is written once, generic over the row width. A query
+//! dispatches on the width once: 1 to 16 columns each get a copy of the
+//! walk compiled for that constant width, so every distance and box loop
+//! has a constant trip count and unrolls. Wider rows take the copy that
+//! reads the width at run time (brute force is the faster search there
+//! anyway). Width 0 is handled before the dispatch: the tree is one leaf,
+//! and every row is at `+0.0`. A NaN distance takes its bits from the one
+//! compiled copy `l2::sq_dist` keeps for NaN results, so each copy of the
+//! walk ranks a NaN row exactly as brute force does.
+//!
+//! The stack and the weighted heap live in a caller-owned
+//! [`QueryScratch`], so the stack needs no depth bound, and with
+//! [`KdTree::k_nearest_weighted_into`] a query allocates nothing once the
+//! scratch and the output buffer are warm.
 
 use transer_common::{l2, FeatureMatrix};
 
@@ -95,6 +129,18 @@ pub struct KdTree {
     root: u32,
 }
 
+/// Caller-owned buffers for k-d tree queries: the walk's stack of
+/// deferred far children and the weighted query's candidate heap. One
+/// scratch serves any tree, of any width, at any budget; reused across
+/// queries, it stops allocating once it has grown to the largest query it
+/// served.
+#[derive(Debug, Default)]
+pub struct QueryScratch {
+    /// Far children the walk deferred, each with its box bound.
+    stack: Vec<(u32, f64)>,
+    heap: WeightedHeap,
+}
+
 /// Per-query traversal statistics, flushed to the trace layer afterwards.
 #[derive(Default)]
 struct Stats {
@@ -118,7 +164,8 @@ impl Stats {
 
 /// Where a traversal sends the rows of the leaves it scans.
 trait Candidates {
-    /// Only boxes strictly farther than this can be pruned.
+    /// Only boxes and rows strictly farther than this can be pruned. It
+    /// changes only when an offer is kept.
     fn prune_bound(&self) -> f64;
     /// Offer original row `row` at squared distance `sq_dist`.
     fn offer(&mut self, row: u32, sq_dist: f64);
@@ -146,7 +193,7 @@ impl Candidates for Plain {
 
 /// A duplicate-aware query: each row counts with its multiplicity.
 struct Weighted<'a> {
-    heap: WeightedHeap,
+    heap: &'a mut WeightedHeap,
     weights: &'a [u32],
 }
 
@@ -160,6 +207,46 @@ impl Candidates for Weighted<'_> {
     fn offer(&mut self, row: u32, sq_dist: f64) {
         self.heap.push(row, sq_dist, self.weights[row as usize]);
     }
+}
+
+/// The width of the rows a walk reads: a compile-time constant
+/// ([`Fixed`]) or a run-time `usize`. The walk is written once over this
+/// trait; at a [`Fixed`] width every row, box and distance loop has a
+/// constant trip count, which the compiler unrolls.
+trait Dim: Copy {
+    fn get(self) -> usize;
+}
+
+/// A width fixed at compile time.
+#[derive(Clone, Copy)]
+struct Fixed<const N: usize>;
+
+impl<const N: usize> Dim for Fixed<N> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        N
+    }
+}
+
+impl Dim for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
+    }
+}
+
+/// Evaluate `$walk` with `$dim` bound to `$width` as a [`Fixed`] width for
+/// each listed width, and as the `usize` itself for any other.
+macro_rules! with_width {
+    ($width:expr, $dim:ident => $walk:expr, [$($n:literal)*]) => {
+        match $width {
+            $($n => {
+                let $dim = Fixed::<$n>;
+                $walk
+            })*
+            $dim => $walk,
+        }
+    };
 }
 
 impl KdTree {
@@ -213,18 +300,14 @@ impl KdTree {
         &self.orig
     }
 
-    #[inline]
-    fn point(&self, pos: usize) -> &[f64] {
-        &self.points[pos * self.dim..(pos + 1) * self.dim]
-    }
-
     /// Squared distance from `query` to node `id`'s box: a lower bound on
     /// the computed distance of every row the node holds (0 for a node
     /// with a non-finite cell).
     #[inline]
-    fn box_bound(&self, id: u32, query: &[f64]) -> f64 {
-        let b = id as usize * 2 * self.dim;
-        let (lo, hi) = self.boxes[b..b + 2 * self.dim].split_at(self.dim);
+    fn box_bound(&self, dim: impl Dim, id: u32, query: &[f64]) -> f64 {
+        let n = dim.get();
+        let b = id as usize * 2 * n;
+        let (lo, hi) = self.boxes[b..b + 2 * n].split_at(n);
         l2::sq_dist_to_box(query, lo, hi)
     }
 
@@ -250,7 +333,7 @@ impl KdTree {
         assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
         let mut plain = Plain { heap: BoundedMaxHeap::new(k), exclude };
         if k > 0 {
-            self.run(query, &mut plain);
+            self.run(query, &mut plain, &mut Vec::new());
         }
         plain.heap.into_sorted()
     }
@@ -271,53 +354,126 @@ impl KdTree {
     /// Panics when `query.len() != self.dim()` or
     /// `weights.len() != self.len()`.
     pub fn k_nearest_weighted(&self, query: &[f64], weights: &[u32], k: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
-        assert_eq!(weights.len(), self.len(), "one weight per indexed row");
-        let mut weighted = Weighted { heap: WeightedHeap::new(k), weights };
-        if k > 0 {
-            self.run(query, &mut weighted);
-        }
-        weighted.heap.into_sorted()
+        let mut out = Vec::new();
+        self.k_nearest_weighted_into(query, weights, k, &mut QueryScratch::default(), &mut out);
+        out
     }
 
-    /// One query from the root, its statistics flushed to the trace.
-    fn run(&self, query: &[f64], out: &mut impl Candidates) {
-        let mut stats = Stats::default();
-        if self.root != NONE {
-            stats.queries = 1;
-            self.search(self.root, query, out, &mut stats);
+    /// [`KdTree::k_nearest_weighted`] on caller-owned buffers: the result
+    /// is *appended* to `out`, so a caller can collect many queries' results
+    /// in one flat buffer. Allocates nothing once `scratch` and `out` have
+    /// grown to the largest query they served.
+    ///
+    /// # Panics
+    /// As for [`KdTree::k_nearest_weighted`].
+    pub fn k_nearest_weighted_into(
+        &self,
+        query: &[f64],
+        weights: &[u32],
+        k: usize,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        assert_eq!(query.len(), self.dim, "query dimensionality mismatch");
+        assert_eq!(weights.len(), self.len(), "one weight per indexed row");
+        let QueryScratch { stack, heap } = scratch;
+        heap.reset(k);
+        if k > 0 {
+            self.run(query, &mut Weighted { heap, weights }, stack);
         }
+        heap.append_sorted(out);
+    }
+
+    /// One query from the root, walked at the tree's width, its statistics
+    /// flushed to the trace.
+    fn run(&self, query: &[f64], out: &mut impl Candidates, stack: &mut Vec<(u32, f64)>) {
+        let stats = if self.root == NONE {
+            Stats::default()
+        } else if self.dim == 0 {
+            self.scan_zero_width(out)
+        } else {
+            with_width!(self.dim, dim => self.walk(dim, query, out, stack),
+                [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16])
+        };
         stats.emit();
     }
 
-    fn search(&self, id: u32, query: &[f64], out: &mut impl Candidates, stats: &mut Stats) {
-        stats.nodes += 1;
-        let node = self.nodes[id as usize];
-        if node.left == NONE {
-            stats.leaf_scans += 1;
-            stats.dists += u64::from(node.end - node.start);
-            for pos in node.start as usize..node.end as usize {
-                out.offer(self.orig[pos], l2::sq_dist(query, self.point(pos)));
-            }
-            return;
+    /// A query on zero-width rows: the tree is one leaf, and every row is
+    /// at `+0.0` (the empty sum `l2::sq_dist` returns).
+    fn scan_zero_width(&self, out: &mut impl Candidates) -> Stats {
+        for &row in &self.orig {
+            out.offer(row, 0.0);
         }
-        let dl = self.box_bound(node.left, query);
-        let dr = self.box_bound(node.right, query);
-        // Nearer box first so the selection boundary tightens before the
-        // far child's bound check; ties keep left first. The bound is
-        // never NaN.
-        let ordered = if dr < dl {
-            [(node.right, dr), (node.left, dl)]
-        } else {
-            [(node.left, dl), (node.right, dr)]
-        };
-        for (child, bound) in ordered {
-            // Strictly greater: a box at exactly the boundary distance may
-            // hold a tie that wins on row index.
-            if bound > out.prune_bound() {
-                stats.prunes += 1;
+        let rows = self.orig.len() as u64;
+        Stats { queries: 1, nodes: 1, prunes: 0, leaf_scans: 1, dists: rows }
+    }
+
+    /// The walk: depth first from the root, the nearer child box first.
+    /// The farther child is deferred on `stack` with its box bound, and
+    /// tested against the then-current bound when it is popped: the order
+    /// and the tests of a recursive search that checks each child just
+    /// before descending into it.
+    fn walk(
+        &self,
+        dim: impl Dim,
+        query: &[f64],
+        out: &mut impl Candidates,
+        stack: &mut Vec<(u32, f64)>,
+    ) -> Stats {
+        let n = dim.get();
+        let query = &query[..n];
+        let mut stats = Stats { queries: 1, ..Stats::default() };
+        let mut bound = out.prune_bound();
+        stack.clear();
+        let mut id = self.root;
+        loop {
+            stats.nodes += 1;
+            let node = self.nodes[id as usize];
+            if node.left == NONE {
+                let rows = node.start as usize..node.end as usize;
+                stats.leaf_scans += 1;
+                stats.dists += rows.len() as u64;
+                let points = self.points[rows.start * n..rows.end * n].chunks_exact(n);
+                for (&row, point) in self.orig[rows].iter().zip(points) {
+                    let d = l2::sq_dist(query, point);
+                    // Strictly beyond the bound: the heap would reject it.
+                    // A NaN distance or a tie still reaches the heap.
+                    if d > bound {
+                        continue;
+                    }
+                    out.offer(row, d);
+                    bound = out.prune_bound();
+                }
             } else {
-                self.search(child, query, out, stats);
+                let dl = self.box_bound(dim, node.left, query);
+                let dr = self.box_bound(dim, node.right, query);
+                // Nearer box first so the selection boundary tightens before
+                // the far child's bound check; ties keep left first. The
+                // bound is never NaN.
+                let (near, far) = if dr < dl {
+                    ((node.right, dr), (node.left, dl))
+                } else {
+                    ((node.left, dl), (node.right, dr))
+                };
+                stack.push(far);
+                // Strictly greater: a box at exactly the boundary distance
+                // may hold a tie that wins on row index.
+                if near.1 > bound {
+                    stats.prunes += 1;
+                } else {
+                    id = near.0;
+                    continue;
+                }
+            }
+            // Resume at the latest deferred child the bound does not prune.
+            loop {
+                let Some((next, child_bound)) = stack.pop() else { return stats };
+                if child_bound > bound {
+                    stats.prunes += 1;
+                } else {
+                    id = next;
+                    break;
+                }
             }
         }
     }
@@ -436,6 +592,13 @@ fn run_edge_cut(keys: &[(f64, u32)], mid: usize) -> usize {
 mod tests {
     use super::*;
     use crate::brute::brute_force_knn;
+
+    impl KdTree {
+        /// The row stored at reordered position `pos`.
+        fn point(&self, pos: usize) -> &[f64] {
+            &self.points[pos * self.dim..(pos + 1) * self.dim]
+        }
+    }
 
     fn grid() -> FeatureMatrix {
         let mut rows = Vec::new();
@@ -657,7 +820,7 @@ mod tests {
             for q in &queries {
                 let nan_query = q.iter().any(|v| v.is_nan());
                 for (id, node) in tree.nodes.iter().enumerate() {
-                    let bound = tree.box_bound(id as u32, q);
+                    let bound = tree.box_bound(tree.dim, id as u32, q);
                     let members = node.start as usize..node.end as usize;
                     if members.clone().any(|pos| tree.point(pos).iter().any(|v| !v.is_finite())) {
                         assert_eq!(bound.to_bits(), 0.0f64.to_bits(), "{shape}: node {id}");

@@ -19,6 +19,8 @@
 //! interns duplicated rows (`RowInterning` from `transer-common`), queries
 //! a k-d tree over the unique rows with multiplicity weights
 //! ([`WeightedHeap`]), and expands results back to original row indices.
+//! Its `_into` queries take a caller-owned [`QueryScratch`] and output
+//! buffer, and allocate nothing once those are warm.
 //!
 //! Distances are squared Euclidean throughout — monotone in the Euclidean
 //! distance, so neighbour *ranking* is identical and we skip the square
@@ -37,4 +39,4 @@ mod kdtree;
 pub use brute::brute_force_knn;
 pub use engine::DedupKnn;
 pub use heap::{BoundedMaxHeap, Neighbor, WeightedHeap};
-pub use kdtree::KdTree;
+pub use kdtree::{KdTree, QueryScratch};

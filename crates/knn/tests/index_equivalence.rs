@@ -5,11 +5,12 @@
 //! matrices, tie-heavy 0/¼/½/1 matrices whose box faces coincide with the
 //! queries, fully degenerate all-equidistant matrices and matrices with
 //! NaN and ±Inf cells — and the duplicate-aware [`DedupKnn`] engine must
-//! reproduce plain queries over the original (duplicated) matrix exactly.
+//! reproduce plain queries over the original (duplicated) matrix exactly,
+//! at every row width the tree's walk is compiled for and beyond it.
 
 use proptest::prelude::*;
 use transer_common::{FeatureMatrix, RowInterning};
-use transer_knn::{brute_force_knn, DedupKnn, KdTree};
+use transer_knn::{brute_force_knn, DedupKnn, KdTree, Neighbor, QueryScratch};
 
 fn cloud(dim: usize, max_points: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0..1.0f64, dim..=dim), 1..=max_points)
@@ -77,7 +78,7 @@ fn equidistant_cloud(dim: usize, max_points: usize) -> impl Strategy<Value = Vec
 
 /// Neighbour lists as `(index, sq_dist bits)`: NaN distances compare
 /// unequal under `PartialEq`, so results are compared bit for bit.
-fn bits(nn: &[transer_knn::Neighbor]) -> Vec<(usize, u64)> {
+fn bits(nn: &[Neighbor]) -> Vec<(usize, u64)> {
     nn.iter().map(|n| (n.index, n.sq_dist.to_bits())).collect()
 }
 
@@ -319,4 +320,112 @@ fn fixed_matrices_match_brute_force_bit_for_bit() {
     let share = snapped as f64 / tied.as_slice().len() as f64;
     assert!((0.7..0.9).contains(&share), "{share}");
     check_against_brute_force(&tied, "the tie-heavy matrix");
+}
+
+/// A `rows × dim` matrix with duplicates: every third row copies the row
+/// two above it, and the rest draw each cell from 0, ¼, ½ or 1 four
+/// times in five and uniformly otherwise. With `hostile`, about one cell
+/// in twelve is NaN, a negative NaN, `+Inf` or `-Inf` instead.
+fn width_matrix(rows: usize, dim: usize, seed: u64, hostile: bool) -> FeatureMatrix {
+    let uniform = synthetic_matrix(rows, dim, seed);
+    let mut cells = uniform.as_slice().iter().copied();
+    let mut data: Vec<f64> = Vec::with_capacity(rows * dim);
+    for i in 0..rows {
+        if i % 3 == 2 {
+            data.extend_from_within((i - 2) * dim..(i - 1) * dim);
+            continue;
+        }
+        for _ in 0..dim {
+            let u = cells.next().unwrap();
+            data.push(match (u * 60.0) as usize {
+                p if hostile && p < 5 => {
+                    [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY][p % 4]
+                }
+                p if p < 48 => TIE_VALUES[p % 4],
+                _ => u,
+            });
+        }
+    }
+    FeatureMatrix::from_rows(data, rows, dim).unwrap()
+}
+
+/// Every width from 0 to 20 — the 16 compiled for a constant width, the
+/// width-0 case and four read at run time — on tie-heavy and NaN/±Inf
+/// matrices with duplicated rows. Plain, self-excluding and weighted
+/// queries, their `_into` forms and the [`DedupKnn`] expansion all equal
+/// brute force bit for bit. One [`QueryScratch`] serves every tree and
+/// budget, and `_into` appends after what the buffer already holds.
+#[test]
+fn every_width_matches_brute_force_bit_for_bit() {
+    let mut scratch = QueryScratch::default();
+    let marker = Neighbor { index: usize::MAX, sq_dist: -1.0 };
+    for dim in 0..=20 {
+        for hostile in [false, true] {
+            let what = format!("width {dim}, hostile {hostile}");
+            let m = width_matrix(150, dim, 7 + dim as u64, hostile);
+            let tree = KdTree::build(&m);
+            let dedup = DedupKnn::build(&m);
+            let it = RowInterning::of(&m);
+            let weights = it.multiplicities();
+            let unique = KdTree::build(it.unique());
+            let mut queries: Vec<(Option<usize>, Vec<f64>)> =
+                (0..m.rows()).step_by(11).map(|i| (Some(i), m.row(i).to_vec())).collect();
+            let mut off_grid = synthetic_matrix(1, dim, 99).as_slice().to_vec();
+            queries.push((None, off_grid.clone()));
+            if let Some(first) = off_grid.first_mut() {
+                *first = f64::NAN;
+                queries.push((None, off_grid));
+            }
+            for (row, q) in &queries {
+                for k in [1, 7, 25] {
+                    let at = format!("{what}, row {row:?}, k {k}");
+                    let plain = bits(&brute_force_knn(&m, q, k, None));
+                    assert_eq!(bits(&tree.k_nearest(q, k)), plain, "kdtree {at}");
+                    assert_eq!(bits(&dedup.k_nearest(q, k)), plain, "dedup {at}");
+                    if let Some(i) = *row {
+                        let excluding = bits(&brute_force_knn(&m, q, k, Some(i)));
+                        let got = tree.k_nearest_excluding(q, k, Some(i));
+                        assert_eq!(bits(&got), excluding, "kdtree excluding {at}");
+                        let got = dedup.k_nearest_excluding(q, k, i);
+                        assert_eq!(bits(&got), excluding, "dedup excluding {at}");
+                    }
+                    let weighted = reference_weighted(&m, q, k);
+                    let got = unique.k_nearest_weighted(q, &weights, k);
+                    assert_eq!(bits(&got), weighted, "weighted {at}");
+                    let mut out = vec![marker];
+                    unique.k_nearest_weighted_into(q, &weights, k, &mut scratch, &mut out);
+                    assert_eq!(bits(&out[..1]), bits(&[marker]), "weighted_into {at}");
+                    assert_eq!(bits(&out[1..]), weighted, "weighted_into {at}");
+                    let mut out = vec![marker];
+                    dedup.k_nearest_unique_into(q, k, &mut scratch, &mut out);
+                    assert_eq!(bits(&out[1..]), weighted, "unique_into {at}");
+                }
+            }
+        }
+    }
+}
+
+/// One scratch, reused across trees of different widths (deep and
+/// shallow, in both orders) and budgets from 0 past the row count, gives
+/// what a fresh query gives.
+#[test]
+fn one_scratch_serves_every_width_and_budget() {
+    let mut scratch = QueryScratch::default();
+    let mut out = Vec::new();
+    let widths: Vec<usize> = (0..=20).chain((0..=20).rev()).collect();
+    for (round, &dim) in widths.iter().enumerate() {
+        let rows = if round % 2 == 0 { 400 } else { 40 };
+        let m = width_matrix(rows, dim, round as u64, round % 3 == 0);
+        let engine = DedupKnn::build(&m);
+        for k in [0, 1, 8, rows + 5] {
+            for i in [0, rows / 2, rows - 1] {
+                let q = m.row(i);
+                out.clear();
+                engine.k_nearest_unique_into(q, k, &mut scratch, &mut out);
+                let fresh = engine.k_nearest_unique(q, k);
+                assert_eq!(bits(&out), bits(&fresh), "width {dim} rows {rows} k {k} row {i}");
+                assert_eq!(bits(&out), reference_weighted(&m, q, k), "width {dim} k {k} row {i}");
+            }
+        }
+    }
 }

@@ -20,6 +20,11 @@ cargo build --release --workspace
 # original. --no-fail-fast: one failing test binary must not hide the
 # binaries after it.
 cargo test -q --workspace --no-fail-fast
+# The k-NN equivalence suites once more in the release profile the
+# benchmark builds: there the k-d tree's walk is compiled per row width,
+# and codegen decides which NaN an add of two NaNs returns, so a NaN
+# distance whose bits depended on the call site would show only here.
+cargo test --release -q -p transer-knn
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 bash scripts/panic_audit.sh
@@ -38,9 +43,19 @@ TRANSER_FAULT=gen.fit:nan ./target/release/ablation_controlled --quick --scale 0
 # runs). Worker-count invariance is covered elsewhere: the
 # parallel/tests/trace_merge.rs merge test, the bench_scale smoke's
 # cross-worker hash check below and serve/tests/persisted_service.rs.
+# The traced runs work in target/tier1/, so the report they write to
+# results/TRACE_controlled.json, relative to the working directory, lands
+# there and no tracked file changes.
 TRACED_ENV="TRANSER_TRACE=1 TRANSER_ALLOC_TRACE=1 TRANSER_THREADS=1"
-env $TRACED_ENV ./target/release/ablation_controlled --quick --scale 0.05 > /dev/null
-./target/release/trace_report --check results/TRACE_controlled.json
+TRACED_DIR=target/tier1
+TRACE=$TRACED_DIR/results/TRACE_controlled.json
+traced_smoke() {
+    mkdir -p "$TRACED_DIR"
+    (cd "$TRACED_DIR" && env $TRACED_ENV "$@" ../release/ablation_controlled --quick --scale 0.05 > /dev/null)
+}
+rm -f "$TRACE"
+traced_smoke
+./target/release/trace_report --check "$TRACE"
 
 # Regression gate: an artefact must match its blessed baseline in
 # results/baselines/ — counts, hashes, span-tree shape and allocation
@@ -59,21 +74,18 @@ gate() {
     fi
 }
 BASELINE=results/baselines/TRACE_controlled.json
-gate "$BASELINE" results/TRACE_controlled.json
+gate "$BASELINE" "$TRACE"
 
 # Negative control for the gate: a fault-perturbed traced run must FAIL
 # the diff (the degradation ladder changes the counter stream), otherwise
-# the gate is vacuous. The perturbed artefact is kept out of results/.
-env $TRACED_ENV TRANSER_FAULT=gen.fit:nan \
-    ./target/release/ablation_controlled --quick --scale 0.05 > /dev/null
-mv results/TRACE_controlled.json target/TRACE_perturbed.json
-if ./target/release/trace_diff --gate "$BASELINE" target/TRACE_perturbed.json > /dev/null; then
+# the gate is vacuous.
+rm -f "$TRACE"
+traced_smoke TRANSER_FAULT=gen.fit:nan
+if ./target/release/trace_diff --gate "$BASELINE" "$TRACE" > /dev/null; then
     echo "tier1: trace_diff gate FAILED to flag a fault-perturbed run" >&2
     exit 1
 fi
 echo "tier1: trace_diff gate flags the fault-perturbed control run (expected)"
-# Restore the clean committed-state artefact clobbered by the control.
-env $TRACED_ENV ./target/release/ablation_controlled --quick --scale 0.05 > /dev/null
 
 # Scale-ladder smoke: the end-to-end bench at its smallest rung (10^4
 # rows per domain) must report finite records/sec and bit-identical labels
