@@ -2,8 +2,8 @@
 //! feature vectors and ground-truth labels.
 //!
 //! # One store per call
-//! A call prepares each distinct value its pairs touch once — tokenised,
-//! q-grammed, parsed — into one store, then scores the pairs from it:
+//! A call prepares each distinct value its pairs touch once — tokenised
+//! or parsed — into one store, then scores the pairs from it:
 //!
 //! 1. The records each side's pairs touch are found from the pairs alone,
 //!    by sorting each side's record indices, so a call costs what its
@@ -15,8 +15,8 @@
 //!    missing value to one reserved id — and each distinct value is
 //!    prepared once, in first-occurrence order (left records first),
 //!    through one string interner shared by every feature of the call. A
-//!    set measure's profiles are interned token or q-gram ids in one flat
-//!    arena per feature, with no allocation per value.
+//!    set measure's profiles are interned token ids in one flat arena per
+//!    feature, with no allocation per value.
 //! 3. The pair loop reads two value ids per feature and scores their
 //!    preparations. It runs in fixed-size shards on the pool, each
 //!    writing its row-major block of the feature matrix with no per-pair
@@ -81,24 +81,52 @@ const MAX_PAIRS: usize = (u32::MAX / 2) as usize;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// `(attribute index, measure)` per feature, in feature order.
-    pub features: Vec<(usize, Measure)>,
+    features: Vec<(usize, Measure)>,
 }
 
 impl Comparison {
     /// Create from `(attribute index, measure)` pairs.
     ///
     /// # Errors
-    /// Returns [`Error::EmptyInput`] when no features are declared.
+    /// Returns [`Error::EmptyInput`] when no features are declared and
+    /// [`Error::InvalidParameter`] for a [`Measure::Numeric`] bound that is
+    /// not positive (zero, negative or NaN), which scoring would panic on.
     pub fn new(features: Vec<(usize, Measure)>) -> Result<Self> {
         if features.is_empty() {
             return Err(Error::EmptyInput("comparison features"));
         }
+        for &(attr, measure) in &features {
+            if let Measure::Numeric(max_diff) = measure {
+                if max_diff.is_nan() || max_diff <= 0.0 {
+                    return Err(Error::InvalidParameter {
+                        name: "max_diff",
+                        message: format!(
+                            "Numeric bound {max_diff} on attribute {attr} must be positive"
+                        ),
+                    });
+                }
+            }
+        }
         Ok(Comparison { features })
+    }
+
+    /// `(attribute index, measure)` per feature, in feature order.
+    pub fn features(&self) -> &[(usize, Measure)] {
+        &self.features
     }
 
     /// Number of features `m`.
     pub fn num_features(&self) -> usize {
         self.features.len()
+    }
+
+    /// Check that `record` holds a value, possibly a missing one, at every
+    /// attribute a feature reads.
+    ///
+    /// # Errors
+    /// Returns [`Error::DimensionMismatch`] when it holds fewer values.
+    pub fn check_record(&self, record: &Record) -> Result<()> {
+        check_width(record, width(&self.features))
     }
 
     /// The feature vector `x_ij` of one record pair. Missing values yield
@@ -110,10 +138,11 @@ impl Comparison {
     }
 
     /// Write the feature vector of one record pair into `out` without
-    /// allocating — the form the batched matrix path uses.
+    /// allocating.
     ///
     /// # Panics
-    /// Panics when `out.len() != self.num_features()`.
+    /// Panics when `out.len() != self.num_features()`, and when a record
+    /// fails [`Comparison::check_record`].
     pub fn feature_vector_into(&self, a: &Record, b: &Record, out: &mut [f64]) {
         assert_eq!(out.len(), self.num_features(), "feature buffer length");
         for (slot, &(attr, measure)) in out.iter_mut().zip(&self.features) {
@@ -128,9 +157,9 @@ impl Comparison {
     ///
     /// # Errors
     /// Returns [`Error::InvalidParameter`] for more than 2^31 − 1 pairs,
-    /// [`Error::DimensionMismatch`] if the assembled matrix buffer is not
-    /// rectangular (cannot occur by construction) and
-    /// [`Error::FaultInjected`] under a `compare:task_fail` plan.
+    /// [`Error::DimensionMismatch`] when a record a pair touches fails
+    /// [`Comparison::check_record`], and [`Error::FaultInjected`] under a
+    /// `compare:task_fail` plan.
     pub fn compare_pairs(
         &self,
         left: &[Record],
@@ -224,7 +253,7 @@ impl Comparison {
         // The store is dropped before the blocks are joined, so the matrix
         // can take its memory.
         let blocks = {
-            let store = Store::new(&self.features, left, right, pairs);
+            let store = Store::new(&self.features, left, right, pairs)?;
             let shards: Vec<&[(u32, u32)]> = store.slots.chunks(SHARD_PAIRS).collect();
             let hint = CostHint::with_per_item_nanos(shards.len(), PAIR_NANOS * SHARD_PAIRS as u64);
             pool.par_map_costed(&shards, hint, |shard| store.block(&self.features, shard))
@@ -256,6 +285,23 @@ fn pair_labels(left: &[Record], right: &[Record], pairs: &[CandidatePair]) -> Ve
     pairs.iter().map(|&(i, j)| Label::from_bool(left[i].entity == right[j].entity)).collect()
 }
 
+/// The fewest values a record needs for `features`: one past the highest
+/// attribute index.
+fn width(features: &[(usize, Measure)]) -> usize {
+    features.iter().map(|&(attr, _)| attr + 1).max().unwrap_or(0)
+}
+
+fn check_width(record: &Record, width: usize) -> Result<()> {
+    if record.values.len() < width {
+        return Err(Error::DimensionMismatch {
+            what: "record values",
+            left: record.values.len(),
+            right: width,
+        });
+    }
+    Ok(())
+}
+
 fn compare_values(measure: Measure, a: &AttrValue, b: &AttrValue) -> f64 {
     match (a, b) {
         (AttrValue::Text(x), AttrValue::Text(y)) => measure.text(x, y),
@@ -282,12 +328,14 @@ impl Store {
     /// Number and prepare the values of the records `pairs` touch. Counts
     /// `compare.prepared` (distinct values prepared, summed over features)
     /// and `compare.cache_hits` (lookups of a value already prepared).
+    /// Fails with [`Error::DimensionMismatch`] on a touched record that
+    /// fails [`Comparison::check_record`].
     fn new(
         features: &[(usize, Measure)],
         left: &[Record],
         right: &[Record],
         pairs: &[CandidatePair],
-    ) -> Store {
+    ) -> Result<Store> {
         let (lefts, left_slot) = touched(pairs, |&(i, _)| i);
         let (rights, right_slot) = touched(pairs, |&(_, j)| j);
         let first_right = lefts.len() as u32;
@@ -302,9 +350,11 @@ impl Store {
         let mut seen: Vec<HashMap<Exact<'_>, u32, MulRotBuild>> =
             features.iter().map(|_| HashMap::default()).collect();
         let mut lookups = 0u64;
+        let width = width(features);
         // One pass over the records, every feature per record: a record's
         // values are fetched once.
         for (row, record) in ids.chunks_exact_mut(m).zip(records) {
+            check_width(record, width)?;
             for (f, &(attr, measure)) in features.iter().enumerate() {
                 let value = &record.values[attr];
                 if matches!(value, AttrValue::Missing) {
@@ -321,7 +371,7 @@ impl Store {
         let prepared = seen.iter().map(|s| s.len() as u64).sum::<u64>();
         transer_trace::counter("compare.prepared", prepared);
         transer_trace::counter("compare.cache_hits", lookups - prepared);
-        Store { slots, ids, columns }
+        Ok(Store { slots, ids, columns })
     }
 
     /// The row-major feature block of one shard of pairs.
@@ -491,6 +541,45 @@ mod tests {
     }
 
     #[test]
+    fn numeric_bound_must_be_positive() {
+        for bad in [0.0, -0.0, -1.0, f64::NAN] {
+            let err = Comparison::new(vec![(0, Measure::TokenJaccard), (1, Measure::Numeric(bad))]);
+            assert!(
+                matches!(err, Err(Error::InvalidParameter { name: "max_diff", .. })),
+                "{bad}: {err:?}"
+            );
+        }
+        let ok = Comparison::new(vec![(0, Measure::TokenJaccard), (1, Measure::Numeric(60.0))]);
+        assert_eq!(
+            ok.unwrap().features(),
+            [(0, Measure::TokenJaccard), (1, Measure::Numeric(60.0))]
+        );
+    }
+
+    /// A record a pair touches without a value at some feature's attribute
+    /// fails the call with a typed error, on either side and in both entry
+    /// points; a record no pair touches is never read.
+    #[test]
+    fn narrow_touched_records_are_rejected() {
+        let wide = vec![rec(0, 1, "a b", 2000.0), rec(1, 2, "c d", 2001.0)];
+        let narrow = vec![Record::new(0, 1, vec![AttrValue::Text("a b".into())])];
+        let pool = transer_parallel::Pool::new(1);
+        let c = cmp();
+        assert_eq!(c.check_record(&wide[0]), Ok(()));
+        let want = Error::DimensionMismatch { what: "record values", left: 1, right: 2 };
+        assert_eq!(c.check_record(&narrow[0]), Err(want.clone()));
+        for (left, right) in [(&wide, &narrow), (&narrow, &wide)] {
+            let got = c.compare_pairs_with_pool(left, right, &[(0, 0)], &pool);
+            assert_eq!(got.unwrap_err(), want);
+            let got = c.compare_features_with_pool(left, right, &[(0, 0)], &pool);
+            assert_eq!(got.unwrap_err(), want);
+        }
+        let mixed = [wide[0].clone(), narrow[0].clone()];
+        let (x, _) = c.compare_pairs_with_pool(&mixed, &wide, &[(0, 1)], &pool).unwrap();
+        assert_eq!(x.rows(), 1);
+    }
+
+    #[test]
     fn feature_vector_into_matches_allocating_form() {
         let a = rec(0, 1, "deep entity matching", 2018.0);
         let b = rec(1, 1, "deep matching", 2019.0);
@@ -540,25 +629,17 @@ mod tests {
                     assert!(
                         got.to_bits() == want.to_bits(),
                         "workers={workers} {mode:?} {:?} on rows ({i}, {j}): {got} != {want}",
-                        comparison.features[f].1,
+                        comparison.features()[f].1,
                     );
                 }
             }
         }
     }
 
-    const MEASURES: [Measure; 14] = [
-        Measure::Jaro,
+    const MEASURES: [Measure; 6] = [
         Measure::JaroWinkler,
-        Measure::Levenshtein,
         Measure::TokenJaccard,
-        Measure::QgramJaccard(2),
-        Measure::TokenDice,
-        Measure::QgramDice(3),
-        Measure::TokenOverlap,
-        Measure::Lcs,
         Measure::MongeElkanJw,
-        Measure::Soundex,
         Measure::Exact,
         Measure::Numeric(5.0),
         Measure::Year,
@@ -612,8 +693,8 @@ mod tests {
             AttrValue::Text(String::new()),
             AttrValue::Missing,
         ];
-        let mut comparison = Comparison::new(MEASURES.iter().map(|&m| (0, m)).collect()).unwrap();
-        comparison.features.extend(MEASURES.iter().map(|&m| (1, m)));
+        let features = [0, 1].iter().flat_map(|&attr| MEASURES.map(|m| (attr, m))).collect();
+        let comparison = Comparison::new(features).unwrap();
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = move |n: usize| {
             state ^= state << 13;

@@ -45,7 +45,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use transer_common::{Error, Record, Result};
-use transer_parallel::{CostClass, CostHint, Pool};
+use transer_parallel::{CostHint, Pool};
 use transer_trace::json::{self, obj, Json};
 
 use crate::minhash::{apply_blocking_fault, BandScratch, MinHashLsh, MinHashLshConfig};
@@ -57,6 +57,12 @@ pub const COMPACT_MIN_TOMBSTONES: usize = 64;
 
 /// Schema version of the on-disk index format.
 pub const INDEX_SCHEMA_VERSION: u64 = 1;
+
+/// Estimated cost of one probe in [`LshIndex::query_batch`] (tokenise,
+/// sign, band and look up a record): the grain hint's per-item figure.
+/// Not timed; it keeps the retired per-class table's figure for
+/// per-record tokenising and hashing.
+const PROBE_NANOS: u64 = 30_000;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -290,7 +296,7 @@ impl LshIndex {
     /// site once per batch: an armed `empty` or `task_fail` plan leaves
     /// every probe without candidates.
     pub fn query_batch(&self, records: &[Record], pool: &Pool) -> Vec<Vec<usize>> {
-        let hint = CostHint::new(records.len(), CostClass::Medium);
+        let hint = CostHint::with_per_item_nanos(records.len(), PROBE_NANOS);
         let mut candidates =
             pool.par_map_init_costed(records, hint, QueryScratch::default, |scratch, _, rec| {
                 self.query_with(rec, scratch)

@@ -50,12 +50,19 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use transer_common::hash::{MulRotBuild, SipHasher13};
 use transer_common::{Error, Record, Result};
-use transer_parallel::{CostClass, CostHint, Pool};
+use transer_parallel::{CostHint, Pool};
 use transer_robust::FaultKind;
 
 use crate::exact::Exact;
 use crate::tokenize::{masked_values, push_token_hashes};
 use crate::CandidatePair;
+
+/// Estimated cost of tokenising, signing and banding one distinct masked
+/// value, shared by the value's band slots: the grain hint's per-value
+/// figure. Not timed; it keeps the retired per-class table's figure for
+/// per-record tokenising and hashing, about ten times the 3 µs measured
+/// per distinct value on `link`.
+const VALUE_NANOS: u64 = 30_000;
 
 /// Configuration of the MinHash LSH blocker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,9 +250,7 @@ impl MinHashLsh {
         // A zero-sized item per slot: the map needs a slice of the output's
         // length, and `Vec<()>` allocates nothing.
         let slots = vec![(); firsts.len() * bands];
-        // Tokenise + sign + band is per-value tokenising/hashing work,
-        // shared by the value's slots.
-        let per_slot = CostClass::Medium.nanos_per_item() / bands as u64;
+        let per_slot = VALUE_NANOS / bands as u64;
         let hint = CostHint::with_per_item_nanos(slots.len(), per_slot);
         let init = || (BandScratch::default(), Vec::with_capacity(bands), usize::MAX);
         pool.par_map_init_costed(&slots, hint, init, |(scratch, keys, at), slot, _| {

@@ -33,7 +33,7 @@
 use transer_common::{Error, FeatureMatrix, Label, Result};
 use transer_knn::{DedupKnn, KdTree, Neighbor, QueryScratch};
 use transer_linalg::{covariance, Mat};
-use transer_parallel::{CostClass, CostHint, Pool};
+use transer_parallel::{CostHint, Pool};
 
 use crate::config::{TransErConfig, Variant};
 use crate::decay::exp_decay_5;
@@ -44,6 +44,11 @@ use crate::decay::exp_decay_5;
 /// 0.64–0.74 s untraced for 52,020 unique rows, 12–14 µs each, of which
 /// the two queries take 11–12 µs (`pipeline/sel` reads 0.78 s traced).
 const UNIQUE_ROW_NANOS: u64 = 12_000;
+
+/// Cost of scoring one source row on the per-row reference path: its
+/// grain hint. Not timed; it keeps the retired per-class table's figure,
+/// well under the 12 µs a row's two queries take on `transfer`.
+const PER_ROW_NANOS: u64 = 2_000;
 
 /// Unique source rows scored per parallel work item. Each row is scored
 /// on its own, so results never depend on it; it is pinned so the
@@ -445,7 +450,7 @@ pub fn select_instances_per_row_with_pool(
 
     let variant = config.variant;
     let row_indices: Vec<usize> = (0..xs.rows()).collect();
-    let row_hint = CostHint::new(row_indices.len(), CostClass::Light);
+    let row_hint = CostHint::with_per_item_nanos(row_indices.len(), PER_ROW_NANOS);
     let scored: Vec<(InstanceScores, bool)> = pool.par_map_costed(&row_indices, row_hint, |&i| {
         let row = xs.row(i);
         // Neighbourhoods N_x^S (excluding the instance itself) and N_x^T.

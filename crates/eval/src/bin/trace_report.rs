@@ -10,9 +10,7 @@
 //!   traced pipeline run (spans for all three phases, at least one
 //!   counter each from the blocking, knn, ml, core and grain-dispatch
 //!   layers, a `parallel.chunk_size` histogram consistent with the
-//!   pooled-dispatch counter, the similarity-kernel partition
-//!   invariant `bitparallel + fallback == levenshtein.calls`, and the
-//!   k-d tree traversal partition invariant
+//!   pooled-dispatch counter, the k-d tree traversal partition invariant
 //!   `nodes + queries == bound_prunes + 2 × leaf_scans`, and at least
 //!   one distance evaluation per leaf scan, `dists >= leaf_scans`, with
 //!   `dists == 0` exactly when `leaf_scans == 0`); exits non-zero on any
@@ -122,19 +120,7 @@ fn validate(doc: &Json) -> Result<(), String> {
              parallel.dispatch.pooled counted {pooled} dispatches"
         ));
     }
-    // The fast similarity engine partitions every Levenshtein kernel run
-    // into exactly one of single-block bit-parallel or multi-block wide
-    // fallback (0 = 0 + 0 for runs that never invoke Levenshtein).
     let get = |k: &str| counters.get(k).and_then(Json::as_num).unwrap_or(0.0);
-    let lev = get("similarity.levenshtein.calls");
-    let bitparallel = get("similarity.kernel.bitparallel");
-    let fallback = get("similarity.kernel.fallback");
-    if bitparallel + fallback != lev {
-        return Err(format!(
-            "similarity.kernel.bitparallel ({bitparallel}) + similarity.kernel.fallback \
-             ({fallback}) != similarity.levenshtein.calls ({lev})"
-        ));
-    }
     // k-d tree traversal partition: every visited node is either a query
     // root or an unpruned child, and every visited internal node hands
     // both children to exactly one of {prune, visit} while every visited
@@ -301,14 +287,10 @@ mod tests {
         json::parse(&text).expect("test report is valid JSON")
     }
 
-    /// Counters that satisfy every partition invariant: 10 Levenshtein
-    /// runs split 7 + 3, and 2 k-d tree queries visiting 9 nodes with
-    /// 3 prunes and 4 leaf scans (9 + 2 == 3 + 2 × 4) that evaluate 50
-    /// distances.
-    const CONSISTENT: [(&str, u64); 8] = [
-        ("similarity.levenshtein.calls", 10),
-        ("similarity.kernel.bitparallel", 7),
-        ("similarity.kernel.fallback", 3),
+    /// Counters that satisfy every partition invariant: 2 k-d tree
+    /// queries visiting 9 nodes with 3 prunes and 4 leaf scans
+    /// (9 + 2 == 3 + 2 × 4) that evaluate 50 distances.
+    const CONSISTENT: [(&str, u64); 5] = [
         ("knn.kdtree.queries", 2),
         ("knn.kdtree.nodes", 9),
         ("knn.kdtree.bound_prunes", 3),
@@ -332,12 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn levenshtein_kernel_partition_must_hold() {
-        let err = validate(&report(&with("similarity.kernel.fallback", 2), 2)).unwrap_err();
-        assert!(err.contains("similarity.levenshtein.calls"), "{err}");
-    }
-
-    #[test]
     fn kdtree_traversal_partition_must_hold() {
         for (name, value) in [
             ("knn.kdtree.nodes", 10),
@@ -356,9 +332,9 @@ mod tests {
         assert!(err.contains("knn.kdtree.dists"), "{err}");
         // No traversal at all: distances without a leaf scan are an error,
         // all zeros are not.
-        let mut idle = CONSISTENT.map(|(k, v)| (k, if k.starts_with("knn.") { 0 } else { v }));
+        let mut idle = CONSISTENT.map(|(k, _)| (k, 0));
         assert_eq!(validate(&report(&idle, 2)), Ok(()));
-        idle[7].1 = 5;
+        idle[4] = ("knn.kdtree.dists", 5);
         let err = validate(&report(&idle, 2)).unwrap_err();
         assert!(err.contains("knn.kdtree.dists"), "{err}");
     }

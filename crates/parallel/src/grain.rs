@@ -16,14 +16,19 @@
 //!
 //! # Calibration
 //!
-//! All constants live in the one table below. They date from a
-//! calibration run against kernels several times slower than today's
-//! (`results/BENCH_grain.json`, kept as history): [`MEDIUM_NANOS`] assumes
-//! 30 µs per MinHash value, where about 3 µs per distinct value is
-//! measured now. A per-class estimate only needs to be right to within an
-//! order of magnitude, because the inline threshold sits two orders of
-//! magnitude above the measured spawn/merge overhead. A recalibration
-//! should take seconds per item at each call site from traced spans.
+//! The two constants below date from a calibration run that timed the
+//! pool's spawn, join and merge overhead (`results/BENCH_grain.json`, kept
+//! as history): the inline threshold sits two orders of magnitude above
+//! it. Each call site declares its own per-item estimate in nanoseconds,
+//! as a named constant beside the call. Compare's `PAIR_NANOS` and SEL's
+//! `UNIQUE_ROW_NANOS` are timed on the workloads that run them; the
+//! forest's and the presorted tree trainer's per-row costs come from that
+//! calibration run; the MinHash value, index probe and per-row SEL
+//! constants keep the figures of a retired per-class table (30 µs, 30 µs
+//! and 2 µs), fitted to kernels several times slower than today's: about
+//! 3 µs per distinct MinHash value is measured now. An estimate only needs
+//! to be right to within an order of magnitude; a recalibration should
+//! take seconds per item at each call site from traced spans.
 //!
 //! # Pinning the policy in tests
 //!
@@ -36,23 +41,8 @@
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------
-// The calibration table (see "Calibration" above).
+// The dispatch constants (see "Calibration" above).
 // ---------------------------------------------------------------------
-
-/// Estimated per-item cost of a [`CostClass::Trivial`] item (integer or
-/// float arithmetic on in-cache data).
-pub const TRIVIAL_NANOS: u64 = 40;
-/// Estimated per-item cost of a [`CostClass::Light`] item (a handful of
-/// hash-map probes, a short similarity on prepared data, one k-NN
-/// candidate scan row).
-pub const LIGHT_NANOS: u64 = 2_000;
-/// Estimated per-item cost of a [`CostClass::Medium`] item (tokenise and
-/// hash a record, prepare its attribute values, one pairwise record
-/// comparison over prepared values).
-pub const MEDIUM_NANOS: u64 = 30_000;
-/// Estimated per-item cost of a [`CostClass::Heavy`] item (fit a whole
-/// decision tree, sort a feature column of a large matrix).
-pub const HEAVY_NANOS: u64 = 1_000_000;
 
 /// Below this much estimated total work, dispatching to the pool cannot
 /// recoup its spawn/join/merge overhead and the call runs inline.
@@ -63,33 +53,6 @@ pub const INLINE_THRESHOLD_NANOS: u64 = 1_000_000;
 /// far below the work itself.
 pub const CHUNK_TARGET_NANOS: u64 = 200_000;
 
-/// Coarse per-item cost classes for call sites that don't want to estimate
-/// nanoseconds themselves. The mapping to nanoseconds is the calibration
-/// table above.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CostClass {
-    /// Tens of nanoseconds: plain arithmetic per item.
-    Trivial,
-    /// Around a microsecond: probes, short prepared comparisons.
-    Light,
-    /// Tens of microseconds: per-record tokenising/hashing/preparing.
-    Medium,
-    /// A millisecond or more: per-tree training, large column sorts.
-    Heavy,
-}
-
-impl CostClass {
-    /// The calibrated per-item estimate for this class, in nanoseconds.
-    pub fn nanos_per_item(self) -> u64 {
-        match self {
-            CostClass::Trivial => TRIVIAL_NANOS,
-            CostClass::Light => LIGHT_NANOS,
-            CostClass::Medium => MEDIUM_NANOS,
-            CostClass::Heavy => HEAVY_NANOS,
-        }
-    }
-}
-
 /// A call site's declaration of how much work a parallel call carries:
 /// item count × estimated per-item cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,14 +62,8 @@ pub struct CostHint {
 }
 
 impl CostHint {
-    /// Hint from an item count and a coarse [`CostClass`].
-    pub fn new(items: usize, class: CostClass) -> Self {
-        CostHint { items, nanos_per_item: class.nanos_per_item() }
-    }
-
-    /// Hint with an explicit per-item estimate, for call sites whose item
-    /// cost scales with a runtime quantity (e.g. tree training cost scales
-    /// with the row count). Clamped to at least 1 ns.
+    /// Hint from an item count and a per-item estimate in nanoseconds,
+    /// clamped to at least 1 ns.
     pub fn with_per_item_nanos(items: usize, nanos: u64) -> Self {
         CostHint { items, nanos_per_item: nanos.max(1) }
     }
@@ -175,27 +132,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn class_table_is_monotone() {
-        let ns: Vec<u64> =
-            [CostClass::Trivial, CostClass::Light, CostClass::Medium, CostClass::Heavy]
-                .iter()
-                .map(|c| c.nanos_per_item())
-                .collect();
-        assert!(ns.windows(2).all(|w| w[0] < w[1]), "{ns:?}");
-    }
-
-    #[test]
     fn estimate_and_chunking() {
-        let h = CostHint::new(1000, CostClass::Light);
+        let h = CostHint::with_per_item_nanos(1000, 2_000);
         assert_eq!(h.items(), 1000);
-        assert_eq!(h.estimated_nanos(), 1000 * LIGHT_NANOS);
+        assert_eq!(h.estimated_nanos(), 1000 * 2_000);
         // Chunks carry >= CHUNK_TARGET_NANOS of work...
         let chunk = h.chunk_size(2);
-        assert!(chunk as u64 * LIGHT_NANOS >= CHUNK_TARGET_NANOS.min(h.estimated_nanos() / 2));
+        assert!(chunk as u64 * 2_000 >= CHUNK_TARGET_NANOS.min(h.estimated_nanos() / 2));
         // ...but heavy items always split down to singles,
-        assert_eq!(CostHint::new(24, CostClass::Heavy).chunk_size(4), 1);
+        assert_eq!(CostHint::with_per_item_nanos(24, 1_000_000).chunk_size(4), 1);
         // and no chunk starves the other workers.
-        assert_eq!(CostHint::new(8, CostClass::Trivial).chunk_size(4), 2);
+        assert_eq!(CostHint::with_per_item_nanos(8, 40).chunk_size(4), 2);
         assert_eq!(CostHint::with_per_item_nanos(10, 0).chunk_size(0), 10);
     }
 
@@ -207,22 +154,23 @@ mod tests {
 
     #[test]
     fn overrides_beat_the_threshold_rule() {
-        let tiny = CostHint::new(10, CostClass::Trivial);
-        let huge = CostHint::new(1_000_000, CostClass::Medium);
+        let tiny = CostHint::with_per_item_nanos(10, 40);
+        let huge = CostHint::with_per_item_nanos(1_000_000, 30_000);
         assert!(!should_pool(&tiny, 8, GrainMode::AlwaysInline));
         assert!(!should_pool(&huge, 8, GrainMode::AlwaysInline));
         assert!(should_pool(&tiny, 8, GrainMode::AlwaysPool));
         assert!(should_pool(&huge, 8, GrainMode::AlwaysPool));
         // Single-item calls inline no matter what.
-        assert!(!should_pool(&CostHint::new(1, CostClass::Heavy), 8, GrainMode::AlwaysPool));
-        assert!(!should_pool(&CostHint::new(0, CostClass::Heavy), 8, GrainMode::AlwaysPool));
+        let heavy = |items| CostHint::with_per_item_nanos(items, 1_000_000);
+        assert!(!should_pool(&heavy(1), 8, GrainMode::AlwaysPool));
+        assert!(!should_pool(&heavy(0), 8, GrainMode::AlwaysPool));
     }
 
     #[test]
     fn auto_rule_respects_workers_and_threshold() {
-        let big = CostHint::new(1_000_000, CostClass::Medium);
+        let big = CostHint::with_per_item_nanos(1_000_000, 30_000);
         assert!(!should_pool(&big, 1, GrainMode::Auto), "one worker is sequential");
-        let small = CostHint::new(4, CostClass::Trivial);
+        let small = CostHint::with_per_item_nanos(4, 40);
         assert!(!should_pool(&small, 8, GrainMode::Auto), "under threshold inlines");
         // The boundary: ten items pool once their estimate reaches the
         // threshold, and inline one nanosecond per item below it.

@@ -27,13 +27,13 @@
 //!
 //! # Grain-size-aware dispatch
 //!
-//! The `*_costed` primitives take a [`CostHint`] and only spawn workers
-//! when the estimated work can recoup the spawn/merge overhead; below the
+//! Every primitive takes a [`CostHint`] and only spawns workers when the
+//! estimated work can recoup the spawn/merge overhead; below the
 //! threshold the closure runs inline on the caller thread, and above it
 //! the chunk size is derived from the hint. Because every primitive is
 //! bit-identical to its sequential form, the dispatch decision never
 //! changes results — only where and in what grouping the work runs. See
-//! the [`grain`] module for the policy and the calibration table.
+//! the [`grain`] module for the policy and its constants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,7 @@ pub mod grain;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-pub use grain::{CostClass, CostHint, GrainMode};
+pub use grain::{CostHint, GrainMode};
 
 /// Environment variable selecting the global worker count.
 pub const THREADS_ENV: &str = transer_common::env::THREADS;
@@ -120,48 +120,11 @@ impl Pool {
         }
     }
 
-    /// Map `f` over `items`, in parallel, preserving input order.
-    ///
-    /// Equivalent to `items.iter().map(f).collect()` — including the exact
-    /// output order — for any pure `f`.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        self.dispatch(items.len(), |start, end, out| {
-            out.extend(items[start..end].iter().map(&f));
-        })
-    }
-
-    /// Indexed map with per-worker scratch state: `init` runs once per
-    /// worker (per batch on the sequential path it runs once in total) and
-    /// `f` receives the scratch, the item's index and the item.
-    ///
-    /// The scratch must not influence results across items (use it for
-    /// reusable buffers, not accumulators) — determinism requires
-    /// `f(&mut fresh_state, i, item)` to equal `f(&mut reused_state, i,
-    /// item)`.
-    pub fn par_map_init<T, R, S, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        let workers = self.effective_workers();
-        if workers == 1 || items.len() <= 1 {
-            let mut state = init();
-            return items.iter().enumerate().map(|(i, t)| f(&mut state, i, t)).collect();
-        }
-        self.run_init(items, batch_size(items.len(), workers), workers, &init, &f)
-    }
-
-    /// [`Pool::par_map`] with grain-aware dispatch: runs inline on the
-    /// caller thread when the hint's estimated work is under threshold,
-    /// otherwise on the pool with a hint-derived chunk size. Bit-identical
-    /// to `par_map` either way.
+    /// Map `f` over `items`, preserving input order: equivalent to
+    /// `items.iter().map(f).collect()`, including the exact output order,
+    /// for any pure `f`. Runs inline on the caller thread when the hint's
+    /// estimated work is under threshold, otherwise on the pool with a
+    /// hint-derived chunk size.
     pub fn par_map_costed<T, R, F>(&self, items: &[T], hint: CostHint, f: F) -> Vec<R>
     where
         T: Sync,
@@ -183,8 +146,15 @@ impl Pool {
         }
     }
 
-    /// [`Pool::par_map_init`] with grain-aware dispatch (see
-    /// [`Pool::par_map_costed`]).
+    /// Indexed map with per-worker scratch state, dispatched as
+    /// [`Pool::par_map_costed`]: `init` runs once per worker (once in total
+    /// on the inline path) and `f` receives the scratch, the item's index
+    /// and the item.
+    ///
+    /// The scratch must not influence results across items (use it for
+    /// reusable buffers, not accumulators) — determinism requires
+    /// `f(&mut fresh_state, i, item)` to equal `f(&mut reused_state, i,
+    /// item)`.
     pub fn par_map_init_costed<T, R, S, I, F>(
         &self,
         items: &[T],
@@ -209,13 +179,18 @@ impl Pool {
         }
     }
 
-    /// [`Pool::par_chunks`] with grain-aware dispatch. The chunk size is
-    /// derived from the hint unless `pinned` fixes it — call sites whose
-    /// floating-point results depend on chunk boundaries pin the chunk so
-    /// results never depend on the dispatch decision. The inline path
-    /// iterates the same chunk boundaries the pooled path would use, so
-    /// the two are bit-identical for *any* `f`, not just per-item-pure
-    /// ones.
+    /// Process `items` in contiguous chunks, dispatched as
+    /// [`Pool::par_map_costed`]. `f` receives each chunk's starting index
+    /// and slice and returns that chunk's output; the chunk outputs are
+    /// concatenated in chunk order. The chunk size is derived from the
+    /// hint unless `pinned` fixes it — call sites whose floating-point
+    /// results depend on chunk boundaries pin the chunk so results never
+    /// depend on the dispatch decision. The inline path iterates the same
+    /// chunk boundaries the pooled path would use, so the two are
+    /// bit-identical for *any* `f`, not just per-item-pure ones.
+    ///
+    /// # Panics
+    /// Panics when `pinned` is `Some(0)`.
     pub fn par_chunks_costed<T, R, F>(
         &self,
         items: &[T],
@@ -259,8 +234,8 @@ impl Pool {
         }
     }
 
-    /// The pooled engine behind the indexed-map-with-scratch primitives:
-    /// workers claim `batch`-sized index ranges from an atomic cursor.
+    /// The pooled engine behind `par_map_init_costed`: workers claim
+    /// `batch`-sized index ranges from an atomic cursor.
     fn run_init<T, R, S, I, F>(
         &self,
         items: &[T],
@@ -305,36 +280,8 @@ impl Pool {
         merge_segments(&mut segments, items.len())
     }
 
-    /// Process `items` in contiguous chunks of (at most) `chunk` elements,
-    /// in parallel. `f` receives each chunk's starting index and slice and
-    /// returns that chunk's output; the chunk outputs are concatenated in
-    /// chunk order.
-    ///
-    /// Equivalent to `items.chunks(chunk).flat_map(..)` sequentially.
-    ///
-    /// # Panics
-    /// Panics when `chunk` is 0.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> Vec<R> + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        let workers = self.effective_workers();
-        if workers == 1 || items.len() <= chunk {
-            let mut out = Vec::new();
-            for start in (0..items.len()).step_by(chunk) {
-                let end = (start + chunk).min(items.len());
-                out.extend(f(start, &items[start..end]));
-            }
-            return out;
-        }
-        self.run_chunks(items, chunk, workers, f)
-    }
-
-    /// The pooled engine behind the chunked primitives: workers claim
-    /// whole chunks from an atomic cursor; chunk outputs concatenate in
+    /// The pooled engine behind `par_chunks_costed`: workers claim whole
+    /// chunks from an atomic cursor; chunk outputs concatenate in
     /// ascending start order.
     fn run_chunks<T, R, F>(&self, items: &[T], chunk: usize, workers: usize, f: F) -> Vec<R>
     where
@@ -371,23 +318,7 @@ impl Pool {
         segments.into_iter().flat_map(|(_, v)| v).collect()
     }
 
-    /// Shared batched driver for [`Pool::par_map`]: `fill(start, end,
-    /// &mut out)` appends the results for `items[start..end]`.
-    fn dispatch<R, F>(&self, n: usize, fill: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, usize, &mut Vec<R>) + Sync,
-    {
-        let workers = self.effective_workers();
-        if workers == 1 || n <= 1 {
-            let mut out = Vec::with_capacity(n);
-            fill(0, n, &mut out);
-            return out;
-        }
-        self.run_batched(n, batch_size(n, workers), workers, fill)
-    }
-
-    /// The pooled engine behind the map primitives: workers claim
+    /// The pooled engine behind `par_map_costed`: workers claim
     /// `batch`-sized index ranges from an atomic cursor and the segments
     /// merge back in input order.
     fn run_batched<R, F>(&self, n: usize, batch: usize, workers: usize, fill: F) -> Vec<R>
@@ -444,12 +375,6 @@ fn join_absorbing<R: Send>(handles: Vec<WorkerHandle<'_, R>>) -> Vec<(usize, Vec
     segments
 }
 
-/// Batch size targeting ~4 batches per worker, so stragglers rebalance
-/// without paying per-item dispatch overhead.
-fn batch_size(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers * 4).max(1)
-}
-
 /// Reassemble per-batch outputs into input order.
 fn merge_segments<R>(segments: &mut Vec<(usize, Vec<R>)>, n: usize) -> Vec<R> {
     segments.sort_unstable_by_key(|&(start, _)| start);
@@ -466,23 +391,38 @@ fn merge_segments<R>(segments: &mut Vec<(usize, Vec<R>)>, n: usize) -> Vec<R> {
 mod tests {
     use super::*;
 
+    /// A hint of `items` items at 20 µs each: 10 items per pooled chunk
+    /// (`CHUNK_TARGET_NANOS / 20 µs`) at any worker count up to
+    /// `items / 10`.
+    fn hint(items: usize) -> CostHint {
+        CostHint::with_per_item_nanos(items, 20_000)
+    }
+
+    /// A pool of `workers` that takes the pooled path on any host.
+    fn pooled(workers: usize) -> Pool {
+        Pool::new(workers).with_grain(GrainMode::AlwaysPool)
+    }
+
     #[test]
     fn par_map_matches_sequential_map() {
         let items: Vec<u64> = (0..1000).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
         for workers in [1, 2, 3, 8, 64] {
-            let got = Pool::new(workers).par_map(&items, |x| x * x + 1);
+            let got = pooled(workers).par_map_costed(&items, hint(items.len()), |x| x * x + 1);
             assert_eq!(got, expect, "workers={workers}");
         }
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let pool = Pool::new(4);
-        assert!(pool.par_map(&[] as &[u8], |x| *x).is_empty());
-        assert_eq!(pool.par_map(&[5u8], |x| *x * 2), vec![10]);
-        assert!(pool.par_chunks(&[] as &[u8], 3, |_, c| c.to_vec()).is_empty());
-        let none: Vec<u8> = pool.par_map_init(&[], Vec::<u8>::new, |_, _, x: &u8| *x);
+        let pool = pooled(4);
+        assert!(pool.par_map_costed(&[] as &[u8], hint(0), |x| *x).is_empty());
+        assert_eq!(pool.par_map_costed(&[5u8], hint(1), |x| *x * 2), vec![10]);
+        assert!(pool
+            .par_chunks_costed(&[] as &[u8], Some(3), hint(0), |_, c| c.to_vec())
+            .is_empty());
+        let none: Vec<u8> =
+            pool.par_map_init_costed(&[], hint(0), Vec::<u8>::new, |_, _, x: &u8| *x);
         assert!(none.is_empty());
     }
 
@@ -490,8 +430,9 @@ mod tests {
     fn par_map_init_sees_correct_indices() {
         let items: Vec<i32> = (0..503).map(|i| i * 3).collect();
         for workers in [1, 4] {
-            let got = Pool::new(workers).par_map_init(
+            let got = pooled(workers).par_map_init_costed(
                 &items,
+                hint(items.len()),
                 || 0usize, // scratch: counts items this worker handled
                 |seen, i, x| {
                     *seen += 1;
@@ -508,8 +449,12 @@ mod tests {
         let items: Vec<u32> = (0..257).collect();
         let expect: Vec<u32> = items.iter().map(|x| x + 7).collect();
         for (workers, chunk) in [(1, 10), (4, 1), (4, 10), (4, 300), (7, 13)] {
-            let got = Pool::new(workers)
-                .par_chunks(&items, chunk, |_, c| c.iter().map(|x| x + 7).collect());
+            let got = pooled(workers).par_chunks_costed(
+                &items,
+                Some(chunk),
+                hint(items.len()),
+                |_, c| c.iter().map(|x| x + 7).collect(),
+            );
             assert_eq!(got, expect, "workers={workers} chunk={chunk}");
         }
     }
@@ -517,7 +462,10 @@ mod tests {
     #[test]
     fn par_chunks_passes_chunk_starts() {
         let items = [0u8; 95];
-        let starts = Pool::new(3).par_chunks(&items, 20, |start, c| vec![(start, c.len())]);
+        let starts =
+            pooled(3).par_chunks_costed(&items, Some(20), hint(items.len()), |start, c| {
+                vec![(start, c.len())]
+            });
         assert_eq!(starts, vec![(0, 20), (20, 20), (40, 20), (60, 20), (80, 15)]);
     }
 
@@ -525,8 +473,9 @@ mod tests {
     fn variable_length_chunk_outputs() {
         // Chunks may expand or filter; concatenation must stay in order.
         let items: Vec<usize> = (0..100).collect();
-        let got = Pool::new(4)
-            .par_chunks(&items, 7, |_, c| c.iter().filter(|&&x| x % 2 == 0).copied().collect());
+        let got = pooled(4).par_chunks_costed(&items, Some(7), hint(items.len()), |_, c| {
+            c.iter().filter(|&&x| x % 2 == 0).copied().collect()
+        });
         let expect: Vec<usize> = (0..100).filter(|x| x % 2 == 0).collect();
         assert_eq!(got, expect);
     }
@@ -547,21 +496,22 @@ mod tests {
         let items: Vec<u64> = (0..64).map(|i| if i % 8 == 0 { 200_000 } else { 10 }).collect();
         let busy = |n: &u64| (0..*n).fold(0u64, |a, x| a.wrapping_add(x * x));
         let seq: Vec<u64> = items.iter().map(busy).collect();
-        assert_eq!(Pool::new(4).par_map(&items, busy), seq);
+        let one_per_chunk = CostHint::with_per_item_nanos(items.len(), grain::CHUNK_TARGET_NANOS);
+        assert_eq!(pooled(4).par_map_costed(&items, one_per_chunk, busy), seq);
     }
 
     #[test]
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_panics() {
-        Pool::new(2).par_chunks(&[1u8], 0, |_, c| c.to_vec());
+        pooled(2).par_chunks_costed(&[1u8], Some(0), hint(1), |_, c| c.to_vec());
     }
 
     #[test]
-    fn costed_primitives_match_uncosted_under_every_mode() {
+    fn costed_primitives_match_sequential_under_every_mode() {
         let items: Vec<u64> = (0..777).collect();
         let map_expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         let init_expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| x + i as u64).collect();
-        let trivial = CostHint::new(items.len(), CostClass::Trivial);
+        let trivial = CostHint::with_per_item_nanos(items.len(), 40);
         // Sized at the inline threshold, so `Auto` pools on a multi-core host.
         let per_item = grain::INLINE_THRESHOLD_NANOS.div_ceil(items.len() as u64);
         let at_threshold = CostHint::with_per_item_nanos(items.len(), per_item);
@@ -602,26 +552,24 @@ mod tests {
         // passes when the inline path iterates the same boundaries the
         // pooled path claims.
         let items: Vec<u32> = (0..301).collect();
-        let hint = CostHint::new(items.len(), CostClass::Heavy);
+        let hint = CostHint::with_per_item_nanos(items.len(), 1_000_000);
         let f = |start: usize, c: &[u32]| -> Vec<u64> {
             c.iter().map(|x| u64::from(*x) * 1000 + start as u64).collect()
         };
         let inline = Pool::new(4).with_grain(GrainMode::AlwaysInline);
-        let pooled = Pool::new(4).with_grain(GrainMode::AlwaysPool);
         assert_eq!(
             inline.par_chunks_costed(&items, Some(32), hint, f),
-            pooled.par_chunks_costed(&items, Some(32), hint, f),
+            pooled(4).par_chunks_costed(&items, Some(32), hint, f),
         );
     }
 
     #[test]
     fn dispatch_decisions_are_counted() {
         let items: Vec<u64> = (0..64).collect();
-        let hint = CostHint::new(items.len(), CostClass::Medium);
+        let hint = CostHint::with_per_item_nanos(items.len(), 30_000);
         transer_trace::set_enabled(true);
-        let pooled = Pool::new(4).with_grain(GrainMode::AlwaysPool);
         let inline = Pool::new(4).with_grain(GrainMode::AlwaysInline);
-        let a = pooled.par_map_costed(&items, hint, |x| x + 1);
+        let a = pooled(4).par_map_costed(&items, hint, |x| x + 1);
         let b = inline.par_map_costed(&items, hint, |x| x + 1);
         let report = transer_trace::drain_report();
         transer_trace::set_enabled(false);

@@ -7,7 +7,7 @@
 
 use std::sync::Mutex;
 
-use transer_parallel::Pool;
+use transer_parallel::{CostHint, GrainMode, Pool};
 use transer_trace::TraceReport;
 
 // An unused `--extern` crate is never loaded, and an unloaded crate's
@@ -22,8 +22,9 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 /// by `alloc_counted` — fully deterministic in the item, not the thread.
 fn traced_run(workers: usize) -> (u64, TraceReport) {
     let items: Vec<u64> = (0..499).collect();
-    let pool = Pool::new(workers);
-    let out = pool.par_map(&items, |&x| {
+    let pool = Pool::new(workers).with_grain(GrainMode::AlwaysPool);
+    let hint = CostHint::with_per_item_nanos(items.len(), 2_000);
+    let out = pool.par_map_costed(&items, hint, |&x| {
         transer_trace::alloc_counted("test.alloc.count", "test.alloc.bytes", || {
             let v: Vec<u8> = Vec::with_capacity(64 + (x as usize % 7) * 8);
             std::hint::black_box(&v);

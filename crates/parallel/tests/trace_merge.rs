@@ -4,7 +4,7 @@
 
 use std::sync::Mutex;
 
-use transer_parallel::Pool;
+use transer_parallel::{CostHint, GrainMode, Pool};
 use transer_trace::TraceReport;
 
 /// Tracing state is process-global; tests that flip it serialise here.
@@ -12,8 +12,12 @@ static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn workload(workers: usize) -> (Vec<u64>, Vec<u64>, Vec<(usize, u64)>) {
     let items: Vec<u64> = (0..997).collect();
-    let pool = Pool::new(workers);
-    let mapped = pool.par_map(&items, |&x| {
+    // Pooled on any host. At 20 µs per item a pooled chunk holds 10 items
+    // at every worker count here, so the recorded chunk sizes, like every
+    // other counter, cannot depend on it.
+    let pool = Pool::new(workers).with_grain(GrainMode::AlwaysPool);
+    let hint = CostHint::with_per_item_nanos(items.len(), 20_000);
+    let mapped = pool.par_map_costed(&items, hint, |&x| {
         transer_trace::counter("test.items", 1);
         if x % 3 == 0 {
             transer_trace::counter("test.fizz", 1);
@@ -21,15 +25,15 @@ fn workload(workers: usize) -> (Vec<u64>, Vec<u64>, Vec<(usize, u64)>) {
         transer_trace::observe("test.value", (x % 17) as f64);
         x.wrapping_mul(0x9e37_79b9) >> 7
     });
-    let chunked = pool.par_chunks(&items, 13, |_, c| {
+    let chunked = pool.par_chunks_costed(&items, Some(13), hint, |_, c| {
         transer_trace::counter("test.chunks", 1);
         transer_trace::observe("test.chunk_len", c.len() as f64);
         c.iter().map(|x| x + 1).collect()
     });
-    // The scratch is a reusable buffer, as `par_map_init` requires: each
-    // item's result depends on the item alone, never on which items the
-    // same worker saw before it.
-    let initd = pool.par_map_init(&items, Vec::<u64>::new, |scratch, i, &x| {
+    // The scratch is a reusable buffer, as `par_map_init_costed` requires:
+    // each item's result depends on the item alone, never on which items
+    // the same worker saw before it.
+    let initd = pool.par_map_init_costed(&items, hint, Vec::<u64>::new, |scratch, i, &x| {
         scratch.clear();
         scratch.extend([x, x >> 1, x >> 2]);
         transer_trace::counter("test.init_items", 1);

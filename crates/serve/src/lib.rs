@@ -73,7 +73,9 @@ impl MatchService {
     /// from scratch (ids `0..reference.len()`).
     ///
     /// # Errors
-    /// [`Error::InvalidParameter`] when the LSH config is invalid.
+    /// [`Error::DimensionMismatch`] when a reference record fails
+    /// [`Comparison::check_record`]; [`Error::InvalidParameter`] when the
+    /// LSH config is invalid.
     pub fn new(
         comparison: Comparison,
         model: PersistedModel,
@@ -81,6 +83,9 @@ impl MatchService {
         attrs: Option<&[usize]>,
         reference: Vec<Record>,
     ) -> Result<Self> {
+        for record in &reference {
+            comparison.check_record(record)?;
+        }
         let index = LshIndex::from_records(config, attrs, &reference)?;
         Ok(MatchService { comparison, model, index, records: reference })
     }
@@ -90,18 +95,20 @@ impl MatchService {
     ///
     /// # Errors
     /// [`Error::InvalidParameter`] when the index references an id outside
-    /// `records`.
+    /// `records`; [`Error::DimensionMismatch`] when a live record fails
+    /// [`Comparison::check_record`].
     pub fn with_index(
         comparison: Comparison,
         model: PersistedModel,
         index: LshIndex,
         records: Vec<Record>,
     ) -> Result<Self> {
-        if let Some(bad) = index.ids().find(|&id| id >= records.len()) {
-            return Err(Error::InvalidParameter {
+        for id in index.ids() {
+            let record = records.get(id).ok_or_else(|| Error::InvalidParameter {
                 name: "index",
-                message: format!("live id {bad} has no record slot ({} records)", records.len()),
-            });
+                message: format!("live id {id} has no record slot ({} records)", records.len()),
+            })?;
+            comparison.check_record(record)?;
         }
         Ok(MatchService { comparison, model, index, records })
     }
@@ -146,8 +153,11 @@ impl MatchService {
     /// Add a reference record; returns its assigned id.
     ///
     /// # Errors
-    /// Propagates index insertion errors (cannot occur for fresh ids).
+    /// [`Error::DimensionMismatch`] when the record fails
+    /// [`Comparison::check_record`], leaving the service unchanged;
+    /// propagates index insertion errors (cannot occur for fresh ids).
     pub fn insert(&mut self, record: Record) -> Result<usize> {
+        self.comparison.check_record(&record)?;
         let id = self.records.len();
         self.index.insert(id, &record)?;
         self.records.push(record);
@@ -181,7 +191,10 @@ impl MatchService {
     /// `robust.fault.serve.query` counter.
     ///
     /// # Errors
-    /// Propagates comparison errors and injected faults.
+    /// Propagates comparison errors, among them
+    /// [`Error::DimensionMismatch`] for a query record a candidate pair
+    /// touches that fails [`Comparison::check_record`], and injected
+    /// faults.
     pub fn query_batch_with_pool(&self, batch: &[Record], pool: &Pool) -> Result<BatchResponse> {
         let _span = transer_trace::span("serve.batch");
         transer_trace::counter("serve.batches", 1);

@@ -2,9 +2,7 @@
 //! an attribute, so feature spaces can be declared as data.
 
 use crate::{
-    dice_qgram, dice_tokens, exact, jaccard_qgram, jaccard_tokens, jaro, jaro_winkler,
-    lcs_similarity, levenshtein_similarity, monge_elkan, numeric_similarity, overlap_tokens,
-    soundex_similarity, year_similarity,
+    exact, jaccard_tokens, jaro_winkler, monge_elkan, numeric_similarity, year_similarity,
 };
 
 /// The similarity measures this crate can apply, as plain data.
@@ -14,31 +12,17 @@ use crate::{
 /// sharing one comparison configuration between the two domains.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Measure {
-    /// Jaro similarity.
-    Jaro,
     /// Jaro-Winkler with standard parameters (names).
     JaroWinkler,
-    /// Normalised Levenshtein similarity.
-    Levenshtein,
     /// Jaccard over whitespace tokens (titles, venues, albums).
     TokenJaccard,
-    /// Jaccard over padded character q-grams.
-    QgramJaccard(usize),
-    /// Dice over whitespace tokens.
-    TokenDice,
-    /// Dice over padded character q-grams.
-    QgramDice(usize),
-    /// Overlap coefficient over whitespace tokens.
-    TokenOverlap,
-    /// Normalised longest-common-subsequence similarity.
-    Lcs,
     /// Symmetrised Monge-Elkan with a Jaro-Winkler inner comparator.
     MongeElkanJw,
-    /// Soundex phonetic equality.
-    Soundex,
     /// Exact string equality.
     Exact,
-    /// Linear numeric similarity with the given maximum difference.
+    /// Linear numeric similarity with the given maximum difference, which
+    /// must be positive: scoring panics otherwise, and the blocking crate's
+    /// `Comparison::new` rejects such a bound.
     Numeric(f64),
     /// Year similarity (linear, 10-year horizon).
     Year,
@@ -50,19 +34,11 @@ impl Measure {
     /// Numeric measures parse the strings; unparseable values score 0.
     pub fn text(&self, a: &str, b: &str) -> f64 {
         match *self {
-            Measure::Jaro => jaro(a, b),
             Measure::JaroWinkler => jaro_winkler(a, b),
-            Measure::Levenshtein => levenshtein_similarity(a, b),
             Measure::TokenJaccard => jaccard_tokens(a, b),
-            Measure::QgramJaccard(q) => jaccard_qgram(a, b, q),
-            Measure::TokenDice => dice_tokens(a, b),
-            Measure::QgramDice(q) => dice_qgram(a, b, q),
-            Measure::TokenOverlap => overlap_tokens(a, b),
-            Measure::Lcs => lcs_similarity(a, b),
             Measure::MongeElkanJw => {
                 0.5 * (monge_elkan(a, b, jaro_winkler) + monge_elkan(b, a, jaro_winkler))
             }
-            Measure::Soundex => soundex_similarity(a, b),
             Measure::Exact => exact(a, b),
             Measure::Numeric(max_diff) => match (a.trim().parse(), b.trim().parse()) {
                 (Ok(x), Ok(y)) => numeric_similarity(x, y, max_diff),
@@ -94,12 +70,6 @@ impl Measure {
     }
 }
 
-/// Apply `measure` to two textual values — free-function form convenient for
-/// passing as a closure.
-pub fn similarity_for(measure: Measure, a: &str, b: &str) -> f64 {
-    measure.text(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +78,6 @@ mod tests {
     fn dispatch_matches_direct_calls() {
         assert_eq!(Measure::JaroWinkler.text("martha", "marhta"), jaro_winkler("martha", "marhta"));
         assert_eq!(Measure::TokenJaccard.text("a b", "b c"), jaccard_tokens("a b", "b c"));
-        assert_eq!(Measure::QgramJaccard(2).text("abc", "abd"), jaccard_qgram("abc", "abd", 2));
         assert_eq!(Measure::Exact.text("x", "x"), 1.0);
     }
 
@@ -126,7 +95,7 @@ mod tests {
         assert_eq!(Measure::Exact.number(1.0, 1.0), 1.0);
         assert_eq!(Measure::Exact.number(1.0, 2.0), 0.0);
         // Falling back through text comparison still works.
-        assert_eq!(Measure::Levenshtein.number(123.0, 123.0), 1.0);
+        assert_eq!(Measure::JaroWinkler.number(123.0, 123.0), 1.0);
     }
 
     #[test]
@@ -137,26 +106,12 @@ mod tests {
     }
 
     #[test]
-    fn free_function_form() {
-        assert_eq!(similarity_for(Measure::Exact, "a", "a"), 1.0);
-    }
-
-    #[test]
     fn engines_agree_across_all_measures() {
         use crate::kernel::oracle;
         let all = [
-            Measure::Jaro,
             Measure::JaroWinkler,
-            Measure::Levenshtein,
             Measure::TokenJaccard,
-            Measure::QgramJaccard(2),
-            Measure::QgramJaccard(4),
-            Measure::TokenDice,
-            Measure::QgramDice(3),
-            Measure::TokenOverlap,
-            Measure::Lcs,
             Measure::MongeElkanJw,
-            Measure::Soundex,
             Measure::Exact,
             Measure::Numeric(5.0),
             Measure::Year,

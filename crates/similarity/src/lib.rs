@@ -4,19 +4,18 @@
 //! Every function in this crate maps a pair of values to a similarity score
 //! in `[0, 1]`, where `1` means identical and `0` means maximally different.
 //! The paper's experimental setup uses Jaro-Winkler for names and Jaccard
-//! for other textual strings, plus bounded numeric comparators for years;
-//! this crate additionally provides the comparators commonly found in ER
-//! toolkits (Levenshtein, Dice, overlap, longest common subsequence,
-//! Monge-Elkan, Soundex) so that feature spaces can be configured freely.
+//! for other textual strings, plus bounded numeric comparators for years.
+//! This crate provides those, Monge-Elkan over Jaro-Winkler for
+//! multi-token names and exact equality: the six [`Measure`]s the
+//! workspace's schemas declare.
 //!
 //! All string functions operate on `char`s, so multi-byte UTF-8 is handled
 //! correctly.
 //!
-//! Every score runs on allocation-free kernels: bit-parallel Levenshtein,
-//! scratch-buffer Jaro and LCS, and merge-based set similarities over
-//! sorted, packed or interned profiles. The original per-call-allocating
-//! implementations are kept in test builds only, as the oracle the
-//! kernels are proptested bit-identical against.
+//! Every score runs on allocation-free kernels: a scratch-buffer Jaro scan
+//! and a merge-based Jaccard over sorted or interned token profiles. The
+//! original per-call-allocating implementations are kept in test builds
+//! only, as the oracle the kernels are proptested bit-identical against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,27 +24,18 @@ mod config;
 mod jaccard;
 mod jaro;
 mod kernel;
-mod lcs;
-mod levenshtein;
 mod monge_elkan;
 mod numeric;
 mod prepared;
 mod qgram;
-mod soundex;
 
-pub use config::{similarity_for, Measure};
-pub use jaccard::{
-    dice_qgram, dice_sorted, dice_tokens, jaccard_qgram, jaccard_sorted, jaccard_tokens,
-    overlap_sorted, overlap_tokens,
-};
+pub use config::Measure;
+pub use jaccard::{jaccard_sorted, jaccard_tokens};
 pub use jaro::{jaro, jaro_winkler, jaro_winkler_with};
-pub use lcs::{lcs_len, lcs_similarity};
-pub use levenshtein::{damerau_levenshtein, levenshtein, levenshtein_similarity};
 pub use monge_elkan::{monge_elkan, monge_elkan_tokens};
 pub use numeric::{numeric_similarity, year_similarity};
 pub use prepared::PreparedText;
-pub use qgram::{for_each_qgram, for_each_token, qgram_multiset, qgrams, tokens};
-pub use soundex::{soundex, soundex_similarity};
+pub use qgram::{for_each_qgram, for_each_token, tokens};
 
 /// Exact string equality as a similarity: 1.0 when equal, else 0.0.
 #[inline]

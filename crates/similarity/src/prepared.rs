@@ -1,32 +1,27 @@
 //! Per-value precomputation for the record-pair comparison hot path.
 //!
 //! Applying a [`Measure`] to a record pair repeats work that depends only
-//! on *one* side: tokenising, building q-gram sets, Soundex encoding,
-//! numeric parsing. A value compared against `k` candidates pays that cost
-//! `k` times. [`Measure::prepare`] hoists the per-value work into a
-//! [`PreparedText`], and [`Measure::prepared`] consumes two prepared
-//! values — producing **bit-identical** scores to [`Measure::text`], which
-//! the tests below pin down measure by measure.
+//! on *one* side: tokenising, numeric parsing. A value compared against
+//! `k` candidates pays that cost `k` times. [`Measure::prepare`] hoists the
+//! per-value work into a [`PreparedText`], and [`Measure::prepared`]
+//! consumes two prepared values — producing **bit-identical** scores to
+//! [`Measure::text`], which the tests below pin down measure by measure.
 //!
-//! The set families prepare *sorted* profiles — sorted deduplicated
-//! token/gram vectors, or q-grams packed into `u64`s for `q ≤ 3` — and
-//! score them with `O(n + m)` merges. [`Measure::push_interned_set`]
-//! writes the same profiles as interned `u32` ids into a caller's buffer,
-//! for callers that keep many profiles in one arena. All set scores
-//! depend only on `(|A ∩ B|, |A|, |B|)` and every representation
-//! preserves exactly that structure, so they are bit-identical to one
-//! another and to the `HashSet` oracle in `kernel::oracle`.
+//! Token Jaccard prepares a *sorted* deduplicated token profile and scores
+//! it with an `O(n + m)` merge. [`Measure::push_interned_set`] writes the
+//! same profile as interned `u32` ids into a caller's buffer, for callers
+//! that keep many profiles in one arena. Jaccard depends only on
+//! `(|A ∩ B|, |A|, |B|)` and both representations preserve exactly that
+//! structure, so they are bit-identical to each other and to the `HashSet`
+//! oracle in `kernel::oracle`.
 
 use transer_common::StrInterner;
 
-use crate::jaccard::{sorted_token_profile, SetOp};
-use crate::kernel::{packed_qgram_profile, push_interned_profile, PACK_MAX_Q};
+use crate::jaccard::sorted_token_profile;
+use crate::kernel::push_interned_profile;
 use crate::monge_elkan::monge_elkan_tokens;
-use crate::qgram::{qgrams, tokens};
-use crate::{
-    jaro, jaro_winkler, lcs_similarity, levenshtein_similarity, numeric_similarity, soundex,
-    year_similarity, Measure,
-};
+use crate::qgram::tokens;
+use crate::{jaccard_sorted, jaro_winkler, numeric_similarity, year_similarity, Measure};
 
 /// A textual value with the measure-specific per-value work already done.
 ///
@@ -34,42 +29,15 @@ use crate::{
 /// *same* measure's [`Measure::prepared`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum PreparedText {
-    /// The raw string — character-level measures (Jaro, Jaro-Winkler,
-    /// Levenshtein, LCS, Exact) have no useful per-value precomputation.
+    /// The raw string — Jaro-Winkler and Exact have no useful per-value
+    /// precomputation.
     Raw(String),
-    /// Sorted deduplicated whitespace tokens.
+    /// Sorted deduplicated whitespace tokens (Token Jaccard).
     SortedTokens(Vec<String>),
-    /// Sorted deduplicated padded q-grams (`q > 3`).
-    SortedGrams(Vec<String>),
-    /// Sorted packed padded q-grams (`q ≤ 3`, 21 bits per char).
-    PackedGrams(Vec<u64>),
     /// Token list in order (Monge-Elkan).
     TokenList(Vec<String>),
-    /// Soundex code.
-    SoundexCode(String),
     /// Parsed numeric value (Numeric / Year); `None` when unparseable.
     Parsed(Option<f64>),
-}
-
-/// Score a token-family pair under `op`; `None` on representation
-/// mismatch.
-fn token_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
-    use PreparedText as P;
-    match (a, b) {
-        (P::SortedTokens(x), P::SortedTokens(y)) => Some(op.sorted(x, y)),
-        _ => None,
-    }
-}
-
-/// Score a q-gram-family pair under `op`; `None` on representation
-/// mismatch.
-fn gram_family(op: SetOp, a: &PreparedText, b: &PreparedText) -> Option<f64> {
-    use PreparedText as P;
-    match (a, b) {
-        (P::SortedGrams(x), P::SortedGrams(y)) => Some(op.sorted(x, y)),
-        (P::PackedGrams(x), P::PackedGrams(y)) => Some(op.sorted(x, y)),
-        _ => None,
-    }
 }
 
 impl Measure {
@@ -78,51 +46,22 @@ impl Measure {
     pub fn prepare(&self, s: &str) -> PreparedText {
         match *self {
             Measure::MongeElkanJw => PreparedText::TokenList(tokens(s)),
-            Measure::Soundex => PreparedText::SoundexCode(soundex(s)),
             Measure::Numeric(_) | Measure::Year => PreparedText::Parsed(s.trim().parse().ok()),
-            Measure::Jaro
-            | Measure::JaroWinkler
-            | Measure::Levenshtein
-            | Measure::Lcs
-            | Measure::Exact => PreparedText::Raw(s.to_string()),
-            Measure::TokenJaccard | Measure::TokenDice | Measure::TokenOverlap => {
-                PreparedText::SortedTokens(sorted_token_profile(s))
-            }
-            Measure::QgramJaccard(q) | Measure::QgramDice(q) => {
-                if q <= PACK_MAX_Q {
-                    PreparedText::PackedGrams(packed_qgram_profile(s, q))
-                } else {
-                    // `qgrams` already returns sorted distinct grams.
-                    PreparedText::SortedGrams(qgrams(s, q))
-                }
-            }
+            Measure::JaroWinkler | Measure::Exact => PreparedText::Raw(s.to_string()),
+            Measure::TokenJaccard => PreparedText::SortedTokens(sorted_token_profile(s)),
         }
     }
 
-    /// Whether this is a set measure — token or q-gram Jaccard, Dice or
-    /// overlap — whose values [`Measure::push_interned_set`] profiles.
+    /// Whether this is a set measure — token Jaccard — whose values
+    /// [`Measure::push_interned_set`] profiles.
     pub fn is_set(&self) -> bool {
-        self.set_kind().is_some()
-    }
-
-    /// A set measure's operation, and its q-gram length (`None` for
-    /// whitespace tokens).
-    fn set_kind(&self) -> Option<(SetOp, Option<usize>)> {
-        match *self {
-            Measure::TokenJaccard => Some((SetOp::Jaccard, None)),
-            Measure::TokenDice => Some((SetOp::Dice, None)),
-            Measure::TokenOverlap => Some((SetOp::Overlap, None)),
-            Measure::QgramJaccard(q) => Some((SetOp::Jaccard, Some(q))),
-            Measure::QgramDice(q) => Some((SetOp::Dice, Some(q))),
-            _ => None,
-        }
+        matches!(self, Measure::TokenJaccard)
     }
 
     /// For a set measure ([`Measure::is_set`]), push the sorted distinct
-    /// ids of the whitespace tokens (or padded q-grams) of `s`, interned
-    /// through `interner` as [`crate::for_each_token`] and
-    /// [`crate::for_each_qgram`] yield them, onto `out`. Any other measure
-    /// pushes nothing.
+    /// ids of the whitespace tokens of `s`, interned through `interner` as
+    /// [`crate::for_each_token`] yields them, onto `out`. Any other
+    /// measure pushes nothing.
     ///
     /// Ids follow first appearance in `interner`, so two profiles are
     /// comparable only when interned through the **same** interner. A set
@@ -130,8 +69,8 @@ impl Measure {
     /// [`Measure::interned_set_score`] is bit-identical to
     /// [`Measure::text`] whatever ids the interner assigned.
     pub fn push_interned_set(&self, s: &str, interner: &mut StrInterner, out: &mut Vec<u32>) {
-        if let Some((_, gram)) = self.set_kind() {
-            push_interned_profile(s, gram, interner, out);
+        if self.is_set() {
+            push_interned_profile(s, interner, out);
         }
     }
 
@@ -140,9 +79,10 @@ impl Measure {
     /// the original strings. A measure that is not a set measure scores 0
     /// and bumps the `similarity.prepared.mismatch` counter.
     pub fn interned_set_score(&self, a: &[u32], b: &[u32]) -> f64 {
-        match self.set_kind() {
-            Some((op, _)) => op.sorted(a, b),
-            None => mismatch(),
+        if self.is_set() {
+            jaccard_sorted(a, b)
+        } else {
+            mismatch()
         }
     }
 
@@ -155,10 +95,7 @@ impl Measure {
     pub fn prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
         use PreparedText as P;
         match (*self, a, b) {
-            (Measure::Jaro, P::Raw(x), P::Raw(y)) => jaro(x, y),
             (Measure::JaroWinkler, P::Raw(x), P::Raw(y)) => jaro_winkler(x, y),
-            (Measure::Levenshtein, P::Raw(x), P::Raw(y)) => levenshtein_similarity(x, y),
-            (Measure::Lcs, P::Raw(x), P::Raw(y)) => lcs_similarity(x, y),
             (Measure::Exact, P::Raw(x), P::Raw(y)) => {
                 if x == y {
                     1.0
@@ -166,29 +103,10 @@ impl Measure {
                     0.0
                 }
             }
-            (Measure::TokenJaccard, a, b) => {
-                token_family(SetOp::Jaccard, a, b).unwrap_or_else(mismatch)
-            }
-            (Measure::TokenDice, a, b) => token_family(SetOp::Dice, a, b).unwrap_or_else(mismatch),
-            (Measure::TokenOverlap, a, b) => {
-                token_family(SetOp::Overlap, a, b).unwrap_or_else(mismatch)
-            }
-            (Measure::QgramJaccard(_), a, b) => {
-                gram_family(SetOp::Jaccard, a, b).unwrap_or_else(mismatch)
-            }
-            (Measure::QgramDice(_), a, b) => {
-                gram_family(SetOp::Dice, a, b).unwrap_or_else(mismatch)
-            }
+            (Measure::TokenJaccard, P::SortedTokens(x), P::SortedTokens(y)) => jaccard_sorted(x, y),
             (Measure::MongeElkanJw, P::TokenList(x), P::TokenList(y)) => {
                 0.5 * (monge_elkan_tokens(x, y, jaro_winkler)
                     + monge_elkan_tokens(y, x, jaro_winkler))
-            }
-            (Measure::Soundex, P::SoundexCode(x), P::SoundexCode(y)) => {
-                if x == y {
-                    1.0
-                } else {
-                    0.0
-                }
             }
             (Measure::Numeric(max_diff), P::Parsed(x), P::Parsed(y)) => match (x, y) {
                 (Some(x), Some(y)) => numeric_similarity(*x, *y, max_diff),
@@ -222,18 +140,10 @@ mod tests {
     use super::*;
     use crate::kernel::oracle;
 
-    const ALL: [Measure; 14] = [
-        Measure::Jaro,
+    const ALL: [Measure; 6] = [
         Measure::JaroWinkler,
-        Measure::Levenshtein,
         Measure::TokenJaccard,
-        Measure::QgramJaccard(2),
-        Measure::TokenDice,
-        Measure::QgramDice(3),
-        Measure::TokenOverlap,
-        Measure::Lcs,
         Measure::MongeElkanJw,
-        Measure::Soundex,
         Measure::Exact,
         Measure::Numeric(5.0),
         Measure::Year,
@@ -319,18 +229,10 @@ mod tests {
 
     #[test]
     fn interned_sets_append_sorted_distinct_ids() {
-        let set_measures = [
-            Measure::TokenJaccard,
-            Measure::TokenDice,
-            Measure::TokenOverlap,
-            Measure::QgramJaccard(2),
-            Measure::QgramDice(3),
-            Measure::QgramJaccard(4),
-        ];
-        for m in ALL.into_iter().chain(set_measures) {
-            assert_eq!(m.is_set(), set_measures.contains(&m), "{m:?}");
+        for m in ALL {
+            assert_eq!(m.is_set(), m == Measure::TokenJaccard, "{m:?}");
             let mut interner = StrInterner::new();
-            for w in ["b", "a", "##a"] {
+            for w in ["b", "a"] {
                 interner.intern(w);
             }
             let mut out = vec![9, 3];
@@ -349,16 +251,16 @@ mod tests {
         // API misuse (preparing with one measure, scoring with another)
         // degrades to 0 similarity instead of panicking.
         let token_set = Measure::TokenJaccard.prepare("a b c");
-        assert_eq!(Measure::Jaro.prepared(&token_set, &token_set), 0.0);
+        assert_eq!(Measure::JaroWinkler.prepared(&token_set, &token_set), 0.0);
         assert_eq!(
             Measure::Numeric(5.0).prepared(&token_set, &Measure::Numeric(5.0).prepare("1")),
             0.0
         );
-        // Cross-representation pairs mismatch too (sorted tokens vs packed
-        // grams), and so do id profiles under a measure without them.
-        let grams = Measure::QgramJaccard(2).prepare("a b c");
-        assert_eq!(Measure::TokenJaccard.prepared(&token_set, &grams), 0.0);
-        assert_eq!(Measure::Jaro.interned_set_score(&[0, 1], &[0, 1]), 0.0);
+        // Cross-representation pairs mismatch too (sorted tokens vs a token
+        // list), and so do id profiles under a measure without them.
+        let token_list = Measure::MongeElkanJw.prepare("a b c");
+        assert_eq!(Measure::TokenJaccard.prepared(&token_set, &token_list), 0.0);
+        assert_eq!(Measure::JaroWinkler.interned_set_score(&[0, 1], &[0, 1]), 0.0);
     }
 
     #[test]
@@ -380,7 +282,7 @@ mod tests {
     fn variant_mismatch_is_counted() {
         transer_trace::set_enabled(true);
         let p = Measure::TokenJaccard.prepare("a b");
-        assert_eq!(Measure::Jaro.prepared(&p, &p), 0.0);
+        assert_eq!(Measure::JaroWinkler.prepared(&p, &p), 0.0);
         let report = transer_trace::drain_report();
         transer_trace::set_enabled(false);
         assert!(report.counters.get("similarity.prepared.mismatch").is_some_and(|&c| c >= 1));

@@ -3,10 +3,9 @@
 //! The word and gram rules are written once, as visitors
 //! ([`for_each_token`], [`for_each_qgram`]) that hand each token to a
 //! callback as a `&str` borrowed from a caller-owned buffer. The
-//! collecting forms ([`tokens`], [`qgrams`], [`qgram_multiset`]), the
-//! packed q-gram profiles, the interned compare profiles and the blocking
-//! token hashes are built on them, so the hot paths that only need to
-//! hash, pack or intern a token never allocate one.
+//! collecting form [`tokens`], the interned compare profiles and the
+//! blocking token and 3-gram hashes are built on them, so the hot paths
+//! that only need to hash or intern a token never allocate one.
 //!
 //! Each visitor walks an ASCII string as bytes and any other string as
 //! chars. The byte path is the char path specialised to ASCII, token for
@@ -16,8 +15,6 @@
 //! `u8::to_ascii_lowercase`. Beyond ASCII a char can lower-case to several
 //! (`İ` → `i̇`), which only the char path handles. Tests pin the two paths
 //! equal on every ASCII byte.
-
-use std::collections::HashMap;
 
 /// The ASCII bytes `char::is_whitespace` accepts: `\t \n \x0B \x0C \r`
 /// and the space. (`u8::is_ascii_whitespace` omits `\x0B`, which would
@@ -116,26 +113,6 @@ pub fn tokens(s: &str) -> Vec<String> {
     out
 }
 
-/// The distinct padded character q-grams of a string (see
-/// [`for_each_qgram`] for the rule), sorted.
-///
-/// Returns an empty set for an empty string, and the padded grams otherwise.
-pub fn qgrams(s: &str, q: usize) -> Vec<String> {
-    let mut grams = Vec::new();
-    for_each_qgram(s, q, &mut String::new(), |g| grams.push(g.to_owned()));
-    grams.sort_unstable();
-    grams.dedup();
-    grams
-}
-
-/// The character q-grams of a string with multiplicities (padded as in
-/// [`qgrams`]).
-pub fn qgram_multiset(s: &str, q: usize) -> HashMap<String, usize> {
-    let mut out = HashMap::new();
-    for_each_qgram(s, q, &mut String::new(), |g| *out.entry(g.to_owned()).or_insert(0) += 1);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
@@ -158,6 +135,15 @@ mod tests {
             for_each_qgram_chars(s, q, &mut String::new(), |g| grams.push(g.to_owned()));
         }
         (tokens, grams)
+    }
+
+    /// The distinct `q`-grams of `s` as the visitor yields them, sorted.
+    fn qgrams(s: &str, q: usize) -> Vec<String> {
+        let mut grams = Vec::new();
+        for_each_qgram(s, q, &mut String::new(), |g| grams.push(g.to_owned()));
+        grams.sort_unstable();
+        grams.dedup();
+        grams
     }
 
     fn assert_paths_agree(s: &str) {
@@ -218,15 +204,6 @@ mod tests {
     fn bigram_padding() {
         let g = qgrams("ab", 2);
         assert_eq!(g, ["#a", "ab", "b#"]);
-    }
-
-    #[test]
-    fn qgram_multiset_counts() {
-        let m = qgram_multiset("aaa", 2);
-        // #a aa aa a# -> aa has multiplicity 2.
-        assert_eq!(m.get("aa"), Some(&2));
-        assert_eq!(m.get("#a"), Some(&1));
-        assert_eq!(m.get("a#"), Some(&1));
     }
 
     #[test]

@@ -23,8 +23,8 @@ use transer_common as _;
 /// Allocation accounting is process-global; tests serialise here.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// ER-shaped corpus: names, multi-token titles (unicode, one past the
-/// 64-char single-block Myers limit), years, plus empties and near-twins.
+/// ER-shaped corpus: names, multi-token titles (unicode, one longer than
+/// 64 chars), years, plus empties and near-twins.
 const CORPUS: [(&str, &str); 8] = [
     ("maria garcía", "maria garcia"),
     ("transfer learning for entity resolution", "transfer lerning for entity resolution"),

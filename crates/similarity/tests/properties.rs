@@ -10,23 +10,19 @@ fn word() -> impl Strategy<Value = String> {
 
 fn all_text_measures() -> Vec<Measure> {
     vec![
-        Measure::Jaro,
         Measure::JaroWinkler,
-        Measure::Levenshtein,
         Measure::TokenJaccard,
-        Measure::QgramJaccard(2),
-        Measure::QgramJaccard(3),
-        Measure::TokenDice,
-        Measure::QgramDice(2),
-        Measure::TokenOverlap,
-        Measure::Lcs,
         Measure::MongeElkanJw,
-        Measure::Soundex,
         Measure::Exact,
         Measure::Year,
         Measure::Numeric(10.0),
     ]
 }
+
+/// The measures that score any string against itself at 1 and are
+/// symmetric; the numeric ones score unparseable words 0.
+const STRING_MEASURES: [Measure; 4] =
+    [Measure::JaroWinkler, Measure::TokenJaccard, Measure::MongeElkanJw, Measure::Exact];
 
 proptest! {
     #[test]
@@ -39,19 +35,7 @@ proptest! {
 
     #[test]
     fn reflexive(a in word()) {
-        for m in [
-            Measure::Jaro,
-            Measure::JaroWinkler,
-            Measure::Levenshtein,
-            Measure::TokenJaccard,
-            Measure::QgramJaccard(2),
-            Measure::TokenDice,
-            Measure::TokenOverlap,
-            Measure::Lcs,
-            Measure::MongeElkanJw,
-            Measure::Soundex,
-            Measure::Exact,
-        ] {
+        for m in STRING_MEASURES {
             let s = m.text(&a, &a);
             prop_assert!((s - 1.0).abs() < 1e-12, "{m:?} not reflexive on {a:?}: {s}");
         }
@@ -59,43 +43,11 @@ proptest! {
 
     #[test]
     fn symmetric_measures(a in word(), b in word()) {
-        for m in [
-            Measure::Jaro,
-            Measure::JaroWinkler,
-            Measure::Levenshtein,
-            Measure::TokenJaccard,
-            Measure::QgramJaccard(2),
-            Measure::TokenDice,
-            Measure::TokenOverlap,
-            Measure::Lcs,
-            Measure::MongeElkanJw,
-            Measure::Soundex,
-            Measure::Exact,
-        ] {
+        for m in STRING_MEASURES {
             let ab = m.text(&a, &b);
             let ba = m.text(&b, &a);
             prop_assert!((ab - ba).abs() < 1e-12, "{m:?} asymmetric on {a:?} / {b:?}");
         }
-    }
-
-    #[test]
-    fn levenshtein_triangle_inequality(a in word(), b in word(), c in word()) {
-        let ab = levenshtein(&a, &b);
-        let bc = levenshtein(&b, &c);
-        let ac = levenshtein(&a, &c);
-        prop_assert!(ac <= ab + bc);
-    }
-
-    #[test]
-    fn damerau_never_exceeds_levenshtein(a in word(), b in word()) {
-        prop_assert!(damerau_levenshtein(&a, &b) <= levenshtein(&a, &b));
-    }
-
-    #[test]
-    fn levenshtein_bounded_by_longer_length(a in word(), b in word()) {
-        let d = levenshtein(&a, &b);
-        prop_assert!(d <= a.chars().count().max(b.chars().count()));
-        prop_assert!(d >= a.chars().count().abs_diff(b.chars().count()));
     }
 
     #[test]
@@ -104,31 +56,10 @@ proptest! {
     }
 
     #[test]
-    fn lcs_bounded_by_shorter(a in word(), b in word()) {
-        prop_assert!(lcs_len(&a, &b) <= a.chars().count().min(b.chars().count()));
-    }
-
-    #[test]
     fn numeric_similarity_bounds(a in -1.0e6..1.0e6f64, b in -1.0e6..1.0e6f64, d in 0.001..1.0e5f64) {
         let s = numeric_similarity(a, b, d);
         prop_assert!((0.0..=1.0).contains(&s));
         prop_assert!((numeric_similarity(a, a, d) - 1.0).abs() < 1e-12);
         prop_assert!((s - numeric_similarity(b, a, d)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soundex_code_shape(a in "[a-zA-Z]{1,16}") {
-        let code = soundex(&a);
-        prop_assert_eq!(code.len(), 4);
-        let mut chars = code.chars();
-        prop_assert!(chars.next().unwrap().is_ascii_uppercase());
-        prop_assert!(chars.all(|c| c.is_ascii_digit()));
-    }
-
-    #[test]
-    fn dice_jaccard_relation(a in word(), b in word()) {
-        let j = jaccard_tokens(&a, &b);
-        let d = dice_tokens(&a, &b);
-        prop_assert!((d - 2.0 * j / (1.0 + j)).abs() < 1e-9);
     }
 }

@@ -26,6 +26,10 @@ cargo test -q --workspace --no-fail-fast
 # distance whose bits depended on the call site would show only here.
 cargo test --release -q -p transer-knn
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings denied, so a deleted or renamed public item cannot
+# leave a broken intra-doc link behind. The vendored proptest stub is not
+# ours and carries two broken links of its own.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --exclude proptest
 cargo fmt --check
 bash scripts/panic_audit.sh
 

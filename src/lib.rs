@@ -38,7 +38,7 @@
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
 //! | [`common`] | `transer-common` | records, feature matrices, labels, datasets |
-//! | [`similarity`] | `transer-similarity` | Jaro-Winkler, Jaccard, Levenshtein, ... |
+//! | [`similarity`] | `transer-similarity` | Jaro-Winkler, Jaccard, Monge-Elkan, exact, numeric, year |
 //! | [`blocking`] | `transer-blocking` | MinHash LSH, updatable LSH index, comparison step |
 //! | [`knn`] | `transer-knn` | k-d tree k-nearest-neighbour index |
 //! | [`linalg`] | `transer-linalg` | dense matrices, Jacobi eigendecomposition |
