@@ -23,7 +23,7 @@ mod lsh_index;
 mod minhash;
 mod tokenize;
 
-pub use compare::Comparison;
+pub use compare::{Comparison, PreparedLayer};
 pub use lsh_index::{LshIndex, COMPACT_MIN_TOMBSTONES, INDEX_SCHEMA_VERSION};
 pub use minhash::{BandScratch, MinHashLsh, MinHashLshConfig};
 pub use tokenize::{token_hashes, token_hashes_masked};

@@ -4,7 +4,7 @@
 //! serialise on `transer_robust::test_lock`.
 
 mod compare {
-    use transer_blocking::Comparison;
+    use transer_blocking::{Comparison, PreparedLayer};
     use transer_common::{AttrValue, Error, FeatureMatrix, Label, Record};
     use transer_parallel::Pool;
     use transer_similarity::Measure;
@@ -25,9 +25,14 @@ mod compare {
         let pairs = [(0, 0), (0, 1), (1, 1)];
         let c = cmp();
 
-        // The features-only entry fires the same seam with the same effect
-        // on the matrix.
-        let features = || c.compare_features_with_pool(&left, &right, &pairs, &Pool::new(1));
+        // The prepared entry, which serving calls, fires the same seam with
+        // the same effect on the matrix.
+        let mut layer = PreparedLayer::new(&c);
+        for slot in 0..left.len() {
+            layer.prepare(&left, slot).unwrap();
+        }
+        let features =
+            || c.compare_prepared_with_pool(&layer, &left, &right, &pairs, &Pool::new(1));
         let bits =
             |x: &FeatureMatrix| -> Vec<u64> { x.as_slice().iter().map(|v| v.to_bits()).collect() };
 

@@ -201,17 +201,16 @@ impl RowInterning {
 /// fixed [`MulRotHasher`](crate::hash::MulRotHasher): ids follow first
 /// appearance whatever the hasher, so only the lookup cost depends on it.
 /// The hasher is not keyed, so tokens crafted to collide slow the lookups
-/// of the one compare shard that holds them; they cannot change an id or
-/// a score.
+/// of the interner that holds them; they cannot change an id or a score.
 ///
-/// The similarity fast kernel uses one interner per compare-run shard to
-/// turn token and q-gram profiles into sorted `u32` id slices, so the
-/// per-pair set similarities become `O(n + m)` integer merges with no
-/// hashing or `String` allocation. Ids are only meaningful *within* one
-/// interner: two values may be compared by id iff both were interned by
-/// the same instance. Scores derived from ids are id-assignment-agnostic
-/// (only equality of ids is ever used), so different interning orders on
-/// different shards still yield bit-identical similarities.
+/// The comparison step interns the tokens of set-measure values through
+/// one interner per prepared layer, turning token profiles into sorted
+/// `u32` id slices, so the per-pair set similarities become `O(n + m)`
+/// integer merges with no hashing or `String` allocation. Ids are only
+/// meaningful *within* one numbering: a request's layer looks a token up
+/// in its reference layer's interner ([`StrInterner::get`]) before
+/// numbering it after that interner's ids. Scores derived from ids are
+/// id-assignment-agnostic (only equality of ids is ever used).
 #[derive(Debug, Default, Clone)]
 pub struct StrInterner {
     map: HashMap<Box<str>, u32, MulRotBuild>,
@@ -237,6 +236,11 @@ impl StrInterner {
         let id = len as u32;
         self.map.insert(Box::from(s), id);
         id
+    }
+
+    /// The id of `s`, if it has been interned.
+    pub fn get(&self, s: &str) -> Option<u32> {
+        self.map.get(s).copied()
     }
 
     /// Number of distinct strings interned so far.
@@ -365,6 +369,9 @@ mod tests {
         assert_eq!(it.intern("deep"), 0);
         assert_eq!(it.intern(""), 2);
         assert_eq!(it.intern("entity"), 1);
+        assert_eq!(it.len(), 3);
+        assert_eq!((it.get("entity"), it.get("")), (Some(1), Some(2)));
+        assert_eq!(it.get("resolution"), None);
         assert_eq!(it.len(), 3);
     }
 

@@ -82,6 +82,34 @@ impl PersistedModel {
         }
     }
 
+    /// Check that the model reads exactly the features of a
+    /// `features`-wide row, as a serving schema produces them: a tree or
+    /// forest splits on no feature index at or past `features`, and a
+    /// logistic regression holds one weight per feature.
+    ///
+    /// # Errors
+    /// [`Error::DimensionMismatch`] with the width the model reads on the
+    /// left and `features` on the right.
+    pub fn check_features(&self, features: usize) -> Result<()> {
+        let (reads, fits) = match self {
+            PersistedModel::Forest(m) => {
+                let (_, _, trees) = m.persist_parts();
+                let width = trees.iter().map(DecisionTree::feature_width).max().unwrap_or(0);
+                (width, width <= features)
+            }
+            PersistedModel::Tree(m) => {
+                let width = m.feature_width();
+                (width, width <= features)
+            }
+            PersistedModel::Logistic(m) => (m.weights().len(), m.weights().len() == features),
+        };
+        if fits {
+            Ok(())
+        } else {
+            Err(Error::DimensionMismatch { what: "model features", left: reads, right: features })
+        }
+    }
+
     /// Snapshot a trained classifier that only exists behind the trait
     /// object (the pipeline's TCL output). `None` for kinds without a
     /// persistence format (SVM, MLP).

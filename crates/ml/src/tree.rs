@@ -135,6 +135,19 @@ impl DecisionTree {
         }
     }
 
+    /// One past the highest feature index a split reads: the fewest
+    /// features a row needs (0 for a tree without splits).
+    pub(crate) fn feature_width(&self) -> usize {
+        self.nodes
+            .iter()
+            .map(|node| match *node {
+                Node::Split { feature, .. } => usize::from(feature) + 1,
+                Node::Leaf { .. } => 0,
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     fn leaf_probability(&self, row: &[f64]) -> f64 {
         let mut id = self.root;
         loop {

@@ -8,11 +8,15 @@
 //! ([`transer_blocking::LshIndex`]), and queries arrive in batches that run
 //! block → compare → predict without ever refitting.
 //!
-//! [`MatchService`] owns those three pieces. Per batch it:
+//! [`MatchService`] owns those three pieces, and keeps every live
+//! reference record's values prepared for comparison
+//! ([`transer_blocking::PreparedLayer`]): a reference is prepared once, at
+//! insert, and a removed one keeps its slot. Per batch it:
 //!
 //! 1. probes the LSH index with every query record (`serve.block` span);
 //! 2. compares each (reference, query) candidate pair into similarity
-//!    features via the configured [`Comparison`];
+//!    features via the configured [`Comparison`], preparing only the
+//!    query values the references do not hold;
 //! 3. scores the pairs with the warm model (`serve.predict` span) and
 //!    returns per-pair match decisions.
 //!
@@ -23,7 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use transer_blocking::{Comparison, LshIndex, MinHashLshConfig};
+use transer_blocking::{Comparison, LshIndex, MinHashLshConfig, PreparedLayer};
 use transer_common::{Error, Label, Record, Result};
 use transer_ml::PersistedModel;
 use transer_parallel::Pool;
@@ -56,16 +60,19 @@ pub struct BatchResponse {
 }
 
 /// A warm matching service: comparison schema + trained model + updatable
-/// blocking index + reference records, loaded once and reused per batch.
+/// blocking index + reference records and their prepared values, loaded
+/// once and reused per batch.
 ///
-/// Removed reference records keep their slot in the backing store (the
-/// index never returns a dead id, so the slot is unreachable); ids are
-/// therefore stable for the lifetime of the service.
+/// Removed reference records keep their slot in the backing store and in
+/// the prepared layer (the index never returns a dead id, so the slot is
+/// unreachable); ids are therefore stable for the lifetime of the service.
 pub struct MatchService {
     comparison: Comparison,
     model: PersistedModel,
     index: LshIndex,
     records: Vec<Record>,
+    /// The live references' values prepared, in the slots of their ids.
+    prepared: PreparedLayer,
 }
 
 impl MatchService {
@@ -73,9 +80,11 @@ impl MatchService {
     /// from scratch (ids `0..reference.len()`).
     ///
     /// # Errors
-    /// [`Error::DimensionMismatch`] when a reference record fails
-    /// [`Comparison::check_record`]; [`Error::InvalidParameter`] when the
-    /// LSH config is invalid.
+    /// [`Error::DimensionMismatch`] when the model reads a feature the
+    /// comparison does not produce ([`PersistedModel::check_features`]) or
+    /// a reference record fails [`Comparison::check_record`];
+    /// [`Error::InvalidParameter`] when the LSH config is invalid or the
+    /// references overflow the prepared layer's ids.
     pub fn new(
         comparison: Comparison,
         model: PersistedModel,
@@ -83,34 +92,46 @@ impl MatchService {
         attrs: Option<&[usize]>,
         reference: Vec<Record>,
     ) -> Result<Self> {
-        for record in &reference {
-            comparison.check_record(record)?;
+        model.check_features(comparison.num_features())?;
+        let mut prepared = PreparedLayer::new(&comparison);
+        for id in 0..reference.len() {
+            prepared.prepare(&reference, id)?;
         }
         let index = LshIndex::from_records(config, attrs, &reference)?;
-        Ok(MatchService { comparison, model, index, records: reference })
+        Ok(MatchService { comparison, model, index, records: reference, prepared })
     }
 
     /// Build a service from a pre-built (typically loaded) index and its
-    /// reference records. Every live id must address a record slot.
+    /// reference records. Every live id must address a record slot; live
+    /// ids are checked and prepared in ascending order, so of several bad
+    /// ids the smallest is reported.
     ///
     /// # Errors
+    /// [`Error::DimensionMismatch`] when the model reads a feature the
+    /// comparison does not produce ([`PersistedModel::check_features`]) or
+    /// a live record fails [`Comparison::check_record`];
     /// [`Error::InvalidParameter`] when the index references an id outside
-    /// `records`; [`Error::DimensionMismatch`] when a live record fails
-    /// [`Comparison::check_record`].
+    /// `records`.
     pub fn with_index(
         comparison: Comparison,
         model: PersistedModel,
         index: LshIndex,
         records: Vec<Record>,
     ) -> Result<Self> {
-        for id in index.ids() {
-            let record = records.get(id).ok_or_else(|| Error::InvalidParameter {
-                name: "index",
-                message: format!("live id {id} has no record slot ({} records)", records.len()),
-            })?;
-            comparison.check_record(record)?;
+        model.check_features(comparison.num_features())?;
+        let mut live: Vec<usize> = index.ids().collect();
+        live.sort_unstable();
+        let mut prepared = PreparedLayer::new(&comparison);
+        for id in live {
+            if id >= records.len() {
+                return Err(Error::InvalidParameter {
+                    name: "index",
+                    message: format!("live id {id} has no record slot ({} records)", records.len()),
+                });
+            }
+            prepared.prepare(&records, id)?;
         }
-        Ok(MatchService { comparison, model, index, records })
+        Ok(MatchService { comparison, model, index, records, prepared })
     }
 
     /// Load the persisted artefacts (model + index) and wrap them around a
@@ -150,17 +171,30 @@ impl MatchService {
         &self.index
     }
 
-    /// Add a reference record; returns its assigned id.
+    /// The reference records' prepared values. Requests only read it: it
+    /// grows with the references inserted, never with the queries served.
+    pub fn prepared(&self) -> &PreparedLayer {
+        &self.prepared
+    }
+
+    /// Add a reference record, preparing its values; returns its assigned
+    /// id.
     ///
     /// # Errors
     /// [`Error::DimensionMismatch`] when the record fails
-    /// [`Comparison::check_record`], leaving the service unchanged;
-    /// propagates index insertion errors (cannot occur for fresh ids).
+    /// [`Comparison::check_record`] and [`Error::InvalidParameter`] when
+    /// it would overflow the prepared layer's ids, both leaving the service
+    /// unchanged; propagates index insertion errors (cannot occur for a
+    /// fresh id; the record would then keep its slot, as a removed one
+    /// does).
     pub fn insert(&mut self, record: Record) -> Result<usize> {
-        self.comparison.check_record(&record)?;
         let id = self.records.len();
-        self.index.insert(id, &record)?;
         self.records.push(record);
+        if let Err(e) = self.prepared.prepare(&self.records, id) {
+            self.records.pop();
+            return Err(e);
+        }
+        self.index.insert(id, &self.records[id])?;
         Ok(id)
     }
 
@@ -194,7 +228,7 @@ impl MatchService {
     /// Propagates comparison errors, among them
     /// [`Error::DimensionMismatch`] for a query record a candidate pair
     /// touches that fails [`Comparison::check_record`], and injected
-    /// faults.
+    /// faults. A failed batch changes nothing.
     pub fn query_batch_with_pool(&self, batch: &[Record], pool: &Pool) -> Result<BatchResponse> {
         let _span = transer_trace::span("serve.batch");
         transer_trace::counter("serve.batches", 1);
@@ -222,10 +256,16 @@ impl MatchService {
             return Ok(BatchResponse::default());
         }
 
-        // Compare: candidate pairs into similarity features only. Entity
-        // ids are ground truth the serving path must not see.
-        let mut x =
-            self.comparison.compare_features_with_pool(&self.records, batch, &pairs, pool)?;
+        // Compare: candidate pairs into similarity features only, against
+        // the references' prepared values. Entity ids are ground truth the
+        // serving path must not see.
+        let mut x = self.comparison.compare_prepared_with_pool(
+            &self.prepared,
+            &self.records,
+            batch,
+            &pairs,
+            pool,
+        )?;
         if let Some(kind @ (FaultKind::Nan | FaultKind::Inf)) = fault {
             transer_robust::corrupt_matrix(&mut x, kind);
         }

@@ -22,8 +22,6 @@
 
 use std::cell::RefCell;
 
-use transer_common::StrInterner;
-
 use crate::qgram::for_each_token;
 
 /// Reusable per-thread buffers for the fast kernels. Every kernel entry
@@ -153,11 +151,15 @@ pub(crate) fn jaro_winkler_fast(a: &str, b: &str, prefix_scale: f64, max_prefix:
     crate::clamp01(j + prefix as f64 * prefix_scale * (1.0 - j))
 }
 
-/// Push the sorted distinct ids under `interner` of the whitespace tokens
-/// of `s` onto `out`, interned as the visitor yields them.
-pub(crate) fn push_interned_profile(s: &str, interner: &mut StrInterner, out: &mut Vec<u32>) {
+/// Push the sorted distinct ids `intern` gives the whitespace tokens of
+/// `s` onto `out`, interned as the visitor yields them.
+pub(crate) fn push_interned_profile(
+    s: &str,
+    mut intern: impl FnMut(&str) -> u32,
+    out: &mut Vec<u32>,
+) {
     let start = out.len();
-    with_scratch(|sc| for_each_token(s, &mut sc.token, |t| out.push(interner.intern(t))));
+    with_scratch(|sc| for_each_token(s, &mut sc.token, |t| out.push(intern(t))));
     let profile = &mut out[start..];
     profile.sort_unstable();
     let mut len = 0;
@@ -443,8 +445,8 @@ pub(crate) mod oracle {
                 );
                 if m.is_set() {
                     let (mut ia, mut ib) = (Vec::new(), Vec::new());
-                    m.push_interned_set(a, &mut interner, &mut ia);
-                    m.push_interned_set(b, &mut interner, &mut ib);
+                    m.push_interned_set(a, |t| interner.intern(t), &mut ia);
+                    m.push_interned_set(b, |t| interner.intern(t), &mut ib);
                     let interned = m.interned_set_score(&ia, &ib);
                     assert_eq!(
                         interned.to_bits(),
@@ -515,8 +517,8 @@ pub(crate) mod oracle {
             let (a, b) = ("deep entity matching 1999", "entity matching deep 2003");
             let score = |m: Measure, interner: &mut StrInterner| {
                 let (mut pa, mut pb) = (Vec::new(), Vec::new());
-                m.push_interned_set(a, interner, &mut pa);
-                m.push_interned_set(b, interner, &mut pb);
+                m.push_interned_set(a, |t| interner.intern(t), &mut pa);
+                m.push_interned_set(b, |t| interner.intern(t), &mut pb);
                 m.interned_set_score(&pa, &pb)
             };
             for m in ALL.into_iter().filter(Measure::is_set) {

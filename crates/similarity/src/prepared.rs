@@ -15,8 +15,6 @@
 //! structure, so they are bit-identical to each other and to the `HashSet`
 //! oracle in `kernel::oracle`.
 
-use transer_common::StrInterner;
-
 use crate::jaccard::sorted_token_profile;
 use crate::kernel::push_interned_profile;
 use crate::monge_elkan::monge_elkan_tokens;
@@ -59,18 +57,19 @@ impl Measure {
     }
 
     /// For a set measure ([`Measure::is_set`]), push the sorted distinct
-    /// ids of the whitespace tokens of `s`, interned through `interner` as
-    /// [`crate::for_each_token`] yields them, onto `out`. Any other
+    /// ids of the whitespace tokens of `s`, each the id `intern` gives it
+    /// as [`crate::for_each_token`] yields it, onto `out`. Any other
     /// measure pushes nothing.
     ///
-    /// Ids follow first appearance in `interner`, so two profiles are
-    /// comparable only when interned through the **same** interner. A set
-    /// score consults id equality only, so
-    /// [`Measure::interned_set_score`] is bit-identical to
-    /// [`Measure::text`] whatever ids the interner assigned.
-    pub fn push_interned_set(&self, s: &str, interner: &mut StrInterner, out: &mut Vec<u32>) {
+    /// Two profiles are comparable only when their ids come from **one**
+    /// numbering, one id per distinct token (one
+    /// [`StrInterner`](transer_common::StrInterner), say). A set score
+    /// consults id equality only, so [`Measure::interned_set_score`] is
+    /// bit-identical to [`Measure::text`] whatever ids the numbering
+    /// assigned.
+    pub fn push_interned_set(&self, s: &str, intern: impl FnMut(&str) -> u32, out: &mut Vec<u32>) {
         if self.is_set() {
-            push_interned_profile(s, interner, out);
+            push_interned_profile(s, intern, out);
         }
     }
 
@@ -139,6 +138,7 @@ fn mismatch() -> f64 {
 mod tests {
     use super::*;
     use crate::kernel::oracle;
+    use transer_common::StrInterner;
 
     const ALL: [Measure; 6] = [
         Measure::JaroWinkler,
@@ -211,7 +211,7 @@ mod tests {
             let mut ranges = Vec::new();
             for a in SAMPLES {
                 let start = arena.len();
-                m.push_interned_set(a, &mut interner, &mut arena);
+                m.push_interned_set(a, |t| interner.intern(t), &mut arena);
                 ranges.push(start..arena.len());
             }
             for (a, ra) in SAMPLES.iter().zip(&ranges) {
@@ -236,13 +236,14 @@ mod tests {
                 interner.intern(w);
             }
             let mut out = vec![9, 3];
-            m.push_interned_set("a b a b", &mut interner, &mut out);
+            m.push_interned_set("a b a b", |t| interner.intern(t), &mut out);
             assert_eq!(out[..2], [9, 3], "{m:?} touched what was already there");
             assert_eq!(out.len() > 2, m.is_set(), "{m:?}: {out:?}");
             assert!(out[2..].windows(2).all(|w| w[0] < w[1]), "{m:?}: {out:?}");
         }
         let mut out = Vec::new();
-        Measure::TokenJaccard.push_interned_set("b a b a", &mut StrInterner::new(), &mut out);
+        let mut interner = StrInterner::new();
+        Measure::TokenJaccard.push_interned_set("b a b a", |t| interner.intern(t), &mut out);
         assert_eq!(out, [0, 1]);
     }
 

@@ -17,8 +17,8 @@ fn prepared_and_interned_paths_equal_the_direct_path() {
             assert_eq!(got.to_bits(), want, "prepared {label} on ({a:?}, {b:?})");
             if measure.is_set() {
                 let (mut ia, mut ib) = (Vec::new(), Vec::new());
-                measure.push_interned_set(a, &mut interner, &mut ia);
-                measure.push_interned_set(b, &mut interner, &mut ib);
+                measure.push_interned_set(a, |t| interner.intern(t), &mut ia);
+                measure.push_interned_set(b, |t| interner.intern(t), &mut ib);
                 let got = measure.interned_set_score(&ia, &ib);
                 assert_eq!(got.to_bits(), want, "interned {label} on ({a:?}, {b:?})");
             }
