@@ -48,24 +48,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod active;
 mod config;
 pub mod decay;
-mod multi_source;
 mod pipeline;
 mod pseudo;
 mod selector;
-mod semi;
 mod target;
 
-pub use active::{active_transfer, suggest_queries, ActiveRound};
 pub use config::{TransErConfig, Variant};
-pub use multi_source::{best_source, rank_sources, SourceScore};
 pub use pipeline::{Diagnostics, FallbackReason, FallbackSet, TransEr, TransErOutput};
 pub use pseudo::{generate_pseudo_labels, PseudoLabels};
 pub use selector::{
     select_instances, select_instances_per_row_with_pool, select_instances_with_pool,
     InstanceScores, SelectionResult,
 };
-pub use semi::{SemiSupervisedTransEr, TargetLabel};
 pub use target::{train_target_classifier, TargetPhaseOutput};

@@ -111,35 +111,15 @@ pub struct Diagnostics {
     /// End-to-end wall-clock seconds, measured by the root `pipeline` span
     /// (≥ the phase sum: it includes the glue between phases).
     pub total_secs: f64,
-    /// SEL produced a set too degenerate to train on (empty or
-    /// single-class); the full source was used instead. Mirrors
-    /// `fallbacks.contains(FallbackReason::SelectionStarved)`.
-    pub selection_fallback: bool,
-    /// TCL could not be trained (no/single-class high-confidence pseudo
-    /// labels); the pseudo labels were returned directly. Mirrors
-    /// `fallbacks.contains(FallbackReason::TclFailed)`.
-    pub tcl_fallback: bool,
     /// Every degradation-ladder step the run took.
     pub fallbacks: FallbackSet,
 }
 
 impl Diagnostics {
-    /// Total wall-clock seconds (the `total_secs` field; kept as a method
-    /// for backwards compatibility with callers of the old phase sum).
-    pub fn total_secs(&self) -> f64 {
-        self.total_secs
-    }
-
     /// Record a degradation-ladder step: sets the typed [`FallbackSet`]
-    /// bit, keeps the legacy boolean flags in sync, and bumps the
-    /// `robust.fallback.*` trace counter.
-    pub(crate) fn record_fallback(&mut self, reason: FallbackReason) {
+    /// bit and bumps the `robust.fallback.*` trace counter.
+    fn record_fallback(&mut self, reason: FallbackReason) {
         self.fallbacks.insert(reason);
-        match reason {
-            FallbackReason::SelectionStarved => self.selection_fallback = true,
-            FallbackReason::TclFailed => self.tcl_fallback = true,
-            FallbackReason::GenFailed | FallbackReason::SourceDirect => {}
-        }
         transer_trace::counter(reason.counter_name(), 1);
     }
 }
@@ -160,11 +140,6 @@ pub struct TransErOutput {
     /// enabled — see [`transer_trace::enabled`]): the span tree behind
     /// [`Diagnostics`] plus every counter and histogram the run recorded.
     pub trace: Option<transer_trace::TraceReport>,
-}
-
-/// Drain the run's trace buffer into the output (`None` when disabled).
-pub(crate) fn take_run_trace() -> Option<transer_trace::TraceReport> {
-    transer_trace::enabled().then(transer_trace::drain_report)
 }
 
 /// Trace the GEN confidence distribution against `t_p`: the histogram
@@ -190,7 +165,7 @@ fn trace_confidences(pseudo: &PseudoLabels, t_p: f64) {
 /// pseudo-labelling attempt failed — target labels classified directly.
 /// Either way the trained classifier rides along, so the serving layer can
 /// persist whichever model produced the labels it will replay.
-pub(crate) enum GenOutcome {
+enum GenOutcome {
     /// Pseudo labels with confidences (and the trained `C^U`); TCL runs
     /// next.
     Pseudo(PseudoLabels, Box<dyn Classifier>),
@@ -200,82 +175,10 @@ pub(crate) enum GenOutcome {
     Direct(Vec<Label>, Box<dyn Classifier>),
 }
 
-/// Fit a fresh classifier on `(x, y)` and label the target — the shape of
-/// the "without GEN & TCL" ablation, reused as the ladder's direct rungs.
-fn direct_labels(
-    classifier: ClassifierKind,
-    seed: u64,
-    x: &FeatureMatrix,
-    y: &[Label],
-    xt: &FeatureMatrix,
-) -> Result<(Vec<Label>, Box<dyn Classifier>)> {
-    let mut clf = classifier.build(seed);
-    clf.fit(x, y)?;
-    let labels = clf.predict(xt);
-    Ok((labels, clf))
-}
-
-/// Run GEN with the graceful-degradation ladder:
-///
-/// 1. pseudo-label via `C^U` trained on the transferred set `(xu, yu)`;
-/// 2. on failure, classify the target directly from the (clean)
-///    transferred set ([`FallbackReason::GenFailed`]);
-/// 3. on failure again, classify directly from the full source
-///    ([`FallbackReason::SourceDirect`]);
-/// 4. only then surface a typed error.
-///
-/// Resource-limit errors ([`Error::is_resource_exceeded`]) abort
-/// immediately — retrying would blow the same budget.
-///
-/// Hosts the `gen.fit` fault site (corrupts a *copy* of the training pair,
-/// so the ladder's clean-retry rungs stay meaningful) and the
-/// `gen.predict` site (corrupts the produced confidences/labels).
-#[allow(clippy::too_many_arguments)] // mirrors the pipeline inputs
-pub(crate) fn gen_with_ladder(
-    classifier: ClassifierKind,
-    seed: u64,
-    xu: &FeatureMatrix,
-    yu: &[Label],
-    xs: &FeatureMatrix,
-    ys: &[Label],
-    xt: &FeatureMatrix,
-    diag: &mut Diagnostics,
-) -> Result<GenOutcome> {
-    let mut cu = classifier.build(seed);
-    let generated = match transer_robust::fired(site::GEN_FIT) {
-        Some(FaultKind::TaskFail) => Err(Error::FaultInjected(site::GEN_FIT)),
-        Some(kind) => {
-            let (fx, fy) = transer_robust::corrupted_pair(xu, yu, kind);
-            generate_pseudo_labels(cu.as_mut(), &fx, &fy, xt)
-        }
-        None => generate_pseudo_labels(cu.as_mut(), xu, yu, xt),
-    };
-    let generated =
-        generated.and_then(|mut pseudo| match transer_robust::fired(site::GEN_PREDICT) {
-            Some(FaultKind::TaskFail | FaultKind::Empty) => {
-                Err(Error::FaultInjected(site::GEN_PREDICT))
-            }
-            Some(kind) => {
-                transer_robust::corrupt_confidences(&mut pseudo.confidences, kind);
-                transer_robust::corrupt_labels(&mut pseudo.labels, kind);
-                Ok(pseudo)
-            }
-            None => Ok(pseudo),
-        });
-    match generated {
-        Ok(pseudo) => Ok(GenOutcome::Pseudo(pseudo, cu)),
-        Err(e) if e.is_resource_exceeded() => Err(e),
-        Err(_) => {
-            diag.record_fallback(FallbackReason::GenFailed);
-            if let Ok((labels, clf)) = direct_labels(classifier, seed, xu, yu, xt) {
-                return Ok(GenOutcome::Direct(labels, clf));
-            }
-            diag.record_fallback(FallbackReason::SourceDirect);
-            direct_labels(classifier, seed, xs, ys, xt)
-                .map(|(labels, clf)| GenOutcome::Direct(labels, clf))
-        }
-    }
-}
+/// What the three phases produced: the final labels, the pseudo labels
+/// (`None` when GEN & TCL are ablated away or GEN degraded to direct
+/// classification) and the model that produced the final labels.
+type Phases = (Vec<Label>, Option<PseudoLabels>, Box<dyn Classifier>);
 
 /// The TransER framework: configuration plus the classifier family used
 /// for both `C^U` and `C^V`.
@@ -332,7 +235,7 @@ impl TransEr {
     /// that produced the final labels — the TCL classifier `C^V` on the
     /// happy path, or whichever ladder rung answered (the GEN model `C^U`
     /// when TCL fell back, a direct classifier when GEN degraded). `None`
-    /// when that classifier kind has no persistence format (SVM, MLP); the
+    /// when that classifier kind has no persistence format (SVM); the
     /// three serialisable kinds always yield `Some`.
     ///
     /// This is the offline half of the serving story: train once, persist
@@ -348,7 +251,22 @@ impl TransEr {
         xt: &FeatureMatrix,
     ) -> Result<(TransErOutput, Option<transer_ml::PersistedModel>)> {
         let root = transer_trace::timed("pipeline");
-        let mut diag = Diagnostics { source_count: xs.rows(), ..Default::default() };
+        let mut diagnostics = Diagnostics { source_count: xs.rows(), ..Default::default() };
+        let (labels, pseudo, model) = self.run_phases(xs, ys, xt, &mut diagnostics)?;
+        diagnostics.total_secs = root.finish();
+        let model = transer_ml::PersistedModel::from_classifier(model.as_ref());
+        let trace = transer_trace::enabled().then(transer_trace::drain_report);
+        Ok((TransErOutput { labels, pseudo, diagnostics, trace }, model))
+    }
+
+    /// SEL → GEN → TCL, each phase timed into `diag`.
+    fn run_phases(
+        &self,
+        xs: &FeatureMatrix,
+        ys: &[Label],
+        xt: &FeatureMatrix,
+        diag: &mut Diagnostics,
+    ) -> Result<Phases> {
         let variant = self.config.variant;
 
         // Phase (i): SEL.
@@ -374,46 +292,27 @@ impl TransEr {
             // Ablation "without GEN & TCL": classify the target with a
             // model trained directly on the transferred instances.
             let gen_span = transer_trace::timed("gen");
-            let mut clf = self.classifier.build(self.seed);
-            clf.fit(&xu, &yu)?;
-            let labels = clf.predict(xt);
+            let (labels, clf) = self.direct_labels(&xu, &yu, xt)?;
             diag.gen_secs = gen_span.finish();
-            diag.total_secs = root.finish();
-            let model = transer_ml::PersistedModel::from_classifier(clf.as_ref());
-            return Ok((
-                TransErOutput { labels, pseudo: None, diagnostics: diag, trace: take_run_trace() },
-                model,
-            ));
+            return Ok((labels, None, clf));
         }
 
         // Phase (ii): GEN, with the degradation ladder.
         let gen_span = transer_trace::timed("gen");
-        let outcome = gen_with_ladder(self.classifier, self.seed, &xu, &yu, xs, ys, xt, &mut diag)?;
+        let outcome = self.gen_with_ladder(&xu, &yu, xs, ys, xt, diag)?;
         diag.gen_secs = gen_span.finish();
         let (pseudo, cu) = match outcome {
             GenOutcome::Pseudo(pseudo, cu) => (pseudo, cu),
-            GenOutcome::Direct(labels, clf) => {
-                // GEN degraded to direct classification: nothing for TCL
-                // to refine.
-                diag.total_secs = root.finish();
-                let model = transer_ml::PersistedModel::from_classifier(clf.as_ref());
-                return Ok((
-                    TransErOutput {
-                        labels,
-                        pseudo: None,
-                        diagnostics: diag,
-                        trace: take_run_trace(),
-                    },
-                    model,
-                ));
-            }
+            // GEN degraded to direct classification: nothing for TCL to
+            // refine.
+            GenOutcome::Direct(labels, clf) => return Ok((labels, None, clf)),
         };
         trace_confidences(&pseudo, self.config.t_p);
 
         // Phase (iii): TCL.
         let tcl_span = transer_trace::timed("tcl");
         let mut cv: Box<dyn Classifier> = self.classifier.build(self.seed.wrapping_add(1));
-        let (output, served_model) = match train_target_classifier(
+        let (labels, model) = match train_target_classifier(
             cv.as_mut(),
             xt,
             &pseudo,
@@ -424,30 +323,92 @@ impl TransEr {
             Ok(out) => {
                 diag.candidate_count = out.candidate_count;
                 diag.balanced_count = out.balanced_count;
-                (out.labels, cv.as_ref())
+                (out.labels, cv)
             }
             Err(e) if !e.is_resource_exceeded() => {
                 // Fallback: the pseudo labels are the best available
                 // answer, and the GEN model that produced them is the one
                 // worth persisting.
                 diag.record_fallback(FallbackReason::TclFailed);
-                (pseudo.labels.clone(), cu.as_ref())
+                (pseudo.labels.clone(), cu)
             }
             Err(e) => return Err(e),
         };
         diag.tcl_secs = tcl_span.finish();
-        diag.total_secs = root.finish();
-        let model = transer_ml::PersistedModel::from_classifier(served_model);
+        Ok((labels, Some(pseudo), model))
+    }
 
-        Ok((
-            TransErOutput {
-                labels: output,
-                pseudo: Some(pseudo),
-                diagnostics: diag,
-                trace: take_run_trace(),
-            },
-            model,
-        ))
+    /// Run GEN with the graceful-degradation ladder:
+    ///
+    /// 1. pseudo-label via `C^U` trained on the transferred set `(xu, yu)`;
+    /// 2. on failure, classify the target directly from the (clean)
+    ///    transferred set ([`FallbackReason::GenFailed`]);
+    /// 3. on failure again, classify directly from the full source
+    ///    ([`FallbackReason::SourceDirect`]);
+    /// 4. only then surface a typed error.
+    ///
+    /// Resource-limit errors ([`Error::is_resource_exceeded`]) abort
+    /// immediately — retrying would blow the same budget.
+    ///
+    /// Hosts the `gen.fit` fault site (corrupts a *copy* of the training
+    /// pair, so the ladder's clean-retry rungs stay meaningful) and the
+    /// `gen.predict` site (corrupts the produced confidences/labels).
+    fn gen_with_ladder(
+        &self,
+        xu: &FeatureMatrix,
+        yu: &[Label],
+        xs: &FeatureMatrix,
+        ys: &[Label],
+        xt: &FeatureMatrix,
+        diag: &mut Diagnostics,
+    ) -> Result<GenOutcome> {
+        let mut cu = self.classifier.build(self.seed);
+        let generated = match transer_robust::fired(site::GEN_FIT) {
+            Some(FaultKind::TaskFail) => Err(Error::FaultInjected(site::GEN_FIT)),
+            Some(kind) => {
+                let (fx, fy) = transer_robust::corrupted_pair(xu, yu, kind);
+                generate_pseudo_labels(cu.as_mut(), &fx, &fy, xt)
+            }
+            None => generate_pseudo_labels(cu.as_mut(), xu, yu, xt),
+        };
+        let generated =
+            generated.and_then(|mut pseudo| match transer_robust::fired(site::GEN_PREDICT) {
+                Some(FaultKind::TaskFail | FaultKind::Empty) => {
+                    Err(Error::FaultInjected(site::GEN_PREDICT))
+                }
+                Some(kind) => {
+                    transer_robust::corrupt_confidences(&mut pseudo.confidences, kind);
+                    transer_robust::corrupt_labels(&mut pseudo.labels, kind);
+                    Ok(pseudo)
+                }
+                None => Ok(pseudo),
+            });
+        match generated {
+            Ok(pseudo) => Ok(GenOutcome::Pseudo(pseudo, cu)),
+            Err(e) if e.is_resource_exceeded() => Err(e),
+            Err(_) => {
+                diag.record_fallback(FallbackReason::GenFailed);
+                if let Ok((labels, clf)) = self.direct_labels(xu, yu, xt) {
+                    return Ok(GenOutcome::Direct(labels, clf));
+                }
+                diag.record_fallback(FallbackReason::SourceDirect);
+                self.direct_labels(xs, ys, xt).map(|(labels, clf)| GenOutcome::Direct(labels, clf))
+            }
+        }
+    }
+
+    /// Fit a fresh classifier on `(x, y)` and label the target: the
+    /// "without GEN & TCL" ablation, and the ladder's direct rungs.
+    fn direct_labels(
+        &self,
+        x: &FeatureMatrix,
+        y: &[Label],
+        xt: &FeatureMatrix,
+    ) -> Result<(Vec<Label>, Box<dyn Classifier>)> {
+        let mut clf = self.classifier.build(self.seed);
+        clf.fit(x, y)?;
+        let labels = clf.predict(xt);
+        Ok((labels, clf))
     }
 }
 
@@ -509,10 +470,9 @@ mod tests {
         assert!(accuracy(&out.labels, &yt) > 0.95, "accuracy too low");
         let d = out.diagnostics;
         assert!(d.selected_count > 0 && d.selected_count < d.source_count);
-        assert!(!d.selection_fallback);
         assert!(d.fallbacks.is_empty(), "clean run took a fallback: {:?}", d.fallbacks);
         assert!(out.pseudo.is_some());
-        assert!(d.total_secs() >= 0.0);
+        assert!(d.total_secs >= 0.0);
     }
 
     #[test]
@@ -546,10 +506,10 @@ mod tests {
         let cfg = TransErConfig { k: 5, t_p: 1.0, ..Default::default() };
         let (out, yt) = run(cfg);
         assert_eq!(out.labels.len(), yt.len());
-        if out.diagnostics.tcl_fallback {
-            let pseudo = out.pseudo.expect("pseudo kept");
-            assert_eq!(out.labels, pseudo.labels);
-        }
+        let fallbacks = out.diagnostics.fallbacks;
+        assert!(fallbacks.contains(FallbackReason::TclFailed), "{fallbacks:?}");
+        let pseudo = out.pseudo.expect("pseudo kept");
+        assert_eq!(out.labels, pseudo.labels);
     }
 
     #[test]
@@ -558,10 +518,12 @@ mod tests {
         // the full source rather than fail.
         let cfg = TransErConfig { k: 5, t_c: 1.0, t_l: 1.0, ..Default::default() };
         let (xs, ys, xt, _) = fixture();
-        // Force structural mismatch so sim_l = 1.0 never holds.
         let t = TransEr::new(cfg, ClassifierKind::LogisticRegression, 1).unwrap();
         let out = t.fit_predict(&xs, &ys, &xt).unwrap();
         assert_eq!(out.labels.len(), xt.rows());
+        let d = out.diagnostics;
+        assert!(d.fallbacks.contains(FallbackReason::SelectionStarved), "{:?}", d.fallbacks);
+        assert_eq!(d.selected_count, 0);
     }
 
     #[test]
@@ -632,17 +594,6 @@ mod tests {
         for reason in FallbackReason::ALL {
             assert!(!reason.as_str().is_empty());
         }
-    }
-
-    #[test]
-    fn record_fallback_syncs_legacy_flags() {
-        let mut diag = Diagnostics::default();
-        diag.record_fallback(FallbackReason::SelectionStarved);
-        assert!(diag.selection_fallback && !diag.tcl_fallback);
-        diag.record_fallback(FallbackReason::TclFailed);
-        assert!(diag.tcl_fallback);
-        diag.record_fallback(FallbackReason::GenFailed);
-        assert_eq!(diag.fallbacks.iter().count(), 3);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 pub mod biblio;
 pub mod corrupt;
 pub mod demographic;
-pub mod export;
 pub mod lexicon;
 pub mod music;
 pub mod scale;

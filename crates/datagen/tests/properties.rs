@@ -1,12 +1,11 @@
-//! Property tests on the workload generators: corruption invariants,
-//! scenario structure, CSV round-trips.
+//! Property tests on the workload generators: corruption invariants and
+//! scenario structure.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transer_common::AttrValue;
 use transer_datagen::corrupt::{corrupt_number, corrupt_text, typo};
-use transer_datagen::export::{read_csv, write_csv};
 use transer_datagen::vectors::{generate, VectorDomainConfig};
 use transer_datagen::CorruptionProfile;
 
@@ -79,23 +78,5 @@ proptest! {
         }
         // Deterministic per seed.
         prop_assert_eq!(generate("p", &cfg).unwrap(), ds);
-    }
-
-    #[test]
-    fn csv_roundtrip_is_lossless(
-        n in 1usize..60,
-        m in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let cfg = VectorDomainConfig { n, m, seed, ..Default::default() };
-        let ds = generate("rt", &cfg).unwrap();
-        let mut buf = Vec::new();
-        write_csv(&ds, &mut buf).unwrap();
-        let back = read_csv("rt", buf.as_slice()).unwrap();
-        prop_assert_eq!(back.y, ds.y.clone());
-        prop_assert_eq!(back.x.rows(), ds.x.rows());
-        for (a, b) in back.x.as_slice().iter().zip(ds.x.as_slice()) {
-            prop_assert!((a - b).abs() < 1e-12);
-        }
     }
 }

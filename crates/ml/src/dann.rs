@@ -10,11 +10,71 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use transer_common::{Error, FeatureMatrix, Label, Result};
 
 use crate::logistic::sigmoid;
-use crate::mlp::DenseLayer;
+
+/// One fully connected layer with ReLU or identity activation.
+#[derive(Debug, Clone)]
+struct DenseLayer {
+    /// Row-major `out × in` weight matrix.
+    w: Vec<f64>,
+    b: Vec<f64>,
+    inputs: usize,
+    outputs: usize,
+    relu: bool,
+}
+
+impl DenseLayer {
+    fn new(inputs: usize, outputs: usize, relu: bool, rng: &mut StdRng) -> Self {
+        // He-style initialisation scaled to the fan-in.
+        let scale = (2.0 / inputs.max(1) as f64).sqrt();
+        let w = (0..inputs * outputs).map(|_| rng.random_range(-scale..scale)).collect();
+        DenseLayer { w, b: vec![0.0; outputs], inputs, outputs, relu }
+    }
+
+    /// Forward pass; returns the post-activation output.
+    fn forward(&self, x: &[f64]) -> Vec<f64> {
+        debug_assert_eq!(x.len(), self.inputs);
+        (0..self.outputs)
+            .map(|o| {
+                let z = self.b[o]
+                    + self.w[o * self.inputs..(o + 1) * self.inputs]
+                        .iter()
+                        .zip(x)
+                        .map(|(w, x)| w * x)
+                        .sum::<f64>();
+                if self.relu {
+                    z.max(0.0)
+                } else {
+                    z
+                }
+            })
+            .collect()
+    }
+
+    /// Backward pass: given the layer input, its forward output and the
+    /// gradient w.r.t. that output, apply an SGD step with rate `lr` and
+    /// return the gradient w.r.t. the input.
+    fn backward(&mut self, x: &[f64], out: &[f64], grad_out: &[f64], lr: f64) -> Vec<f64> {
+        let mut grad_in = vec![0.0; self.inputs];
+        for o in 0..self.outputs {
+            // ReLU gate: zero gradient where the unit was inactive.
+            let g = if self.relu && out[o] <= 0.0 { 0.0 } else { grad_out[o] };
+            if g == 0.0 {
+                continue;
+            }
+            let row = &mut self.w[o * self.inputs..(o + 1) * self.inputs];
+            for (i, (w, &xv)) in row.iter_mut().zip(x).enumerate() {
+                grad_in[i] += *w * g;
+                *w -= lr * g * xv;
+            }
+            self.b[o] -= lr * g;
+        }
+        grad_in
+    }
+}
 
 /// Hyper-parameters for [`GrlNet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,6 +265,15 @@ mod tests {
         a.fit(&xs, &ys, &xt).unwrap();
         b.fit(&xs, &ys, &xt).unwrap();
         assert_eq!(a.predict_proba(&xt), b.predict_proba(&xt));
+    }
+
+    #[test]
+    fn layer_shapes() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let layer = DenseLayer::new(3, 2, true, &mut rng);
+        let out = layer.forward(&[0.1, 0.2, 0.3]);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|&v| v >= 0.0), "ReLU output must be non-negative");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! * [`LinearSvm`] — Pegasos-style SGD on the hinge loss, with Platt
 //!   scaling so that [`Classifier::predict_proba`] is calibrated (the GEN
 //!   phase of TransER depends on meaningful confidence scores).
-//! * [`Mlp`] / [`GrlNet`] — small feed-forward networks; `GrlNet` adds the
-//!   gradient-reversal domain-adversarial head used by the DTAL* baseline.
+//! * [`GrlNet`] — a small feed-forward network with the gradient-reversal
+//!   domain-adversarial head used by the DTAL* baseline.
 //!
-//! All classifiers implement the common [`Classifier`] trait and accept
+//! The paper's four implement the common [`Classifier`] trait and accept
 //! optional per-sample weights (required by the instance-reweighting DR
 //! baseline).
 //!
@@ -32,7 +32,6 @@
 mod dann;
 mod forest;
 mod logistic;
-mod mlp;
 mod persist;
 mod presorted;
 mod sampling;
@@ -44,7 +43,6 @@ mod tree;
 pub use dann::{GrlConfig, GrlNet};
 pub use forest::{RandomForest, RandomForestConfig};
 pub use logistic::{LogisticRegression, LogisticRegressionConfig};
-pub use mlp::{Mlp, MlpConfig};
 pub use persist::{PersistedModel, MODEL_SCHEMA_VERSION};
 pub use sampling::{bootstrap_bag, stratified_fraction, undersample_to_ratio};
 pub use svm::{LinearSvm, LinearSvmConfig};

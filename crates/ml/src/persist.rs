@@ -112,7 +112,7 @@ impl PersistedModel {
 
     /// Snapshot a trained classifier that only exists behind the trait
     /// object (the pipeline's TCL output). `None` for kinds without a
-    /// persistence format (SVM, MLP).
+    /// persistence format (SVM).
     pub fn from_classifier(clf: &dyn Classifier) -> Option<Self> {
         let any = clf.as_any();
         if let Some(m) = any.downcast_ref::<RandomForest>() {
@@ -485,6 +485,5 @@ mod tests {
             assert_eq!(model.kind(), kind);
         }
         assert!(PersistedModel::from_classifier(ClassifierKind::Svm.build(1).as_ref()).is_none());
-        assert!(PersistedModel::from_classifier(ClassifierKind::Mlp.build(1).as_ref()).is_none());
     }
 }

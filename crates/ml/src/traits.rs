@@ -2,7 +2,7 @@
 
 use transer_common::{FeatureMatrix, Label, Result};
 
-use crate::{DecisionTree, LinearSvm, LogisticRegression, Mlp, RandomForest};
+use crate::{DecisionTree, LinearSvm, LogisticRegression, RandomForest};
 
 /// A binary match / non-match classifier over similarity feature vectors.
 ///
@@ -82,9 +82,6 @@ pub enum ClassifierKind {
     LogisticRegression,
     /// CART decision tree.
     DecisionTree,
-    /// Small multi-layer perceptron (not part of the paper's averaged set;
-    /// used by the deep baselines).
-    Mlp,
 }
 
 impl ClassifierKind {
@@ -104,7 +101,6 @@ impl ClassifierKind {
             ClassifierKind::RandomForest => Box::new(RandomForest::with_seed(seed)),
             ClassifierKind::LogisticRegression => Box::new(LogisticRegression::default()),
             ClassifierKind::DecisionTree => Box::new(DecisionTree::default()),
-            ClassifierKind::Mlp => Box::new(Mlp::with_seed(seed)),
         }
     }
 
@@ -115,7 +111,6 @@ impl ClassifierKind {
             ClassifierKind::RandomForest => "rf",
             ClassifierKind::LogisticRegression => "logreg",
             ClassifierKind::DecisionTree => "dtree",
-            ClassifierKind::Mlp => "mlp",
         }
     }
 }
@@ -168,7 +163,6 @@ mod tests {
             let c = kind.build(1);
             assert_eq!(c.name(), kind.name());
         }
-        assert_eq!(ClassifierKind::Mlp.build(1).name(), "mlp");
     }
 
     #[test]

@@ -14,11 +14,13 @@
 # scripts/panic_allowlist.txt (currently empty: the sweep removed every
 # occurrence).
 #
-# The same extractor also keeps `std`'s DefaultHasher out of the
-# production lines of every crate: its algorithm is unspecified across
-# Rust releases, so every hash that reaches an output or an artefact goes
-# through the workspace's own SipHash-1-3 (`transer_common::hash`). Test
-# code may keep it as an oracle. No allowlist applies to this check.
+# The same extractor also counts the production lines of every crate
+# (printed as `panic_audit: N production lines (crates/*/src)`, the size
+# figure the change log quotes) and keeps `std`'s DefaultHasher out of
+# them: its algorithm is unspecified across Rust releases, so every hash
+# that reaches an output or an artefact goes through the workspace's own
+# SipHash-1-3 (`transer_common::hash`). Test code may keep it as an
+# oracle. No allowlist applies to this check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,7 +94,10 @@ if [ "$violations" -gt 0 ]; then
 fi
 echo "panic_audit: clean (${CRATES[*]})"
 
-hasher_hits=$(find crates/*/src -name '*.rs' -exec awk "$PRODUCTION_LINES" {} + \
+production=$(find crates/*/src -name '*.rs' -exec awk "$PRODUCTION_LINES" {} +)
+echo "panic_audit: $(printf '%s\n' "$production" | wc -l) production lines (crates/*/src)"
+
+hasher_hits=$(printf '%s\n' "$production" \
     | grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' \
     | grep -E 'DefaultHasher' || true)
 if [ -n "$hasher_hits" ]; then

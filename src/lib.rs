@@ -42,7 +42,7 @@
 //! | [`blocking`] | `transer-blocking` | MinHash LSH, updatable LSH index, comparison step |
 //! | [`knn`] | `transer-knn` | k-d tree k-nearest-neighbour index |
 //! | [`linalg`] | `transer-linalg` | dense matrices, Jacobi eigendecomposition |
-//! | [`ml`] | `transer-ml` | logistic regression, CART, random forest, SVM, MLP/GRL |
+//! | [`ml`] | `transer-ml` | logistic regression, CART, random forest, SVM, GRL net |
 //! | [`metrics`] | `transer-metrics` | precision, recall, F1, F*, histograms |
 //! | [`datagen`] | `transer-datagen` | the seven synthetic workload generators |
 //! | [`core`] | `transer-core` | **the TransER algorithm** (SEL / GEN / TCL) |
@@ -76,10 +76,7 @@ pub mod prelude {
     pub use transer_common::{
         AttrType, AttrValue, DomainPair, FeatureMatrix, Label, LabeledDataset, Record, Schema,
     };
-    pub use transer_core::{
-        active_transfer, best_source, rank_sources, select_instances, suggest_queries,
-        SemiSupervisedTransEr, TransEr, TransErConfig, Variant,
-    };
+    pub use transer_core::{select_instances, TransEr, TransErConfig, Variant};
     pub use transer_datagen::{Scenario, ScenarioPair};
     pub use transer_metrics::{evaluate, ConfusionMatrix, MeanStd};
     pub use transer_ml::{Classifier, ClassifierKind};
